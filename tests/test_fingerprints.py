@@ -1,0 +1,80 @@
+"""Golden fingerprints of whole hierarchies: the guard for refactors.
+
+Each case builds a multigrid hierarchy on a small jittered box and hashes,
+level by level, the element -> agglomerate map, the prolongation's CSR
+arrays and the coarse operator's nonzero count; the FGMRES iteration count
+under the default smoother is pinned next to the hash. A change that keeps
+every value here rebuilds the same hierarchies bit for bit. Never edit a
+golden value to make a refactor pass; only a change that is meant to alter
+the hierarchies (and says so) may re-record them.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
+from agglomg.hierarchy import build_hierarchy
+from agglomg.mesh import generate_mesh
+from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
+                            assemble_problem, fgmres)
+
+MESHES = {2: dict(n=16, jitter=0.2, seed=3), 3: dict(n=6, jitter=0.15, seed=3)}
+SEEDS = (1, 2)
+
+# (dim, algorithm, seed) -> (sha256 prefix, FGMRES iterations)
+GOLDEN = {
+    (2, 'jones', 1): ('465faf1e8c472ecc', 9),
+    (2, 'jones', 2): ('465faf1e8c472ecc', 9),
+    (2, 'kraus', 1): ('992107f61bd8fb53', 8),
+    (2, 'kraus', 2): ('992107f61bd8fb53', 8),
+    (2, 'rgb', 1): ('d893eab60b837c05', 11),
+    (2, 'rgb', 2): ('0e5bac0f77b525cd', 11),
+    (2, 'node', 1): ('226356c732ecce74', 10),
+    (2, 'node', 2): ('fdb61add75395e42', 10),
+    (2, 'greedy', 1): ('5805e49b976986de', 13),
+    (2, 'greedy', 2): ('4f5b16aff3e3807e', 13),
+    (2, 'sizebased', 1): ('f18bdf0eb090bbca', 14),
+    (2, 'sizebased', 2): ('b66b2c99d6f0a826', 15),
+    (2, 'aspect', 1): ('c2adec1aa8242c8f', 13),
+    (2, 'aspect', 2): ('5e8dd95a35ff50cb', 12),
+    (3, 'jones', 1): ('c7eea4e9b12d8fad', 1),
+    (3, 'jones', 2): ('c7eea4e9b12d8fad', 1),
+    (3, 'kraus', 1): ('b9e342333f8dc6c1', 6),
+    (3, 'kraus', 2): ('b9e342333f8dc6c1', 6),
+    (3, 'rgb', 1): ('26c6ca8b7f8d5e9e', 3),
+    (3, 'rgb', 2): ('481efb1217d09347', 3),
+    (3, 'node', 1): ('ca1de36a57bdb36b', 7),
+    (3, 'node', 2): ('ea2fa414689e3949', 7),
+    (3, 'greedy', 1): ('7f9061674ffacb61', 8),
+    (3, 'greedy', 2): ('9e1e401f363062de', 8),
+    (3, 'sizebased', 1): ('6470a076e9d1e578', 8),
+    (3, 'sizebased', 2): ('a450d539fa6b9f8c', 8),
+    (3, 'aspect', 1): ('619044c3f2462c31', 8),
+    (3, 'aspect', 2): ('bcb4695fe84ac177', 8),
+}
+
+
+def fingerprint(dim, algorithm, seed):
+    mesh = generate_mesh(dim, **MESHES[dim])
+    spec = ProblemSpec("diffuse")
+    A, b = assemble_problem(mesh, spec)
+    hier = build_hierarchy(mesh, CoarsenConfig(algorithm, desired_size=24, seed=seed),
+                           materials=spec.materials, operator=A)
+    digest = hashlib.sha256()
+    for level in hier.levels:
+        P = level.prolongation.tocsr()
+        for arr in (level.agglomeration.element_to_agg, P.indptr, P.indices):
+            digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(P.data, dtype="<f8").tobytes())
+        digest.update(int(level.operator.nnz).to_bytes(8, "little"))
+    M = VCyclePreconditioner(hier, SmootherConfig())
+    _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
+    assert converged
+    return digest.hexdigest()[:16], iterations
+
+
+@pytest.mark.parametrize("dim,algorithm,seed", [
+    (dim, alg, seed) for dim in MESHES for alg in ALGORITHMS for seed in SEEDS])
+def test_fingerprint(dim, algorithm, seed):
+    assert fingerprint(dim, algorithm, seed) == GOLDEN[(dim, algorithm, seed)]
