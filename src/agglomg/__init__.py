@@ -22,13 +22,12 @@ from .partitioner import (Partition, WeightedGraph, edge_cut, partition_kway,
 from .hierarchy import (CoarseEdge, CoarseEdgeSet, CoarseFace, CoarseningError,
                         ElementMaterials, GridLevel, Hierarchy, LevelSchedule,
                         StopRule, build_hierarchy, build_prolongation,
-                        galerkin_operator, grid_complexity, kraus_coarse_nodes,
-                        level_schedule, operator_complexity, project_materials,
-                        restriction, select_coarse_edges, select_coarse_faces,
-                        select_coarse_nodes)
+                        galerkin_operator, grid_complexity, level_schedule,
+                        operator_complexity, project_materials, restriction,
+                        select_coarse_edges, select_coarse_faces, select_coarse_nodes)
 from .solver import (DivergenceError, ProblemSpec, SmootherConfig, SolveReport,
                      VCyclePreconditioner, absorbing_materials, apply_dirichlet,
                      assemble_operator, assemble_problem, diffuse_materials, fgmres,
-                     mms_convergence, smooth, solve_problem, vcycle)
+                     mms_convergence, smooth, solve_problem)
 
 __version__ = "0.1.0"

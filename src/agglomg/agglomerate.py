@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import LevelTopology, _csr_from_pairs
+from .mesh import (LevelTopology, _components, _csr_from_pairs, _first_appearance,
+                   _induced_components)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -621,12 +622,12 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
         frontier = [e for e in unassigned
                     if (assign[dual.neighbors(e)] >= 0).any()]
         if not frontier:
-            # pocket disconnected from every agglomerate: becomes its own
-            pocket = _components_of(dual, unassigned)
-            for comp in pocket:
-                assign[comp] = len(sizes)
-                sizes.append(len(comp))
-                report.isolated_resolved += len(comp)
+            # pocket disconnected from every agglomerate: each component
+            # becomes its own agglomerate
+            labels = _induced_components(dual.indptr, dual.indices, unassigned)
+            assign[unassigned] = len(sizes) + labels
+            sizes.extend(np.bincount(labels))
+            report.isolated_resolved += len(unassigned)
             break
         for e in frontier:
             tally = {}
@@ -648,19 +649,7 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
     report.enclosed_merged += _merge_enclosed(topo, assign)
     report.disconnected_split += _split_noncontiguous(topo, assign)
 
-    # densify ids in first-appearance order
-    first_seen = {}
-    remap = np.empty(int(assign.max()) + 1, dtype=np.int64)
-    next_id = 0
-    for a in assign:
-        a = int(a)
-        if a not in first_seen:
-            first_seen[a] = next_id
-            next_id += 1
-    for a, d in first_seen.items():
-        remap[a] = d
-    out = Agglomeration(remap[assign], level=agg.level)
-    return out, report
+    return Agglomeration(_first_appearance(assign), level=agg.level), report
 
 
 def _live_sizes(assign):
@@ -668,39 +657,12 @@ def _live_sizes(assign):
     return list(np.bincount(assign[assign >= 0], minlength=nagg))
 
 
-def _components_of(dual, members):
-    member_set = set(int(m) for m in members)
-    seen = set()
-    comps = []
-    for m in members:
-        m = int(m)
-        if m in seen:
-            continue
-        comp = [m]
-        seen.add(m)
-        stack = [m]
-        while stack:
-            u = stack.pop()
-            for v in dual.neighbors(u):
-                v = int(v)
-                if v in member_set and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps
-
-
 def _split_noncontiguous(topo, assign) -> int:
-    from scipy.sparse import csgraph, csr_matrix
-
     dual = topo.dual
     n = topo.n_elements
     src = np.repeat(np.arange(n), np.diff(dual.indptr))
     same = assign[src] == assign[dual.indices]
-    G = csr_matrix((np.ones(int(same.sum())), (src[same], dual.indices[same])),
-                   shape=(n, n))
-    _, labels = csgraph.connected_components(G, directed=False)
+    labels = _components(src[same], dual.indices[same], n)
     # agglomerates spanning more than one component need splitting
     key = assign * (labels.max() + 1) + labels
     uniq_pairs = np.unique(key)
@@ -775,12 +737,12 @@ def _merge_enclosed(topo, assign) -> int:
             round_merges += 1
         if round_merges == 0:
             break
-        for a in range(nagg):
-            root = a
-            while parent[root] != root:
-                root = int(parent[root])
-            parent[a] = root
-        assign[:] = parent[assign]
+        # every merge tree keeps the id of its root
+        labels = _components(np.arange(nagg), parent, nagg)
+        roots = np.flatnonzero(parent == np.arange(nagg))
+        root_of = np.empty(len(roots), dtype=np.int64)
+        root_of[labels[roots]] = roots
+        assign[:] = root_of[labels[assign]]
         merges += round_merges
     return merges
 

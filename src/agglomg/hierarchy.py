@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
-                   MaterialTable, _csr_from_pairs, _dual_from_faces)
+                   MaterialTable, _components, _csr_from_pairs,
+                   _dual_from_faces, _first_appearance, _gather_ragged)
 from .agglomerate import Agglomeration, CoarsenConfig, coarsen
 
 SEARCH_RING_LIMIT = 20
@@ -267,20 +268,6 @@ def _face_components(topo: LevelTopology, group: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # coarse nodes
 
-def _ranges(counts):
-    total = int(counts.sum())
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total) - starts
-
-
-def _gather_ragged(indptr, data, rows):
-    """Concatenate CSR rows; returns (values, per-row counts)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    idx = np.repeat(indptr[rows], counts) + _ranges(counts)
-    return data[idx], counts
-
-
 def _node_coarseface_pairs(topo, coarse_faces):
     """Unique (node, coarse-face index) incidence pairs."""
     if not coarse_faces:
@@ -306,20 +293,35 @@ def _node_agg_pairs(topo, agg):
     return uniq // max(agg.n_agglomerates, 1), uniq % max(agg.n_agglomerates, 1)
 
 
-def _generic_coarse_mask(topo, agg, coarse_faces):
-    cf_nodes, _ = _node_coarseface_pairs(topo, coarse_faces)
-    cf_count = np.bincount(cf_nodes, minlength=topo.n_nodes)
+def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
+    """Coarse-node mask of a level and which agglomerates it covers.
+
+    Without coarse edges a node is coarse by the face-count rule. With them
+    (the 3D kraus path) the coarse-edge endpoints are coarse, and an
+    agglomerate they leave uncovered falls back to the face-count rule.
+    """
     an, aa = _node_agg_pairs(topo, agg)
-    agg_count = np.bincount(an, minlength=topo.n_nodes)
-    factor = 2 ** (topo.dim - 2)
-    return cf_count > factor * agg_count, an, aa
 
+    def face_count_rule():
+        cf_nodes, _ = _node_coarseface_pairs(topo, coarse_faces)
+        cf_count = np.bincount(cf_nodes, minlength=topo.n_nodes)
+        agg_count = np.bincount(an, minlength=topo.n_nodes)
+        return cf_count > 2 ** (topo.dim - 2) * agg_count
 
-def _coverage(agg, node_agg_nodes, node_agg_aggs, coarse_mask):
-    covered = np.zeros(agg.n_agglomerates, dtype=bool)
-    on = coarse_mask[node_agg_nodes]
-    covered[node_agg_aggs[on]] = True
-    return covered
+    def coverage(mask):
+        covered = np.zeros(agg.n_agglomerates, dtype=bool)
+        covered[aa[mask[an]]] = True
+        return covered
+
+    if coarse_edges is None:
+        coarse = face_count_rule()
+    else:
+        coarse = np.zeros(topo.n_nodes, dtype=bool)
+        coarse[[v for ce in coarse_edges.edges for v in ce.endpoints]] = True
+        covered = coverage(coarse)
+        if not covered.all():
+            coarse[an[~covered[aa] & face_count_rule()[an]]] = True
+    return coarse, coverage(coarse)
 
 
 def select_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
@@ -331,8 +333,7 @@ def select_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
     keeps exactly the vertices of the agglomerate tessellation. Raises
     when any agglomerate ends up without a coarse node.
     """
-    coarse, an, aa = _generic_coarse_mask(topo, agg, coarse_faces)
-    covered = _coverage(agg, an, aa, coarse)
+    coarse, covered = _coarse_mask(topo, agg, coarse_faces)
     if not covered.all():
         missing = np.flatnonzero(~covered)
         raise CoarseningError(
@@ -446,39 +447,6 @@ def _chain_endpoints(edges: EdgeSet, chain: list) -> tuple:
     # degenerate single-edge loops or repeated nodes: fall back to extremes
     nodes = sorted(count)
     return (nodes[0], nodes[-1])
-
-
-def kraus_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
-                       coarse_faces: list, coarse_edges: CoarseEdgeSet) -> np.ndarray:
-    """Coarse nodes on the kraus path: coarse-edge endpoints.
-
-    Agglomerates whose edges degenerate fall back to the generic
-    face-count rule; an agglomerate with no coarse node is an error.
-    """
-    coarse, an, aa = _kraus_coarse_mask(topo, agg, coarse_faces, coarse_edges)
-    covered = _coverage(agg, an, aa, coarse)
-    if not covered.all():
-        missing = np.flatnonzero(~covered)
-        raise CoarseningError(
-            f"agglomerate(s) {missing[:10].tolist()} have no coarse node")
-    return np.flatnonzero(coarse)
-
-
-def _kraus_coarse_mask(topo, agg, coarse_faces, coarse_edges):
-    ends = set()
-    for ce in coarse_edges.edges:
-        ends.update(int(v) for v in ce.endpoints)
-    coarse = np.zeros(topo.n_nodes, dtype=bool)
-    coarse[sorted(ends)] = True
-
-    an, aa = _node_agg_pairs(topo, agg)
-    covered = _coverage(agg, an, aa, coarse)
-    if not covered.all():
-        generic, _, _ = _generic_coarse_mask(topo, agg, coarse_faces)
-        for a in np.flatnonzero(~covered):
-            nodes_of_a = an[(aa == a) & generic[an]]
-            coarse[nodes_of_a] = True
-    return coarse, an, aa
 
 
 # ---------------------------------------------------------------------------
@@ -854,62 +822,46 @@ def _coarse_selection(topo, agg, algorithm):
     An agglomerate that owns no coarse node under the selection rule is
     merged into the neighbour it shares the most interface area with (the
     enclosure merge exists for exactly this reason), and the selection is
-    redone. Terminates because every round removes at least one agglomerate.
+    redone. Terminates because every round removes at least one agglomerate;
+    uncovered agglomerates with no neighbour to merge into raise.
     """
     kraus3d = algorithm == "kraus" and topo.dim == 3 and topo.edges is not None
-    for _ in range(64):
+    while True:
         cfs = select_coarse_faces(topo, agg)
-        cedges = None
-        if kraus3d:
-            cedges = select_coarse_edges(topo, cfs)
-            coarse, an, aa = _kraus_coarse_mask(topo, agg, cfs, cedges)
-        else:
-            coarse, an, aa = _generic_coarse_mask(topo, agg, cfs)
-        covered = _coverage(agg, an, aa, coarse)
+        cedges = select_coarse_edges(topo, cfs) if kraus3d else None
+        coarse, covered = _coarse_mask(topo, agg, cfs, cedges)
         if covered.all():
             return agg, cfs, np.flatnonzero(coarse), cedges
-        agg = _merge_uncovered(topo, agg, np.flatnonzero(~covered))
-    raise CoarseningError("coarse-node repair did not converge")
+        uncovered = np.flatnonzero(~covered)
+        merged = _merge_uncovered(topo, agg, uncovered)
+        if merged.n_agglomerates == agg.n_agglomerates:
+            raise CoarseningError(
+                f"agglomerate(s) {uncovered[:10].tolist()} of {agg.n_agglomerates} "
+                "have no coarse node and no neighbour to merge into")
+        agg = merged
 
 
 def _merge_uncovered(topo, agg, uncovered):
-    assign = agg.element_to_agg.copy()
+    """Merge each uncovered agglomerate into the neighbour it shares the
+    most interface area with (ties to the lowest id); merges chain, so each
+    connected group of merge pairs becomes one agglomerate."""
+    assign = agg.element_to_agg
     dual = topo.dual
     nagg = agg.n_agglomerates
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
     a_side = assign[src]
     b_side = assign[dual.indices]
-    parent = np.arange(nagg, dtype=np.int64)
-    bad = set(int(a) for a in uncovered)
-    for a in sorted(bad):
+    sources, targets = [], []
+    for a in uncovered:
         sel = (a_side == a) & (b_side != a)
         if not sel.any():
             continue  # isolated agglomerate; nothing to merge into
-        tgt = b_side[sel]
-        areas = np.bincount(tgt, weights=dual.edge_weight[sel], minlength=nagg)
-        order = np.argsort(-areas, kind="stable")
-        target = int(order[0])
-        parent[a] = target
-    for a in range(nagg):
-        seen = {a}
-        root = a
-        while parent[root] != root and int(parent[root]) not in seen:
-            root = int(parent[root])
-            seen.add(root)
-        parent[a] = root
-    assign = parent[assign]
-    # densify in first-appearance order
-    first_seen = {}
-    remap = np.empty(nagg, dtype=np.int64)
-    nxt = 0
-    for v in assign:
-        v = int(v)
-        if v not in first_seen:
-            first_seen[v] = nxt
-            nxt += 1
-    for v, d in first_seen.items():
-        remap[v] = d
-    return Agglomeration(remap[assign], level=agg.level)
+        areas = np.bincount(b_side[sel], weights=dual.edge_weight[sel], minlength=nagg)
+        sources.append(int(a))
+        targets.append(int(np.argmax(areas)))
+    labels = _components(np.array(sources, dtype=np.int64),
+                         np.array(targets, dtype=np.int64), nagg)
+    return Agglomeration(_first_appearance(labels[assign]), level=agg.level)
 
 
 def grid_complexity(hierarchy) -> float:

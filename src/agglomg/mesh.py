@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 BOUNDARY = -1
 
@@ -110,6 +112,49 @@ def _csr_from_pairs(keys, values, n_keys):
     return indptr, np.asarray(values)[order]
 
 
+def _first_appearance(labels) -> np.ndarray:
+    """Renumber labels densely as 0, 1, ... in order of first appearance."""
+    uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(uniq))
+    return rank[inverse.ravel()]
+
+
+def _gather_ragged(indptr, data, rows):
+    """Concatenate CSR rows; returns (values, per-row counts)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    return data[np.repeat(indptr[rows], counts) + offsets], counts
+
+
+def _components(src, dst, n) -> np.ndarray:
+    """Connected-component label of each of ``n`` vertices under the edges
+    ``src[i] - dst[i]``, numbered in order of first appearance."""
+    # symmetric and duplicate-free: on such a graph the strong components
+    # are the connected ones, and scipy finds them without the transposes
+    # its undirected path builds (repeated entries make its search hang)
+    key = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(len(key)), key % n, indptr), shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    return _first_appearance(labels)
+
+
+def _induced_components(indptr, indices, members) -> np.ndarray:
+    """Component labels, one per member, of the subgraph that ``members``
+    induce in the CSR adjacency ``indptr``/``indices``."""
+    members = np.asarray(members, dtype=np.int64)
+    local = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    local[members] = np.arange(len(members))
+    nbrs, counts = _gather_ragged(indptr, indices, members)
+    nbrs = local[nbrs]
+    src = np.repeat(np.arange(len(members)), counts)
+    keep = nbrs >= 0
+    return _components(src[keep], nbrs[keep], len(members))
+
+
 @dataclass
 class FaceSet:
     """All (dim-1)-faces of one level, with element and node incidence.
@@ -139,9 +184,6 @@ class FaceSet:
     def element_faces(self, e: int) -> np.ndarray:
         return self.elem_face_ids[self.elem_indptr[e]:self.elem_indptr[e + 1]]
 
-    def faces_of_node(self, n: int) -> np.ndarray:
-        return self.node_face_ids[self.node_face_indptr[n]:self.node_face_indptr[n + 1]]
-
     @property
     def interior(self) -> np.ndarray:
         return self.right >= 0
@@ -168,9 +210,6 @@ class EdgeSet:
 
     def edge_elements(self, e: int) -> np.ndarray:
         return self.elem_ids[self.elem_indptr[e]:self.elem_indptr[e + 1]]
-
-    def edges_of_node(self, n: int) -> np.ndarray:
-        return self.node_edge_ids[self.node_edge_indptr[n]:self.node_edge_indptr[n + 1]]
 
 
 @dataclass
@@ -224,7 +263,7 @@ class LevelTopology:
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "LevelTopology":
         faces, edges, dual = build_topology(mesh)
-        volumes = element_measures(mesh)
+        volumes = dual.vertex_weight
         bd = faces.right == BOUNDARY
         elem_bd_area = np.bincount(faces.left[bd], weights=faces.area[bd],
                                    minlength=mesh.n_elements)
@@ -305,33 +344,22 @@ def build_topology(mesh: Mesh):
     if mesh.n_elements == 0:
         raise ValueError("empty mesh")
     dim = mesh.dim
-    pattern = _TRI_FACES if dim == 2 else _TET_FACES
     k = dim + 1
-    raw = np.sort(mesh.elements[:, pattern], axis=2).reshape(-1, dim)
-    elem_of = np.repeat(np.arange(mesh.n_elements), k)
-
-    # sort by face node tuple, then element id, so left < right in each pair
-    order = np.lexsort((elem_of,) + tuple(raw[:, c] for c in range(dim - 1, -1, -1)))
-    sraw = raw[order]
-    selem = elem_of[order]
-    new_face = np.ones(len(sraw), dtype=bool)
-    new_face[1:] = np.any(sraw[1:] != sraw[:-1], axis=1)
-    face_index = np.cumsum(new_face) - 1
-    n_faces = int(face_index[-1]) + 1
-    counts = np.bincount(face_index)
+    face_nodes, elem_face_ids, order, counts = _enumerate_faces(mesh.elements, dim)
+    n_faces = len(face_nodes)
     if counts.max() > 2:
         f = int(np.argmax(counts > 2))
-        nodes = sraw[np.searchsorted(face_index, f)]
         raise TopologyError(
-            f"face {tuple(int(v) for v in nodes)} is shared by {counts[f]} elements"
+            f"face {tuple(int(v) for v in face_nodes[f])} is shared by {counts[f]} elements"
         )
 
-    starts = np.searchsorted(face_index, np.arange(n_faces))
-    face_nodes = sraw[starts]
-    left = selem[starts]
+    # slots are sorted by face, then element, so left < right in each pair
+    starts = np.cumsum(counts) - counts
+    slot_elem = order // k
+    left = slot_elem[starts]
     right = np.full(n_faces, BOUNDARY, dtype=np.int64)
     second = counts == 2
-    right[second] = selem[starts[second] + 1]
+    right[second] = slot_elem[starts[second] + 1]
 
     area = _face_areas(mesh, face_nodes)
     tag = np.full(n_faces, -1, dtype=np.int64)
@@ -340,9 +368,7 @@ def build_topology(mesh: Mesh):
         tag[f] = mesh.boundary_tag.get(key, 0)
 
     # element -> face ids, in local-face order
-    elem_face_ids = np.empty(len(raw), dtype=np.int64)
-    elem_face_ids[order] = face_index
-    elem_indptr = np.arange(0, len(raw) + 1, k, dtype=np.int64)
+    elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)
 
     node_of_face = face_nodes.ravel()
     face_of_node = np.repeat(np.arange(n_faces), dim)
@@ -418,21 +444,31 @@ def _build_edges(mesh: Mesh, faces: FaceSet) -> EdgeSet:
                    node_edge_indptr=ne_indptr, node_edge_ids=ne_ids)
 
 
-def boundary_node_mask(mesh: Mesh) -> np.ndarray:
-    """Nodes lying on any boundary face, without full topology extraction."""
-    dim = mesh.dim
+def _enumerate_faces(elements: np.ndarray, dim: int):
+    """Distinct (dim-1)-faces of a simplex array, in lexicographic node order.
+
+    Slot ``e * (dim + 1) + i`` is face ``i`` of element ``e`` (the element
+    with local node ``i`` removed). Returns the (F, dim) sorted face node
+    tuples, the face of each slot, the slots sorted by face with ties in
+    element order, and the number of slots on each face.
+    """
     pattern = _TRI_FACES if dim == 2 else _TET_FACES
-    raw = np.sort(mesh.elements[:, pattern], axis=2).reshape(-1, dim)
-    order = np.lexsort(tuple(raw[:, c] for c in range(dim - 1, -1, -1)))
+    raw = np.sort(elements[:, pattern], axis=2).reshape(-1, dim)
+    order = np.lexsort(raw.T[::-1])  # stable, so ties keep element order
     sraw = raw[order]
     new = np.ones(len(sraw), dtype=bool)
     new[1:] = np.any(sraw[1:] != sraw[:-1], axis=1)
-    gidx = np.cumsum(new) - 1
-    counts = np.bincount(gidx)
-    starts = np.searchsorted(gidx, np.arange(counts.size))
-    boundary_faces = sraw[starts[counts == 1]]
+    slot_face = np.empty(len(raw), dtype=np.int64)
+    slot_face[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(np.flatnonzero(new), len(sraw)))
+    return sraw[new], slot_face, order, counts
+
+
+def boundary_node_mask(mesh: Mesh) -> np.ndarray:
+    """Nodes lying on any boundary face, without full topology extraction."""
+    face_nodes, _, _, counts = _enumerate_faces(mesh.elements, mesh.dim)
     mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[np.unique(boundary_faces)] = True
+    mask[face_nodes[counts == 1]] = True
     return mask
 
 
@@ -549,18 +585,8 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
     material = np.where(inside, region_inner, region_outer).astype(np.int64)
 
     # tag boundary faces by geometric side, using lattice positions
-    probe = Mesh(dim=dim, node_coords=coords, elements=elements, material_id=material)
-    pattern = _TRI_FACES if dim == 2 else _TET_FACES
-    raw = np.sort(elements[:, pattern], axis=2).reshape(-1, dim)
-    keys = [raw[:, c] for c in range(dim)]
-    order = np.lexsort(tuple(keys[::-1]))
-    sraw = raw[order]
-    new = np.ones(len(sraw), dtype=bool)
-    new[1:] = np.any(sraw[1:] != sraw[:-1], axis=1)
-    gidx = np.cumsum(new) - 1
-    counts = np.bincount(gidx)
-    uniq = sraw[np.searchsorted(gidx, np.arange(counts.size))]
-    boundary_faces = uniq[counts == 1]
+    face_nodes, _, _, counts = _enumerate_faces(elements, dim)
+    boundary_faces = face_nodes[counts == 1]
     tags = {}
     for fnodes in boundary_faces:
         pos = lattice[fnodes]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DualGraph
+from .mesh import DualGraph, _components, _first_appearance, _induced_components
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
@@ -366,17 +366,8 @@ def _stays_connected(graph: WeightedGraph, members: set, v: int) -> bool:
     rest = members - {v}
     if len(rest) <= 1:
         return True
-    start = next(iter(rest))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w in rest and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(rest)
+    labels = _induced_components(graph.indptr, graph.indices, np.fromiter(rest, np.int64))
+    return labels.max() == 0
 
 
 def _rebalance(graph: WeightedGraph, part: np.ndarray, k: int,
@@ -518,13 +509,22 @@ def _refine(graph: WeightedGraph, part: np.ndarray, k: int):
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
     """Reassign every non-largest fragment of a part to its best neighbor."""
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     for _ in range(4):
         changed = False
+        # components of every part at once; a part that gains a fragment
+        # during the sweep is recomputed when its turn comes
+        same = part[src] == part[graph.indices]
+        labels = _components(src[same], graph.indices[same], graph.n)
+        grown = np.zeros(k, dtype=bool)
         for p in range(k):
             members = np.flatnonzero(part == p)
-            comps = _components(graph, members, part, p)
-            if len(comps) <= 1:
+            own = (_induced_components(graph.indptr, graph.indices, members) if grown[p]
+                   else _first_appearance(labels[members]))
+            if own.size == 0 or own.max() == 0:
                 continue
+            comps = np.split(members[np.argsort(own, kind="stable")],
+                             np.cumsum(np.bincount(own))[:-1])
             comps.sort(key=lambda c: (-int(graph.vwgt[c].sum()), int(c[0])))
             for frag in comps[1:]:
                 conn = {}
@@ -538,30 +538,7 @@ def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
                     continue  # fragment isolated from all other parts
                 target = max(sorted(conn), key=lambda q: conn[q])
                 part[frag] = target
+                grown[target] = True
                 changed = True
         if not changed:
             return
-
-
-def _components(graph: WeightedGraph, members: np.ndarray, part: np.ndarray,
-                p: int) -> list:
-    seen = set()
-    comps = []
-    member_set = set(int(v) for v in members)
-    for v in members:
-        v = int(v)
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                w = int(w)
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps

@@ -66,13 +66,13 @@ class ProblemSpec:
 class SmootherConfig:
     """Jacobi-preconditioned GMRES(m) smoothing parameters.
 
-    One application is one restart cycle of ``inner`` iterations; it is
-    applied ``applications`` times per pre- and post-smooth (the wording
-    "three iterations on each level" admits both a 3x1 and a 3x3 reading;
-    the stronger default needs fewer outer iterations).
+    One application is one restart cycle of ``inner`` Arnoldi steps; it is
+    applied ``applications`` times per pre- and post-smooth. The default is
+    the "3x1" reading of "three iterations on each level": three cycles of
+    GMRES(1). ``inner=3`` gives the "3x3" reading, three GMRES(3) cycles.
     """
 
-    inner: int = 3
+    inner: int = 1
     applications: int = 3
 
     def validate(self):
@@ -201,59 +201,74 @@ def assemble_problem(mesh: Mesh, spec: ProblemSpec):
 # ---------------------------------------------------------------------------
 # Krylov kernels
 
+def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
+    """One GMRES(m) restart cycle from ``x`` with residual ``r``.
+
+    Arnoldi with modified Gram-Schmidt on ``matvec``; Givens rotations
+    keep the least-squares residual as ``abs(g[j + 1])``. With
+    ``precondition`` the basis vectors pass through it and the
+    preconditioned directions are kept for the update (flexible right
+    preconditioning, Saad 1993); without it the update lies in the basis.
+    ``stop(res)`` sees the residual estimate after each step and ends the
+    cycle when it returns True; a breakdown ends it too. Returns the new
+    iterate and the number of steps taken.
+    """
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        return x, 0
+    V = np.empty((m + 1, len(r)))
+    Z = V if precondition is None else np.empty((m, len(r)))
+    H = np.zeros((m, m))  # rotated Hessenberg: the subdiagonal is rotated away
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    V[0] = r / beta
+    g[0] = beta
+    steps = 0
+    for j in range(m):
+        if precondition is not None:
+            Z[j] = precondition(V[j])
+        w = matvec(Z[j])
+        for i in range(j + 1):
+            H[i, j] = w @ V[i]
+            w -= H[i, j] * V[i]
+        hlast = np.linalg.norm(w)
+        if not np.isfinite(hlast):
+            raise DivergenceError("non-finite entry in the Arnoldi process")
+        for i in range(j):
+            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = t
+        denom = np.hypot(H[j, j], hlast)
+        if denom == 0.0:
+            break
+        cs[j] = H[j, j] / denom
+        sn[j] = hlast / denom
+        H[j, j] = denom
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+        steps = j + 1
+        if (stop is not None and stop(abs(g[j + 1]))) or hlast == 0.0:
+            break  # converged, or happy breakdown: exact in the Krylov space
+        V[j + 1] = w / hlast
+    if steps == 0:
+        return x, 0
+    y = np.linalg.solve(H[:steps, :steps], g[:steps])
+    return x + Z[:steps].T @ y, steps
+
+
 def smooth(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, *,
-           inner: int = 3, diag: np.ndarray | None = None) -> np.ndarray:
+           inner: int = 1, diag: np.ndarray | None = None) -> np.ndarray:
     """One application of Jacobi-preconditioned GMRES(inner) from x.
 
-    The restart cycle runs exactly ``inner`` Arnoldi steps (fewer on happy
+    The restart cycle runs ``inner`` Arnoldi steps (fewer on happy
     breakdown) and minimizes the Jacobi-preconditioned residual norm.
     """
     if diag is None:
         diag = A.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("smoother needs a nonzero diagonal")
-    r = b - A @ x
-    z = r / diag
-    beta = np.linalg.norm(z)
-    if beta == 0.0:
-        return x
-    m = inner
-    V = np.empty((m + 1, len(b)))
-    H = np.zeros((m + 1, m))
-    V[0] = z / beta
-    g = np.zeros(m + 1)
-    g[0] = beta
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    steps = 0
-    for j in range(m):
-        w = (A @ V[j]) / diag
-        for i in range(j + 1):
-            H[i, j] = w @ V[i]
-            w -= H[i, j] * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
-        for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        denom = np.hypot(H[j, j], H[j + 1, j])
-        if denom == 0.0:
-            steps = j
-            break
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
-        steps = j + 1
-        if H[j + 1, j] == 0.0 or abs(g[j + 1]) < 1e-300:
-            break
-        V[j + 1] = w / H[j + 1, j]
-    if steps == 0:
-        return x
-    y = np.linalg.solve(H[:steps, :steps], g[:steps])
-    return x + V[:steps].T @ y
+    return _gmres_cycle(lambda v: (A @ v) / diag, (b - A @ x) / diag, x, inner)[0]
 
 
 class VCyclePreconditioner:
@@ -305,12 +320,6 @@ class VCyclePreconditioner:
         return x
 
 
-def vcycle(hierarchy: Hierarchy, rhs: np.ndarray,
-           smoother: SmootherConfig | None = None) -> np.ndarray:
-    """Single V-cycle applied to a residual, as used by the preconditioner."""
-    return VCyclePreconditioner(hierarchy, smoother)(rhs)
-
-
 def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
            restart: int = 30, tol: float = 1e-10, atol: float | None = None,
            maxiter: int = 500, x0: np.ndarray | None = None):
@@ -321,9 +330,7 @@ def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
     ``tol``); iterations are total Arnoldi steps across restarts. A
     NaN/Inf residual raises DivergenceError.
     """
-    n = len(b)
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
-    M = preconditioner if preconditioner is not None else (lambda v: v)
+    x = np.zeros(len(b)) if x0 is None else x0.astype(float).copy()
     if atol is None:
         atol = tol
     bnorm = float(np.linalg.norm(b))
@@ -334,70 +341,24 @@ def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
     iterations = 0
     converged = rnorm <= tol * scale or rnorm <= atol
 
+    def stop(res):
+        nonlocal iterations
+        iterations += 1
+        residuals.append(res / scale)
+        if not np.isfinite(res):
+            raise DivergenceError("non-finite FGMRES residual")
+        return res <= tol * scale or res <= atol or iterations >= maxiter
+
     while not converged and iterations < maxiter:
-        beta = float(np.linalg.norm(r))
-        if beta == 0.0:
-            converged = True
-            break
-        m = restart
-        V = np.empty((m + 1, n))
-        Z = np.empty((m, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        V[0] = r / beta
-        g[0] = beta
-        j_done = 0
-        breakdown = False
-        for j in range(m):
-            Z[j] = M(V[j])
-            w = A @ Z[j]
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            if not np.isfinite(H[j + 1, j]):
-                raise DivergenceError("non-finite entry in the Arnoldi process")
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            if denom == 0.0:
-                j_done = j
-                breakdown = True
-                break
-            cs[j] = H[j, j] / denom
-            sn[j] = H[j + 1, j] / denom
-            H[j, j] = denom
-            hlast = H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            j_done = j + 1
-            iterations += 1
-            res = abs(g[j + 1])
-            residuals.append(res / scale)
-            if not np.isfinite(res):
-                raise DivergenceError("non-finite FGMRES residual")
-            if res <= tol * scale or res <= atol or iterations >= maxiter:
-                break
-            if hlast == 0.0:
-                breakdown = True  # happy breakdown: solution is exact in-space
-                break
-            V[j + 1] = w / hlast
-        if j_done > 0:
-            y = np.linalg.solve(H[:j_done, :j_done], g[:j_done])
-            x = x + Z[:j_done].T @ y
+        x, steps = _gmres_cycle(lambda z: A @ z, r, x, restart, preconditioner, stop)
         r = b - A @ x
         rnorm = float(np.linalg.norm(r))
         if not np.isfinite(rnorm):
             raise DivergenceError("non-finite FGMRES residual")
         residuals[-1] = rnorm / scale
         converged = rnorm <= tol * scale or rnorm <= atol
-        if breakdown and not converged and j_done == 0:
-            break
+        if steps == 0:
+            break  # breakdown before the first step: no progress possible
     return x, residuals, iterations, converged
 
 

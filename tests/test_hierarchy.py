@@ -10,7 +10,7 @@ from agglomg.hierarchy import (CoarseningError, ElementMaterials,
                                operator_complexity, project_materials, restriction,
                                select_coarse_edges, select_coarse_faces,
                                select_coarse_nodes)
-from agglomg.mesh import (BOUNDARY, LevelTopology, MaterialProperties,
+from agglomg.mesh import (BOUNDARY, LevelTopology, MaterialProperties, Mesh,
                           generate_mesh)
 
 
@@ -98,6 +98,28 @@ class TestCoarseNodes:
             covered[aa[is_coarse[an]]] = True
             assert covered.all()
             topo = lvl.topology
+
+    def test_mutual_merge_targets_shrink(self):
+        # three vertical strips: strip 0 can only merge into strip 1, and
+        # strip 1 ties between its two equal interfaces and picks strip 0;
+        # the pair must become one agglomerate, not swap labels
+        mesh = generate_mesh(2, 4, extent=1.0)
+        topo = LevelTopology.from_mesh(mesh)
+        x = mesh.node_coords[mesh.elements].mean(axis=1)[:, 0]
+        agg = Agglomeration(np.digitize(x, [0.25, 0.5]))
+        merged = hi._merge_uncovered(topo, agg, np.array([0, 1]))
+        assert merged.n_agglomerates == 2
+        assert np.array_equal(merged.element_to_agg, (x > 0.5).astype(np.int64))
+
+    def test_isolated_uncovered_agglomerates_raise_at_once(self):
+        # two disjoint boxes: rgb leaves one uncovered agglomerate per box
+        # on its second level, and neither has a neighbour to merge into
+        box = generate_mesh(3, 5, extent=1.0)
+        mesh = Mesh(3, np.vstack([box.node_coords, box.node_coords + 2.0]),
+                    np.vstack([box.elements, box.elements + box.n_nodes]),
+                    np.zeros(2 * box.n_elements, dtype=np.int64))
+        with pytest.raises(CoarseningError, match="no neighbour to merge into"):
+            build_hierarchy(mesh, CoarsenConfig("rgb", seed=1))
 
 
 class TestCoarseEdges:

@@ -176,6 +176,30 @@ class TestSmoother:
         after = np.linalg.norm((b - A @ x1) / d)
         assert after <= before + 1e-13
 
+    def test_inner_sets_arnoldi_steps(self):
+        # one matvec for the residual, then one per Arnoldi step; more steps
+        # minimize over a larger Krylov space, so the residual keeps falling
+        class Counted:
+            def __init__(self, A):
+                self.A, self.matvecs = A, 0
+
+            def __matmul__(self, v):
+                self.matvecs += 1
+                return self.A @ v
+
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((40, 40))
+        A = sp.csr_matrix(B @ B.T + 40 * np.eye(40))
+        d = A.diagonal()
+        b = rng.standard_normal(40)
+        residuals = []
+        for k in (1, 3, 5):
+            op = Counted(A)
+            x = smooth(op, b, np.zeros(40), inner=k, diag=d)
+            assert op.matvecs == k + 1
+            residuals.append(np.linalg.norm((b - A @ x) / d))
+        assert residuals[0] > residuals[1] > residuals[2]
+
 
 class TestVCycle:
     def test_single_level_is_direct_solve(self):
