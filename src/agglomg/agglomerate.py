@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (LevelTopology, _components, _csr_from_pairs, _first_appearance,
-                   _induced_components)
+                   _gather_ragged, _induced_components)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -111,19 +111,9 @@ class AgglomerateStats:
 def _group_pairs(indptr, ids):
     """All ordered (a, b), a != b pairs inside each CSR group."""
     counts = np.diff(indptr)
-    reps = np.repeat(counts, counts)
+    # each member is followed by its whole group, in group order
+    dst, reps = _gather_ragged(indptr, ids, np.repeat(np.arange(len(counts)), counts))
     src = np.repeat(ids, reps)
-    # tile each group's ids along the group's rows
-    total = int((counts * counts).sum())
-    dst = np.empty(total, dtype=ids.dtype)
-    pos = 0
-    for g in range(len(counts)):
-        c = int(counts[g])
-        if c == 0:
-            continue
-        block = ids[indptr[g]:indptr[g + 1]]
-        dst[pos:pos + c * c] = np.tile(block, c)
-        pos += c * c
     keep = src != dst
     return src[keep], dst[keep]
 

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
                    _dual_from_faces, _first_appearance, _gather_ragged)
-from .agglomerate import Agglomeration, CoarsenConfig, coarsen
+from .agglomerate import (Agglomeration, CoarsenConfig, _group_pairs, _invert_csr,
+                          coarsen)
 
 SEARCH_RING_LIMIT = 20
 
@@ -168,101 +169,70 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> list:
     """
     faces = topo.faces
     assign = agg.element_to_agg
-    out = []
 
     interior = np.flatnonzero(faces.interior)
     a_side = assign[faces.left[interior]]
     b_side = assign[faces.right[interior]]
     cross = a_side != b_side
-    fids = interior[cross]
-    lo = np.minimum(a_side[cross], b_side[cross])
-    hi = np.maximum(a_side[cross], b_side[cross])
-    order = np.lexsort((hi, lo))
-    fids, lo, hi = fids[order], lo[order], hi[order]
-    new = np.ones(len(fids), dtype=bool)
-    if len(fids):
-        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    starts = np.flatnonzero(new)
-    stops = np.append(starts[1:], len(fids))
-    for s, e in zip(starts, stops):
-        group = fids[s:e]
-        a, b = int(lo[s]), int(hi[s])
-        for ci, comp in enumerate(_face_components(topo, group)):
-            out.append(CoarseFace(owner=a, opposite=b, tag=-1,
-                                  fine_faces=comp, component=ci))
-            out.append(CoarseFace(owner=b, opposite=a, tag=-1,
-                                  fine_faces=comp, component=ci))
-
     bd = np.flatnonzero(~faces.interior)
-    owner = assign[faces.left[bd]]
-    tags = faces.tag[bd]
-    order = np.lexsort((tags, owner))
-    bd, owner, tags = bd[order], owner[order], tags[order]
-    new = np.ones(len(bd), dtype=bool)
-    if len(bd):
-        new[1:] = (owner[1:] != owner[:-1]) | (tags[1:] != tags[:-1])
-    starts = np.flatnonzero(new)
-    stops = np.append(starts[1:], len(bd))
-    for s, e in zip(starts, stops):
-        group = bd[s:e]
-        for ci, comp in enumerate(_face_components(topo, group)):
-            out.append(CoarseFace(owner=int(owner[s]), opposite=BOUNDARY,
-                                  tag=int(tags[s]), fine_faces=comp, component=ci))
+    # interface groups per (lo, hi) agglomerate pair, then boundary groups
+    # per (owner, tag); faces stay ascending inside each group
+    fids = np.concatenate([interior[cross], bd])
+    boundary = np.repeat([False, True], [int(cross.sum()), len(bd)])
+    owner = np.concatenate([np.minimum(a_side, b_side)[cross], assign[faces.left[bd]]])
+    other = np.concatenate([np.maximum(a_side, b_side)[cross], faces.tag[bd]])
+    order = np.lexsort((other, owner, boundary))
+    fids, boundary, owner, other = fids[order], boundary[order], owner[order], other[order]
+    new = np.ones(len(fids), dtype=bool)
+    new[1:] = ((boundary[1:] != boundary[:-1]) | (owner[1:] != owner[:-1])
+               | (other[1:] != other[:-1]))
+    group = np.cumsum(new) - 1
+    labels = _face_components(topo, fids, group)
+
+    # labels run group by group, and by smallest face inside a group
+    group_first_label = labels[new]
+    by_label = np.argsort(labels, kind="stable")
+    out = []
+    for comp in np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1):
+        i = comp[0]
+        ci = int(labels[i] - group_first_label[group[i]])
+        a, b = int(owner[i]), int(other[i])
+        if boundary[i]:
+            out.append(CoarseFace(owner=a, opposite=BOUNDARY, tag=b,
+                                  fine_faces=fids[comp], component=ci))
+        else:
+            out.append(CoarseFace(owner=a, opposite=b, tag=-1,
+                                  fine_faces=fids[comp], component=ci))
+            out.append(CoarseFace(owner=b, opposite=a, tag=-1,
+                                  fine_faces=fids[comp], component=ci))
     return out
 
 
-def _face_components(topo: LevelTopology, group: np.ndarray) -> list:
-    """Split a fine-face group into connected components.
+def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
+    """Component label of each face in ``fids`` within its ``group``.
 
-    On the finest level adjacency is a shared node (2D) or shared edge
-    (3D), keyed directly off the face node tuples. Coarse-level faces only
-    know their coarse nodes, so there adjacency is at least 1 (2D) or 2
-    (3D) shared nodes, checked pairwise.
+    Two faces of a group are adjacent when they share dim-1 nodes: a node
+    in 2D, an edge in 3D. Coarse-level faces only know their coarse nodes,
+    and the same count applies to those.
     """
-    if len(group) == 1:
-        return [group.copy()]
     faces = topo.faces
-    parent = {int(f): int(f) for f in group}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    if topo.is_fine:
-        key_owner = {}
-        for f in group:
-            nodes = faces.face_nodes(f)
-            if topo.dim == 2:
-                keys = [(int(nodes[0]),), (int(nodes[1]),)]
-            else:
-                a, b, c = sorted(int(v) for v in nodes)
-                keys = [(a, b), (a, c), (b, c)]
-            for key in keys:
-                if key in key_owner:
-                    union(int(f), key_owner[key])
-                else:
-                    key_owner[key] = int(f)
-    else:
-        need = 1 if topo.dim == 2 else 2
-        node_sets = {int(f): set(int(v) for v in faces.face_nodes(f)) for f in group}
-        glist = [int(f) for f in group]
-        for i, f in enumerate(glist):
-            for g in glist[i + 1:]:
-                if len(node_sets[f] & node_sets[g]) >= need:
-                    union(f, g)
-
-    comps = {}
-    for f in group:
-        comps.setdefault(find(int(f)), []).append(int(f))
-    return [np.array(sorted(comps[r]), dtype=np.int64)
-            for r in sorted(comps, key=lambda r: min(comps[r]))]
+    vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, fids)
+    pos = np.repeat(np.arange(len(fids)), counts)
+    key = vals
+    if topo.dim == 3:
+        indptr = np.zeros(len(fids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        i, j = _group_pairs(indptr, np.arange(len(vals)))
+        lower = vals[i] < vals[j]
+        i, j = i[lower], j[lower]
+        pos, key = pos[i], vals[i] * topo.n_nodes + vals[j]
+    # faces of one group that carry the same key are adjacent; linking
+    # each to the next in key order connects them all
+    g = group[pos]
+    order = np.lexsort((key, g))
+    pos, key, g = pos[order], key[order], g[order]
+    link = (key[1:] == key[:-1]) & (g[1:] == g[:-1])
+    return _components(pos[:-1][link], pos[1:][link], len(fids))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +555,7 @@ def _expand_search(topo, agg, node, col_of, is_coarse):
 def _elem_node_csr(topo):
     hit = topo.__dict__.get("_elem_node_csr")
     if hit is None:
-        src = np.repeat(np.arange(topo.n_nodes), np.diff(topo.node_elem_indptr))
-        hit = _csr_from_pairs(topo.node_elem_ids, src, topo.n_elements)
+        hit = _invert_csr(topo.node_elem_indptr, topo.node_elem_ids, topo.n_elements)
         topo.__dict__["_elem_node_csr"] = hit
     return hit
 
