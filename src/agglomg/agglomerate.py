@@ -616,7 +616,6 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
             # becomes its own agglomerate
             labels = _induced_components(dual.indptr, dual.indices, unassigned)
             assign[unassigned] = len(sizes) + labels
-            sizes.extend(np.bincount(labels))
             report.isolated_resolved += len(unassigned)
             break
         for e in frontier:

@@ -209,11 +209,11 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> list:
 
 
 def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
-    """Component label of each face in ``fids`` within its ``group``.
+    """Connected-component labels of the faces in ``fids``.
 
-    Two faces of a group are adjacent when they share dim-1 nodes: a node
-    in 2D, an edge in 3D. Coarse-level faces only know their coarse nodes,
-    and the same count applies to those.
+    Two faces are adjacent when they are in the same ``group`` and share
+    dim-1 nodes: a node in 2D, an edge in 3D. Coarse-level faces only know
+    their coarse nodes, and the same count applies to those.
     """
     faces = topo.faces
     vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, fids)

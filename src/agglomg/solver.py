@@ -216,7 +216,7 @@ def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
     beta = np.linalg.norm(r)
     if beta == 0.0:
         return x, 0
-    V = np.empty((m + 1, len(r)))
+    V = np.empty((m, len(r)))
     Z = V if precondition is None else np.empty((m, len(r)))
     H = np.zeros((m, m))  # rotated Hessenberg: the subdiagonal is rotated away
     cs = np.zeros(m)
@@ -248,8 +248,8 @@ def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
         steps = j + 1
-        if (stop is not None and stop(abs(g[j + 1]))) or hlast == 0.0:
-            break  # converged, or happy breakdown: exact in the Krylov space
+        if (stop is not None and stop(abs(g[j + 1]))) or hlast == 0.0 or steps == m:
+            break  # converged, happy breakdown (exact in the space), or full
         V[j + 1] = w / hlast
     if steps == 0:
         return x, 0
