@@ -713,7 +713,6 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
         node_elem_ids=ne_ids,
         node_boundary=node_bd,
         node_fine_ids=topo.node_fine_ids[coarse_nodes],
-        is_fine=False,
     )
 
 

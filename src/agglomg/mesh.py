@@ -255,7 +255,6 @@ class LevelTopology:
     node_boundary: np.ndarray
     # level node id -> finest-mesh node id (identity on the finest level)
     node_fine_ids: np.ndarray
-    is_fine: bool = True
 
     def node_elements(self, n: int) -> np.ndarray:
         return self.node_elem_ids[self.node_elem_indptr[n]:self.node_elem_indptr[n + 1]]
