@@ -3,11 +3,16 @@
 Each case builds a multigrid hierarchy on a small jittered box and hashes,
 level by level, the element -> agglomerate map, the prolongation's CSR
 arrays and the coarse operator's nonzero count; the FGMRES iteration count
-under the default smoother is pinned next to the hash. A change that keeps
-every value here rebuilds the same hierarchies bit for bit. Never edit a
-golden value to make a refactor pass; only a change that is meant to alter
-the hierarchies (and says so) may re-record them.
+under the default smoother is pinned next to the hash. A second table
+hashes every array of every level's ``LevelTopology``, float bits
+included, since the first one does not see a coarse face area change in
+its last bit. A change that keeps every value here rebuilds the same
+hierarchies bit for bit. Never edit a golden value to make a refactor
+pass; only a change that is meant to alter the hierarchies (and says so)
+may re-record them.
 """
+import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -54,13 +59,51 @@ GOLDEN = {
     (3, 'aspect', 2): ('bcb4695fe84ac177', 8),
 }
 
+# (dim, algorithm, seed) -> sha256 prefix over every level's LevelTopology
+TOPOLOGY_GOLDEN = {
+    (2, 'jones', 1): '40ee8e766dccee4d',
+    (2, 'jones', 2): '40ee8e766dccee4d',
+    (2, 'kraus', 1): '4b9a16d97f8fe399',
+    (2, 'kraus', 2): '4b9a16d97f8fe399',
+    (2, 'rgb', 1): 'dbebee1948ea9be5',
+    (2, 'rgb', 2): 'd82321339a421faa',
+    (2, 'node', 1): '6e515f71c707872c',
+    (2, 'node', 2): 'f488b2b9f9978d39',
+    (2, 'greedy', 1): '5ca170c6b1bee6a4',
+    (2, 'greedy', 2): '8e99e4c876f1909a',
+    (2, 'sizebased', 1): '38f7f3d0595fa535',
+    (2, 'sizebased', 2): 'e11872373a19ec2b',
+    (2, 'aspect', 1): 'd00c319c01c65125',
+    (2, 'aspect', 2): '7fbf715fdf67b194',
+    (3, 'jones', 1): 'ecea75cbf74df088',
+    (3, 'jones', 2): 'ecea75cbf74df088',
+    (3, 'kraus', 1): '4f04ffe574fdbc0c',
+    (3, 'kraus', 2): '4f04ffe574fdbc0c',
+    (3, 'rgb', 1): '2f97029cc800be1a',
+    (3, 'rgb', 2): 'dcb674be4ffa45c0',
+    (3, 'node', 1): 'f192660cf293b44a',
+    (3, 'node', 2): 'b350b1b10dffcdda',
+    (3, 'greedy', 1): 'd12385ac532873ae',
+    (3, 'greedy', 2): 'dbc95328058f8700',
+    (3, 'sizebased', 1): '2c7b77e651a2d22f',
+    (3, 'sizebased', 2): '4e47bf293ad65007',
+    (3, 'aspect', 1): '15a16b0406dca9d1',
+    (3, 'aspect', 2): '3e0976d88bb39919',
+}
 
-def fingerprint(dim, algorithm, seed):
+
+@functools.lru_cache(maxsize=None)
+def _build(dim, algorithm, seed):
     mesh = generate_mesh(dim, **MESHES[dim])
     spec = ProblemSpec("diffuse")
     A, b = assemble_problem(mesh, spec)
     hier = build_hierarchy(mesh, CoarsenConfig(algorithm, desired_size=24, seed=seed),
                            materials=spec.materials, operator=A)
+    return hier, A, b
+
+
+def fingerprint(dim, algorithm, seed):
+    hier, A, b = _build(dim, algorithm, seed)
     digest = hashlib.sha256()
     for level in hier.levels:
         P = level.prolongation.tocsr()
@@ -74,7 +117,37 @@ def fingerprint(dim, algorithm, seed):
     return digest.hexdigest()[:16], iterations
 
 
-@pytest.mark.parametrize("dim,algorithm,seed", [
-    (dim, alg, seed) for dim in MESHES for alg in ALGORITHMS for seed in SEEDS])
+def _update(digest, value):
+    """Hash a topology field: dataclasses field by field, arrays with their
+    shape and canonical dtype, scalars as int64, None as a marker."""
+    if value is None:
+        digest.update(b"none")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _update(digest, getattr(value, f.name))
+    else:
+        arr = np.asarray(value)
+        dtype = {"b": "u1", "f": "<f8"}.get(arr.dtype.kind, "<i8")
+        digest.update(np.array(arr.shape, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+
+def topology_fingerprint(dim, algorithm, seed):
+    hier, _, _ = _build(dim, algorithm, seed)
+    digest = hashlib.sha256()
+    for topo in [hier.fine_topology] + [level.topology for level in hier.levels]:
+        _update(digest, topo)
+    return digest.hexdigest()[:16]
+
+
+CASES = [(dim, alg, seed) for dim in MESHES for alg in ALGORITHMS for seed in SEEDS]
+
+
+@pytest.mark.parametrize("dim,algorithm,seed", CASES)
 def test_fingerprint(dim, algorithm, seed):
     assert fingerprint(dim, algorithm, seed) == GOLDEN[(dim, algorithm, seed)]
+
+
+@pytest.mark.parametrize("dim,algorithm,seed", CASES)
+def test_topology_fingerprint(dim, algorithm, seed):
+    assert topology_fingerprint(dim, algorithm, seed) == TOPOLOGY_GOLDEN[(dim, algorithm, seed)]
