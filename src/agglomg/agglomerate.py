@@ -147,32 +147,16 @@ def _face_adjacency(topo: LevelTopology):
         else:
             key = np.unique(key)
         src, dst = key // faces.n_faces, key % faces.n_faces
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(faces.n_faces + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=faces.n_faces), out=indptr[1:])
-    return indptr, dst[order]
+    return _csr_from_pairs(src, dst, faces.n_faces)
 
 
 def _element_companion_faces(topo: LevelTopology):
-    """CSR: for each interior face, the other interior faces of its elements."""
+    """CSR: for each interior face, the other interior faces of its elements
+    (once per element they share)."""
     faces = topo.faces
-    n = faces.n_faces
-    src_list, dst_list = [], []
-    for f in range(n):
-        if faces.right[f] < 0:
-            continue
-        companions = np.concatenate([
-            faces.element_faces(faces.left[f]),
-            faces.element_faces(faces.right[f]),
-        ])
-        companions = companions[(companions != f) & (faces.right[companions] >= 0)]
-        src_list.append(np.full(len(companions), f, dtype=np.int64))
-        dst_list.append(companions)
-    src = np.concatenate(src_list) if src_list else np.zeros(0, np.int64)
-    dst = np.concatenate(dst_list) if dst_list else np.zeros(0, np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst
+    src, dst = _group_pairs(faces.elem_indptr, faces.elem_face_ids)
+    keep = faces.interior[src] & faces.interior[dst]
+    return _csr_from_pairs(src[keep], dst[keep], faces.n_faces)
 
 
 def _csr_row(indptr, ids, i):
@@ -286,9 +270,7 @@ def _edge_sweep(topo, edge_w, face_w, assign, next_id):
     # edge -> edges sharing a node
     nsrc, ndst = _group_pairs(edges.node_edge_indptr, edges.node_edge_ids)
     nkey = np.unique(nsrc * n_edges + ndst)
-    adj_indptr = np.zeros(n_edges + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nkey // n_edges, minlength=n_edges), out=adj_indptr[1:])
-    adj_ids = nkey % n_edges
+    adj_indptr, adj_ids = _csr_from_pairs(nkey // n_edges, nkey % n_edges, n_edges)
 
     # edge -> edges that are neighbours AND share a face
     face_edge_indptr, face_edge_ids = _invert_csr(
@@ -296,9 +278,7 @@ def _edge_sweep(topo, edge_w, face_w, assign, next_id):
     fsrc, fdst = _group_pairs(face_edge_indptr, face_edge_ids)
     fkey = np.unique(fsrc * n_edges + fdst)
     fkey = np.intersect1d(fkey, nkey, assume_unique=True)
-    sadj_indptr = np.zeros(n_edges + 1, dtype=np.int64)
-    np.cumsum(np.bincount(fkey // n_edges, minlength=n_edges), out=sadj_indptr[1:])
-    sadj_ids = fkey % n_edges
+    sadj_indptr, sadj_ids = _csr_from_pairs(fkey // n_edges, fkey % n_edges, n_edges)
 
     # element -> its edges, for consumption at completion
     eel_indptr, eel_ids = _invert_csr(edges.elem_indptr, edges.elem_ids,
@@ -486,9 +466,8 @@ def greedy_coarsen(topo: LevelTopology, s: int, seed: int = 0, *, do_cleanup=Tru
 # ---------------------------------------------------------------------------
 # sizebased / aspect
 
-def sizebased_coarsen(topo: LevelTopology, s: int, seed: int = 0, *,
-                      contiguous=True, do_cleanup=True):
-    """Partition the weighted dual graph into floor(n/s) parts."""
+def sizebased_coarsen(topo: LevelTopology, s: int, seed: int = 0, *, do_cleanup=True):
+    """Partition the weighted dual graph into floor(n/s) contiguous parts."""
     if s < 2:
         raise ValueError(f"desired size must be >= 2, got {s}")
     k = topo.n_elements // s
@@ -496,7 +475,7 @@ def sizebased_coarsen(topo: LevelTopology, s: int, seed: int = 0, *,
         raise ValueError(
             f"desired size {s} exceeds the {topo.n_elements}-element level; reduce s")
     graph = partitioner.scale_weights(topo.dual)
-    part = partitioner.partition_kway(graph, k, contiguous=contiguous, seed=seed)
+    part = partitioner.partition_kway(graph, k, contiguous=True, seed=seed)
     agg = Agglomeration(part.part.copy())
     return cleanup(topo, agg)[0] if do_cleanup else agg
 

@@ -6,6 +6,14 @@ per boundary tag), pick coarse nodes by the face-count rule (or from
 coarse-edge endpoints on the kraus path), build the piecewise-average
 prolongation, and re-express the level as a :class:`LevelTopology` so
 every coarsening algorithm can run again on it.
+
+Each geometric coarse face is numbered once, by :func:`select_coarse_faces`
+(``CoarseFace.face``). The coarse edges and the coarse topology read that
+number and the (node, coarse face) incidence pairs rather than re-deriving
+them, and every step works on whole incidence arrays; only the walk that
+orders each coarse edge's fine edges into chains is sequential. A level on
+which an agglomerate can get no coarse node ends the hierarchy one level
+early (see :func:`build_hierarchy`).
 """
 from __future__ import annotations
 
@@ -17,8 +25,7 @@ import scipy.sparse as sp
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
                    _dual_from_faces, _first_appearance, _gather_ragged)
-from .agglomerate import (Agglomeration, CoarsenConfig, _group_pairs, _invert_csr,
-                          coarsen)
+from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
 
@@ -33,7 +40,9 @@ class CoarseFace:
 
     Interfaces produce two CoarseFace records, one owned by each side,
     over the same fine faces. Groups are split into connected components
-    of the fine-face adjacency, indexed by ``component``.
+    of the fine-face adjacency, indexed by ``component``. ``face`` numbers
+    the geometric coarse face: the two records of an interface share it,
+    and the numbers run 0, 1, ... in record order.
     """
 
     owner: int
@@ -41,6 +50,7 @@ class CoarseFace:
     tag: int           # boundary tag, or -1 for interfaces
     fine_faces: np.ndarray
     component: int
+    face: int
 
 
 @dataclass
@@ -195,16 +205,17 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> list:
     out = []
     for comp in np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1):
         i = comp[0]
-        ci = int(labels[i] - group_first_label[group[i]])
+        face = int(labels[i])
+        ci = face - int(group_first_label[group[i]])
         a, b = int(owner[i]), int(other[i])
         if boundary[i]:
             out.append(CoarseFace(owner=a, opposite=BOUNDARY, tag=b,
-                                  fine_faces=fids[comp], component=ci))
+                                  fine_faces=fids[comp], component=ci, face=face))
         else:
             out.append(CoarseFace(owner=a, opposite=b, tag=-1,
-                                  fine_faces=fids[comp], component=ci))
+                                  fine_faces=fids[comp], component=ci, face=face))
             out.append(CoarseFace(owner=b, opposite=a, tag=-1,
-                                  fine_faces=fids[comp], component=ci))
+                                  fine_faces=fids[comp], component=ci, face=face))
     return out
 
 
@@ -320,30 +331,29 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: list) -> CoarseEdgeSe
     if topo.edges is None:
         raise ValueError("coarse edges require an EdgeSet (3D kraus path)")
     edges = topo.edges
+    n_cf = len(coarse_faces)
+    # fine face -> coarse faces containing it, then the unique
+    # (edge, coarse face) pairs over each edge's fine faces
+    ff_indptr, ff_cf = _csr_from_pairs(
+        np.concatenate([cf.fine_faces for cf in coarse_faces]),
+        np.repeat(np.arange(n_cf), [len(cf.fine_faces) for cf in coarse_faces]),
+        topo.faces.n_faces)
+    cfs, counts = _gather_ragged(ff_indptr, ff_cf, edges.face_ids)
+    edge_of = np.repeat(np.repeat(np.arange(edges.n_edges),
+                                  np.diff(edges.face_indptr)), counts)
+    key = np.unique(edge_of * n_cf + cfs)
+    edge_of, cfs = key // n_cf, key % n_cf
     # the two sides of an interface are one geometric face here, otherwise
     # an interface's whole interior would count as "shared edges"
-    geo_key = {}
-    key_ids = {}
-    for ci, cf in enumerate(coarse_faces):
-        if cf.opposite == BOUNDARY:
-            key = (cf.owner, -1, cf.tag, cf.component)
-        else:
-            key = (min(cf.owner, cf.opposite), max(cf.owner, cf.opposite),
-                   -1, cf.component)
-        geo_key[ci] = key_ids.setdefault(key, len(key_ids))
-    # fine face -> geometric coarse faces containing it
-    face_cf = [[] for _ in range(topo.faces.n_faces)]
-    for ci, cf in enumerate(coarse_faces):
-        for f in cf.fine_faces:
-            face_cf[int(f)].append(ci)
-    # edge -> set of geometric faces of its incident fine faces
+    geo = np.array([cf.face for cf in coarse_faces], dtype=np.int64)
+    geo_pairs = np.unique(edge_of * n_cf + geo[cfs]) // n_cf
+    kept = np.bincount(geo_pairs, minlength=edges.n_edges) >= 2
+    sel = kept[edge_of]
+    edge_of, cfs = edge_of[sel], cfs[sel]
+    starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
     groups = {}
-    for e in range(edges.n_edges):
-        cfs = set()
-        for f in edges.edge_faces(e):
-            cfs.update(face_cf[int(f)])
-        if len(set(geo_key[c] for c in cfs)) >= 2:
-            groups.setdefault(tuple(sorted(cfs)), []).append(e)
+    for e, sig in zip(edge_of[starts].tolist(), np.split(cfs, starts[1:])):
+        groups.setdefault(tuple(sig.tolist()), []).append(e)
 
     out = []
     for sig in sorted(groups):
@@ -427,10 +437,12 @@ def build_prolongation(topo: LevelTopology, agg: Agglomeration,
     """Piecewise-average prolongation from coarse nodes to this level's nodes.
 
     Coarse nodes inject; nodes on coarse faces average the coarse nodes of
-    those faces; interior nodes average the coarse nodes sharing one of
-    their elements, expanding the element ring when none are found and
-    falling back to the agglomerate average after 20 expansions. Every
-    non-injection row has equal weights summing to one.
+    those faces; interior nodes average the coarse nodes of the first
+    element ring around them that holds any (ring 0 is the node's elements,
+    ring k+1 adds every element touching a node of ring k). A node whose
+    rings stop growing, or that finds none in rings 0 to 19, averages the
+    coarse nodes of its agglomerate(s). Every non-injection row has equal
+    weights summing to one.
     """
     n = topo.n_nodes
     nc = len(coarse_nodes)
@@ -439,6 +451,17 @@ def build_prolongation(topo: LevelTopology, agg: Agglomeration,
     col_of = np.full(n, -1, dtype=np.int64)
     col_of[coarse_nodes] = np.arange(nc)
     is_coarse = col_of >= 0
+    rows, cols, vals = [coarse_nodes], [np.arange(nc)], [np.ones(nc)]
+
+    def average(nodes, hits):
+        """Rows of equal weights over the columns of ``hits``; returns the
+        mask of nodes it found no column for."""
+        hits = hits.tocsr()
+        nnz = np.diff(hits.indptr)
+        rows.append(np.repeat(nodes, nnz))
+        cols.append(hits.indices)
+        vals.append(np.repeat(1.0 / np.maximum(nnz, 1), nnz))
+        return nnz == 0
 
     pair_nodes, pair_cfs = _node_coarseface_pairs(topo, coarse_faces)
     n_cf = len(coarse_faces)
@@ -448,116 +471,48 @@ def build_prolongation(topo: LevelTopology, agg: Agglomeration,
     on_nodes = pair_nodes[is_coarse[pair_nodes]]
     M2 = sp.csr_matrix((np.ones(len(on_cf)), (on_cf, col_of[on_nodes])),
                        shape=(n_cf, nc))
-
     face_node_mask = np.zeros(n, dtype=bool)
     face_node_mask[pair_nodes] = True
-
-    rows, cols, vals = [], [], []
-
-    rows.append(coarse_nodes)
-    cols.append(np.arange(nc))
-    vals.append(np.ones(nc))
-
     fn = np.flatnonzero(face_node_mask & ~is_coarse)
-    interior_extra = []
-    if len(fn):
-        U = (M1[fn] @ M2).tocsr()
-        U.data[:] = 1.0  # membership, not multiplicity
-        U.sum_duplicates()
-        nnz = np.diff(U.indptr)
-        good = nnz > 0
-        w = np.repeat(1.0 / np.maximum(nnz, 1), nnz)
-        rows.append(np.repeat(fn, nnz))
-        cols.append(U.indices.copy())
-        vals.append(w)
-        interior_extra = fn[~good].tolist()
+    missed = fn[average(fn, M1[fn] @ M2)]
 
-    interior = np.flatnonzero(~face_node_mask & ~is_coarse).tolist()
-    interior.extend(interior_extra)
-    if interior:
-        interior = np.array(sorted(interior), dtype=np.int64)
+    interior = np.union1d(np.flatnonzero(~face_node_mask & ~is_coarse), missed)
+    if len(interior):
         N1 = sp.csr_matrix(
             (np.ones(len(topo.node_elem_ids)),
              topo.node_elem_ids,
              topo.node_elem_indptr),
             shape=(n, topo.n_elements))
-        # element -> coarse-node incidence
-        en = np.repeat(np.arange(n), np.diff(topo.node_elem_indptr))
-        ee = topo.node_elem_ids
-        keep = is_coarse[en]
-        C = sp.csr_matrix((np.ones(int(keep.sum())), (ee[keep], col_of[en[keep]])),
-                          shape=(topo.n_elements, nc))
-        U2 = (N1[interior] @ C).tocsr()
-        nnz = np.diff(U2.indptr)
-        good = nnz > 0
-        w = np.repeat(1.0 / np.maximum(nnz, 1), nnz)
-        rows.append(np.repeat(interior, nnz))
-        cols.append(U2.indices.copy())
-        vals.append(w)
-        for node in interior[~good]:
-            r, c, v = _expand_search(topo, agg, int(node), col_of, is_coarse)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
+        NT = N1.T.tocsr()
+        C = N1[coarse_nodes].T.tocsr()  # element -> coarse-node incidence
+        ring = N1[interior]
+        lost = []
+        for k in range(SEARCH_RING_LIMIT):
+            miss = average(interior, ring @ C)
+            interior, ring = interior[miss], ring[miss]
+            if not len(interior) or k == SEARCH_RING_LIMIT - 1:
+                break
+            grown = ((ring @ NT) @ N1).tocsr()
+            grown.data[:] = 1.0
+            stalled = np.diff(grown.indptr) == np.diff(ring.indptr)
+            lost.append(interior[stalled])
+            interior, ring = interior[~stalled], grown[~stalled]
+        lost = np.concatenate(lost + [interior])
+        if len(lost):
+            # element -> agglomerate incidence
+            E = sp.csr_matrix((np.ones(topo.n_elements),
+                               (np.arange(topo.n_elements), agg.element_to_agg)),
+                              shape=(topo.n_elements, agg.n_agglomerates))
+            miss = average(lost, (N1[lost] @ E) @ (E.T @ C))
+            if miss.any():
+                raise CoarseningError(
+                    f"node {int(lost[miss].min())}: agglomerate has no coarse nodes")
 
     P = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, nc))
     P.sum_duplicates()
     return P
-
-
-def _expand_search(topo, agg, node, col_of, is_coarse):
-    """Ring expansion for an interior node with no coarse node in its elements."""
-    elems = set(int(e) for e in topo.node_elements(node))
-    elem_nodes_indptr, elem_nodes_ids = _elem_node_csr(topo)
-
-    def coarse_cols(elem_set):
-        found = set()
-        for e in elem_set:
-            for nd in elem_nodes_ids[elem_nodes_indptr[e]:elem_nodes_indptr[e + 1]]:
-                if is_coarse[nd]:
-                    found.add(int(col_of[nd]))
-        return found
-
-    for _ in range(SEARCH_RING_LIMIT):
-        found = coarse_cols(elems)
-        if found:
-            cols = np.array(sorted(found), dtype=np.int64)
-            w = np.full(len(cols), 1.0 / len(cols))
-            return np.full(len(cols), node, dtype=np.int64), cols, w
-        ring_nodes = set()
-        for e in elems:
-            ring_nodes.update(
-                int(v) for v in
-                elem_nodes_ids[elem_nodes_indptr[e]:elem_nodes_indptr[e + 1]])
-        grown = set(elems)
-        for nd in ring_nodes:
-            grown.update(int(e) for e in topo.node_elements(nd))
-        if grown == elems:
-            break
-        elems = grown
-    # fall back to all coarse nodes of the node's agglomerate(s)
-    assign = agg.element_to_agg
-    own = set(int(assign[e]) for e in topo.node_elements(node))
-    found = set()
-    for e in np.flatnonzero(np.isin(assign, sorted(own))):
-        for nd in elem_nodes_ids[elem_nodes_indptr[e]:elem_nodes_indptr[e + 1]]:
-            if is_coarse[nd]:
-                found.add(int(col_of[nd]))
-    if not found:
-        raise CoarseningError(f"node {node}: agglomerate has no coarse nodes")
-    cols = np.array(sorted(found), dtype=np.int64)
-    w = np.full(len(cols), 1.0 / len(cols))
-    return np.full(len(cols), node, dtype=np.int64), cols, w
-
-
-def _elem_node_csr(topo):
-    hit = topo.__dict__.get("_elem_node_csr")
-    if hit is None:
-        hit = _invert_csr(topo.node_elem_indptr, topo.node_elem_ids, topo.n_elements)
-        topo.__dict__["_elem_node_csr"] = hit
-    return hit
 
 
 def restriction(prolongation: sp.csr_matrix) -> sp.csr_matrix:
@@ -600,56 +555,34 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
                      coarse_nodes: np.ndarray,
                      coarse_edges: CoarseEdgeSet | None) -> LevelTopology:
     faces = topo.faces
-    assign = agg.element_to_agg
     nagg = agg.n_agglomerates
     nc = len(coarse_nodes)
     col_of = np.full(topo.n_nodes, -1, dtype=np.int64)
     col_of[coarse_nodes] = np.arange(nc)
 
+    assign = agg.element_to_agg
     elem_volume = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
 
-    # one level face per interface component (owner < opposite side) and
-    # per boundary coarse face
-    lvl_faces = []
-    cf_to_level = np.full(len(coarse_faces), -1, dtype=np.int64)
-    twin_key = {}
-    for ci, cf in enumerate(coarse_faces):
-        if cf.opposite == BOUNDARY:
-            lvl_faces.append((cf.owner, BOUNDARY, cf.tag, cf.fine_faces))
-            cf_to_level[ci] = len(lvl_faces) - 1
-        else:
-            a, b = min(cf.owner, cf.opposite), max(cf.owner, cf.opposite)
-            key = (a, b, cf.component)
-            if key in twin_key:
-                cf_to_level[ci] = twin_key[key]
-            else:
-                lvl_faces.append((a, b, -1, cf.fine_faces))
-                twin_key[key] = len(lvl_faces) - 1
-                cf_to_level[ci] = twin_key[key]
-
-    nf = len(lvl_faces)
-    left = np.array([f[0] for f in lvl_faces], dtype=np.int64)
-    right = np.array([f[1] for f in lvl_faces], dtype=np.int64)
-    tag = np.array([f[2] for f in lvl_faces], dtype=np.int64)
-    area = np.zeros(nf)
-    node_lists = []
-    for i, (_, _, _, ff) in enumerate(lvl_faces):
-        area[i] = faces.area[ff].sum()
-        vals, _ = _gather_ragged(faces.node_indptr, faces.node_ids, ff)
-        vals = np.unique(vals)
-        node_lists.append(col_of[vals][col_of[vals] >= 0])
-    node_indptr = np.zeros(nf + 1, dtype=np.int64)
-    np.cumsum([len(x) for x in node_lists], out=node_indptr[1:])
-    node_ids = (np.concatenate(node_lists) if node_lists
-                else np.zeros(0, np.int64))
+    # one level face per geometric coarse face, read from its first record
+    # (for an interface, the side whose owner is the lower agglomerate id)
+    face_of = np.array([cf.face for cf in coarse_faces], dtype=np.int64)
+    firsts = [coarse_faces[i] for i in np.flatnonzero(np.diff(face_of, prepend=-1))]
+    nf = len(firsts)
+    left = np.array([cf.owner for cf in firsts], dtype=np.int64)
+    right = np.array([cf.opposite for cf in firsts], dtype=np.int64)
+    tag = np.array([cf.tag for cf in firsts], dtype=np.int64)
+    area = np.array([faces.area[cf.fine_faces].sum() for cf in firsts], dtype=float)
+    # coarse nodes of each level face, ascending (the pairs come node-major)
+    pair_nodes, pair_faces = _node_coarseface_pairs(topo, firsts)
+    on = col_of[pair_nodes] >= 0
+    node_indptr, node_ids = _csr_from_pairs(pair_faces[on], col_of[pair_nodes[on]], nf)
 
     fsrc = np.concatenate([left, right[right >= 0]])
     fface = np.concatenate([np.arange(nf), np.flatnonzero(right >= 0)])
     ef_indptr, ef_ids = _csr_from_pairs(fsrc, fface, nagg)
 
-    nsrc = node_ids
     nface = np.repeat(np.arange(nf), np.diff(node_indptr))
-    nf_indptr, nf_ids = _csr_from_pairs(nsrc, nface, nc)
+    nf_indptr, nf_ids = _csr_from_pairs(node_ids, nface, nc)
 
     new_faces = FaceSet(node_indptr=node_indptr, node_ids=node_ids,
                         left=left, right=right, area=area, tag=tag,
@@ -662,38 +595,27 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
     keep = col_of[an] >= 0
     ne_indptr, ne_ids = _csr_from_pairs(col_of[an[keep]], aa[keep], nc)
 
-    node_bd = np.zeros(nc, dtype=bool)
-    for i in np.flatnonzero(right == BOUNDARY):
-        node_bd[node_ids[node_indptr[i]:node_indptr[i + 1]]] = True
-
     bd_mask = right == BOUNDARY
+    node_bd = np.zeros(nc, dtype=bool)
+    node_bd[node_ids[np.repeat(bd_mask, np.diff(node_indptr))]] = True
     elem_bd_area = np.bincount(left[bd_mask], weights=area[bd_mask], minlength=nagg)
 
     edges = None
     if coarse_edges is not None and len(coarse_edges):
-        e_nodes = []
-        e_faces_src, e_faces_dst = [], []
-        e_elems_src, e_elems_dst = [], []
-        for ei, ce in enumerate(coarse_edges.edges):
-            u, v = (col_of[ce.endpoints[0]], col_of[ce.endpoints[1]])
-            e_nodes.append((min(u, v), max(u, v)))
-            lvl = sorted(set(int(cf_to_level[c]) for c in ce.coarse_faces))
-            owners = sorted(set(
-                int(x) for c in ce.coarse_faces
-                for x in (coarse_faces[c].owner,)
-            ))
-            e_faces_src.extend([ei] * len(lvl))
-            e_faces_dst.extend(lvl)
-            e_elems_src.extend([ei] * len(owners))
-            e_elems_dst.extend(owners)
-        n_edges = len(e_nodes)
-        enodes = np.array(e_nodes, dtype=np.int64)
-        f_indptr, f_ids = _csr_from_pairs(np.array(e_faces_src, dtype=np.int64),
-                                          np.array(e_faces_dst, dtype=np.int64),
-                                          n_edges)
-        el_indptr, el_ids = _csr_from_pairs(np.array(e_elems_src, dtype=np.int64),
-                                            np.array(e_elems_dst, dtype=np.int64),
-                                            n_edges)
+        n_edges = len(coarse_edges)
+        ends = np.array([ce.endpoints for ce in coarse_edges.edges], dtype=np.int64)
+        enodes = np.sort(col_of[ends], axis=1)
+        sigs = [ce.coarse_faces for ce in coarse_edges.edges]
+        edge_of = np.repeat(np.arange(n_edges), [len(sig) for sig in sigs])
+        cfs = np.concatenate(sigs).astype(np.int64)
+        owner = np.array([cf.owner for cf in coarse_faces], dtype=np.int64)
+
+        def distinct_per_edge(values, width):
+            key = np.unique(edge_of * width + values)
+            return _csr_from_pairs(key // width, key % width, n_edges)
+
+        f_indptr, f_ids = distinct_per_edge(face_of[cfs], nf)
+        el_indptr, el_ids = distinct_per_edge(owner[cfs], nagg)
         ne2_indptr, ne2_ids = _csr_from_pairs(
             enodes.ravel(), np.repeat(np.arange(n_edges), 2), nc)
         edges = EdgeSet(nodes=enodes, face_indptr=f_indptr, face_ids=f_ids,
@@ -734,9 +656,13 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     Each step runs coarsen -> cleanup -> coarse topology -> prolongation
     -> material projection (-> Galerkin operator when a fine operator is
     given). Stops at the node threshold, on stagnating node reduction, or
-    at the level cap. All seven algorithms re-apply on coarse levels via
-    the rebuilt LevelTopology. A precomputed ``fine_topology`` for the
-    same mesh skips the topology derivation (useful in seed sweeps).
+    at the level cap. A level on which some agglomerate can get no coarse
+    node, because it has no neighbour to merge into (one agglomerate per
+    component of a disconnected mesh, say), also ends the hierarchy: the
+    levels built so far are kept and that level is dropped. All seven
+    algorithms re-apply on coarse levels via the rebuilt LevelTopology. A
+    precomputed ``fine_topology`` for the same mesh skips the topology
+    derivation (useful in seed sweeps).
     """
     config.validate()
     schedule = schedule or level_schedule(mesh.dim)
@@ -763,7 +689,10 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         agg = coarsen(topo, level_config)
         if agg.n_agglomerates >= topo.n_elements:
             break  # no coarsening happened
-        agg, cfs, cnodes, cedges = _coarse_selection(topo, agg, config.algorithm)
+        selection = _coarse_selection(topo, agg, config.algorithm)
+        if selection is None:
+            break  # an uncoverable agglomerate: end one level early
+        agg, cfs, cnodes, cedges = selection
         P = build_prolongation(topo, agg, cfs, cnodes)
         new_topo = _coarse_topology(topo, agg, cfs, cnodes, cedges)
         new_mats = (project_materials(mats, agg, topo.elem_volume)
@@ -791,7 +720,7 @@ def _coarse_selection(topo, agg, algorithm):
     merged into the neighbour it shares the most interface area with (the
     enclosure merge exists for exactly this reason), and the selection is
     redone. Terminates because every round removes at least one agglomerate;
-    uncovered agglomerates with no neighbour to merge into raise.
+    returns None when uncovered agglomerates have no neighbour to merge into.
     """
     kraus3d = algorithm == "kraus" and topo.dim == 3 and topo.edges is not None
     while True:
@@ -800,12 +729,9 @@ def _coarse_selection(topo, agg, algorithm):
         coarse, covered = _coarse_mask(topo, agg, cfs, cedges)
         if covered.all():
             return agg, cfs, np.flatnonzero(coarse), cedges
-        uncovered = np.flatnonzero(~covered)
-        merged = _merge_uncovered(topo, agg, uncovered)
+        merged = _merge_uncovered(topo, agg, np.flatnonzero(~covered))
         if merged.n_agglomerates == agg.n_agglomerates:
-            raise CoarseningError(
-                f"agglomerate(s) {uncovered[:10].tolist()} of {agg.n_agglomerates} "
-                "have no coarse node and no neighbour to merge into")
+            return None
         agg = merged
 
 

@@ -135,9 +135,8 @@ def _components(src, dst, n) -> np.ndarray:
     # are the connected ones, and scipy finds them without the transposes
     # its undirected path builds (repeated entries make its search hang)
     key = np.unique(np.concatenate([src * n + dst, dst * n + src]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    graph = sp.csr_matrix((np.ones(len(key)), key % n, indptr), shape=(n, n))
+    indptr, indices = _csr_from_pairs(key // n, key % n, n)
+    graph = sp.csr_matrix((np.ones(len(key)), indices, indptr), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     return _first_appearance(labels)
 

@@ -11,7 +11,9 @@ from agglomg.hierarchy import (CoarseningError, ElementMaterials,
                                select_coarse_edges, select_coarse_faces,
                                select_coarse_nodes)
 from agglomg.mesh import (BOUNDARY, LevelTopology, MaterialProperties, Mesh,
-                          generate_mesh)
+                          _induced_components, generate_mesh)
+from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
+                            assemble_problem, fgmres)
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +113,40 @@ class TestCoarseNodes:
         assert merged.n_agglomerates == 2
         assert np.array_equal(merged.element_to_agg, (x > 0.5).astype(np.int64))
 
-    def test_isolated_uncovered_agglomerates_raise_at_once(self):
-        # two disjoint boxes: rgb leaves one uncovered agglomerate per box
-        # on its second level, and neither has a neighbour to merge into
+    def test_isolated_uncovered_agglomerates_end_hierarchy(self):
+        # two disjoint boxes: coarsening the 22-element second coarse level
+        # leaves one uncovered agglomerate per box, neither with a neighbour
+        # to merge into, so the hierarchy keeps the two levels it has
         box = generate_mesh(3, 5, extent=1.0)
         mesh = Mesh(3, np.vstack([box.node_coords, box.node_coords + 2.0]),
                     np.vstack([box.elements, box.elements + box.n_nodes]),
                     np.zeros(2 * box.n_elements, dtype=np.int64))
-        with pytest.raises(CoarseningError, match="no neighbour to merge into"):
-            build_hierarchy(mesh, CoarsenConfig("rgb", seed=1))
+        spec = ProblemSpec("diffuse")
+        A, b = assemble_problem(mesh, spec)
+        h = build_hierarchy(mesh, CoarsenConfig("rgb", seed=1),
+                            materials=spec.materials, operator=A)
+        assert h.node_counts == [432, 361, 68]
+        topo = h.fine_topology
+        for lvl in h.levels:
+            agg = lvl.agglomeration
+            assert np.array_equal(np.unique(agg.element_to_agg),
+                                  np.arange(agg.n_agglomerates))
+            for group in agg.groups():
+                assert _induced_components(topo.dual.indptr, topo.dual.indices,
+                                           group).max() == 0
+            an, aa = hi._node_agg_pairs(topo, agg)
+            is_coarse = np.zeros(topo.n_nodes, dtype=bool)
+            is_coarse[lvl.coarse_nodes] = True
+            assert np.array_equal(np.unique(aa[is_coarse[an]]),
+                                  np.arange(agg.n_agglomerates))
+            P = lvl.prolongation
+            assert P.data.min() >= 0.0
+            assert np.allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0)
+            assert lvl.topology.n_elements == agg.n_agglomerates
+            topo = lvl.topology
+        M = VCyclePreconditioner(h, SmootherConfig())
+        _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
+        assert converged and iterations == 5
 
 
 class TestCoarseEdges:
