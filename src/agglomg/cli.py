@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import mesh_io
@@ -172,20 +173,13 @@ def cmd_coarsen(args) -> int:
 
 
 def _sweep_one(payload):
-    (dim, n, jitter, mesh_path, alg, size, lower, seed, problem,
-     do_solve, stop_nodes, max_levels) = payload
+    dim, n, jitter, mesh_path, alg, size, lower, seed, problem, do_solve, stop = payload
     try:
         if mesh_path:
             mesh = mesh_io.read_msh(mesh_path)
         else:
             mesh = generate_mesh(dim, n, jitter=jitter, seed=seed)
         schedule = level_schedule(mesh.dim, top=size, lower=lower)
-        stop_kwargs = {}
-        if stop_nodes is not None:
-            stop_kwargs["coarse_nodes"] = stop_nodes
-        if max_levels is not None:
-            stop_kwargs["max_levels"] = max_levels
-        stop = StopRule(**stop_kwargs)
         config = CoarsenConfig(algorithm=alg, desired_size=size, seed=seed)
         if do_solve:
             spec = ProblemSpec(problem)
@@ -194,10 +188,9 @@ def _sweep_one(payload):
             iters, solve_t, setup_t = (report.iterations, report.solve_time_s,
                                        report.setup_time_s)
         else:
-            import time as _time
-            t0 = _time.perf_counter()
+            t0 = time.perf_counter()
             hier = build_hierarchy(mesh, config, schedule=schedule, stop=stop)
-            setup_t = _time.perf_counter() - t0
+            setup_t = time.perf_counter() - t0
             iters, solve_t = None, None
         if not hier.levels:
             raise RuntimeError("mesh is below the stop threshold; nothing coarsened")
@@ -224,7 +217,7 @@ def cmd_sweep(args) -> int:
     payloads = [
         (2 if args.gen_2d else 3, args.gen_2d or args.gen_3d, args.jitter,
          args.mesh, args.alg, s, args.lower_size, args.seed, args.problem,
-         args.solve, args.stop_nodes, args.max_levels)
+         args.solve, _stop(args))
         for s in sizes
     ]
     if args.jobs > 1 and len(payloads) > 1:

@@ -20,7 +20,8 @@ from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
 from .agglomerate import CoarsenConfig
 from .hierarchy import (ElementMaterials, Hierarchy, LevelSchedule, StopRule,
-                        build_hierarchy, level_schedule)
+                        build_hierarchy, grid_complexity, level_schedule,
+                        operator_complexity)
 
 COARSEST_LIMIT = 2000
 
@@ -401,7 +402,8 @@ def solve_problem(mesh: Mesh, spec: ProblemSpec, config: CoarsenConfig, *,
         meta={
             "n_nodes": mesh.n_nodes,
             "n_elements": mesh.n_elements,
-            "grid_complexity": float(sum(hier.node_counts) / hier.node_counts[0]),
+            "grid_complexity": grid_complexity(hier),
+            "operator_complexity": operator_complexity(hier),
             "setup_includes_galerkin_products": True,
         },
     )

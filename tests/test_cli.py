@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from agglomg import cli, mesh_io
+from agglomg.agglomerate import CoarsenConfig
+from agglomg.hierarchy import StopRule, build_hierarchy, grid_complexity, level_schedule
+from agglomg.mesh import generate_mesh
 
 
 def run(argv, capsys):
@@ -164,6 +167,28 @@ class TestJobs:
         for x, y in zip(ra, rb):
             assert {k: v for k, v in x.items() if k not in drop} == \
                 {k: v for k, v in y.items() if k not in drop}
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flag,value,stop", [
+        ("--stop-nodes", "100", StopRule(coarse_nodes=100)),
+        ("--max-levels", "2", StopRule(max_levels=2))])
+    def test_stop_flags_honoured(self, tmp_path, capsys, jobs, flag, value, stop):
+        # each flag drops levels the default stop rule keeps, in the worker
+        # processes as well as in the serial loop
+        path = tmp_path / "stop.csv"
+        argv = ["sweep", "--gen-2d", "16", "--alg", "greedy", "--size", "4,8",
+                "--seed", "3", flag, value, "--jobs", jobs, "--csv", str(path)]
+        assert run(argv, capsys)[0] == 0
+        rows = list(csv.DictReader(path.open()))
+        mesh = generate_mesh(2, 16, jitter=0.2, seed=3)
+        for row, size in zip(rows, (4, 8)):
+            config = CoarsenConfig("greedy", desired_size=size, seed=3)
+            schedule = level_schedule(2, top=size)
+            expected = build_hierarchy(mesh, config, schedule=schedule, stop=stop)
+            default = build_hierarchy(mesh, config, schedule=schedule)
+            assert expected.n_levels < default.n_levels
+            assert float(row["grid_complexity"]) == grid_complexity(expected)
 
 
 class TestConfigFile:

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from agglomg.agglomerate import CoarsenConfig
-from agglomg.hierarchy import StopRule, build_hierarchy
+from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
+                               operator_complexity)
 from agglomg.mesh import MaterialProperties, generate_mesh
 from agglomg.solver import (DivergenceError, ProblemSpec,
                             VCyclePreconditioner, apply_dirichlet,
@@ -264,6 +265,8 @@ class TestSolveProblem:
         assert report.setup_time_s > 0 and report.solve_time_s > 0
         assert report.levels == hier.n_levels
         assert report.meta["setup_includes_galerkin_products"] is True
+        assert report.meta["grid_complexity"] == grid_complexity(hier)
+        assert report.meta["operator_complexity"] == operator_complexity(hier)
 
     def test_preconditioning_beats_unpreconditioned(self):
         mesh = generate_mesh(2, 32, jitter=0.2, seed=8)
