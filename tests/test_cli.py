@@ -172,7 +172,7 @@ class TestJobs:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("flag,value,stop", [
         ("--stop-nodes", "100", StopRule(coarse_nodes=100)),
-        ("--max-levels", "2", StopRule(max_levels=2))])
+        ("--max-levels", "2", StopRule(max_levels=2))], ids=["stop-nodes", "max-levels"])
     def test_stop_flags_honoured(self, tmp_path, capsys, jobs, flag, value, stop):
         # each flag drops levels the default stop rule keeps, in the worker
         # processes as well as in the serial loop

@@ -150,4 +150,5 @@ def test_fingerprint(dim, algorithm, seed):
 
 @pytest.mark.parametrize("dim,algorithm,seed", CASES)
 def test_topology_fingerprint(dim, algorithm, seed):
-    assert topology_fingerprint(dim, algorithm, seed) == TOPOLOGY_GOLDEN[(dim, algorithm, seed)]
+    expected = TOPOLOGY_GOLDEN[(dim, algorithm, seed)]
+    assert topology_fingerprint(dim, algorithm, seed) == expected
