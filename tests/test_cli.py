@@ -168,7 +168,6 @@ class TestJobs:
             assert {k: v for k, v in x.items() if k not in drop} == \
                 {k: v for k, v in y.items() if k not in drop}
 
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("flag,value,stop", [
         ("--stop-nodes", "100", StopRule(coarse_nodes=100)),
