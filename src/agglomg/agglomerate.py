@@ -3,9 +3,11 @@
 Every algorithm maps one grid level (a :class:`~agglomg.mesh.LevelTopology`)
 to an element -> agglomerate assignment, then runs the shared cleanup stage
 so the result is total, contiguous and densely numbered. Weighted-face
-growth (jones, kraus) is deterministic; the randomized algorithms consume
-an explicit 64-bit seed through a counter-based generator, never global
-RNG state.
+growth (jones, kraus) is deterministic: one heap-growth kernel,
+:func:`_grow`, follows maximal-weight faces (jones and kraus) or edges (the
+3D kraus edge phase), and each sweep only builds its adjacency arrays for
+it. The randomized algorithms consume an explicit 64-bit seed through a
+counter-based generator, never global RNG state.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import (LevelTopology, _components, _csr_from_pairs, _first_appearance,
-                   _gather_ragged, _induced_components)
+                   _gather_ragged, _induced_components, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -51,7 +54,6 @@ class Agglomeration:
     """Element -> agglomerate id map for one coarsening step (-1 = unassigned)."""
 
     element_to_agg: np.ndarray
-    level: int = 0
 
     def __post_init__(self):
         self.element_to_agg = np.asarray(self.element_to_agg, dtype=np.int64)
@@ -125,29 +127,15 @@ def _face_adjacency(topo: LevelTopology):
     applies: at least one shared node in 2D, at least two in 3D.
     """
     faces = topo.faces
-    interior = faces.interior
     if topo.dim == 3 and topo.edges is not None:
-        src, dst = _group_pairs(topo.edges.face_indptr, topo.edges.face_ids)
-        keep = interior[src] & interior[dst]
-        src, dst = src[keep], dst[keep]
-        # distinct fine faces share at most one edge, so pairs are unique;
-        # coarse faces may share several, so dedup by pair key
-        key = src * faces.n_faces + dst
-        uniq = np.unique(key)
-        src, dst = uniq // faces.n_faces, uniq % faces.n_faces
+        groups, min_shared = (topo.edges.face_indptr, topo.edges.face_ids), 1
     else:
-        src, dst = _group_pairs(faces.node_face_indptr, faces.node_face_ids)
-        keep = interior[src] & interior[dst]
-        src, dst = src[keep], dst[keep]
-        key = src * faces.n_faces + dst
-        if topo.dim == 3:
-            # generic 3D rule without an EdgeSet: >= 2 shared nodes
-            key, counts = np.unique(key, return_counts=True)
-            key = key[counts >= 2]
-        else:
-            key = np.unique(key)
-        src, dst = key // faces.n_faces, key % faces.n_faces
-    return _csr_from_pairs(src, dst, faces.n_faces)
+        groups, min_shared = (faces.node_face_indptr, faces.node_face_ids), topo.dim - 1
+    src, dst = _group_pairs(*groups)
+    keep = faces.interior[src] & faces.interior[dst]
+    src, dst = src[keep], dst[keep]
+    return _csr_from_pairs(*_unique_pairs(src, dst, faces.n_faces, min_shared),
+                           faces.n_faces)
 
 
 def _element_companion_faces(topo: LevelTopology):
@@ -166,62 +154,75 @@ def _csr_row(indptr, ids, i):
 # ---------------------------------------------------------------------------
 # jones / kraus : weighted-face (and edge) growth
 
-def _face_sweep(topo, face_w, assign, next_id, restrict_g):
-    """Grow agglomerates by repeatedly following maximal-weight faces.
+def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
+    """Grow agglomerates along maximal-weight entities (faces or edges).
 
-    Mutates ``face_w`` and ``assign``; returns the next free agglomerate id.
-    ``restrict_g`` confines the growth-face choice to faces sharing an
-    element with the current face (the kraus variant).
+    Each CSR argument is an (indptr, ids) pair. The heaviest live entity
+    (weight >= 0, lowest id on ties) starts an agglomerate that claims its
+    free ``elements``. The current entity is consumed (weight -1), every
+    live entity in its ``bumps`` rows gains one and is queued again, and
+    ``side``, a (weights, CSR) pair, adds one to the live entities of its
+    row without queueing them. Growth then follows the heaviest entity of
+    the ``pool`` row (lowest id on ties) while it weighs at least as much
+    as the current one. On completion each (weights, element CSR) pair in
+    ``clears`` consumes the entities of the agglomerate's elements.
+
+    Mutates the weights and ``assign``; returns the next free agglomerate id.
     """
-    faces = topo.faces
-    adj_indptr, adj_ids = _face_adjacency(topo)
-    comp_indptr, comp_ids = _element_companion_faces(topo)
-    elem_faces = faces.element_faces
-
-    heap = [(-int(face_w[f]), int(f)) for f in np.flatnonzero(face_w >= 0)]
+    heap = [(-int(weight[i]), int(i)) for i in np.flatnonzero(weight >= 0)]
     heapq.heapify(heap)
-
-    def push(f):
-        heapq.heappush(heap, (-int(face_w[f]), int(f)))
-
     while heap:
-        negw, f = heapq.heappop(heap)
-        if face_w[f] != -negw or face_w[f] < 0:
+        negw, i = heapq.heappop(heap)
+        if weight[i] != -negw or weight[i] < 0:
             continue  # stale entry
         aid = next_id
         next_id += 1
         members = []
         while True:
-            w_max = face_w[f]
-            face_w[f] = -1
-            for e in (faces.left[f], faces.right[f]):
+            w_max = weight[i]
+            weight[i] = -1
+            for e in _csr_row(*elements, i):
                 if assign[e] < 0:
                     assign[e] = aid
                     members.append(e)
-            neighbours = _csr_row(adj_indptr, adj_ids, f)
-            for g in neighbours:
-                if face_w[g] >= 0:
-                    face_w[g] += 1
-                    push(g)
-            for g in _csr_row(comp_indptr, comp_ids, f):
-                if face_w[g] >= 0:
-                    face_w[g] += 1
-                    push(g)
-            pool = _csr_row(comp_indptr, comp_ids, f) if restrict_g else neighbours
-            g_best = -1
-            g_w = -1
-            for g in pool:
-                wg = face_w[g]
-                if wg > g_w or (wg == g_w and g < g_best):
-                    g_best, g_w = int(g), int(wg)
-            if g_best < 0 or g_w < w_max:
+            for indptr, ids in bumps:
+                for j in _csr_row(indptr, ids, i):
+                    if weight[j] >= 0:
+                        weight[j] += 1
+                        heapq.heappush(heap, (-int(weight[j]), int(j)))
+            if side is not None:
+                side_w, (indptr, ids) = side
+                row = _csr_row(indptr, ids, i)
+                side_w[row[side_w[row] >= 0]] += 1  # rows are duplicate-free
+            best, best_w = -1, -1
+            for j in _csr_row(*pool, i):
+                wj = weight[j]
+                if wj > best_w or (wj == best_w and j < best):
+                    best, best_w = int(j), int(wj)
+            if best < 0 or best_w < w_max:
                 break
-            f = g_best
-        for e in members:
-            for g in elem_faces(e):
-                if faces.right[g] >= 0:
-                    face_w[g] = -1
+            i = best
+        for w, (indptr, ids) in clears:
+            for e in members:
+                w[_csr_row(indptr, ids, e)] = -1
     return next_id
+
+
+def _face_sweep(topo, face_w, assign, next_id, restrict_g):
+    """Grow agglomerates along maximal-weight interior faces.
+
+    A face is bumped by its adjacent faces and by the other faces of its
+    elements. ``restrict_g`` confines the growth-face choice to faces
+    sharing an element with the current face (the kraus variant).
+    """
+    faces = topo.faces
+    adj = _face_adjacency(topo)
+    companions = _element_companion_faces(topo)
+    sides = (np.arange(0, 2 * faces.n_faces + 1, 2),
+             np.column_stack([faces.left, faces.right]).ravel())
+    elem_faces = (faces.elem_indptr, faces.elem_face_ids)
+    return _grow(face_w, assign, next_id, sides, [adj, companions],
+                 companions if restrict_g else adj, [(face_w, elem_faces)])
 
 
 def jones_coarsen(topo: LevelTopology, *, do_cleanup=True):
@@ -262,76 +263,43 @@ def _kraus_sweep(topo):
 
 
 def _edge_sweep(topo, edge_w, face_w, assign, next_id):
-    edges = topo.edges
-    faces = topo.faces
-    n_edges = edges.n_edges
-    fadj_indptr, fadj_ids = _face_adjacency(topo)
+    """Grow agglomerates along maximal-weight edges (3D kraus).
 
-    # edge -> edges sharing a node
-    nsrc, ndst = _group_pairs(edges.node_edge_indptr, edges.node_edge_ids)
-    nkey = np.unique(nsrc * n_edges + ndst)
-    adj_indptr, adj_ids = _csr_from_pairs(nkey // n_edges, nkey % n_edges, n_edges)
+    An edge is bumped by the edges sharing a node with it, once more by
+    those that also share a face, and follows the latter; each step also
+    bumps the faces adjacent to the current edge's faces, once each.
+    """
+    edges, faces = topo.edges, topo.faces
+    adj, shared = _edge_adjacency(edges, faces.n_faces)
+    # the distinct faces adjacent to each edge's faces: the pattern of the
+    # product of the edge -> face and face -> face incidences
+    near_faces = (_pattern(edges.face_indptr, edges.face_ids, faces.n_faces)
+                  @ _pattern(*_face_adjacency(topo), faces.n_faces))
+    clears = [(edge_w, _invert_csr(edges.elem_indptr, edges.elem_ids, topo.n_elements)),
+              (face_w, (faces.elem_indptr, faces.elem_face_ids))]
+    return _grow(edge_w, assign, next_id, (edges.elem_indptr, edges.elem_ids),
+                 [adj, shared], shared, clears,
+                 side=(face_w, (near_faces.indptr, near_faces.indices)))
 
-    # edge -> edges that are neighbours AND share a face
-    face_edge_indptr, face_edge_ids = _invert_csr(
-        edges.face_indptr, edges.face_ids, faces.n_faces)
-    fsrc, fdst = _group_pairs(face_edge_indptr, face_edge_ids)
-    fkey = np.unique(fsrc * n_edges + fdst)
-    fkey = np.intersect1d(fkey, nkey, assume_unique=True)
-    sadj_indptr, sadj_ids = _csr_from_pairs(fkey // n_edges, fkey % n_edges, n_edges)
 
-    # element -> its edges, for consumption at completion
-    eel_indptr, eel_ids = _invert_csr(edges.elem_indptr, edges.elem_ids,
-                                      topo.n_elements)
+def _edge_adjacency(edges, n_faces):
+    """CSRs of the edges sharing a node with each edge, and of those of
+    them that also share a face."""
+    n = edges.n_edges
+    nsrc, ndst = _unique_pairs(
+        *_group_pairs(edges.node_edge_indptr, edges.node_edge_ids), n)
+    fsrc, fdst = _unique_pairs(
+        *_group_pairs(*_invert_csr(edges.face_indptr, edges.face_ids, n_faces)), n)
+    # a pair found both ways shares a node and a face
+    ssrc, sdst = _unique_pairs(np.concatenate([nsrc, fsrc]),
+                               np.concatenate([ndst, fdst]), n, 2)
+    return _csr_from_pairs(nsrc, ndst, n), _csr_from_pairs(ssrc, sdst, n)
 
-    heap = [(0, e) for e in range(n_edges)]
-    heapq.heapify(heap)
 
-    while heap:
-        negw, e = heapq.heappop(heap)
-        if edge_w[e] != -negw or edge_w[e] < 0:
-            continue
-        aid = next_id
-        next_id += 1
-        members = []
-        while True:
-            w_max = edge_w[e]
-            edge_w[e] = -1
-            for el in edges.edge_elements(e):
-                if assign[el] < 0:
-                    assign[el] = aid
-                    members.append(el)
-            for d in _csr_row(adj_indptr, adj_ids, e):
-                if edge_w[d] >= 0:
-                    edge_w[d] += 1
-                    heapq.heappush(heap, (-int(edge_w[d]), int(d)))
-            for d in _csr_row(sadj_indptr, sadj_ids, e):
-                if edge_w[d] >= 0:
-                    edge_w[d] += 1
-                    heapq.heappush(heap, (-int(edge_w[d]), int(d)))
-            seen = set()
-            for fc in edges.edge_faces(e):
-                for g in _csr_row(fadj_indptr, fadj_ids, fc):
-                    g = int(g)
-                    if g not in seen:
-                        seen.add(g)
-                        if face_w[g] >= 0:
-                            face_w[g] += 1
-            d_best, d_w = -1, -1
-            for d in _csr_row(sadj_indptr, sadj_ids, e):
-                wd = edge_w[d]
-                if wd > d_w or (wd == d_w and d < d_best):
-                    d_best, d_w = int(d), int(wd)
-            if d_best < 0 or d_w < w_max:
-                break
-            e = d_best
-        for el in members:
-            for d in _csr_row(eel_indptr, eel_ids, el):
-                edge_w[d] = -1
-            for g in topo.faces.element_faces(el):
-                if faces.right[g] >= 0:
-                    face_w[g] = -1
-    return next_id
+def _pattern(indptr, ids, n_cols):
+    """Boolean sparse matrix with the nonzero pattern of a CSR."""
+    return sp.csr_matrix((np.ones(len(ids), dtype=bool), ids, indptr),
+                         shape=(len(indptr) - 1, n_cols))
 
 
 def _invert_csr(indptr, ids, n_targets):
@@ -522,7 +490,8 @@ def _aspect_refine(topo, assign, s):
         dual.neighbor_weights(e).sum() for e in range(topo.n_elements)])
     for _ in range(ASPECT_MAX_PASSES):
         src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
-        boundary_elems = np.unique(src[assign[src] != assign[dual.indices]])
+        boundary_elems = np.flatnonzero(np.bincount(
+            src[assign[src] != assign[dual.indices]], minlength=topo.n_elements))
         improved = False
         for e in boundary_elems:
             a = int(assign[e])
@@ -617,7 +586,7 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
     report.enclosed_merged += _merge_enclosed(topo, assign)
     report.disconnected_split += _split_noncontiguous(topo, assign)
 
-    return Agglomeration(_first_appearance(assign), level=agg.level), report
+    return Agglomeration(_first_appearance(assign)), report
 
 
 def _live_sizes(assign):
@@ -632,9 +601,7 @@ def _split_noncontiguous(topo, assign) -> int:
     same = assign[src] == assign[dual.indices]
     labels = _components(src[same], dual.indices[same], n)
     # agglomerates spanning more than one component need splitting
-    key = assign * (labels.max() + 1) + labels
-    uniq_pairs = np.unique(key)
-    agg_of_pair = uniq_pairs // (labels.max() + 1)
+    agg_of_pair, _ = _unique_pairs(assign, labels, labels.max() + 1)
     multi = np.flatnonzero(np.bincount(agg_of_pair) > 1)
     if multi.size == 0:
         return 0
@@ -681,15 +648,14 @@ def _merge_enclosed(topo, assign) -> int:
         cross = a_side != b_side
         touches_boundary = np.zeros(nagg, dtype=bool)
         touches_boundary[assign[has_boundary]] = True
-        pair_key = np.unique(a_side[cross] * nagg + b_side[cross])
-        pair_a = pair_key // nagg
+        pair_a, pair_b = _unique_pairs(a_side[cross], b_side[cross], nagg)
         n_neighbours = np.bincount(pair_a, minlength=nagg)
         candidates = np.flatnonzero(~touches_boundary & (n_neighbours == 1))
         if candidates.size == 0:
             break
         # the single neighbour of each candidate, via its unique pair
         single_target = np.zeros(nagg, dtype=np.int64)
-        single_target[pair_a] = pair_key % nagg
+        single_target[pair_a] = pair_b
         parent = np.arange(nagg, dtype=np.int64)
         round_merges = 0
         for a in candidates:

@@ -24,10 +24,13 @@ import scipy.sparse as sp
 
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
-                   _dual_from_faces, _first_appearance, _gather_ragged)
-from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
+                   _dual_from_faces, _first_appearance, _gather_ragged, _unique_pairs)
+from .agglomerate import SIZE_BASED, Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
+# in 3D, levels with fewer elements than this are coarsened with SMALL_GRID_SIZE
+SMALL_GRID_ELEMENTS = 100
+SMALL_GRID_SIZE = 4
 
 
 class CoarseningError(RuntimeError):
@@ -94,20 +97,19 @@ class LevelSchedule:
     """Desired agglomerate size for each coarsening step.
 
     The top grid is coarsened aggressively, lower grids gently; in 3D the
-    size drops further once fewer than ``small_grid_elements`` remain.
+    size drops to ``SMALL_GRID_SIZE`` once fewer than ``SMALL_GRID_ELEMENTS``
+    remain.
     """
 
     dim: int
     top: int
     lower: int
-    small_grid_elements: int = 100
-    small_grid_size: int = 4
 
     def size_for(self, level_index: int, n_elements: int) -> int:
         if level_index == 0:
             return self.top
-        if self.dim == 3 and n_elements < self.small_grid_elements:
-            return self.small_grid_size
+        if self.dim == 3 and n_elements < SMALL_GRID_ELEMENTS:
+            return SMALL_GRID_SIZE
         return self.lower
 
 
@@ -258,20 +260,13 @@ def _node_coarseface_pairs(topo, coarse_faces):
     cf_of = np.repeat(np.arange(len(coarse_faces)),
                       [len(cf.fine_faces) for cf in coarse_faces])
     vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, rows)
-    cfs = np.repeat(cf_of, counts)
-    key = np.unique(vals * len(coarse_faces) + cfs)
-    return key // len(coarse_faces), key % len(coarse_faces)
+    return _unique_pairs(vals, np.repeat(cf_of, counts), len(coarse_faces))
 
 
 def _node_agg_pairs(topo, agg):
     """Unique (node, agglomerate) incidence pairs."""
-    assign = agg.element_to_agg
-    per_node = np.diff(topo.node_elem_indptr)
-    nodes = np.repeat(np.arange(topo.n_nodes), per_node)
-    aggs = assign[topo.node_elem_ids]
-    key = nodes * max(agg.n_agglomerates, 1) + aggs
-    uniq = np.unique(key)
-    return uniq // max(agg.n_agglomerates, 1), uniq % max(agg.n_agglomerates, 1)
+    nodes = np.repeat(np.arange(topo.n_nodes), np.diff(topo.node_elem_indptr))
+    return _unique_pairs(nodes, agg.element_to_agg[topo.node_elem_ids], agg.n_agglomerates)
 
 
 def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
@@ -341,12 +336,11 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: list) -> CoarseEdgeSe
     cfs, counts = _gather_ragged(ff_indptr, ff_cf, edges.face_ids)
     edge_of = np.repeat(np.repeat(np.arange(edges.n_edges),
                                   np.diff(edges.face_indptr)), counts)
-    key = np.unique(edge_of * n_cf + cfs)
-    edge_of, cfs = key // n_cf, key % n_cf
+    edge_of, cfs = _unique_pairs(edge_of, cfs, n_cf)
     # the two sides of an interface are one geometric face here, otherwise
     # an interface's whole interior would count as "shared edges"
     geo = np.array([cf.face for cf in coarse_faces], dtype=np.int64)
-    geo_pairs = np.unique(edge_of * n_cf + geo[cfs]) // n_cf
+    geo_pairs, _ = _unique_pairs(edge_of, geo[cfs], n_cf)
     kept = np.bincount(geo_pairs, minlength=edges.n_edges) >= 2
     sel = kept[edge_of]
     edge_of, cfs = edge_of[sel], cfs[sel]
@@ -589,7 +583,7 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
                         elem_indptr=ef_indptr, elem_face_ids=ef_ids,
                         node_face_indptr=nf_indptr, node_face_ids=nf_ids)
 
-    dual = _dual_from_faces(new_faces, elem_volume, nagg)
+    dual = _dual_from_faces(new_faces, elem_volume)
 
     an, aa = _node_agg_pairs(topo, agg)
     keep = col_of[an] >= 0
@@ -611,8 +605,7 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
         owner = np.array([cf.owner for cf in coarse_faces], dtype=np.int64)
 
         def distinct_per_edge(values, width):
-            key = np.unique(edge_of * width + values)
-            return _csr_from_pairs(key // width, key % width, n_edges)
+            return _csr_from_pairs(*_unique_pairs(edge_of, values, width), n_edges)
 
         f_indptr, f_ids = distinct_per_edge(face_of[cfs], nf)
         el_indptr, el_ids = distinct_per_edge(owner[cfs], nagg)
@@ -681,7 +674,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         if topo.n_nodes <= stop.coarse_nodes:
             break
         s = schedule.size_for(len(levels), topo.n_elements)
-        if len(levels) > 0 and config.algorithm in ("greedy", "sizebased", "aspect"):
+        if len(levels) > 0 and config.algorithm in SIZE_BASED:
             # fixed lower-grid sizes must shrink with the remaining grid
             s = min(s, max(2, topo.n_elements // 2))
         level_config = CoarsenConfig(algorithm=config.algorithm, desired_size=s,
@@ -755,7 +748,7 @@ def _merge_uncovered(topo, agg, uncovered):
         targets.append(int(np.argmax(areas)))
     labels = _components(np.array(sources, dtype=np.int64),
                          np.array(targets, dtype=np.int64), nagg)
-    return Agglomeration(_first_appearance(labels[assign]), level=agg.level)
+    return Agglomeration(_first_appearance(labels[assign]))
 
 
 def grid_complexity(hierarchy) -> float:

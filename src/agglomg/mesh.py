@@ -5,6 +5,13 @@ coarsening and hierarchy code needs from a level -- faces, edges (3D),
 the element dual graph, node incidence and geometric measures -- is
 bundled into a :class:`LevelTopology`, which is also how coarse levels
 are represented, so the same coarsening code runs on every level.
+
+Integer pairs ``(a, b)`` are grouped in one place each: :func:`_unique_pairs`
+gives the distinct pairs in ascending order (optionally only those given a
+minimum number of times), and :func:`_collapse_pairs` gives the CSR of the
+distinct pairs with their weights summed and their repeats counted. Both
+sort the packed keys ``a * n + b``; numpy's hash-based ``np.unique`` is far
+slower on such keys.
 """
 from __future__ import annotations
 
@@ -112,6 +119,30 @@ def _csr_from_pairs(keys, values, n_keys):
     return indptr, np.asarray(values)[order]
 
 
+def _unique_pairs(a, b, n, min_count=1):
+    """The distinct pairs ``(a[i], b[i])``, with ``0 <= b[i] < n``, ascending
+    by (a, b); with ``min_count`` only pairs given at least that many times."""
+    n = max(int(n), 1)
+    key = a * n + b
+    key.sort()
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    if min_count > 1:
+        starts = np.flatnonzero(new)
+        new[starts[np.diff(starts, append=len(key)) < min_count]] = False
+    key = key[new]
+    return key // n, key % n
+
+
+def _collapse_pairs(src, dst, weight, n):
+    """CSR (indptr, indices) of the distinct pairs of ids in [0, n), each
+    pair's weights summed in input order, and each pair's repeat count."""
+    key, inverse, count = np.unique(src * n + dst, return_inverse=True,
+                                    return_counts=True)
+    indptr, indices = _csr_from_pairs(key // n, key % n, n)
+    return indptr, indices, np.bincount(inverse, weights=weight, minlength=len(key)), count
+
+
 def _first_appearance(labels) -> np.ndarray:
     """Renumber labels densely as 0, 1, ... in order of first appearance."""
     uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
@@ -134,9 +165,9 @@ def _components(src, dst, n) -> np.ndarray:
     # symmetric and duplicate-free: on such a graph the strong components
     # are the connected ones, and scipy finds them without the transposes
     # its undirected path builds (repeated entries make its search hang)
-    key = np.unique(np.concatenate([src * n + dst, dst * n + src]))
-    indptr, indices = _csr_from_pairs(key // n, key % n, n)
-    graph = sp.csr_matrix((np.ones(len(key)), indices, indptr), shape=(n, n))
+    a, b = _unique_pairs(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+    indptr, indices = _csr_from_pairs(a, b, n)
+    graph = sp.csr_matrix((np.ones(len(a)), indices, indptr), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     return _first_appearance(labels)
 
@@ -270,7 +301,7 @@ class LevelTopology:
         ne_indptr, ne_ids = _csr_from_pairs(flat_nodes, elem_of, mesh.n_nodes)
         node_bd = np.zeros(mesh.n_nodes, dtype=bool)
         bd_face_nodes = _face_node_matrix(faces)[bd]
-        node_bd[np.unique(bd_face_nodes)] = True
+        node_bd[bd_face_nodes] = True
         return cls(
             dim=mesh.dim,
             n_elements=mesh.n_elements,
@@ -386,32 +417,16 @@ def build_topology(mesh: Mesh):
     return faces, edges, dual
 
 
-def _dual_from_faces(faces: FaceSet, volumes: np.ndarray,
-                     n_elements: int | None = None) -> DualGraph:
-    if n_elements is None:
-        n_elements = volumes.shape[0]
+def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
     interior = faces.interior
     li, ri = faces.left[interior], faces.right[interior]
     ar = faces.area[interior]
-    src = np.concatenate([li, ri])
-    dst = np.concatenate([ri, li])
-    wgt = np.concatenate([ar, ar])
     # collapse parallel faces between the same element pair
-    key = src * n_elements + dst
-    order = np.argsort(key, kind="stable")
-    key, src, dst, wgt = key[order], src[order], dst[order], wgt[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    group = np.cumsum(new) - 1
-    n_adj = int(group[-1]) + 1 if len(group) else 0
-    gsrc = src[new]
-    gdst = dst[new]
-    gwgt = np.bincount(group, weights=wgt, minlength=n_adj)
-    gcnt = np.bincount(group, minlength=n_adj)
-    indptr = np.zeros(n_elements + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gsrc, minlength=n_elements), out=indptr[1:])
-    return DualGraph(indptr=indptr, indices=gdst, edge_weight=gwgt,
-                     vertex_weight=volumes, edge_faces=gcnt.astype(np.int64))
+    indptr, indices, weight, count = _collapse_pairs(
+        np.concatenate([li, ri]), np.concatenate([ri, li]), np.concatenate([ar, ar]),
+        len(volumes))
+    return DualGraph(indptr=indptr, indices=indices, edge_weight=weight,
+                     vertex_weight=volumes, edge_faces=count)
 
 
 def _build_edges(mesh: Mesh, faces: FaceSet) -> EdgeSet:

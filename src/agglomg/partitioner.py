@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DualGraph, _components, _first_appearance, _induced_components
+from .mesh import (DualGraph, _collapse_pairs, _components, _csr_from_pairs,
+                   _first_appearance, _induced_components)
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
@@ -180,19 +181,9 @@ def _contract(graph: WeightedGraph, match: np.ndarray):
     src = mapping[np.repeat(np.arange(n), np.diff(graph.indptr))]
     dst = mapping[graph.indices]
     keep = src != dst
-    src, dst, w = src[keep], dst[keep], graph.ewgt[keep]
-    key = src * nc + dst
-    order = np.argsort(key, kind="stable")
-    key, src, dst, w = key[order], src[order], dst[order], w[order]
-    new = np.ones(len(key), dtype=bool)
-    if len(key):
-        new[1:] = key[1:] != key[:-1]
-    group = np.cumsum(new) - 1
-    gsrc, gdst = src[new], dst[new]
-    gw = np.bincount(group, weights=w).astype(np.int64) if len(key) else np.zeros(0, np.int64)
-    indptr = np.zeros(nc + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gsrc, minlength=nc), out=indptr[1:])
-    coarse = WeightedGraph(indptr=indptr, indices=gdst, ewgt=gw, vwgt=vwgt)
+    indptr, indices, ewgt, _ = _collapse_pairs(src[keep], dst[keep], graph.ewgt[keep], nc)
+    coarse = WeightedGraph(indptr=indptr, indices=indices, ewgt=ewgt.astype(np.int64),
+                           vwgt=vwgt)
     return coarse, mapping
 
 
@@ -243,9 +234,7 @@ def _induced_subgraph(graph: WeightedGraph, vertices: np.ndarray):
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     keep = (local[src] >= 0) & (local[graph.indices] >= 0)
     lsrc, ldst, w = local[src[keep]], local[graph.indices[keep]], graph.ewgt[keep]
-    order = np.argsort(lsrc, kind="stable")
-    indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lsrc, minlength=len(vertices)), out=indptr[1:])
+    indptr, order = _csr_from_pairs(lsrc, np.arange(len(lsrc)), len(vertices))
     return WeightedGraph(indptr=indptr, indices=ldst[order], ewgt=w[order],
                          vwgt=graph.vwgt[vertices])
 
@@ -477,7 +466,8 @@ def _refine(graph: WeightedGraph, part: np.ndarray, k: int):
     lo, hi = balance_bounds(int(vwgt.sum()), k, int(vwgt.max()))
     for _ in range(REFINE_PASSES):
         src = np.repeat(np.arange(graph.n), np.diff(indptr))
-        boundary = np.unique(src[part[src] != part[indices]])
+        boundary = np.flatnonzero(np.bincount(src[part[src] != part[indices]],
+                                              minlength=graph.n))
         moved = 0
         for v in boundary:
             own = part[v]

@@ -21,7 +21,7 @@ from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
 from .agglomerate import CoarsenConfig
 from .hierarchy import (ElementMaterials, Hierarchy, LevelSchedule, StopRule,
                         build_hierarchy, grid_complexity, level_schedule,
-                        operator_complexity)
+                        operator_complexity, restriction)
 
 COARSEST_LIMIT = 2000
 
@@ -287,7 +287,7 @@ class VCyclePreconditioner:
         self.smoother = smoother
         self.operators = [op.tocsr() for op in hierarchy.operators]
         self.prolongations = [P.tocsr() for P in hierarchy.prolongations]
-        self.restrictions = [P.transpose().tocsr() for P in self.prolongations]
+        self.restrictions = [restriction(P) for P in self.prolongations]
         self.diags = [np.asarray(op.diagonal()) for op in self.operators]
         for d in self.diags:
             if np.any(d == 0.0):
@@ -368,8 +368,7 @@ def solve_problem(mesh: Mesh, spec: ProblemSpec, config: CoarsenConfig, *,
                   stop: StopRule | None = None,
                   smoother: SmootherConfig | None = None,
                   tol: float = 1e-10, atol: float | None = None,
-                  restart: int = 30, maxiter: int = 500,
-                  precondition: bool = True):
+                  restart: int = 30, maxiter: int = 500):
     """Assemble, build the multigrid hierarchy, and solve with FGMRES.
 
     Setup time covers coarsening, cleanup, coarse topology, transfers and
@@ -382,7 +381,7 @@ def solve_problem(mesh: Mesh, spec: ProblemSpec, config: CoarsenConfig, *,
     hier = build_hierarchy(mesh, config, materials=spec.materials,
                            schedule=schedule or level_schedule(mesh.dim),
                            stop=stop, operator=A)
-    M = VCyclePreconditioner(hier, smoother) if precondition else None
+    M = VCyclePreconditioner(hier, smoother)
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -5,6 +5,7 @@ from agglomg import agglomerate as ag
 from agglomg.agglomerate import (ALGORITHMS, Agglomeration, CoarsenConfig,
                                  agglomerate_stats, aspect_objective, cleanup,
                                  coarsen)
+from agglomg.hierarchy import StopRule, build_hierarchy, level_schedule
 from agglomg.mesh import LevelTopology, Mesh, _induced_components, generate_mesh
 
 
@@ -84,6 +85,29 @@ class TestKraus:
         k = agglomerate_stats(topo3d_small, ag.kraus_coarsen(topo3d_small))
         j = agglomerate_stats(topo3d_small, ag.jones_coarsen(topo3d_small))
         assert k.average_size > j.average_size
+
+
+class TestFaceAdjacency:
+    def test_3d_level_without_edgeset(self):
+        # a greedy coarse level carries no EdgeSet, so faces are adjacent
+        # when they share at least two coarse nodes
+        mesh = generate_mesh(3, 5, jitter=0.15, seed=3)
+        hier = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=8, seed=1),
+                               schedule=level_schedule(3, top=8),
+                               stop=StopRule(max_levels=2))
+        topo = hier.levels[0].topology
+        assert topo.dim == 3 and topo.edges is None
+        faces = topo.faces
+        nodes = {int(f): set(faces.face_nodes(f).tolist())
+                 for f in np.flatnonzero(faces.interior)}
+        want = {(f, g) for f in nodes for g in nodes
+                if f != g and len(nodes[f] & nodes[g]) >= 2}
+        indptr, ids = ag._face_adjacency(topo)
+        rows = [ids[indptr[f]:indptr[f + 1]] for f in range(faces.n_faces)]
+        assert all((np.diff(row) > 0).all() for row in rows)
+        got = {(f, int(g)) for f, row in enumerate(rows) for g in row}
+        assert len(want) > 100 and got == want
+        assert_valid(topo, ag.jones_coarsen(topo))
 
 
 class TestRgb:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
-                          TopologyError, build_topology, element_measures,
-                          generate_mesh, geometry_measures, mesh_metrics)
+                          TopologyError, _collapse_pairs, _unique_pairs,
+                          build_topology, element_measures, generate_mesh,
+                          geometry_measures, mesh_metrics)
 
 
 class TestGenerateMesh:
@@ -177,3 +178,44 @@ class TestLevelTopology:
     def test_boundary_nodes(self, topo2d_small):
         n = 16
         assert int(topo2d_small.node_boundary.sum()) == 4 * n
+
+
+def random_pairs(seed, n_rows, n, size):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n_rows, size), rng.integers(0, n, size)
+
+
+class TestPairGrouping:
+    """The pair primitive and the weighted collapse against plain references."""
+
+    CASES = {"repeats": (20, 30, 600), "empty": (3, 4, 0), "n=1": (4, 1, 50)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_unique_pairs(self, case, min_count):
+        n_rows, n, size = self.CASES[case]
+        a, b = random_pairs(1, n_rows, n, size)
+        key, counts = np.unique(a * n + b, return_counts=True)
+        key = key[counts >= min_count]
+        got_a, got_b = _unique_pairs(a, b, n, min_count)
+        np.testing.assert_array_equal(got_a, key // n)
+        np.testing.assert_array_equal(got_b, key % n)
+        if case == "repeats" and min_count == 2:
+            assert 0 < len(key) < len(np.unique(a * n + b))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_collapse_pairs(self, case):
+        _, n, size = self.CASES[case]
+        src, dst = random_pairs(2, n, n, size)
+        weight = np.random.default_rng(3).random(size)
+        sums, counts = {}, {}
+        for s, d, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
+            sums[s, d] = sums.get((s, d), 0.0) + w
+            counts[s, d] = counts.get((s, d), 0) + 1
+        pairs = sorted(sums)
+        indptr, indices, wsum, count = _collapse_pairs(src, dst, weight, n)
+        np.testing.assert_array_equal(
+            indptr, np.searchsorted([s for s, _ in pairs], np.arange(n + 1)))
+        np.testing.assert_array_equal(indices, [d for _, d in pairs])
+        np.testing.assert_array_equal(wsum, [sums[p] for p in pairs])
+        np.testing.assert_array_equal(count, [counts[p] for p in pairs])
