@@ -3,7 +3,8 @@
 Each case builds a multigrid hierarchy on a small jittered box and hashes,
 level by level, the element -> agglomerate map, the prolongation's CSR
 arrays and the coarse operator's nonzero count; the FGMRES iteration count
-under the default smoother is pinned next to the hash. A second table
+under the default smoother is pinned next to the hash, and a third table
+pins the count under the GMRES(3) smoother. A second table
 hashes every array of every level's ``LevelTopology``, float bits
 included, since the first one does not see a coarse face area change in
 its last bit. A change that keeps every value here rebuilds the same
@@ -91,6 +92,38 @@ TOPOLOGY_GOLDEN = {
     (3, 'aspect', 2): '3e0976d88bb39919',
 }
 
+# (dim, algorithm, seed) -> FGMRES iterations with SmootherConfig(inner=3)
+INNER3_ITERATIONS = {
+    (2, 'jones', 1): 5,
+    (2, 'jones', 2): 5,
+    (2, 'kraus', 1): 5,
+    (2, 'kraus', 2): 5,
+    (2, 'rgb', 1): 5,
+    (2, 'rgb', 2): 6,
+    (2, 'node', 1): 5,
+    (2, 'node', 2): 5,
+    (2, 'greedy', 1): 6,
+    (2, 'greedy', 2): 7,
+    (2, 'sizebased', 1): 7,
+    (2, 'sizebased', 2): 7,
+    (2, 'aspect', 1): 6,
+    (2, 'aspect', 2): 6,
+    (3, 'jones', 1): 1,
+    (3, 'jones', 2): 1,
+    (3, 'kraus', 1): 3,
+    (3, 'kraus', 2): 3,
+    (3, 'rgb', 1): 2,
+    (3, 'rgb', 2): 2,
+    (3, 'node', 1): 3,
+    (3, 'node', 2): 3,
+    (3, 'greedy', 1): 3,
+    (3, 'greedy', 2): 3,
+    (3, 'sizebased', 1): 3,
+    (3, 'sizebased', 2): 3,
+    (3, 'aspect', 1): 3,
+    (3, 'aspect', 2): 3,
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _build(dim, algorithm, seed):
@@ -111,10 +144,16 @@ def fingerprint(dim, algorithm, seed):
             digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
         digest.update(np.ascontiguousarray(P.data, dtype="<f8").tobytes())
         digest.update(int(level.operator.nnz).to_bytes(8, "little"))
-    M = VCyclePreconditioner(hier, SmootherConfig())
+    return digest.hexdigest()[:16], fgmres_iterations(dim, algorithm, seed,
+                                                      SmootherConfig())
+
+
+def fgmres_iterations(dim, algorithm, seed, smoother):
+    hier, A, b = _build(dim, algorithm, seed)
+    M = VCyclePreconditioner(hier, smoother)
     _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
     assert converged
-    return digest.hexdigest()[:16], iterations
+    return iterations
 
 
 def _update(digest, value):
@@ -152,3 +191,9 @@ def test_fingerprint(dim, algorithm, seed):
 def test_topology_fingerprint(dim, algorithm, seed):
     expected = TOPOLOGY_GOLDEN[(dim, algorithm, seed)]
     assert topology_fingerprint(dim, algorithm, seed) == expected
+
+
+@pytest.mark.parametrize("dim,algorithm,seed", CASES)
+def test_inner3_iterations(dim, algorithm, seed):
+    expected = INNER3_ITERATIONS[(dim, algorithm, seed)]
+    assert fgmres_iterations(dim, algorithm, seed, SmootherConfig(inner=3)) == expected
