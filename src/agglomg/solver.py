@@ -67,10 +67,13 @@ class ProblemSpec:
 class SmootherConfig:
     """Jacobi-preconditioned GMRES(m) smoothing parameters.
 
-    One application is one restart cycle of ``inner`` Arnoldi steps; it is
-    applied ``applications`` times per pre- and post-smooth. The default is
-    the "3x1" reading of "three iterations on each level": three cycles of
-    GMRES(1). ``inner=3`` gives the "3x3" reading, three GMRES(3) cycles.
+    One application is one restart cycle of ``inner`` steps; it is applied
+    ``applications`` times per pre- and post-smooth, all in one ``smooth``
+    call that carries the Jacobi-scaled residual from step to step (GCR
+    form: one matvec per step, none for the zero start of the pre-smooth).
+    The default is the "3x1" reading of "three iterations on each level":
+    three cycles of GMRES(1). ``inner=3`` gives the "3x3" reading, three
+    GMRES(3) cycles.
     """
 
     inner: int = 1
@@ -203,7 +206,7 @@ def assemble_problem(mesh: Mesh, spec: ProblemSpec):
 # Krylov kernels
 
 def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
-    """One GMRES(m) restart cycle from ``x`` with residual ``r``.
+    """One GMRES(m) restart cycle from ``x`` with residual ``r``, for fgmres.
 
     Arnoldi with modified Gram-Schmidt on ``matvec``; Givens rotations
     keep the least-squares residual as ``abs(g[j + 1])``. With
@@ -258,27 +261,64 @@ def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
     return x + Z[:steps].T @ y, steps
 
 
-def smooth(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, *,
-           inner: int = 1, diag: np.ndarray | None = None) -> np.ndarray:
-    """One application of Jacobi-preconditioned GMRES(inner) from x.
+def smooth(A: sp.spmatrix, b: np.ndarray, x: np.ndarray | None, *,
+           inner: int = 1, applications: int = 1,
+           diag: np.ndarray | None = None) -> np.ndarray:
+    """``applications`` cycles of Jacobi-preconditioned GMRES(inner) from x.
 
-    The restart cycle runs ``inner`` Arnoldi steps (fewer on happy
-    breakdown) and minimizes the Jacobi-preconditioned residual norm.
+    Written as GCR (Eisenstat, Elman & Schultz 1983), which equals restarted
+    GMRES in exact arithmetic and carries its residual: the Jacobi-scaled
+    residual z = (b - A x)/diag is kept from step to step. Each step takes
+    p = z and q = (A p)/diag, orthogonalises q against the cycle's earlier
+    q (modified Gram-Schmidt, the same coefficients applied to p), then
+    moves x along p and z along q by the step that minimizes ||z||. The
+    directions stay unnormalised, each kept with its q @ q. They are
+    dropped every ``inner`` steps: that restart makes the loop GMRES(inner).
+    So a step costs one matvec, and the initial residual one more unless
+    ``x`` is None, which means a zero start. The caller's ``x`` is not
+    modified. A cycle ends early when q vanishes (an exact input or a
+    breakdown); a non-finite q raises DivergenceError.
     """
     if diag is None:
         diag = A.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("smoother needs a nonzero diagonal")
-    return _gmres_cycle(lambda v: (A @ v) / diag, (b - A @ x) / diag, x, inner)[0]
+    if x is None:
+        z = b / diag
+        x = np.zeros_like(z)
+    else:
+        z = (b - A @ x) / diag
+        x = np.array(x, dtype=float)
+    for _ in range(applications):
+        saved = []  # (p, q, q @ q) of this cycle's earlier steps
+        for _ in range(inner):
+            p = z
+            q = A @ p
+            q /= diag
+            for pi, qi, qqi in saved:
+                h = (q @ qi) / qqi
+                q -= h * qi
+                p = p - h * pi
+            qq = q @ q
+            if not np.isfinite(qq):
+                raise DivergenceError("non-finite entry in the smoother")
+            if qq == 0.0:
+                break
+            alpha = (q @ z) / qq
+            x += alpha * p
+            z = z - alpha * q
+            saved.append((p, q, qq))
+    return x
 
 
 class VCyclePreconditioner:
     """Multigrid V-cycle over assembled Galerkin operators.
 
     Pre/post smoothing is Jacobi-preconditioned GMRES(inner) applied
-    ``applications`` times; the coarsest level is solved by a dense LU
-    factored once. The smoother makes this a (mildly) nonlinear
-    preconditioner, which is why the outer iteration is flexible GMRES.
+    ``applications`` times, one ``smooth`` call each; the coarsest level is
+    solved by a dense LU factored once. The smoother makes this a (mildly)
+    nonlinear preconditioner, which is why the outer iteration is flexible
+    GMRES.
     """
 
     def __init__(self, hierarchy: Hierarchy, smoother: SmootherConfig | None = None):
@@ -311,14 +351,11 @@ class VCyclePreconditioner:
             return lu_solve(self._lu, r)
         A = self.operators[k]
         d = self.diags[k]
-        x = np.zeros_like(r)
-        for _ in range(self.smoother.applications):
-            x = smooth(A, r, x, inner=self.smoother.inner, diag=d)
+        inner, applications = self.smoother.inner, self.smoother.applications
+        x = smooth(A, r, None, inner=inner, applications=applications, diag=d)
         rc = self.restrictions[k] @ (r - A @ x)
-        x = x + self.prolongations[k] @ self._cycle(k + 1, rc)
-        for _ in range(self.smoother.applications):
-            x = smooth(A, r, x, inner=self.smoother.inner, diag=d)
-        return x
+        x += self.prolongations[k] @ self._cycle(k + 1, rc)
+        return smooth(A, r, x, inner=inner, applications=applications, diag=d)
 
 
 def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
@@ -331,7 +368,7 @@ def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
     ``tol``); iterations are total Arnoldi steps across restarts. A
     NaN/Inf residual raises DivergenceError.
     """
-    x = np.zeros(len(b)) if x0 is None else x0.astype(float).copy()
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
     if atol is None:
         atol = tol
     bnorm = float(np.linalg.norm(b))

@@ -3,14 +3,14 @@
 Each case builds a multigrid hierarchy on a small jittered box and hashes,
 level by level, the element -> agglomerate map, the prolongation's CSR
 arrays and the coarse operator's nonzero count; the FGMRES iteration count
-under the default smoother is pinned next to the hash, and a third table
-pins the count under the GMRES(3) smoother. A second table
+under the default smoother is pinned next to the hash. A second table
 hashes every array of every level's ``LevelTopology``, float bits
 included, since the first one does not see a coarse face area change in
-its last bit. A change that keeps every value here rebuilds the same
-hierarchies bit for bit. Never edit a golden value to make a refactor
-pass; only a change that is meant to alter the hierarchies (and says so)
-may re-record them.
+its last bit. A third pins the FGMRES iteration count under the GMRES(3)
+smoother (``SmootherConfig(inner=3)``). A change that keeps every value
+here rebuilds the same hierarchies bit for bit. Never edit a golden value
+to make a refactor pass; only a change that is meant to alter the
+hierarchies (and says so) may re-record them.
 """
 import dataclasses
 import functools

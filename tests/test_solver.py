@@ -7,9 +7,10 @@ from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
                                operator_complexity)
 from agglomg.mesh import MaterialProperties, generate_mesh
 from agglomg.solver import (DivergenceError, ProblemSpec,
-                            VCyclePreconditioner, apply_dirichlet,
-                            assemble_operator, assemble_problem, fgmres,
-                            mms_convergence, smooth, solve_problem)
+                            VCyclePreconditioner, _gmres_cycle,
+                            apply_dirichlet, assemble_operator,
+                            assemble_problem, fgmres, mms_convergence, smooth,
+                            solve_problem)
 
 
 def unit_material_table():
@@ -178,8 +179,9 @@ class TestSmoother:
         assert after <= before + 1e-13
 
     def test_inner_sets_arnoldi_steps(self):
-        # one matvec for the residual, then one per Arnoldi step; more steps
-        # minimize over a larger Krylov space, so the residual keeps falling
+        # one matvec for the residual unless x is None, then one per step;
+        # more steps minimize over a larger Krylov space, so the residual
+        # keeps falling
         class Counted:
             def __init__(self, A):
                 self.A, self.matvecs = A, 0
@@ -193,13 +195,64 @@ class TestSmoother:
         A = sp.csr_matrix(B @ B.T + 40 * np.eye(40))
         d = A.diagonal()
         b = rng.standard_normal(40)
+        x0 = rng.standard_normal(40)
         residuals = []
         for k in (1, 3, 5):
-            op = Counted(A)
-            x = smooth(op, b, np.zeros(40), inner=k, diag=d)
-            assert op.matvecs == k + 1
-            residuals.append(np.linalg.norm((b - A @ x) / d))
+            for applications in (1, 3):
+                op = Counted(A)
+                start = x0.copy()
+                x = smooth(op, b, start, inner=k, applications=applications, diag=d)
+                assert op.matvecs == 1 + k * applications
+                assert np.array_equal(start, x0)
+                op = Counted(A)
+                smooth(op, b, None, inner=k, applications=applications, diag=d)
+                assert op.matvecs == k * applications
+                if applications == 1:
+                    residuals.append(np.linalg.norm((b - A @ x) / d))
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_divergence_detected(self):
+        A = sp.csr_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DivergenceError):
+            smooth(A, np.ones(2), np.zeros(2))
+        with pytest.raises(DivergenceError):
+            smooth(A, np.ones(2), None, diag=np.ones(2))
+
+
+def _reference_smooth(A, b, x, inner, applications):
+    """Jacobi-GMRES(inner) restarted ``applications`` times, recomputing
+    the scaled residual (b - A x)/d for every restart cycle."""
+    d = A.diagonal()
+    for _ in range(applications):
+        x = _gmres_cycle(lambda v: (A @ v) / d, (b - A @ x) / d, x, inner)[0]
+    return x
+
+
+def _random_spd():
+    B = np.random.default_rng(11).standard_normal((50, 50))
+    return sp.csr_matrix(B @ B.T + 50 * np.eye(50))
+
+
+def _absorbing_operator():
+    A, _ = assemble_problem(generate_mesh(2, 8, jitter=0.2, seed=1),
+                            ProblemSpec("absorbing"))
+    return A
+
+
+@pytest.mark.parametrize("make_operator", [_random_spd, _absorbing_operator],
+                         ids=["spd", "absorbing"])
+@pytest.mark.parametrize("applications", [1, 3])
+@pytest.mark.parametrize("inner", [1, 3, 5])
+def test_smooth_matches_restarted_gmres(make_operator, inner, applications):
+    A = make_operator()
+    n = A.shape[0]
+    rng = np.random.default_rng(inner * 10 + applications)
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    for start, ref_start in ((x0, x0), (None, np.zeros(n))):
+        got = smooth(A, b, start, inner=inner, applications=applications)
+        want = _reference_smooth(A, b, ref_start, inner, applications)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestVCycle:
