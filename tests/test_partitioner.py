@@ -108,6 +108,16 @@ class TestPartitionKway:
         p = pt.partition_kway(g, 17, contiguous=True, seed=seed)
         assert parts_connected(g, p.part)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_contiguous_partition_balanced(self, seed):
+        # contiguity repair moves whole fragments; the rebalance after it
+        # must bring every part back near the mean weight
+        g = graph_from_mesh(2, 32, seed=4)
+        k = g.n // 24
+        p = pt.partition_kway(g, k, contiguous=True, seed=seed)
+        ratio = np.bincount(p.part, weights=g.vwgt, minlength=k) / (g.vwgt.sum() / k)
+        assert 0.75 <= ratio.min() and ratio.max() <= 1.25, (ratio.min(), ratio.max())
+
     def test_determinism(self):
         g = graph_from_mesh(2, 10, seed=8)
         a = pt.partition_kway(g, 9, contiguous=True, seed=5)
