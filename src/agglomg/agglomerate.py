@@ -452,9 +452,14 @@ def aspect_ratio_coarsen(topo: LevelTopology, s: int, seed: int = 0, *,
                          do_cleanup=True):
     """Greedy start, then local moves lowering surface^2/volume of agglomerates.
 
-    Single boundary elements migrate between adjacent agglomerates while
-    sizes stay within [max(2, s/2), 2s]; passes stop at the first one with
-    no improving move, or after a fixed cap.
+    Single boundary elements migrate between adjacent agglomerates; a move
+    is allowed only while its source keeps at least max(2, s/2) elements
+    and its target stays at most 2s. The band limits the moves, not the
+    result: agglomerates the greedy start leaves below s/2 stay small. On
+    ``generate_mesh(2, 128, jitter=0.2, seed=1)`` with s=24, 1,009 of 2,467
+    have fewer than 6 elements; on the 3D n=12 box with s=168 some keep a
+    single element. Passes stop at the first one with no improving move, or
+    after a fixed cap.
     """
     start = greedy_coarsen(topo, s, seed, do_cleanup=True)
     assign = start.element_to_agg.copy()

@@ -2,10 +2,16 @@
 
 The scheme is the classic one: coarsen by heavy-edge matching, build an
 initial partition on the small graph (greedy region growing for large k,
-recursive bisection for k <= 8), then refine boundary vertices with
-cut-reducing moves under a vertex-weight balance constraint while
-uncoarsening. Contiguity, when requested, is enforced afterwards by
+recursive bisection for k <= 8), then balance and refine it on each level
+while uncoarsening. Contiguity, when requested, is enforced afterwards by
 reassigning disconnected fragments to their best-connected neighbor part.
+
+Bisection and k-way share one band rule and one move kernel. Each part has
+a target weight and the band ``balance_bounds`` gives it; ``_best_moves``
+offers boundary moves best cut gain first with their gains kept current,
+in the manner of Fiduccia & Mattheyses (1982) and of the k-way refinement
+of Karypis & Kumar (1998). ``_rebalance`` takes the moves that bring parts
+into their bands, ``_refine`` the ones that lower the cut within them.
 """
 from __future__ import annotations
 
@@ -20,7 +26,6 @@ from .mesh import (DualGraph, _collapse_pairs, _components, _csr_from_pairs,
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
-REFINE_PASSES = 8
 
 
 @dataclass
@@ -74,15 +79,15 @@ def edge_cut(graph: WeightedGraph, partition: Partition | np.ndarray) -> int:
     return int(graph.ewgt[cross].sum() // 2)
 
 
-def balance_bounds(total_weight: int, k: int, max_vwgt: int):
-    """Allowed part-weight band: 5% of the mean, widened to one vertex.
+def balance_bounds(targets, max_vwgt: int):
+    """Allowed weight band of each part: its target +- 5%, widened to one vertex.
 
     The extra slack of one maximal vertex weight keeps the constraint
     satisfiable on small graphs where integer granularity dominates.
     """
-    mean = total_weight / k
-    slack = max(BALANCE_FRACTION * mean, float(max_vwgt))
-    return mean - slack, mean + slack
+    targets = np.asarray(targets, dtype=float)
+    slack = np.maximum(BALANCE_FRACTION * targets, float(max_vwgt))
+    return targets - slack, targets + slack
 
 
 def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
@@ -99,6 +104,7 @@ def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
         return Partition(np.arange(n, dtype=np.int64), n)
 
     rng = np.random.Generator(np.random.Philox(seed))
+    targets = np.full(k, graph.vwgt.sum() / k)
 
     # coarsening phase
     graphs = [graph]
@@ -125,19 +131,19 @@ def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
         part = _region_grow(coarsest, k, rng)
     else:
         part = _recursive_bisect(coarsest, k, rng)
-    _rebalance(coarsest, part, k)
-    _refine(coarsest, part, k)
+    _rebalance(coarsest, part, targets)
+    _refine(coarsest, part, targets)
 
     # uncoarsening phase; the balance band tightens as vertices shrink
     for g, mapping in zip(graphs[-2::-1], mappings[::-1]):
         part = part[mapping]
-        _rebalance(g, part, k)
-        _refine(g, part, k)
+        _rebalance(g, part, targets)
+        _refine(g, part, targets)
 
     if contiguous:
         _enforce_contiguity(graph, part, k)
         # fragment reassignment skews weights; repair without re-fragmenting
-        _rebalance(graph, part, k, keep_connected=True)
+        _rebalance(graph, part, targets, keep_connected=True)
         _enforce_contiguity(graph, part, k)
 
     sizes = np.bincount(part, minlength=k)
@@ -247,10 +253,11 @@ def _recursive_bisect(graph: WeightedGraph, k: int, rng) -> np.ndarray:
             part[vertices] = base
             return
         kl = (kk + 1) // 2
-        ratio = kl / kk
-        side = _bisect(sub, ratio, rng)
+        side = _bisect(sub, kl / kk, rng)
         left = vertices[side]
         right = vertices[~side]
+        # a heavy vertex can leave a side with fewer vertices than parts
+        kl = min(max(kl, kk - len(right)), len(left))
         recurse(left, _induced_subgraph(graph, left), kl, base)
         recurse(right, _induced_subgraph(graph, right), kk - kl, base + kl)
 
@@ -262,7 +269,7 @@ def _bisect(graph: WeightedGraph, ratio: float, rng) -> np.ndarray:
     """Multi-start greedy growth + 2-way refinement; returns left-side mask."""
     n = graph.n
     total = int(graph.vwgt.sum())
-    target = total * ratio
+    targets = np.array([total * ratio, total * (1 - ratio)])
     starts = rng.permutation(n)[:min(8, n)]
     best_side = None
     best_score = None
@@ -274,7 +281,7 @@ def _bisect(graph: WeightedGraph, ratio: float, rng) -> np.ndarray:
         conn = np.zeros(n, dtype=np.int64)
         for idx in range(graph.indptr[s], graph.indptr[s + 1]):
             conn[graph.indices[idx]] += graph.ewgt[idx]
-        while wgt < target and side.sum() < n - 1:
+        while wgt < targets[0] and side.sum() < n - 1:
             cand = np.flatnonzero(~side & (conn > 0))
             if cand.size == 0:
                 cand = np.flatnonzero(~side)
@@ -284,10 +291,10 @@ def _bisect(graph: WeightedGraph, ratio: float, rng) -> np.ndarray:
             for idx in range(graph.indptr[v], graph.indptr[v + 1]):
                 conn[graph.indices[idx]] += graph.ewgt[idx]
         part2 = (~side).astype(np.int64)
-        _rebalance_two(graph, part2, ratio)
-        _refine_two(graph, part2, ratio)
+        _rebalance(graph, part2, targets)
+        _refine(graph, part2, targets)
         cut = edge_cut(graph, part2)
-        dev = abs((total - part2 @ graph.vwgt) - target)
+        dev = abs((total - part2 @ graph.vwgt) - targets[0])
         score = (cut, dev)
         if best_score is None or score < best_score:
             best_score = score
@@ -295,206 +302,138 @@ def _bisect(graph: WeightedGraph, ratio: float, rng) -> np.ndarray:
     return best_side
 
 
-def _two_way_bounds(graph: WeightedGraph, ratio: float):
-    total = int(graph.vwgt.sum())
-    mean_l = total * ratio
-    slack = max(BALANCE_FRACTION * total * min(ratio, 1 - ratio) / 0.5,
-                float(graph.vwgt.max()))
-    return mean_l - slack, mean_l + slack
+def _moves(graph: WeightedGraph, part: np.ndarray, k: int):
+    """Every boundary move (v, q) of ``part`` with its cut gain, best first.
 
-
-def _rebalance_two(graph: WeightedGraph, part: np.ndarray, ratio: float):
-    lo, hi = _two_way_bounds(graph, ratio)
-    for _ in range(graph.n):
-        wl = int(graph.vwgt[part == 0].sum())
-        if lo <= wl <= hi:
-            return
-        heavy = 0 if wl > hi else 1
-        movers = np.flatnonzero(part == heavy)
-        if movers.size <= 1:
-            return
-        # move the vertex losing the least cut benefit
-        best_v, best_gain = -1, None
-        for v in movers:
-            gain = 0
-            for idx in range(graph.indptr[v], graph.indptr[v + 1]):
-                u = graph.indices[idx]
-                gain += graph.ewgt[idx] if part[u] != heavy else -graph.ewgt[idx]
-            if best_gain is None or gain > best_gain:
-                best_v, best_gain = v, gain
-        part[best_v] = 1 - heavy
-
-
-def _refine_two(graph: WeightedGraph, part: np.ndarray, ratio: float):
-    lo, hi = _two_way_bounds(graph, ratio)
-    wl = int(graph.vwgt[part == 0].sum())
-    for _ in range(REFINE_PASSES):
-        moved = False
-        for v in range(graph.n):
-            own = part[v]
-            gain = 0
-            for idx in range(graph.indptr[v], graph.indptr[v + 1]):
-                u = graph.indices[idx]
-                gain += graph.ewgt[idx] if part[u] != own else -graph.ewgt[idx]
-            if gain <= 0:
-                continue
-            new_wl = wl + (graph.vwgt[v] if own == 1 else -graph.vwgt[v])
-            if not (lo <= new_wl <= hi):
-                continue
-            if (part == own).sum() <= 1:
-                continue
-            part[v] = 1 - own
-            wl = new_wl
-            moved = True
-        if not moved:
-            break
-
-
-def _stays_connected(graph: WeightedGraph, members: set, v: int) -> bool:
-    """True when removing v keeps the member set connected."""
-    rest = members - {v}
-    if len(rest) <= 1:
-        return True
-    labels = _induced_components(graph.indptr, graph.indices, np.fromiter(rest, np.int64))
-    return labels.max() == 0
-
-
-def _rebalance(graph: WeightedGraph, part: np.ndarray, k: int,
-               keep_connected: bool = False):
-    """Push weight off overweight parts and pull it onto underweight ones.
-
-    A move of v from p to q is accepted when q lands inside the balance
-    band or strictly below p's current weight (diffusion step). Every
-    accepted move strictly decreases the sum of squared part weights, so
-    the loop terminates; among legal moves the one best connected to its
-    target is taken to limit cut damage. With ``keep_connected`` a vertex
-    only leaves a part it is not an articulation point of.
+    The gain is v's edge weight into part q minus its edge weight into its
+    own part; ties go to the lighter vertex, then to the lower (v, q).
     """
-    indptr, indices, ewgt, vwgt = graph.indptr, graph.indices, graph.ewgt, graph.vwgt
-    weights = np.bincount(part, weights=vwgt, minlength=k).astype(np.int64)
-    lo, hi = balance_bounds(int(vwgt.sum()), k, int(vwgt.max()))
-    members = [set() for _ in range(k)]
-    for v, p in enumerate(part):
-        members[p].add(v)
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    n = max(graph.n, k)
+    indptr, q, conn, _ = _collapse_pairs(src, part[graph.indices], graph.ewgt, n)
+    v = np.repeat(np.arange(n), np.diff(indptr))
+    conn = conn.astype(np.int64)
+    inside = q == part[v]
+    own = np.zeros(graph.n, dtype=np.int64)
+    own[v[inside]] = conn[inside]
+    v, q = v[~inside], q[~inside]
+    gain = conn[~inside] - own[v]
+    order = np.lexsort((q, v, graph.vwgt[v], -gain))
+    return v[order], q[order], gain[order]
 
-    def apply_move(v, p, q):
+
+def _best_moves(graph: WeightedGraph, part: np.ndarray, k: int):
+    """Yield boundary moves ``(v, p, q, gain)`` best first, each gain current.
+
+    The caller takes a move by setting ``part[v] = q`` before asking for the
+    next one. The moves of v and of its neighbours are then queued again
+    with their new gains, and the entries they replace are skipped. A move
+    the caller declines is offered again once a vertex leaves part q or
+    joins part p, the only changes that can lift a weight limit that held
+    it back.
+    """
+    indptr, indices, ewgt = (a.tolist() for a in (graph.indptr, graph.indices, graph.ewgt))
+    vwgt = graph.vwgt.tolist()
+    where = part.tolist()
+    stamp = [0] * graph.n
+    declined = {}                       # (v, q) -> its heap entry
+    into = [[] for _ in range(k)]       # keys of the declined moves into each part
+    out_of = [[] for _ in range(k)]
+    vs, qs, gains = _moves(graph, part, k)
+    # sorted ascending, so already a heap
+    heap = list(zip((-gains).tolist(), graph.vwgt[vs].tolist(), vs.tolist(), qs.tolist(),
+                    [0] * len(vs)))
+    while heap:
+        entry = heapq.heappop(heap)
+        neg, _, v, q, t = entry
+        if t != stamp[v]:
+            continue
+        p = where[v]
+        yield v, p, q, -neg
+        if part[v] == p:
+            declined[v, q] = entry
+            into[q].append((v, q))
+            out_of[p].append((v, q))
+            continue
+        where[v] = q
+        for keys in (into[p], out_of[q]):
+            for key in keys:
+                if key in declined:
+                    heapq.heappush(heap, declined.pop(key))
+            keys.clear()
+        for u in [v] + indices[indptr[v]:indptr[v + 1]]:
+            stamp[u] += 1
+            conn = {}
+            for idx in range(indptr[u], indptr[u + 1]):
+                r = where[indices[idx]]
+                conn[r] = conn.get(r, 0) + ewgt[idx]
+            base = conn.pop(where[u], 0)
+            for r, w in conn.items():
+                heapq.heappush(heap, (base - w, vwgt[u], u, r, stamp[u]))
+
+
+def _rebalance(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray,
+               keep_connected: bool = False):
+    """Move boundary vertices until every part lies in its weight band.
+
+    A move of v from p to q is taken while p is above its band or q below
+    its own, and only when q's excess over its target, v included, stays
+    below p's. Each move then strictly lowers the sum of squared excesses,
+    so the walk ends. Moves are tried best cut gain first. With
+    ``keep_connected`` a vertex only leaves a part it is not an
+    articulation point of.
+    """
+    k = len(targets)
+    lo, hi = (b - targets for b in balance_bounds(targets, int(graph.vwgt.max())))
+    excess = np.bincount(part, weights=graph.vwgt, minlength=k) - targets
+    if ((lo <= excess) & (excess <= hi)).all():
+        return
+    lo, hi, excess = lo.tolist(), hi.tolist(), excess.tolist()
+    sizes = np.bincount(part, minlength=k).tolist()
+    vwgt = graph.vwgt.tolist()
+    for v, p, q, _ in _best_moves(graph, part, k):
+        x = vwgt[v]
+        if (sizes[p] == 1 or excess[q] + x >= excess[p]
+                or not (excess[p] > hi[p] or excess[q] < lo[q])
+                or keep_connected and _is_articulation(graph, part, v)):
+            continue
         part[v] = q
-        weights[p] -= vwgt[v]
-        weights[q] += vwgt[v]
-        members[p].discard(v)
-        members[q].add(v)
-
-    def shed(p):
-        """Move one vertex off p; True when something moved."""
-        cands = []
-        for v in sorted(members[p]):
-            conn = {}
-            for idx in range(indptr[v], indptr[v + 1]):
-                q = int(part[indices[idx]])
-                if q != p:
-                    conn[q] = conn.get(q, 0) + int(ewgt[idx])
-            for q, w in conn.items():
-                after = weights[q] + vwgt[v]
-                if after > hi and after >= weights[p]:
-                    continue
-                cands.append((-w, int(vwgt[v]), v, q))
-        for _, _, v, q in sorted(cands):
-            if keep_connected and not _stays_connected(graph, members[p], v):
-                continue
-            apply_move(v, p, q)
-            return True
-        return False
-
-    def pull(p):
-        """Pull one boundary vertex of a neighbor part into p."""
-        cands = []
-        for v in sorted(members[p]):
-            for idx in range(indptr[v], indptr[v + 1]):
-                u = int(indices[idx])
-                q = int(part[u])
-                if q == p or len(members[q]) <= 1:
-                    continue
-                donor_after = weights[q] - vwgt[u]
-                if donor_after < lo and weights[p] + vwgt[u] >= weights[q]:
-                    continue
-                w = 0
-                for jdx in range(indptr[u], indptr[u + 1]):
-                    if part[indices[jdx]] == p:
-                        w += int(ewgt[jdx])
-                cands.append((-w, int(vwgt[u]), u, q))
-        for _, _, u, q in sorted(cands):
-            if part[u] != q:
-                continue  # stale candidate, donor already changed
-            if keep_connected and not _stays_connected(graph, members[q], u):
-                continue
-            apply_move(u, q, p)
-            return True
-        return False
-
-    for _ in range(200):
-        moved = False
-        for p in np.argsort(-weights):
-            p = int(p)
-            while weights[p] > hi and len(members[p]) > 1:
-                if not shed(p):
-                    break
-                moved = True
-        if not moved:
-            break
-        if not (weights > hi).any():
-            break
-
-    for _ in range(200):
-        moved = False
-        for p in np.argsort(weights):
-            p = int(p)
-            while weights[p] < lo:
-                if not pull(p):
-                    break
-                moved = True
-        if not moved:
-            break
-        if not (weights < lo).any():
-            break
+        excess[p] -= x
+        excess[q] += x
+        sizes[p] -= 1
+        sizes[q] += 1
 
 
-def _refine(graph: WeightedGraph, part: np.ndarray, k: int):
-    """Greedy boundary passes; only strictly cut-reducing balanced moves."""
-    indptr, indices, ewgt, vwgt = graph.indptr, graph.indices, graph.ewgt, graph.vwgt
-    weights = np.bincount(part, weights=vwgt, minlength=k).astype(np.int64)
-    sizes = np.bincount(part, minlength=k)
-    lo, hi = balance_bounds(int(vwgt.sum()), k, int(vwgt.max()))
-    for _ in range(REFINE_PASSES):
-        src = np.repeat(np.arange(graph.n), np.diff(indptr))
-        boundary = np.flatnonzero(np.bincount(src[part[src] != part[indices]],
-                                              minlength=graph.n))
-        moved = 0
-        for v in boundary:
-            own = part[v]
-            if sizes[own] <= 1 or weights[own] - vwgt[v] < lo:
-                continue
-            conn = {}
-            own_w = 0
-            for idx in range(indptr[v], indptr[v + 1]):
-                q = part[indices[idx]]
-                if q == own:
-                    own_w += ewgt[idx]
-                else:
-                    conn[q] = conn.get(q, 0) + int(ewgt[idx])
-            best_q, best_gain = -1, 0
-            for q in sorted(conn):
-                gain = conn[q] - own_w
-                if gain > best_gain and weights[q] + vwgt[v] <= hi:
-                    best_q, best_gain = q, gain
-            if best_q >= 0:
-                part[v] = best_q
-                weights[own] -= vwgt[v]
-                weights[best_q] += vwgt[v]
-                sizes[own] -= 1
-                sizes[best_q] += 1
-                moved += 1
-        if moved == 0:
-            break
+def _is_articulation(graph: WeightedGraph, part: np.ndarray, v: int) -> bool:
+    """True when removing v splits its part's subgraph."""
+    if (part[graph.neighbors(v)] == part[v]).sum() <= 1:
+        return False  # a leaf of its part
+    rest = np.flatnonzero(part == part[v])
+    return _induced_components(graph.indptr, graph.indices, rest[rest != v]).max() > 0
+
+
+def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
+    """Take strictly cut-reducing moves that keep the bands, best first.
+
+    Gains stay current as vertices move, so the cut never rises, and the
+    walk ends when no positive-gain move fits the bands.
+    """
+    k = len(targets)
+    lo, hi = (b.tolist() for b in balance_bounds(targets, int(graph.vwgt.max())))
+    weights = np.bincount(part, weights=graph.vwgt, minlength=k).tolist()
+    sizes = np.bincount(part, minlength=k).tolist()
+    vwgt = graph.vwgt.tolist()
+    for v, p, q, gain in _best_moves(graph, part, k):
+        if gain <= 0:
+            return
+        x = vwgt[v]
+        if sizes[p] == 1 or weights[p] - x < lo[p] or weights[q] + x > hi[q]:
+            continue
+        part[v] = q
+        weights[p] -= x
+        weights[q] += x
+        sizes[p] -= 1
+        sizes[q] += 1
 
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):

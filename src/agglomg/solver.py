@@ -335,8 +335,9 @@ class VCyclePreconditioner:
         n_coarse = self.operators[-1].shape[0]
         if n_coarse > COARSEST_LIMIT:
             raise ValueError(
-                f"coarsest level has {n_coarse} unknowns (> {COARSEST_LIMIT}); "
-                "the stop rule is misconfigured")
+                f"coarsest level has {n_coarse} unknowns (> {COARSEST_LIMIT}) after "
+                f"{hierarchy.config.algorithm} coarsening; node counts per level: "
+                f"{hierarchy.node_counts}")
         self._lu = lu_factor(self.operators[-1].toarray())
 
     @property

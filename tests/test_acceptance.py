@@ -420,7 +420,7 @@ class TestCriterion12PartitionerOracle:
     @staticmethod
     def _brute_force(graph):
         total = int(graph.vwgt.sum())
-        lo, hi_b = pt.balance_bounds(total, 2, int(graph.vwgt.max()))
+        (lo, _), (hi_b, _) = pt.balance_bounds([total / 2] * 2, int(graph.vwgt.max()))
         best = None
         for bits in range(1, 2 ** (graph.n - 1)):
             side = np.array([(bits >> i) & 1 for i in range(graph.n)],

@@ -40,8 +40,8 @@ GOLDEN = {
     (2, 'node', 2): ('fdb61add75395e42', 10),
     (2, 'greedy', 1): ('5805e49b976986de', 13),
     (2, 'greedy', 2): ('4f5b16aff3e3807e', 13),
-    (2, 'sizebased', 1): ('f18bdf0eb090bbca', 14),
-    (2, 'sizebased', 2): ('b66b2c99d6f0a826', 15),
+    (2, 'sizebased', 1): ('d337280a657ece85', 14),
+    (2, 'sizebased', 2): ('236015273c4ec655', 14),
     (2, 'aspect', 1): ('c2adec1aa8242c8f', 13),
     (2, 'aspect', 2): ('5e8dd95a35ff50cb', 12),
     (3, 'jones', 1): ('c7eea4e9b12d8fad', 1),
@@ -54,8 +54,8 @@ GOLDEN = {
     (3, 'node', 2): ('ea2fa414689e3949', 7),
     (3, 'greedy', 1): ('7f9061674ffacb61', 8),
     (3, 'greedy', 2): ('9e1e401f363062de', 8),
-    (3, 'sizebased', 1): ('6470a076e9d1e578', 8),
-    (3, 'sizebased', 2): ('a450d539fa6b9f8c', 8),
+    (3, 'sizebased', 1): ('51adf1eae304ed14', 8),
+    (3, 'sizebased', 2): ('9ef3f0daee71f8e7', 8),
     (3, 'aspect', 1): ('619044c3f2462c31', 8),
     (3, 'aspect', 2): ('bcb4695fe84ac177', 8),
 }
@@ -72,8 +72,8 @@ TOPOLOGY_GOLDEN = {
     (2, 'node', 2): 'f488b2b9f9978d39',
     (2, 'greedy', 1): '5ca170c6b1bee6a4',
     (2, 'greedy', 2): '8e99e4c876f1909a',
-    (2, 'sizebased', 1): '38f7f3d0595fa535',
-    (2, 'sizebased', 2): 'e11872373a19ec2b',
+    (2, 'sizebased', 1): '83e95a874926d946',
+    (2, 'sizebased', 2): '465aa81f1cc3ca1d',
     (2, 'aspect', 1): 'd00c319c01c65125',
     (2, 'aspect', 2): '7fbf715fdf67b194',
     (3, 'jones', 1): 'ecea75cbf74df088',
@@ -86,8 +86,8 @@ TOPOLOGY_GOLDEN = {
     (3, 'node', 2): 'b350b1b10dffcdda',
     (3, 'greedy', 1): 'd12385ac532873ae',
     (3, 'greedy', 2): 'dbc95328058f8700',
-    (3, 'sizebased', 1): '2c7b77e651a2d22f',
-    (3, 'sizebased', 2): '4e47bf293ad65007',
+    (3, 'sizebased', 1): 'a5d4d005dca37220',
+    (3, 'sizebased', 2): '52ac77a5f8dd8dc2',
     (3, 'aspect', 1): '15a16b0406dca9d1',
     (3, 'aspect', 2): '3e0976d88bb39919',
 }
@@ -105,7 +105,7 @@ INNER3_ITERATIONS = {
     (2, 'greedy', 1): 6,
     (2, 'greedy', 2): 7,
     (2, 'sizebased', 1): 7,
-    (2, 'sizebased', 2): 7,
+    (2, 'sizebased', 2): 6,
     (2, 'aspect', 1): 6,
     (2, 'aspect', 2): 6,
     (3, 'jones', 1): 1,

@@ -35,7 +35,7 @@ def brute_force_min_cut(graph):
     """Exhaustive balanced-bipartition edge-cut minimum."""
     n = graph.n
     total = int(graph.vwgt.sum())
-    lo, hi = pt.balance_bounds(total, 2, int(graph.vwgt.max()))
+    (lo, _), (hi, _) = pt.balance_bounds([total / 2] * 2, int(graph.vwgt.max()))
     best = None
     for bits in range(1, 2 ** (n - 1)):
         side = np.array([(bits >> i) & 1 for i in range(n)], dtype=np.int64)
@@ -118,6 +118,16 @@ class TestPartitionKway:
         ratio = np.bincount(p.part, weights=g.vwgt, minlength=k) / (g.vwgt.sum() / k)
         assert 0.75 <= ratio.min() and ratio.max() <= 1.25, (ratio.min(), ratio.max())
 
+    @pytest.mark.parametrize("n, k", [(4, 3), (8, 7)])
+    def test_heavy_vertex_leaves_no_part_empty(self, n, k):
+        # a vertex heavier than a bisection side's target used to leave that
+        # side with fewer vertices than parts, so a part came out empty
+        g = path_graph(n)
+        g.vwgt[0] = 50
+        p = pt.partition_kway(g, k, contiguous=True, seed=0)
+        assert (np.bincount(p.part, minlength=k) > 0).all()
+        assert parts_connected(g, p.part)
+
     def test_determinism(self):
         g = graph_from_mesh(2, 10, seed=8)
         a = pt.partition_kway(g, 9, contiguous=True, seed=5)
@@ -130,7 +140,7 @@ class TestPartitionKway:
         part = rng.integers(0, 4, size=g.n)
         part[:4] = np.arange(4)  # keep all parts nonempty
         before = pt.edge_cut(g, part)
-        pt._refine(g, part, 4)
+        pt._refine(g, part, np.full(4, g.vwgt.sum() / 4))
         after = pt.edge_cut(g, part)
         assert after <= before
 

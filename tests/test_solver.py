@@ -282,8 +282,10 @@ class TestVCycle:
                                operator=A, stop=StopRule(coarse_nodes=10 ** 6))
         # a single-level "hierarchy" of this size exceeds the LU budget
         assert hier.n_levels == 1
-        with pytest.raises(ValueError, match="coarsest"):
+        with pytest.raises(ValueError, match="coarsest") as err:
             VCyclePreconditioner(hier)
+        assert "sizebased" in str(err.value)
+        assert str(hier.node_counts) in str(err.value)
 
     def test_galerkin_consistency_on_levels(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
