@@ -309,7 +309,7 @@ def _moves(graph: WeightedGraph, part: np.ndarray, k: int):
     own part; ties go to the lighter vertex, then to the lower (v, q).
     """
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    n = max(graph.n, k)
+    n = max(graph.n, k)  # vertex and part ids share the pair-key range
     indptr, q, conn, _ = _collapse_pairs(src, part[graph.indices], graph.ewgt, n)
     v = np.repeat(np.arange(n), np.diff(indptr))
     conn = conn.astype(np.int64)
@@ -405,7 +405,7 @@ def _rebalance(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray,
 
 
 def _is_articulation(graph: WeightedGraph, part: np.ndarray, v: int) -> bool:
-    """True when removing v splits its part's subgraph."""
+    """True when v's part, without v, is not connected."""
     if (part[graph.neighbors(v)] == part[v]).sum() <= 1:
         return False  # a leaf of its part
     rest = np.flatnonzero(part == part[v])
