@@ -3,10 +3,18 @@
 ``bench/run.py --smoke`` runs each workload on tiny meshes with and without
 the per-layer wrappers; it fails when a wrapped library name is missing or
 never called, so a refactor that renames or bypasses one shows up here.
+The tracer also reads ``hierarchy.repair_rounds`` as the number of
+``select_coarse_faces`` calls beyond one per level, which the second test
+pins.
 """
 import os
 import subprocess
 import sys
+
+from agglomg import hierarchy
+from agglomg.agglomerate import CoarsenConfig
+from agglomg.hierarchy import StopRule
+from agglomg.mesh import generate_mesh
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,3 +25,21 @@ def test_bench_smoke_run():
     lines = proc.stdout.strip().splitlines()
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert lines and lines[-1] == '{"smoke_ok": true}', proc.stdout[-2000:]
+
+
+def test_one_coarse_face_selection_per_repair_round(monkeypatch):
+    # this build keeps 2 coarse levels and makes one repair merge (11 -> 10
+    # agglomerates on the second), so the selection runs 3 times
+    calls = []
+    select = hierarchy.select_coarse_faces
+
+    def counted(*args):
+        calls.append(args[1].n_agglomerates)
+        return select(*args)
+
+    monkeypatch.setattr(hierarchy, "select_coarse_faces", counted)
+    h = hierarchy.build_hierarchy(generate_mesh(3, 6, jitter=0.15, seed=3),
+                                  CoarsenConfig("aspect", desired_size=168, seed=1))
+    assert len(h.levels) == 2
+    assert calls == [23, 11, 10]
+    assert len(calls) - len(h.levels) == 1

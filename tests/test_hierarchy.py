@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from agglomg import hierarchy as hi
 from agglomg.agglomerate import ALGORITHMS, Agglomeration, CoarsenConfig
-from agglomg.hierarchy import (CoarseningError, ElementMaterials,
+from agglomg.hierarchy import (CoarseningError, ElementMaterials, StopRule,
                                build_hierarchy, build_prolongation,
                                galerkin_operator, grid_complexity, level_schedule,
                                operator_complexity, project_materials, restriction,
@@ -62,6 +62,46 @@ class TestCoarseFaces:
         comps = {(cf.owner, cf.opposite, cf.component) for cf in interior}
         assert len(comps) == 6  # 3 disconnected strips x 2 sides
         assert max(cf.component for cf in interior) == 2
+
+
+def _coarse_face_rows(cfs):
+    """(left, right, tag, fine faces) of each geometric coarse face."""
+    rows = {}
+    for cf in cfs:
+        rows.setdefault(cf.face, (cf.owner, cf.opposite, cf.tag, cf.fine_faces))
+    return [rows[k] for k in sorted(rows)]
+
+
+class TestCoarseFacePartition:
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize("dim,kw", [(2, dict(n=16, jitter=0.2, seed=3)),
+                                        (3, dict(n=6, jitter=0.15, seed=3))],
+                             ids=["2d", "3d"])
+    def test_first_level_faces_partition_the_interfaces(self, dim, kw, alg):
+        # the fingerprint meshes: every fine face on the boundary or between
+        # two agglomerates lies in exactly one geometric coarse face
+        mesh = generate_mesh(dim, **kw)
+        h = build_hierarchy(mesh, CoarsenConfig(alg, desired_size=24, seed=1),
+                            stop=StopRule(max_levels=2))
+        faces = h.fine_topology.faces
+        assign = h.levels[0].agglomeration.element_to_agg
+        a_side = assign[faces.left]
+        b_side = np.where(faces.interior, assign[np.maximum(faces.right, 0)], BOUNDARY)
+        rows = _coarse_face_rows(h.levels[0].coarse_faces)
+        fine = np.concatenate([r[3] for r in rows])
+        expected = np.flatnonzero(~faces.interior | (a_side != b_side))
+        assert np.array_equal(np.sort(fine), expected)
+        for left, right, tag, ff in rows:
+            assert np.all(np.diff(ff) > 0)
+            if right == BOUNDARY:
+                assert not faces.interior[ff].any()
+                assert np.all(a_side[ff] == left) and np.all(faces.tag[ff] == tag)
+            else:
+                assert left < right
+                assert np.array_equal(np.minimum(a_side[ff], b_side[ff]),
+                                      np.full(len(ff), left))
+                assert np.array_equal(np.maximum(a_side[ff], b_side[ff]),
+                                      np.full(len(ff), right))
 
 
 class TestCoarseNodes:
