@@ -19,9 +19,9 @@ from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStat
                           rgb_coarsen, sizebased_coarsen)
 from .partitioner import (Partition, WeightedGraph, edge_cut, partition_kway,
                           scale_weights)
-from .hierarchy import (CoarseEdge, CoarseEdgeSet, CoarseFace, CoarseningError,
-                        ElementMaterials, GridLevel, Hierarchy, LevelSchedule,
-                        StopRule, build_hierarchy, build_prolongation,
+from .hierarchy import (CoarseningError, EdgeChains, ElementMaterials, FacePatches,
+                        GridLevel, Hierarchy, LevelSchedule, StopRule,
+                        build_hierarchy, build_prolongation,
                         galerkin_operator, grid_complexity, level_schedule,
                         operator_complexity, project_materials, restriction,
                         select_coarse_edges, select_coarse_faces, select_coarse_nodes)

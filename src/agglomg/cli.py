@@ -132,11 +132,6 @@ def _make_config(args, size):
     return CoarsenConfig(algorithm=alg, desired_size=size, seed=args.seed)
 
 
-def _schedule(args, mesh, size):
-    sched = level_schedule(mesh.dim, top=size, lower=args.lower_size)
-    return sched
-
-
 def _stop(args):
     kwargs = {}
     if args.stop_nodes is not None:
@@ -151,8 +146,8 @@ def cmd_coarsen(args) -> int:
     sizes = _parse_sizes(args)
     size = sizes[0]
     config = _make_config(args, size)
-    hier = build_hierarchy(mesh, config, schedule=_schedule(args, mesh, size),
-                           stop=_stop(args))
+    schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
+    hier = build_hierarchy(mesh, config, schedule=schedule, stop=_stop(args))
     print(f"{'level':>5} {'elements':>9} {'nodes':>8} {'coarse faces':>13} "
           f"{'avg agg size':>13} {'grid cx':>8}")
     counts = hier.node_counts
@@ -163,7 +158,7 @@ def cmd_coarsen(args) -> int:
         running += counts[k]
         stats = agglomerate_stats(topo, lvl.agglomeration)
         print(f"{k:>5} {lvl.topology.n_elements:>9} {counts[k]:>8} "
-              f"{len(lvl.coarse_faces):>13} {stats.average_size:>13.2f} "
+              f"{lvl.coarse_faces.n_faces:>13} {stats.average_size:>13.2f} "
               f"{running / counts[0]:>8.3f}")
         topo = lvl.topology
     if args.vtk:
@@ -241,8 +236,8 @@ def cmd_solve(args) -> int:
     size = sizes[0]
     config = _make_config(args, size)
     spec = ProblemSpec(args.problem)
-    x, report, hier = solve_problem(mesh, spec, config,
-                                    schedule=_schedule(args, mesh, size),
+    schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
+    x, report, hier = solve_problem(mesh, spec, config, schedule=schedule,
                                     stop=_stop(args))
     print(f"problem={report.problem} algorithm={report.algorithm} "
           f"levels={report.levels}")
@@ -261,8 +256,8 @@ def cmd_export(args) -> int:
     sizes = _parse_sizes(args)
     size = sizes[0]
     config = _make_config(args, size)
-    hier = build_hierarchy(mesh, config, schedule=_schedule(args, mesh, size),
-                           stop=_stop(args))
+    schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
+    hier = build_hierarchy(mesh, config, schedule=schedule, stop=_stop(args))
     path = args.vtk or "agglomerates.vtk"
     mesh_io.write_vtk(path, mesh, [l.agglomeration for l in hier.levels])
     print(f"wrote {path} with {len(hier.levels)} level array(s)")

@@ -7,11 +7,13 @@ coarse-edge endpoints on the kraus path), build the piecewise-average
 prolongation, and re-express the level as a :class:`LevelTopology` so
 every coarsening algorithm can run again on it.
 
-Each geometric coarse face is numbered once, by :func:`select_coarse_faces`
-(``CoarseFace.face``). The coarse edges and the coarse topology read that
-number and the (node, coarse face) incidence pairs rather than re-deriving
-them, and every step works on whole incidence arrays; only the walk that
-orders each coarse edge's fine edges into chains is sequential. A level on
+:func:`select_coarse_faces` returns one table row per geometric coarse face
+(:class:`FacePatches`): an interface is one row, owned by its lower
+agglomerate id, and the fine faces and fine nodes of each row are stored
+there once. The coarse edges, coarse nodes, prolongation and coarse
+topology all read those rows, and every step works on whole incidence
+arrays; only the walk that orders each coarse edge's fine edges into
+chains is sequential. A level on
 which an agglomerate can get no coarse node ends the hierarchy one level
 early (see :func:`build_hierarchy`).
 """
@@ -31,6 +33,8 @@ SEARCH_RING_LIMIT = 20
 # in 3D, levels with fewer elements than this are coarsened with SMALL_GRID_SIZE
 SMALL_GRID_ELEMENTS = 100
 SMALL_GRID_SIZE = 4
+# a level that removes less than this share of the nodes is the last one
+MIN_NODE_REDUCTION = 0.10
 
 
 class CoarseningError(RuntimeError):
@@ -38,39 +42,44 @@ class CoarseningError(RuntimeError):
 
 
 @dataclass
-class CoarseFace:
-    """One side of an agglomerate interface, or one boundary patch.
+class FacePatches:
+    """The coarse faces of one level, one row per geometric coarse face.
 
-    Interfaces produce two CoarseFace records, one owned by each side,
-    over the same fine faces. Groups are split into connected components
-    of the fine-face adjacency, indexed by ``component``. ``face`` numbers
-    the geometric coarse face: the two records of an interface share it,
-    and the numbers run 0, 1, ... in record order.
+    A row is a patch of fine faces: one connected component of the faces
+    two agglomerates share (``left`` is the lower id, ``right`` the other),
+    or of the boundary faces of agglomerate ``left`` that carry one
+    ``tag`` (``right`` is BOUNDARY; interfaces have tag -1). The fine faces
+    and the fine nodes of each row are ascending CSR lists.
     """
 
-    owner: int
-    opposite: int      # agglomerate id, or BOUNDARY
-    tag: int           # boundary tag, or -1 for interfaces
-    fine_faces: np.ndarray
-    component: int
-    face: int
+    left: np.ndarray
+    right: np.ndarray
+    tag: np.ndarray
+    fine_face_indptr: np.ndarray
+    fine_face_ids: np.ndarray
+    node_indptr: np.ndarray
+    node_ids: np.ndarray
+
+    @property
+    def n_faces(self) -> int:
+        return self.left.shape[0]
 
 
 @dataclass
-class CoarseEdge:
-    """Chain of fine edges shared by one set of coarse faces."""
+class EdgeChains:
+    """The coarse edges of a 3D level: chains of fine edges shared by one
+    set of coarse faces.
 
-    endpoints: tuple
-    fine_edges: np.ndarray
-    coarse_faces: tuple
+    ``endpoints`` holds the two end nodes of each chain, ascending. The fine
+    edges of each chain are a CSR list in walk order, its coarse faces (rows
+    of :class:`FacePatches`) an ascending CSR list.
+    """
 
-
-@dataclass
-class CoarseEdgeSet:
-    edges: list
-
-    def __len__(self):
-        return len(self.edges)
+    endpoints: np.ndarray         # (E, 2) fine node ids
+    fine_edge_indptr: np.ndarray
+    fine_edge_ids: np.ndarray
+    face_indptr: np.ndarray
+    face_ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,22 +133,27 @@ def level_schedule(dim: int, top: int | None = None,
 @dataclass
 class StopRule:
     coarse_nodes: int = 60
-    min_reduction: float = 0.10
     max_levels: int = 10
 
 
 @dataclass
 class GridLevel:
-    """One coarse level: its agglomeration, topology, transfer and operator."""
+    """One coarse level: its agglomeration, topology, transfer and operator.
+
+    ``coarse_faces`` is the table of the finer level's agglomerate
+    interfaces and boundary patches that this level was read off, one row
+    per geometric coarse face; ``coarse_edges`` holds the coarse-edge
+    chains on the 3D kraus path and is None elsewhere.
+    """
 
     agglomeration: Agglomeration
-    coarse_faces: list
+    coarse_faces: FacePatches
     coarse_nodes: np.ndarray      # node ids in the finer level's numbering
     prolongation: sp.csr_matrix   # finer-level nodes x this level's nodes
     topology: LevelTopology
     materials: ElementMaterials | None = None
     operator: sp.csr_matrix | None = None
-    coarse_edges: CoarseEdgeSet | None = None
+    coarse_edges: EdgeChains | None = None
 
 
 @dataclass
@@ -174,10 +188,14 @@ class Hierarchy:
 # ---------------------------------------------------------------------------
 # coarse faces
 
-def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> list:
-    """Coarse faces: interface fine faces grouped per agglomerate pair side,
+def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> FacePatches:
+    """Coarse faces: interface fine faces grouped per agglomerate pair,
     boundary fine faces grouped per (agglomerate, tag), each group split
     into connected components (shared node in 2D, shared edge in 3D).
+
+    Rows run interface groups first, then boundary groups, each ordered by
+    (left, right or tag), and the components of a group by smallest fine
+    face.
     """
     faces = topo.faces
     assign = agg.element_to_agg
@@ -201,24 +219,21 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> list:
     group = np.cumsum(new) - 1
     labels = _face_components(topo, fids, group)
 
-    # labels run group by group, and by smallest face inside a group
-    group_first_label = labels[new]
-    by_label = np.argsort(labels, kind="stable")
-    out = []
-    for comp in np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1):
-        i = comp[0]
-        face = int(labels[i])
-        ci = face - int(group_first_label[group[i]])
-        a, b = int(owner[i]), int(other[i])
-        if boundary[i]:
-            out.append(CoarseFace(owner=a, opposite=BOUNDARY, tag=b,
-                                  fine_faces=fids[comp], component=ci, face=face))
-        else:
-            out.append(CoarseFace(owner=a, opposite=b, tag=-1,
-                                  fine_faces=fids[comp], component=ci, face=face))
-            out.append(CoarseFace(owner=b, opposite=a, tag=-1,
-                                  fine_faces=fids[comp], component=ci, face=face))
-    return out
+    # labels run group by group, and by smallest face inside a group: one
+    # row per label, read off its first (smallest) fine face
+    _, first = np.unique(labels, return_index=True)
+    n_rows = len(first)
+    on_boundary = boundary[first]
+    ff_indptr, ff_ids = _csr_from_pairs(labels, fids, n_rows)
+    row_of = np.repeat(np.arange(n_rows), np.diff(ff_indptr))
+    vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, ff_ids)
+    nodes, rows = _unique_pairs(vals, np.repeat(row_of, counts), n_rows)
+    node_indptr, node_ids = _csr_from_pairs(rows, nodes, n_rows)
+    return FacePatches(left=owner[first],
+                       right=np.where(on_boundary, BOUNDARY, other[first]),
+                       tag=np.where(on_boundary, other[first], -1),
+                       fine_face_indptr=ff_indptr, fine_face_ids=ff_ids,
+                       node_indptr=node_indptr, node_ids=node_ids)
 
 
 def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
@@ -251,18 +266,6 @@ def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
 # ---------------------------------------------------------------------------
 # coarse nodes
 
-def _node_coarseface_pairs(topo, coarse_faces):
-    """Unique (node, coarse-face index) incidence pairs."""
-    if not coarse_faces:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    faces = topo.faces
-    rows = np.concatenate([cf.fine_faces for cf in coarse_faces])
-    cf_of = np.repeat(np.arange(len(coarse_faces)),
-                      [len(cf.fine_faces) for cf in coarse_faces])
-    vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, rows)
-    return _unique_pairs(vals, np.repeat(cf_of, counts), len(coarse_faces))
-
-
 def _node_agg_pairs(topo, agg):
     """Unique (node, agglomerate) incidence pairs."""
     nodes = np.repeat(np.arange(topo.n_nodes), np.diff(topo.node_elem_indptr))
@@ -279,8 +282,9 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
     an, aa = _node_agg_pairs(topo, agg)
 
     def face_count_rule():
-        cf_nodes, _ = _node_coarseface_pairs(topo, coarse_faces)
-        cf_count = np.bincount(cf_nodes, minlength=topo.n_nodes)
+        # an interface is a coarse face of each of its two agglomerates
+        sides = np.repeat(1 + (coarse_faces.right >= 0), np.diff(coarse_faces.node_indptr))
+        cf_count = np.bincount(coarse_faces.node_ids, weights=sides, minlength=topo.n_nodes)
         agg_count = np.bincount(an, minlength=topo.n_nodes)
         return cf_count > 2 ** (topo.dim - 2) * agg_count
 
@@ -293,7 +297,7 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
         coarse = face_count_rule()
     else:
         coarse = np.zeros(topo.n_nodes, dtype=bool)
-        coarse[[v for ce in coarse_edges.edges for v in ce.endpoints]] = True
+        coarse[coarse_edges.endpoints.ravel()] = True
         covered = coverage(coarse)
         if not covered.all():
             coarse[an[~covered[aa] & face_count_rule()[an]]] = True
@@ -301,7 +305,7 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
 
 
 def select_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
-                        coarse_faces: list) -> np.ndarray:
+                        coarse_faces: FacePatches) -> np.ndarray:
     """Nodes kept on the coarse level, by the face-count rule.
 
     A node is coarse when the number of coarse faces containing it exceeds
@@ -317,7 +321,7 @@ def select_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
     return np.flatnonzero(coarse)
 
 
-def select_coarse_edges(topo: LevelTopology, coarse_faces: list) -> CoarseEdgeSet:
+def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
     """Chains of fine edges shared between the same set of coarse faces.
 
     Cycles are broken at their two topologically farthest nodes; branch
@@ -326,22 +330,17 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: list) -> CoarseEdgeSe
     if topo.edges is None:
         raise ValueError("coarse edges require an EdgeSet (3D kraus path)")
     edges = topo.edges
-    n_cf = len(coarse_faces)
-    # fine face -> coarse faces containing it, then the unique
+    n_cf = coarse_faces.n_faces
+    # each fine face lies in at most one coarse face; take the unique
     # (edge, coarse face) pairs over each edge's fine faces
-    ff_indptr, ff_cf = _csr_from_pairs(
-        np.concatenate([cf.fine_faces for cf in coarse_faces]),
-        np.repeat(np.arange(n_cf), [len(cf.fine_faces) for cf in coarse_faces]),
-        topo.faces.n_faces)
-    cfs, counts = _gather_ragged(ff_indptr, ff_cf, edges.face_ids)
-    edge_of = np.repeat(np.repeat(np.arange(edges.n_edges),
-                                  np.diff(edges.face_indptr)), counts)
-    edge_of, cfs = _unique_pairs(edge_of, cfs, n_cf)
-    # the two sides of an interface are one geometric face here, otherwise
-    # an interface's whole interior would count as "shared edges"
-    geo = np.array([cf.face for cf in coarse_faces], dtype=np.int64)
-    geo_pairs, _ = _unique_pairs(edge_of, geo[cfs], n_cf)
-    kept = np.bincount(geo_pairs, minlength=edges.n_edges) >= 2
+    face_of = np.full(topo.faces.n_faces, -1, dtype=np.int64)
+    face_of[coarse_faces.fine_face_ids] = np.repeat(
+        np.arange(n_cf), np.diff(coarse_faces.fine_face_indptr))
+    cfs = face_of[edges.face_ids]
+    edge_of = np.repeat(np.arange(edges.n_edges), np.diff(edges.face_indptr))
+    on = cfs >= 0
+    edge_of, cfs = _unique_pairs(edge_of[on], cfs[on], n_cf)
+    kept = np.bincount(edge_of, minlength=edges.n_edges) >= 2
     sel = kept[edge_of]
     edge_of, cfs = edge_of[sel], cfs[sel]
     starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
@@ -349,15 +348,19 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: list) -> CoarseEdgeSe
     for e, sig in zip(edge_of[starts].tolist(), np.split(cfs, starts[1:])):
         groups.setdefault(tuple(sig.tolist()), []).append(e)
 
-    out = []
+    ends, fine, fine_indptr, sigs, sig_indptr = [], [], [0], [], [0]
     for sig in sorted(groups):
-        members = groups[sig]
-        for chain in _edge_chains(edges, members):
-            endpoints = _chain_endpoints(edges, chain)
-            out.append(CoarseEdge(endpoints=endpoints,
-                                  fine_edges=np.array(chain, dtype=np.int64),
-                                  coarse_faces=sig))
-    return CoarseEdgeSet(edges=out)
+        for chain in _edge_chains(edges, groups[sig]):
+            ends.append(_chain_endpoints(edges, chain))
+            fine += chain
+            fine_indptr.append(len(fine))
+            sigs += sig
+            sig_indptr.append(len(sigs))
+    return EdgeChains(endpoints=np.array(ends, dtype=np.int64).reshape(-1, 2),
+                      fine_edge_indptr=np.array(fine_indptr, dtype=np.int64),
+                      fine_edge_ids=np.array(fine, dtype=np.int64),
+                      face_indptr=np.array(sig_indptr, dtype=np.int64),
+                      face_ids=np.array(sigs, dtype=np.int64))
 
 
 def _edge_chains(edges: EdgeSet, members: list) -> list:
@@ -427,7 +430,7 @@ def _chain_endpoints(edges: EdgeSet, chain: list) -> tuple:
 # transfers
 
 def build_prolongation(topo: LevelTopology, agg: Agglomeration,
-                       coarse_faces: list, coarse_nodes: np.ndarray) -> sp.csr_matrix:
+                       coarse_faces: FacePatches, coarse_nodes: np.ndarray) -> sp.csr_matrix:
     """Piecewise-average prolongation from coarse nodes to this level's nodes.
 
     Coarse nodes inject; nodes on coarse faces average the coarse nodes of
@@ -457,8 +460,9 @@ def build_prolongation(topo: LevelTopology, agg: Agglomeration,
         vals.append(np.repeat(1.0 / np.maximum(nnz, 1), nnz))
         return nnz == 0
 
-    pair_nodes, pair_cfs = _node_coarseface_pairs(topo, coarse_faces)
-    n_cf = len(coarse_faces)
+    n_cf = coarse_faces.n_faces
+    pair_nodes = coarse_faces.node_ids
+    pair_cfs = np.repeat(np.arange(n_cf), np.diff(coarse_faces.node_indptr))
     M1 = sp.csr_matrix((np.ones(len(pair_nodes)), (pair_nodes, pair_cfs)),
                        shape=(n, n_cf))
     on_cf = pair_cfs[is_coarse[pair_nodes]]
@@ -545,9 +549,9 @@ def galerkin_operator(fine_operator: sp.spmatrix,
 # ---------------------------------------------------------------------------
 # coarse level topology
 
-def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list,
+def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: FacePatches,
                      coarse_nodes: np.ndarray,
-                     coarse_edges: CoarseEdgeSet | None) -> LevelTopology:
+                     coarse_edges: EdgeChains | None) -> LevelTopology:
     faces = topo.faces
     nagg = agg.n_agglomerates
     nc = len(coarse_nodes)
@@ -557,19 +561,17 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
     assign = agg.element_to_agg
     elem_volume = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
 
-    # one level face per geometric coarse face, read from its first record
-    # (for an interface, the side whose owner is the lower agglomerate id)
-    face_of = np.array([cf.face for cf in coarse_faces], dtype=np.int64)
-    firsts = [coarse_faces[i] for i in np.flatnonzero(np.diff(face_of, prepend=-1))]
-    nf = len(firsts)
-    left = np.array([cf.owner for cf in firsts], dtype=np.int64)
-    right = np.array([cf.opposite for cf in firsts], dtype=np.int64)
-    tag = np.array([cf.tag for cf in firsts], dtype=np.int64)
-    area = np.array([faces.area[cf.fine_faces].sum() for cf in firsts], dtype=float)
-    # coarse nodes of each level face, ascending (the pairs come node-major)
-    pair_nodes, pair_faces = _node_coarseface_pairs(topo, firsts)
-    on = col_of[pair_nodes] >= 0
-    node_indptr, node_ids = _csr_from_pairs(pair_faces[on], col_of[pair_nodes[on]], nf)
+    # one level face per geometric coarse face; each area sums its fine
+    # faces in ascending order, so the bits do not depend on this layout
+    cf = coarse_faces
+    nf = cf.n_faces
+    left, right, tag = cf.left, cf.right, cf.tag
+    area = np.array([faces.area[row].sum() for row in
+                     np.split(cf.fine_face_ids, cf.fine_face_indptr[1:-1])], dtype=float)
+    # coarse nodes of each level face, ascending
+    on = col_of[cf.node_ids] >= 0
+    row_of = np.repeat(np.arange(nf), np.diff(cf.node_indptr))
+    node_indptr, node_ids = _csr_from_pairs(row_of[on], col_of[cf.node_ids[on]], nf)
 
     fsrc = np.concatenate([left, right[right >= 0]])
     fface = np.concatenate([np.arange(nf), np.flatnonzero(right >= 0)])
@@ -595,23 +597,19 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: list
     elem_bd_area = np.bincount(left[bd_mask], weights=area[bd_mask], minlength=nagg)
 
     edges = None
-    if coarse_edges is not None and len(coarse_edges):
-        n_edges = len(coarse_edges)
-        ends = np.array([ce.endpoints for ce in coarse_edges.edges], dtype=np.int64)
-        enodes = np.sort(col_of[ends], axis=1)
-        sigs = [ce.coarse_faces for ce in coarse_edges.edges]
-        edge_of = np.repeat(np.arange(n_edges), [len(sig) for sig in sigs])
-        cfs = np.concatenate(sigs).astype(np.int64)
-        owner = np.array([cf.owner for cf in coarse_faces], dtype=np.int64)
-
-        def distinct_per_edge(values, width):
-            return _csr_from_pairs(*_unique_pairs(edge_of, values, width), n_edges)
-
-        f_indptr, f_ids = distinct_per_edge(face_of[cfs], nf)
-        el_indptr, el_ids = distinct_per_edge(owner[cfs], nagg)
+    if coarse_edges is not None and len(coarse_edges.endpoints):
+        ce = coarse_edges
+        n_edges = len(ce.endpoints)
+        enodes = np.sort(col_of[ce.endpoints], axis=1)
+        # the elements of a coarse edge: the agglomerates on its faces
+        edge_of = np.tile(np.repeat(np.arange(n_edges), np.diff(ce.face_indptr)), 2)
+        sides = np.concatenate([left[ce.face_ids], right[ce.face_ids]])
+        on = sides >= 0
+        el_indptr, el_ids = _csr_from_pairs(
+            *_unique_pairs(edge_of[on], sides[on], nagg), n_edges)
         ne2_indptr, ne2_ids = _csr_from_pairs(
             enodes.ravel(), np.repeat(np.arange(n_edges), 2), nc)
-        edges = EdgeSet(nodes=enodes, face_indptr=f_indptr, face_ids=f_ids,
+        edges = EdgeSet(nodes=enodes, face_indptr=ce.face_indptr, face_ids=ce.face_ids,
                         elem_indptr=el_indptr, elem_ids=el_ids,
                         node_edge_indptr=ne2_indptr, node_edge_ids=ne2_ids)
 
@@ -691,7 +689,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         new_mats = (project_materials(mats, agg, topo.elem_volume)
                     if mats is not None else None)
         new_A = galerkin_operator(A, P) if A is not None else None
-        stagnating = len(cnodes) > (1.0 - stop.min_reduction) * topo.n_nodes
+        stagnating = len(cnodes) > (1.0 - MIN_NODE_REDUCTION) * topo.n_nodes
         levels.append(GridLevel(agglomeration=agg, coarse_faces=cfs,
                                 coarse_nodes=cnodes, prolongation=P,
                                 topology=new_topo, materials=new_mats,

@@ -24,6 +24,15 @@ class TestCoarsen:
         assert "# command=coarsen" in out
         assert "# seed=1" in out
         assert "grid cx" in out
+        # the coarse-faces column counts each interface once: one coarse
+        # face per face of the coarse level
+        rows = [line.split() for line in out.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        hier = build_hierarchy(generate_mesh(2, 12, jitter=0.2, seed=1),
+                               CoarsenConfig("sizebased", desired_size=8, seed=1),
+                               schedule=level_schedule(2, top=8))
+        assert [int(r[3]) for r in rows[1:]] == [
+            lvl.topology.faces.n_faces for lvl in hier.levels]
 
     def test_missing_mesh_file(self, capsys):
         code, _, err = run(["coarsen", "--mesh", "missing.msh", "--alg", "jones"],

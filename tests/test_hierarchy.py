@@ -29,21 +29,21 @@ def block_case():
 
 
 class TestCoarseFaces:
-    def test_two_sides_per_interface(self, block_case):
+    def test_one_row_per_interface(self, block_case):
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        interior = [cf for cf in cfs if cf.opposite != BOUNDARY]
-        # 4 blocks in a square: 4 interfaces, two sides each
-        assert len(interior) == 8
-        pairs = {(cf.owner, cf.opposite) for cf in interior}
-        assert len(pairs) == 8
+        interior = cfs.right != BOUNDARY
+        # 4 blocks in a square: 4 interfaces, one row each
+        assert interior.sum() == 4
+        pairs = set(zip(cfs.left[interior].tolist(), cfs.right[interior].tolist()))
+        assert len(pairs) == 4
 
     def test_single_agglomerate_boundary_tags(self, tri_pair):
         topo = LevelTopology.from_mesh(tri_pair)
         agg = Agglomeration(np.zeros(2, dtype=np.int64))
         cfs = select_coarse_faces(topo, agg)
-        assert all(cf.opposite == BOUNDARY for cf in cfs)
-        assert sorted(cf.tag for cf in cfs) == [1, 2, 3, 4]
+        assert np.all(cfs.right == BOUNDARY)
+        assert sorted(cfs.tag.tolist()) == [1, 2, 3, 4]
 
     def test_disconnected_interface_splits(self):
         # two columns interleaved (A B A B) over a 4x1-ish strip: the A|B
@@ -56,20 +56,17 @@ class TestCoarseFaces:
         assign = np.repeat(np.where(col % 2 == 0, 0, 1), 2)
         agg = Agglomeration(assign)
         cfs = select_coarse_faces(topo, agg)
-        interior = [cf for cf in cfs if cf.opposite != BOUNDARY]
-        # interfaces at x=1, x=2, x=3: strips 1 and 3 belong to the same
+        interior = cfs.right != BOUNDARY
+        # interfaces at x=1, x=2, x=3: all three strips belong to the same
         # (0, 1) pair but are disconnected -> components split them
-        comps = {(cf.owner, cf.opposite, cf.component) for cf in interior}
-        assert len(comps) == 6  # 3 disconnected strips x 2 sides
-        assert max(cf.component for cf in interior) == 2
+        pairs = list(zip(cfs.left[interior].tolist(), cfs.right[interior].tolist()))
+        assert pairs == [(0, 1)] * 3  # 3 disconnected strips, one row each
 
 
 def _coarse_face_rows(cfs):
     """(left, right, tag, fine faces) of each geometric coarse face."""
-    rows = {}
-    for cf in cfs:
-        rows.setdefault(cf.face, (cf.owner, cf.opposite, cf.tag, cf.fine_faces))
-    return [rows[k] for k in sorted(rows)]
+    fine = np.split(cfs.fine_face_ids, cfs.fine_face_indptr[1:-1])
+    return list(zip(cfs.left, cfs.right, cfs.tag, fine))
 
 
 class TestCoarseFacePartition:
@@ -202,11 +199,9 @@ class TestCoarseEdges:
         agg = Agglomeration(assign)
         cfs = select_coarse_faces(topo, agg)
         ces = select_coarse_edges(topo, cfs)
-        assert len(ces) > 0
-        for ce in ces.edges:
-            ends = ce.endpoints
-            assert len(ends) == 2
-            assert ends[0] != ends[1]
+        assert len(ces.endpoints) > 0
+        assert ces.endpoints.shape[1] == 2
+        assert np.all(ces.endpoints[:, 0] != ces.endpoints[:, 1])
 
     def test_cycle_broken_into_two_chains(self, mesh3d_small):
         # the loop repair itself: a pure 4-cycle of fine edges splits at
@@ -238,13 +233,13 @@ class TestCoarseEdges:
         cfs = select_coarse_faces(topo, agg)
         ces = select_coarse_edges(topo, cfs)
         # every chain is a connected simple path over its fine edges
-        for ce in ces.edges:
+        for chain in np.split(ces.fine_edge_ids, ces.fine_edge_indptr[1:-1]):
             nodes = {}
-            for e in ce.fine_edges:
+            for e in chain:
                 for v in topo.edges.nodes[e]:
                     nodes[int(v)] = nodes.get(int(v), 0) + 1
             degree_one = [v for v, c in nodes.items() if c == 1]
-            assert len(degree_one) == 2 or len(ce.fine_edges) == 1
+            assert len(degree_one) == 2 or len(chain) == 1
 
 
 class TestProlongation:
