@@ -23,6 +23,8 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 BOUNDARY = -1
+# width of the centered source box that generate_mesh gives material 0
+SOURCE_EXTENT = 2.0
 
 # local face index patterns: face i is the element with local node i removed
 _TRI_FACES = np.array([[1, 2], [0, 2], [0, 1]])
@@ -506,8 +508,7 @@ def mesh_metrics(level) -> MeshMetrics:
 
 
 def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0,
-                  seed: int = 0, source_extent: float = 2.0,
-                  region_inner: int = 0, region_outer: int = 1) -> Mesh:
+                  seed: int = 0) -> Mesh:
     """Jittered structured simplicial mesh of a box with a centered source box.
 
     Each square cell is split into 2 triangles (2D); each cube cell into 6
@@ -516,7 +517,8 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
     element can invert in expectation; if a draw does invert an element the
     amplitude is halved, with a hard error after 5 attempts. Boundary faces
     are tagged per geometric side (1..2*dim). Elements whose centroid falls
-    in the centered inner box get ``region_inner``, the rest ``region_outer``.
+    in the centered source box of width ``SOURCE_EXTENT`` get material 0,
+    the rest material 1.
     Pure function of (parameters, seed).
     """
     if dim not in (2, 3):
@@ -592,10 +594,10 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
                 "jitter inverted elements even after 5 reductions")
 
     centroids = coords[elements].mean(axis=1)
-    lo = (extent - source_extent) / 2.0
-    hi = (extent + source_extent) / 2.0
+    lo = (extent - SOURCE_EXTENT) / 2.0
+    hi = (extent + SOURCE_EXTENT) / 2.0
     inside = np.all((centroids >= lo) & (centroids <= hi), axis=1)
-    material = np.where(inside, region_inner, region_outer).astype(np.int64)
+    material = np.where(inside, 0, 1).astype(np.int64)
 
     # tag boundary faces by geometric side, using lattice positions
     face_nodes, _, _, counts = _enumerate_faces(elements, dim)
