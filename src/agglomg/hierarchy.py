@@ -13,9 +13,8 @@ agglomerate id, and the fine faces and fine nodes of each row are stored
 there once. The coarse edges, coarse nodes, prolongation and coarse
 topology all read those rows, and every step works on whole incidence
 arrays; only the walk that orders each coarse edge's fine edges into
-chains is sequential. A level on
-which an agglomerate can get no coarse node ends the hierarchy one level
-early (see :func:`build_hierarchy`).
+chains is sequential. A level on which an agglomerate can get no coarse
+node ends the hierarchy one level early (see :func:`build_hierarchy`).
 """
 from __future__ import annotations
 
@@ -429,8 +428,8 @@ def _chain_endpoints(edges: EdgeSet, chain: list) -> tuple:
 # ---------------------------------------------------------------------------
 # transfers
 
-def build_prolongation(topo: LevelTopology, agg: Agglomeration,
-                       coarse_faces: FacePatches, coarse_nodes: np.ndarray) -> sp.csr_matrix:
+def build_prolongation(topo: LevelTopology, agg: Agglomeration, coarse_faces: FacePatches,
+                       coarse_nodes: np.ndarray) -> sp.csr_matrix:
     """Piecewise-average prolongation from coarse nodes to this level's nodes.
 
     Coarse nodes inject; nodes on coarse faces average the coarse nodes of
