@@ -560,8 +560,8 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     assign = agg.element_to_agg
     elem_volume = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
 
-    # one level face per geometric coarse face; each area sums its fine
-    # faces in ascending order, so the bits do not depend on this layout
+    # one level face per geometric coarse face; each area is a plain sum over
+    # the row's ascending fine faces (np.add.reduceat would round differently)
     cf = coarse_faces
     nf = cf.n_faces
     left, right, tag = cf.left, cf.right, cf.tag
