@@ -13,7 +13,6 @@ import sys
 
 from agglomg import hierarchy
 from agglomg.agglomerate import CoarsenConfig
-from agglomg.hierarchy import StopRule
 from agglomg.mesh import generate_mesh
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -26,8 +26,7 @@ class TestCoarsen:
         assert "grid cx" in out
         # the coarse-faces column counts each interface once: one coarse
         # face per face of the coarse level
-        rows = [line.split() for line in out.splitlines()
-                if line.split() and line.split()[0].isdigit()]
+        rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
         hier = build_hierarchy(generate_mesh(2, 12, jitter=0.2, seed=1),
                                CoarsenConfig("sizebased", desired_size=8, seed=1),
                                schedule=level_schedule(2, top=8))
