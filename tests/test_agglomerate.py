@@ -224,33 +224,54 @@ class TestAspect:
         assert sizes.max() <= 2 * s
 
 
+def strip_path():
+    """A strip of 10 triangles whose dual graph is a path, and that path."""
+    nb, nt = 6, 6
+    coords = np.array([[float(i), 0.0] for i in range(nb)]
+                      + [[float(i), 1.0] for i in range(nt)])
+    elems = []
+    for i in range(5):
+        elems.append([i, i + 1, 6 + i + 1])        # lower triangle
+        elems.append([i, 6 + i + 1, 6 + i])        # upper triangle
+    strip = Mesh(2, coords, np.array(elems), np.zeros(10, dtype=np.int64))
+    topo = LevelTopology.from_mesh(strip)
+    degrees = np.diff(topo.dual.indptr)
+    assert degrees.max() == 2 and (degrees == 1).sum() == 2
+    # walk the dual path from one endpoint
+    path = [int(np.flatnonzero(degrees == 1)[0])]
+    while len(path) < 10:
+        nxt = [int(v) for v in topo.dual.neighbors(path[-1]) if v not in path]
+        path.append(nxt[0])
+    return topo, path
+
+
 class TestCleanup:
     def test_unused_attaches_to_smaller_on_tie(self):
-        # strip of 10 triangles whose dual graph is a path; the middle
-        # element is left unused with one shared face to a 4-element
-        # agglomerate and one to a 5-element one: the tie breaks small
-        nb, nt = 6, 6
-        coords = np.array([[float(i), 0.0] for i in range(nb)]
-                          + [[float(i), 1.0] for i in range(nt)])
-        elems = []
-        for i in range(5):
-            elems.append([i, i + 1, 6 + i + 1])        # lower triangle
-            elems.append([i, 6 + i + 1, 6 + i])        # upper triangle
-        strip = Mesh(2, coords, np.array(elems), np.zeros(10, dtype=np.int64))
-        topo = LevelTopology.from_mesh(strip)
-        degrees = np.diff(topo.dual.indptr)
-        assert degrees.max() == 2 and (degrees == 1).sum() == 2
-        # walk the dual path from one endpoint
-        path = [int(np.flatnonzero(degrees == 1)[0])]
-        while len(path) < 10:
-            nxt = [int(v) for v in topo.dual.neighbors(path[-1]) if v not in path]
-            path.append(nxt[0])
+        # the middle element of the strip is left unused with one shared
+        # face to a 4-element agglomerate and one to a 5-element one: the
+        # tie breaks small
+        topo, path = strip_path()
         assign = np.full(10, -1, dtype=np.int64)
         assign[path[:4]] = 0
         assign[path[5:]] = 1
         fixed, report = cleanup(topo, Agglomeration(assign))
         assert report.unused_attached == 1
         assert fixed.element_to_agg[path[4]] == fixed.element_to_agg[path[3]]
+
+    def test_split_fragment_joins_smaller_on_tie(self):
+        # agglomerate 2 holds the strip's last two elements and a stray
+        # fragment between agglomerate 0 (4 elements, lower id) and
+        # agglomerate 1 (3 elements), one shared face each: the tie breaks
+        # small, not low
+        topo, path = strip_path()
+        assign = np.empty(10, dtype=np.int64)
+        assign[path[:4]] = 0
+        assign[path[4]] = 2
+        assign[path[5:8]] = 1
+        assign[path[8:]] = 2
+        fixed, report = cleanup(topo, Agglomeration(assign))
+        assert report.disconnected_split == 1
+        assert fixed.element_to_agg[path[4]] == fixed.element_to_agg[path[5]]
 
     def test_enclave_absorbed_in_rounds(self):
         mesh = generate_mesh(2, 4, extent=1.0)
