@@ -108,9 +108,9 @@ def _load_mesh(args):
     sources = [s for s in (args.mesh, args.gen_2d, args.gen_3d) if s is not None]
     if len(sources) != 1:
         raise SystemExit("exactly one of --mesh, --gen-2d, --gen-3d is required")
-    if args.mesh:
+    if args.mesh is not None:
         return mesh_io.read_msh(args.mesh)
-    if args.gen_2d:
+    if args.gen_2d is not None:
         return generate_mesh(2, args.gen_2d, jitter=args.jitter, seed=args.seed)
     return generate_mesh(3, args.gen_3d, jitter=args.jitter, seed=args.seed)
 
@@ -128,7 +128,7 @@ def _make_config(args, size):
     if size is not None and alg not in SIZE_BASED:
         print(f"warning: --size is ignored by the {alg} algorithm", file=sys.stderr)
     if alg in SIZE_BASED and size is None:
-        size = 24  # 2D default; replaced per-mesh below
+        size = 24  # only satisfies validate: level_schedule sets the top size
     return CoarsenConfig(algorithm=alg, desired_size=size, seed=args.seed)
 
 
@@ -168,14 +168,14 @@ def cmd_coarsen(args) -> int:
 
 
 def _sweep_one(payload):
-    dim, n, jitter, mesh_path, alg, size, lower, seed, problem, do_solve, stop = payload
+    dim, n, jitter, mesh_path, config, size, lower, problem, do_solve, stop = payload
+    alg, seed = config.algorithm, config.seed
     try:
         if mesh_path:
             mesh = mesh_io.read_msh(mesh_path)
         else:
             mesh = generate_mesh(dim, n, jitter=jitter, seed=seed)
         schedule = level_schedule(mesh.dim, top=size, lower=lower)
-        config = CoarsenConfig(algorithm=alg, desired_size=size, seed=seed)
         if do_solve:
             spec = ProblemSpec(problem)
             x, report, hier = solve_problem(mesh, spec, config,
@@ -208,12 +208,12 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
-    sizes = [s for s in _parse_sizes(args) if s is not None]
+    gen_2d = args.gen_2d is not None
     payloads = [
-        (2 if args.gen_2d else 3, args.gen_2d or args.gen_3d, args.jitter,
-         args.mesh, args.alg, s, args.lower_size, args.seed, args.problem,
+        (2 if gen_2d else 3, args.gen_2d if gen_2d else args.gen_3d, args.jitter,
+         args.mesh, _make_config(args, s), s, args.lower_size, args.problem,
          args.solve, _stop(args))
-        for s in sizes
+        for s in _parse_sizes(args)
     ]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -68,13 +68,22 @@ class TestSweep:
         gcs = [float(r["grid_complexity"]) for r in rows]
         assert gcs[0] > gcs[1] > gcs[2]
 
-    def test_empty_size_list(self, tmp_path, capsys):
-        path = tmp_path / "empty.csv"
-        code, _, _ = run(["sweep", "--gen-2d", "8", "--alg", "sizebased",
-                          "--csv", str(path)], capsys)
-        assert code == 0
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1  # header only
+    def test_no_size_runs_one_default_row(self, tmp_path, capsys):
+        # without --size a sweep runs the one configuration that coarsen
+        # and solve run: the level schedule's default sizes
+        mesh = generate_mesh(2, 8, jitter=0.2, seed=0)
+        for alg in ("jones", "sizebased"):
+            path = tmp_path / f"{alg}.csv"
+            code, out, _ = run(["sweep", "--gen-2d", "8", "--alg", alg,
+                                "--csv", str(path)], capsys)
+            assert code == 0
+            assert "wrote 1 row(s)" in out
+            rows = list(csv.DictReader(path.open()))
+            assert [r["status"] for r in rows] == ["ok"]
+            size = 24 if alg == "sizebased" else None
+            hier = build_hierarchy(mesh, CoarsenConfig(alg, desired_size=size),
+                                   schedule=level_schedule(2))
+            assert float(rows[0]["grid_complexity"]) == grid_complexity(hier)
 
     def test_determinism_modulo_timing(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -145,6 +154,13 @@ class TestExport:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["coarsen", "solve"])
+    @pytest.mark.parametrize("flag", ["--gen-2d", "--gen-3d"])
+    def test_zero_subdivisions_exit_one(self, capsys, command, flag):
+        code, _, err = run([command, flag, "0", "--alg", "jones"], capsys)
+        assert code == 1
+        assert "n must be >= 1" in err
+
     def test_non_convergence_exits_two(self, capsys, monkeypatch):
         from agglomg.solver import SolveReport
 
