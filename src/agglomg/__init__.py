@@ -13,10 +13,8 @@ from .mesh import (BOUNDARY, DegenerateElementError, DualGraph, EdgeSet, FaceSet
 from .mesh_io import MshFormatError, SweepRecord, read_msh, write_report_json, \
     write_sweep_csv, write_vtk
 from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStats,
-                          CleanupReport, CoarsenConfig, WeightState,
-                          agglomerate_stats, aspect_ratio_coarsen, cleanup, coarsen,
-                          greedy_coarsen, jones_coarsen, kraus_coarsen, node_coarsen,
-                          rgb_coarsen, sizebased_coarsen)
+                          CleanupReport, CoarsenConfig, agglomerate_stats, cleanup,
+                          coarsen)
 from .partitioner import (Partition, WeightedGraph, edge_cut, partition_kway,
                           scale_weights)
 from .hierarchy import (CoarseningError, EdgeChains, ElementMaterials, FacePatches,

@@ -1,13 +1,16 @@
 """The seven element-coarsening algorithms, cleanup, and agglomerate statistics.
 
-Every algorithm maps one grid level (a :class:`~agglomg.mesh.LevelTopology`)
-to an element -> agglomerate assignment, then runs the shared cleanup stage
-so the result is total, contiguous and densely numbered. Weighted-face
-growth (jones, kraus) is deterministic: one heap-growth kernel,
-:func:`_grow`, follows maximal-weight faces (jones and kraus) or edges (the
-3D kraus edge phase), and each sweep only builds its adjacency arrays for
-it. The randomized algorithms consume an explicit 64-bit seed through a
-counter-based generator, never global RNG state.
+:func:`coarsen` is the one entry point and the one place that runs
+:func:`cleanup` (besides aspect, which cleans its greedy start). Each
+algorithm is a private function mapping one grid level (a
+:class:`~agglomg.mesh.LevelTopology`) to a raw element -> agglomerate array
+(-1 = unassigned); ``coarsen`` cleans that once, so every result is total,
+contiguous and densely numbered. Weighted-face growth (jones, kraus) is
+deterministic: one heap-growth kernel, :func:`_grow`, follows
+maximal-weight faces (jones and kraus) or edges (the 3D kraus edge phase),
+and each sweep only builds its adjacency arrays for it. The randomized
+algorithms consume an explicit 64-bit seed through a counter-based
+generator, never global RNG state.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (LevelTopology, _components, _csr_from_pairs, _first_appearance,
-                   _gather_ragged, _induced_components, _unique_pairs)
+from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
+                   _first_appearance, _gather_ragged, _induced_components,
+                   _neighbour_weights, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -81,14 +85,6 @@ class Agglomeration:
 
     def is_total(self) -> bool:
         return bool((self.element_to_agg >= 0).all())
-
-
-@dataclass
-class WeightState:
-    """Face (and edge, in 3D) growth weights; -1 marks a consumed entity."""
-
-    face_weight: np.ndarray
-    edge_weight: np.ndarray | None = None
 
 
 @dataclass
@@ -225,41 +221,28 @@ def _face_sweep(topo, face_w, assign, next_id, restrict_g):
                  companions if restrict_g else adj, [(face_w, elem_faces)])
 
 
-def jones_coarsen(topo: LevelTopology, *, do_cleanup=True):
+def _jones(topo):
     """Deterministic growth along maximal-weight interior faces."""
-    assign, _ = _jones_sweep(topo)
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
-
-
-def _jones_sweep(topo):
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
     _face_sweep(topo, face_w, assign, 0, restrict_g=False)
-    return assign, WeightState(face_weight=face_w)
+    return assign
 
 
-def kraus_coarsen(topo: LevelTopology, *, do_cleanup=True):
+def _kraus(topo):
     """Edge-weighted growth (3D) with a restricted face phase afterwards.
 
     In 2D only the face phase runs; unlike jones, the growth face must
     share an element with the current one.
     """
-    assign, _ = _kraus_sweep(topo)
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
-
-
-def _kraus_sweep(topo):
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
-    edge_w = None
     next_id = 0
     if topo.dim == 3 and topo.edges is not None and topo.edges.n_edges:
         edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
         next_id = _edge_sweep(topo, edge_w, face_w, assign, next_id)
     _face_sweep(topo, face_w, assign, next_id, restrict_g=True)
-    return assign, WeightState(face_weight=face_w, edge_weight=edge_w)
+    return assign
 
 
 def _edge_sweep(topo, edge_w, face_w, assign, next_id):
@@ -315,7 +298,7 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def rgb_coarsen(topo: LevelTopology, seed: int = 0, *, do_cleanup=True):
+def _rgb(topo, seed):
     """Red-green-black colouring: random seeds absorb their whole neighbourhood.
 
     Grey fringe elements join the adjacent agglomerate they fit best:
@@ -346,20 +329,16 @@ def rgb_coarsen(topo: LevelTopology, seed: int = 0, *, do_cleanup=True):
                 if state[nb] == UNCOLOURED:
                     state[nb] = GREY
     sizes = np.bincount(assign[assign >= 0], minlength=next_id)
+    # unit weights: on coarse levels edge_faces may exceed one
+    ones = np.ones(len(dual.indices), dtype=np.int64)
     for e in np.flatnonzero(state == GREY):
-        tally = {}
-        for nb in dual.neighbors(e):
-            a = assign[nb]
-            if a >= 0:
-                tally[int(a)] = tally.get(int(a), 0) + 1
-        best = min(tally, key=lambda a: (-tally[a], sizes[a], a))
+        best = _best_neighbour(dual.indptr, dual.indices, ones, assign, (e,), sizes)
         assign[e] = best
         sizes[best] += 1
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
+    return assign
 
 
-def node_coarsen(topo: LevelTopology, seed: int = 0, *, do_cleanup=True):
+def _node(topo, seed):
     """Each selected unused node claims every element sharing it.
 
     Interior nodes are visited in seeded random order before boundary
@@ -387,14 +366,11 @@ def node_coarsen(topo: LevelTopology, seed: int = 0, *, do_cleanup=True):
         next_id += 1
         for e in elems:
             node_used[_csr_row(elem_nodes_indptr, elem_nodes_ids, e)] = True
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
+    return assign
 
 
-def greedy_coarsen(topo: LevelTopology, s: int, seed: int = 0, *, do_cleanup=True):
+def _greedy(topo, s, seed):
     """Breadth-first absorption of unused neighbours up to the desired size."""
-    if s < 2:
-        raise ValueError(f"desired size must be >= 2, got {s}")
     dual = topo.dual
     n = topo.n_elements
     assign = np.full(n, -1, dtype=np.int64)
@@ -427,30 +403,25 @@ def greedy_coarsen(topo: LevelTopology, s: int, seed: int = 0, *, do_cleanup=Tru
                 if assign[nb] < 0 and nb not in in_frontier:
                     frontier.append(nb)
                     in_frontier.add(nb)
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
+    return assign
 
 
 # ---------------------------------------------------------------------------
 # sizebased / aspect
 
-def sizebased_coarsen(topo: LevelTopology, s: int, seed: int = 0, *, do_cleanup=True):
+def _sizebased(topo, s, seed):
     """Partition the weighted dual graph into floor(n/s) contiguous parts."""
-    if s < 2:
-        raise ValueError(f"desired size must be >= 2, got {s}")
     k = topo.n_elements // s
     if k < 1:
         raise ValueError(
             f"desired size {s} exceeds the {topo.n_elements}-element level; reduce s")
     graph = partitioner.scale_weights(topo.dual)
-    part = partitioner.partition_kway(graph, k, contiguous=True, seed=seed)
-    agg = Agglomeration(part.part.copy())
-    return cleanup(topo, agg)[0] if do_cleanup else agg
+    return partitioner.partition_kway(graph, k, contiguous=True, seed=seed).part
 
 
-def aspect_ratio_coarsen(topo: LevelTopology, s: int, seed: int = 0, *,
-                         do_cleanup=True):
-    """Greedy start, then local moves lowering surface^2/volume of agglomerates.
+def _aspect(topo, s, seed):
+    """Cleaned greedy start, then local moves lowering surface^2/volume of
+    agglomerates.
 
     Single boundary elements migrate between adjacent agglomerates; a move
     is allowed only while its source keeps at least max(2, s/2) elements
@@ -461,11 +432,9 @@ def aspect_ratio_coarsen(topo: LevelTopology, s: int, seed: int = 0, *,
     single element. Passes stop at the first one with no improving move, or
     after a fixed cap.
     """
-    start = greedy_coarsen(topo, s, seed, do_cleanup=True)
-    assign = start.element_to_agg.copy()
+    assign = cleanup(topo, Agglomeration(_greedy(topo, s, seed)))[0].element_to_agg
     _aspect_refine(topo, assign, s)
-    agg = Agglomeration(assign)
-    return cleanup(topo, agg)[0] if do_cleanup else agg
+    return assign
 
 
 def aspect_objective(topo: LevelTopology, assign: np.ndarray) -> float:
@@ -505,12 +474,8 @@ def _aspect_refine(topo, assign, s):
             ve = topo.elem_volume[e]
             if vol[a] - ve <= 0:
                 continue
-            nbrs = dual.neighbors(e)
-            wts = dual.neighbor_weights(e)
-            area_to = {}
-            for nb, w in zip(nbrs, wts):
-                b = int(assign[nb])
-                area_to[b] = area_to.get(b, 0.0) + float(w)
+            area_to = _neighbour_weights(dual.indptr, dual.indices, dual.edge_weight,
+                                         assign, (e,))
             obj_a = surf[a] ** 2 / vol[a]
             best_delta, best_b = -1e-12 * (1.0 + obj_a), -1
             for b, ab in sorted(area_to.items()):
@@ -572,13 +537,8 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
             report.isolated_resolved += len(unassigned)
             break
         for e in frontier:
-            tally = {}
-            lo_ptr, hi_ptr = dual.indptr[e], dual.indptr[e + 1]
-            for idx in range(lo_ptr, hi_ptr):
-                a = int(assign[dual.indices[idx]])
-                if a >= 0:
-                    tally[a] = tally.get(a, 0) + int(dual.edge_faces[idx])
-            best = min(tally, key=lambda a: (-tally[a], sizes[a], a))
+            best = _best_neighbour(dual.indptr, dual.indices, dual.edge_faces,
+                                   assign, (e,), sizes)
             assign[e] = best
             sizes[best] += 1
         if first_round:
@@ -620,20 +580,13 @@ def _split_noncontiguous(topo, assign) -> int:
             comps.setdefault(int(labels[e]), []).append(int(e))
         ordered = sorted(comps.values(), key=lambda c: (-len(c), c[0]))
         for comp in ordered[1:]:
-            comp = np.array(comp, dtype=np.int64)
-            tally = {}
-            for e in comp:
-                lo_ptr, hi_ptr = dual.indptr[e], dual.indptr[e + 1]
-                for idx in range(lo_ptr, hi_ptr):
-                    b = int(assign[dual.indices[idx]])
-                    if b != a and b >= 0:
-                        tally[b] = tally.get(b, 0) + int(dual.edge_faces[idx])
-            if not tally:
+            best = _best_neighbour(dual.indptr, dual.indices, dual.edge_faces,
+                                   assign, comp, sizes, exclude=a)
+            if best < 0:
                 # isolated island (disconnected mesh): becomes its own agglomerate
                 assign[comp] = len(sizes)
                 sizes.append(len(comp))
             else:
-                best = min(tally, key=lambda b: (-tally[b], sizes[b], b))
                 assign[comp] = best
                 sizes[best] += len(comp)
             sizes[a] -= len(comp)
@@ -707,21 +660,22 @@ def agglomerate_stats(topo: LevelTopology, agg: Agglomeration) -> AgglomerateSta
     )
 
 
-def coarsen(topo: LevelTopology, config: CoarsenConfig, *, do_cleanup=True):
-    """Dispatch one coarsening step according to the configuration."""
+def coarsen(topo: LevelTopology, config: CoarsenConfig) -> Agglomeration:
+    """Coarsen one level: run the configured algorithm, then :func:`cleanup`."""
     config.validate()
-    alg = config.algorithm
+    alg, s, seed = config.algorithm, config.desired_size, config.seed
     if alg == "jones":
-        return jones_coarsen(topo, do_cleanup=do_cleanup)
-    if alg == "kraus":
-        return kraus_coarsen(topo, do_cleanup=do_cleanup)
-    if alg == "rgb":
-        return rgb_coarsen(topo, config.seed, do_cleanup=do_cleanup)
-    if alg == "node":
-        return node_coarsen(topo, config.seed, do_cleanup=do_cleanup)
-    s = config.desired_size
-    if alg == "greedy":
-        return greedy_coarsen(topo, s, config.seed, do_cleanup=do_cleanup)
-    if alg == "sizebased":
-        return sizebased_coarsen(topo, s, config.seed, do_cleanup=do_cleanup)
-    return aspect_ratio_coarsen(topo, s, config.seed, do_cleanup=do_cleanup)
+        assign = _jones(topo)
+    elif alg == "kraus":
+        assign = _kraus(topo)
+    elif alg == "rgb":
+        assign = _rgb(topo, seed)
+    elif alg == "node":
+        assign = _node(topo, seed)
+    elif alg == "greedy":
+        assign = _greedy(topo, s, seed)
+    elif alg == "sizebased":
+        assign = _sizebased(topo, s, seed)
+    else:
+        assign = _aspect(topo, s, seed)
+    return cleanup(topo, Agglomeration(assign))[0]

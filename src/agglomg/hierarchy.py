@@ -160,7 +160,6 @@ class Hierarchy:
     mesh: Mesh
     fine_topology: LevelTopology
     levels: list
-    schedule_used: list
     config: CoarsenConfig
     fine_operator: sp.csr_matrix | None = None
     fine_materials: ElementMaterials | None = None
@@ -662,7 +661,6 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     fine_mats = ElementMaterials.from_table(mesh, materials) if materials else None
 
     levels = []
-    sizes_used = []
     mats = fine_mats
     A = operator.tocsr() if operator is not None else None
     fine_A = A
@@ -693,13 +691,11 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
                                 coarse_nodes=cnodes, prolongation=P,
                                 topology=new_topo, materials=new_mats,
                                 operator=new_A, coarse_edges=cedges))
-        sizes_used.append(s)
         topo, mats, A = new_topo, new_mats, new_A
         if stagnating:
             break  # keep the level, but a sub-10% node reduction ends the hierarchy
 
-    return Hierarchy(mesh=mesh, fine_topology=topo0, levels=levels,
-                     schedule_used=sizes_used, config=config,
+    return Hierarchy(mesh=mesh, fine_topology=topo0, levels=levels, config=config,
                      fine_operator=fine_A, fine_materials=fine_mats)
 
 

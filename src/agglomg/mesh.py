@@ -187,6 +187,29 @@ def _induced_components(indptr, indices, members) -> np.ndarray:
     return _components(src[keep], nbrs[keep], len(members))
 
 
+def _neighbour_weights(indptr, indices, weight, labels, members, exclude=-1) -> dict:
+    """Label -> the ``weight`` of the CSR entries ``indptr``/``indices``
+    by which ``members`` reach it, summed in entry order. Unlabelled
+    (negative) neighbours and ``exclude`` do not count."""
+    tally = {}
+    for e in members:
+        lo, hi = indptr[e], indptr[e + 1]
+        for b, w in zip(labels[indices[lo:hi]].tolist(), weight[lo:hi].tolist()):
+            if b >= 0 and b != exclude:
+                tally[b] = tally.get(b, 0) + w
+    return tally
+
+
+def _best_neighbour(indptr, indices, weight, labels, members, sizes, exclude=-1) -> int:
+    """The label of :func:`_neighbour_weights` with the most weight; ties go
+    to the label with the fewest ``sizes``, then the lowest id. -1 when no
+    labelled neighbour is left."""
+    tally = _neighbour_weights(indptr, indices, weight, labels, members, exclude)
+    if not tally:
+        return -1
+    return min(tally, key=lambda b: (-tally[b], sizes[b], b))
+
+
 @dataclass
 class FaceSet:
     """All (dim-1)-faces of one level, with element and node incidence.
@@ -213,9 +236,6 @@ class FaceSet:
     def face_nodes(self, f: int) -> np.ndarray:
         return self.node_ids[self.node_indptr[f]:self.node_indptr[f + 1]]
 
-    def element_faces(self, e: int) -> np.ndarray:
-        return self.elem_face_ids[self.elem_indptr[e]:self.elem_indptr[e + 1]]
-
     @property
     def interior(self) -> np.ndarray:
         return self.right >= 0
@@ -236,12 +256,6 @@ class EdgeSet:
     @property
     def n_edges(self) -> int:
         return self.nodes.shape[0]
-
-    def edge_faces(self, e: int) -> np.ndarray:
-        return self.face_ids[self.face_indptr[e]:self.face_indptr[e + 1]]
-
-    def edge_elements(self, e: int) -> np.ndarray:
-        return self.elem_ids[self.elem_indptr[e]:self.elem_indptr[e + 1]]
 
 
 @dataclass

@@ -194,7 +194,7 @@ class TestCriterion02SizeBasedContract:
     def test_exact_part_count_and_average(self, topo2d_ref):
         lines = []
         for s in (8, 24):
-            pre = ag.sizebased_coarsen(topo2d_ref, s, seed=1, do_cleanup=False)
+            pre = Agglomeration(ag._sizebased(topo2d_ref, s, 1))
             expected = topo2d_ref.n_elements // s
             assert pre.n_agglomerates == expected, \
                 f"pre-cleanup count {pre.n_agglomerates} != floor(n/s) = {expected}"

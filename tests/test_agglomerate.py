@@ -18,10 +18,23 @@ def assert_valid(topo, agg):
         assert _induced_components(topo.dual.indptr, topo.dual.indices, group).max() == 0
 
 
-def run_algorithm(topo, alg, seed=0, s=8, **kw):
+def run_algorithm(topo, alg, seed=0, s=8):
     cfg = CoarsenConfig(alg, desired_size=s if alg in ag.SIZE_BASED else None,
                         seed=seed)
-    return coarsen(topo, cfg, **kw)
+    return coarsen(topo, cfg)
+
+
+def swept_weights(topo, kraus=False):
+    """The raw jones (or kraus) assignment with the weight arrays the
+    sweeps consumed: (assign, face weights, edge weights or None)."""
+    face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
+    assign = np.full(topo.n_elements, -1, dtype=np.int64)
+    edge_w, next_id = None, 0
+    if kraus and topo.dim == 3:
+        edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
+        next_id = ag._edge_sweep(topo, edge_w, face_w, assign, next_id)
+    ag._face_sweep(topo, face_w, assign, next_id, restrict_g=kraus)
+    return assign, face_w, edge_w
 
 
 class TestConfig:
@@ -40,50 +53,50 @@ class TestJones:
     def test_two_triangles_single_agglomerate(self, tri_pair):
         # the lone interior face seeds an agglomerate holding both elements
         topo = LevelTopology.from_mesh(tri_pair)
-        agg = ag.jones_coarsen(topo)
+        agg = run_algorithm(topo, "jones")
         assert agg.n_agglomerates == 1
         assert agg.element_to_agg.tolist() == [0, 0]
 
     def test_all_face_weights_consumed(self, topo2d_jittered):
-        _, weights = ag._jones_sweep(topo2d_jittered)
-        assert (weights.face_weight == -1).all()
+        _, face_w, _ = swept_weights(topo2d_jittered)
+        assert (face_w == -1).all()
 
     def test_deterministic(self, topo2d_jittered):
-        a = ag.jones_coarsen(topo2d_jittered)
-        b = ag.jones_coarsen(topo2d_jittered)
+        a = run_algorithm(topo2d_jittered, "jones")
+        b = run_algorithm(topo2d_jittered, "jones")
         assert np.array_equal(a.element_to_agg, b.element_to_agg)
 
     def test_monotone_face_consumption(self, topo2d_small):
         # every growth step consumes at least the seed face
-        assign, weights = ag._jones_sweep(topo2d_small)
-        assert (weights.face_weight == -1).all()
+        assign, face_w, _ = swept_weights(topo2d_small)
+        assert (face_w == -1).all()
         assert assign.max() >= 0
 
 
 class TestKraus:
     def test_single_tet(self, tet_single):
         topo = LevelTopology.from_mesh(tet_single)
-        agg = ag.kraus_coarsen(topo)
+        agg = run_algorithm(topo, "kraus")
         assert agg.n_agglomerates == 1
-        _, weights = ag._kraus_sweep(topo)
-        assert (weights.edge_weight == -1).all()
-        assert (weights.face_weight == -1).all()
+        _, face_w, edge_w = swept_weights(topo, kraus=True)
+        assert (edge_w == -1).all()
+        assert (face_w == -1).all()
 
     def test_2d_two_triangles(self, tri_pair):
         topo = LevelTopology.from_mesh(tri_pair)
-        agg = ag.kraus_coarsen(topo)
+        agg = run_algorithm(topo, "kraus")
         assert agg.n_agglomerates == 1
 
     def test_3d_termination(self, topo3d_small):
-        _, weights = ag._kraus_sweep(topo3d_small)
-        assert (weights.edge_weight == -1).all()
-        assert (weights.face_weight == -1).all()
+        _, face_w, edge_w = swept_weights(topo3d_small, kraus=True)
+        assert (edge_w == -1).all()
+        assert (face_w == -1).all()
 
     def test_3d_average_size_reference(self, topo3d_small):
         # trend reference: edge-driven growth yields larger agglomerates
         # than jones in 3D (about 9.5 vs 4.9 on the reported mesh)
-        k = agglomerate_stats(topo3d_small, ag.kraus_coarsen(topo3d_small))
-        j = agglomerate_stats(topo3d_small, ag.jones_coarsen(topo3d_small))
+        k = agglomerate_stats(topo3d_small, run_algorithm(topo3d_small, "kraus"))
+        j = agglomerate_stats(topo3d_small, run_algorithm(topo3d_small, "jones"))
         assert k.average_size > j.average_size
 
 
@@ -107,18 +120,18 @@ class TestFaceAdjacency:
         assert all((np.diff(row) > 0).all() for row in rows)
         got = {(f, int(g)) for f, row in enumerate(rows) for g in row}
         assert len(want) > 100 and got == want
-        assert_valid(topo, ag.jones_coarsen(topo))
+        assert_valid(topo, run_algorithm(topo, "jones"))
 
 
 class TestRgb:
     def test_single_element(self, tri_single):
         topo = LevelTopology.from_mesh(tri_single)
-        agg = ag.rgb_coarsen(topo, 0)
+        agg = run_algorithm(topo, "rgb", seed=0)
         assert agg.n_agglomerates == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_black_seed_claims_neighbourhood(self, topo2d_small, seed):
-        agg = ag.rgb_coarsen(topo2d_small, seed, do_cleanup=False)
+        agg = Agglomeration(ag._rgb(topo2d_small, seed))
         # recompute the black picks: every agglomerate's seed element plus
         # all its dual neighbours share the agglomerate id
         assign = agg.element_to_agg
@@ -138,48 +151,48 @@ class TestRgb:
                     state[topo2d_small.dual.neighbors(r)])
 
     def test_determinism(self, topo3d_small):
-        a = ag.rgb_coarsen(topo3d_small, 9)
-        b = ag.rgb_coarsen(topo3d_small, 9)
+        a = run_algorithm(topo3d_small, "rgb", seed=9)
+        b = run_algorithm(topo3d_small, "rgb", seed=9)
         assert np.array_equal(a.element_to_agg, b.element_to_agg)
 
 
 class TestNode:
     def test_single_triangle(self, tri_single):
         topo = LevelTopology.from_mesh(tri_single)
-        agg = ag.node_coarsen(topo, 0)
+        agg = run_algorithm(topo, "node", seed=0)
         assert agg.n_agglomerates == 1
 
     def test_interior_node_valence_six(self, topo2d_small):
         # on the structured mesh every interior node touches 6 triangles,
         # so the first selected node claims exactly 6 elements
-        agg = ag.node_coarsen(topo2d_small, 3, do_cleanup=False)
+        agg = Agglomeration(ag._node(topo2d_small, 3))
         assert int((agg.element_to_agg == 0).sum()) == 6
 
     def test_determinism(self, topo2d_jittered):
-        a = ag.node_coarsen(topo2d_jittered, 11)
-        b = ag.node_coarsen(topo2d_jittered, 11)
+        a = run_algorithm(topo2d_jittered, "node", seed=11)
+        b = run_algorithm(topo2d_jittered, "node", seed=11)
         assert np.array_equal(a.element_to_agg, b.element_to_agg)
 
 
 class TestGreedy:
     def test_size_one_rejected(self, topo2d_small):
         with pytest.raises(ValueError):
-            ag.greedy_coarsen(topo2d_small, 1, 0)
+            run_algorithm(topo2d_small, "greedy", seed=0, s=1)
 
     def test_size_covers_mesh(self, tri_pair):
         topo = LevelTopology.from_mesh(tri_pair)
-        agg = ag.greedy_coarsen(topo, 10, 0)
+        agg = run_algorithm(topo, "greedy", seed=0, s=10)
         assert agg.n_agglomerates == 1
 
     @pytest.mark.parametrize("s", [2, 5, 8])
     def test_sizes_capped_before_cleanup(self, topo2d_jittered, s):
-        agg = ag.greedy_coarsen(topo2d_jittered, s, 7, do_cleanup=False)
+        agg = Agglomeration(ag._greedy(topo2d_jittered, s, 7))
         assert agg.sizes.max() <= s
 
 
 class TestSizebased:
     def test_exact_part_count_before_cleanup(self, topo2d_jittered):
-        agg = ag.sizebased_coarsen(topo2d_jittered, 8, 1, do_cleanup=False)
+        agg = Agglomeration(ag._sizebased(topo2d_jittered, 8, 1))
         assert agg.n_agglomerates == topo2d_jittered.n_elements // 8
 
     def test_kway_vs_recursive_paths(self):
@@ -187,25 +200,25 @@ class TestSizebased:
         assert 740 // 24 == 30  # k-way path
         assert 32 // 8 == 4     # recursive path
         topo = LevelTopology.from_mesh(generate_mesh(2, 4, jitter=0.1, seed=0))
-        agg = ag.sizebased_coarsen(topo, 8, 0, do_cleanup=False)  # k = 4
+        agg = Agglomeration(ag._sizebased(topo, 8, 0))  # k = 4
         assert agg.n_agglomerates == 4
 
     def test_too_large_size_rejected(self, tri_pair):
         topo = LevelTopology.from_mesh(tri_pair)
         with pytest.raises(ValueError, match="reduce"):
-            ag.sizebased_coarsen(topo, 10, 0)
+            run_algorithm(topo, "sizebased", seed=0, s=10)
 
     def test_average_size_tracks_target(self, topo2d_jittered):
-        agg = ag.sizebased_coarsen(topo2d_jittered, 8, 3)
+        agg = run_algorithm(topo2d_jittered, "sizebased", seed=3, s=8)
         stats = agglomerate_stats(topo2d_jittered, agg)
         assert abs(stats.average_size - 8) / 8 <= 0.1
 
 
 class TestAspect:
     def test_objective_never_increases(self, topo2d_small):
-        greedy = ag.greedy_coarsen(topo2d_small, 8, 5)
+        greedy = run_algorithm(topo2d_small, "greedy", seed=5, s=8)
         start = aspect_objective(topo2d_small, greedy.element_to_agg)
-        refined = ag.aspect_ratio_coarsen(topo2d_small, 8, 5, do_cleanup=False)
+        refined = Agglomeration(ag._aspect(topo2d_small, 8, 5))
         end = aspect_objective(topo2d_small, refined.element_to_agg)
         assert end <= start + 1e-12
 
@@ -217,7 +230,7 @@ class TestAspect:
 
     def test_sizes_stay_in_band(self, topo2d_jittered):
         s = 8
-        agg = ag.aspect_ratio_coarsen(topo2d_jittered, s, 2, do_cleanup=False)
+        agg = Agglomeration(ag._aspect(topo2d_jittered, s, 2))
         sizes = agg.sizes
         # moves respect the band; cleanup-born outliers from the greedy
         # start may sit below it, but nothing exceeds the ceiling
@@ -315,7 +328,7 @@ class TestCleanup:
         assert fixed.n_agglomerates == 1
 
     def test_idempotent_on_clean_input(self, topo2d_jittered):
-        agg = ag.greedy_coarsen(topo2d_jittered, 8, 3)
+        agg = run_algorithm(topo2d_jittered, "greedy", seed=3, s=8)
         again, report = cleanup(topo2d_jittered, agg)
         assert np.array_equal(again.element_to_agg, agg.element_to_agg)
         assert (report.unused_attached, report.isolated_resolved,
