@@ -329,7 +329,8 @@ def _rgb(topo, seed):
                 if state[nb] == UNCOLOURED:
                     state[nb] = GREY
     sizes = np.bincount(assign[assign >= 0], minlength=next_id)
-    # unit weights: on coarse levels edge_faces may exceed one
+    # unit weights, not edge_faces (above one on coarse levels): greys
+    # count shared dual edges
     ones = np.ones(len(dual.indices), dtype=np.int64)
     for e in np.flatnonzero(state == GREY):
         best = _best_neighbour(dual.indptr, dual.indices, ones, assign, (e,), sizes)
