@@ -7,10 +7,13 @@ algorithm is a private function mapping one grid level (a
 (-1 = unassigned); ``coarsen`` cleans that once, so every result is total,
 contiguous and densely numbered. Weighted-face growth (jones, kraus) is
 deterministic: one heap-growth kernel, :func:`_grow`, follows
-maximal-weight faces (jones and kraus) or edges (the 3D kraus edge phase),
-and each sweep only builds its adjacency arrays for it. The randomized
-algorithms consume an explicit 64-bit seed through a counter-based
-generator, never global RNG state.
+maximal-weight faces or edges (the 3D kraus edge phase), and each sweep
+only builds its adjacency arrays for it. The sequential loops (growth,
+aspect's moves, cleanup's re-homing) visit one entry at a time, so they
+run on lists and memoryviews, which yield plain numbers: numpy scalar
+indexing costs about twice as much. The randomized algorithms draw an
+explicit 64-bit seed through a counter-based generator, never global RNG
+state.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import scipy.sparse as sp
 
 from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
                    _first_appearance, _gather_ragged, _induced_components,
-                   _neighbour_weights, _unique_pairs)
+                   _neighbour_weights, _row_sums, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -143,10 +146,6 @@ def _element_companion_faces(topo: LevelTopology):
     return _csr_from_pairs(src[keep], dst[keep], faces.n_faces)
 
 
-def _csr_row(indptr, ids, i):
-    return ids[indptr[i]:indptr[i + 1]]
-
-
 # ---------------------------------------------------------------------------
 # jones / kraus : weighted-face (and edge) growth
 
@@ -163,44 +162,65 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     as the current one. On completion each (weights, element CSR) pair in
     ``clears`` consumes the entities of the agglomerate's elements.
 
-    Mutates the weights and ``assign``; returns the next free agglomerate id.
+    The loop is sequential and runs on plain ints, as numpy scalar indexing
+    costs about twice as much: the weights and ``assign`` become lists, one
+    per distinct array as they alias (a ``clears`` weight is often
+    ``weight``), written back at the end; the CSRs are read through
+    memoryviews. Mutates the weights and ``assign``; returns the next id.
     """
-    heap = [(-int(weight[i]), int(i)) for i in np.flatnonzero(weight >= 0)]
+    lists = {}
+
+    def as_list(a):
+        if id(a) not in lists:
+            lists[id(a)] = a.tolist()
+        return lists[id(a)]
+
+    w, owner = as_list(weight), as_list(assign)
+    ep, ei = map(memoryview, elements)
+    bump_rows = [tuple(map(memoryview, csr)) for csr in bumps]
+    pp, pi = map(memoryview, pool)
+    sides = [] if side is None else [side]
+    clear_rows = [(as_list(cw), *map(memoryview, csr)) for cw, csr in clears]
+    side_rows = [(as_list(sw), *map(memoryview, csr)) for sw, csr in sides]
+    heap = [(-wi, i) for i, wi in enumerate(w) if wi >= 0]
     heapq.heapify(heap)
     while heap:
         negw, i = heapq.heappop(heap)
-        if weight[i] != -negw or weight[i] < 0:
+        if w[i] != -negw or w[i] < 0:
             continue  # stale entry
         aid = next_id
         next_id += 1
         members = []
         while True:
-            w_max = weight[i]
-            weight[i] = -1
-            for e in _csr_row(*elements, i):
-                if assign[e] < 0:
-                    assign[e] = aid
+            w_max = w[i]
+            w[i] = -1
+            for e in ei[ep[i]:ep[i + 1]]:
+                if owner[e] < 0:
+                    owner[e] = aid
                     members.append(e)
-            for indptr, ids in bumps:
-                for j in _csr_row(indptr, ids, i):
-                    if weight[j] >= 0:
-                        weight[j] += 1
-                        heapq.heappush(heap, (-int(weight[j]), int(j)))
-            if side is not None:
-                side_w, (indptr, ids) = side
-                row = _csr_row(indptr, ids, i)
-                side_w[row[side_w[row] >= 0]] += 1  # rows are duplicate-free
+            for bp, bi in bump_rows:
+                for j in bi[bp[i]:bp[i + 1]]:
+                    if w[j] >= 0:
+                        w[j] += 1
+                        heapq.heappush(heap, (-w[j], j))
+            for sw, sp_, si in side_rows:
+                for j in si[sp_[i]:sp_[i + 1]]:
+                    if sw[j] >= 0:
+                        sw[j] += 1
             best, best_w = -1, -1
-            for j in _csr_row(*pool, i):
-                wj = weight[j]
+            for j in pi[pp[i]:pp[i + 1]]:
+                wj = w[j]
                 if wj > best_w or (wj == best_w and j < best):
-                    best, best_w = int(j), int(wj)
+                    best, best_w = j, wj
             if best < 0 or best_w < w_max:
                 break
             i = best
-        for w, (indptr, ids) in clears:
+        for cw, cp, ci in clear_rows:
             for e in members:
-                w[_csr_row(indptr, ids, e)] = -1
+                for f in ci[cp[e]:cp[e + 1]]:
+                    cw[f] = -1
+    for arr in [weight, assign] + [wt for wt, _ in clears + sides]:
+        arr[:] = lists[id(arr)]
     return next_id
 
 
@@ -304,39 +324,37 @@ def _rgb(topo, seed):
     Grey fringe elements join the adjacent agglomerate they fit best:
     most shared dual edges, then fewest elements, then lowest id.
     """
-    dual = topo.dual
+    indptr, indices = memoryview(topo.dual.indptr), memoryview(topo.dual.indices)
     n = topo.n_elements
     UNCOLOURED, BLACK, RED, GREY = 0, 1, 2, 3
-    state = np.zeros(n, dtype=np.int8)
-    assign = np.full(n, -1, dtype=np.int64)
-    order = _rng(seed).permutation(n)
-    next_id = 0
-    for e in order:
+    state = [UNCOLOURED] * n
+    assign = [-1] * n
+    sizes = []
+    for e in _rng(seed).permutation(n).tolist():
         if state[e] != UNCOLOURED:
             continue
-        aid = next_id
-        next_id += 1
+        aid = len(sizes)
         state[e] = BLACK
         assign[e] = aid
         reds = []
-        for nb in dual.neighbors(e):
+        for nb in indices[indptr[e]:indptr[e + 1]]:
             if state[nb] in (UNCOLOURED, GREY):
                 state[nb] = RED
                 assign[nb] = aid
                 reds.append(nb)
         for r in reds:
-            for nb in dual.neighbors(r):
+            for nb in indices[indptr[r]:indptr[r + 1]]:
                 if state[nb] == UNCOLOURED:
                     state[nb] = GREY
-    sizes = np.bincount(assign[assign >= 0], minlength=next_id)
+        sizes.append(1 + len(reds))
     # unit weights, not edge_faces (above one on coarse levels): greys
     # count shared dual edges
-    ones = np.ones(len(dual.indices), dtype=np.int64)
-    for e in np.flatnonzero(state == GREY):
-        best = _best_neighbour(dual.indptr, dual.indices, ones, assign, (e,), sizes)
+    ones = [1] * len(indices)
+    for e in [e for e in range(n) if state[e] == GREY]:
+        best = _best_neighbour(indptr, indices, ones, assign, (e,), sizes)
         assign[e] = best
         sizes[best] += 1
-    return assign
+    return np.array(assign, dtype=np.int64)
 
 
 def _node(topo, seed):
@@ -348,8 +366,7 @@ def _node(topo, seed):
     n = topo.n_elements
     assign = np.full(n, -1, dtype=np.int64)
     node_used = np.zeros(topo.n_nodes, dtype=bool)
-    elem_nodes_indptr, elem_nodes_ids = _invert_csr(
-        topo.node_elem_indptr, topo.node_elem_ids, n)
+    node_ptr, elem_nodes = _invert_csr(topo.node_elem_indptr, topo.node_elem_ids, n)
     rng = _rng(seed)
     interior = np.flatnonzero(~topo.node_boundary)
     boundary = np.flatnonzero(topo.node_boundary)
@@ -366,7 +383,7 @@ def _node(topo, seed):
         assign[elems] = next_id
         next_id += 1
         for e in elems:
-            node_used[_csr_row(elem_nodes_indptr, elem_nodes_ids, e)] = True
+            node_used[elem_nodes[node_ptr[e]:node_ptr[e + 1]]] = True
     return assign
 
 
@@ -457,32 +474,35 @@ def _surface_volume(topo, assign):
 
 def _aspect_refine(topo, assign, s):
     dual = topo.dual
-    lower = max(2.0, s / 2.0)
-    upper = 2.0 * s
-    surf, vol = _surface_volume(topo, assign)
-    sizes = np.bincount(assign, minlength=len(vol))
-    total_area = topo.elem_boundary_area + np.array([
-        dual.neighbor_weights(e).sum() for e in range(topo.n_elements)])
+    n = topo.n_elements
+    lower, upper = max(2.0, s / 2.0), 2.0 * s
+    surf, vol = (a.tolist() for a in _surface_volume(topo, assign))
+    sizes = np.bincount(assign, minlength=len(vol)).tolist()
+    total_area = memoryview(topo.elem_boundary_area
+                            + _row_sums(dual.indptr, dual.edge_weight))
+    # sequential moves: lists for what they update, memoryviews for the rest
+    elem_volume, indptr, indices, edge_weight = map(memoryview, (
+        topo.elem_volume, dual.indptr, dual.indices, dual.edge_weight))
+    owner = assign.tolist()
+    src = np.repeat(np.arange(n), np.diff(dual.indptr))
     for _ in range(ASPECT_MAX_PASSES):
-        src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
         boundary_elems = np.flatnonzero(np.bincount(
-            src[assign[src] != assign[dual.indices]], minlength=topo.n_elements))
+            src[assign[src] != assign[dual.indices]], minlength=n))
         improved = False
-        for e in boundary_elems:
-            a = int(assign[e])
+        for e in boundary_elems.tolist():
+            a = owner[e]
             if sizes[a] - 1 < lower:
                 continue
-            ve = topo.elem_volume[e]
+            ve = elem_volume[e]
             if vol[a] - ve <= 0:
                 continue
-            area_to = _neighbour_weights(dual.indptr, dual.indices, dual.edge_weight,
-                                         assign, (e,))
+            area_to = _neighbour_weights(indptr, indices, edge_weight, owner, (e,))
             obj_a = surf[a] ** 2 / vol[a]
+            surf_a_new = surf[a] - total_area[e] + 2.0 * area_to.get(a, 0.0)
             best_delta, best_b = -1e-12 * (1.0 + obj_a), -1
             for b, ab in sorted(area_to.items()):
                 if b == a or sizes[b] + 1 > upper:
                     continue
-                surf_a_new = surf[a] - total_area[e] + 2.0 * area_to.get(a, 0.0)
                 surf_b_new = surf[b] + total_area[e] - 2.0 * ab
                 delta = (surf_a_new ** 2 / (vol[a] - ve) - obj_a
                          + surf_b_new ** 2 / (vol[b] + ve) - surf[b] ** 2 / vol[b])
@@ -490,14 +510,15 @@ def _aspect_refine(topo, assign, s):
                     best_delta, best_b = delta, b
             if best_b >= 0:
                 b = best_b
-                surf[a] = surf[a] - total_area[e] + 2.0 * area_to.get(a, 0.0)
+                surf[a] = surf_a_new
                 surf[b] = surf[b] + total_area[e] - 2.0 * area_to[b]
                 vol[a] -= ve
                 vol[b] += ve
                 sizes[a] -= 1
                 sizes[b] += 1
-                assign[e] = b
+                owner[e] = b
                 improved = True
+        assign[:] = owner
         if not improved:
             break
 
@@ -523,25 +544,30 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
         assign[0] = 0
 
     sizes = _live_sizes(assign)
+    src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
+    indptr, indices, edge_faces = map(memoryview, (dual.indptr, dual.indices,
+                                                   dual.edge_faces))
     first_round = True
     while True:
         unassigned = np.flatnonzero(assign < 0)
         if unassigned.size == 0:
             break
-        frontier = [e for e in unassigned
-                    if (assign[dual.neighbors(e)] >= 0).any()]
-        if not frontier:
+        # unassigned elements with an assigned neighbour, ascending
+        reached = np.bincount(src[assign[dual.indices] >= 0], minlength=topo.n_elements)
+        frontier = unassigned[reached[unassigned] > 0]
+        if frontier.size == 0:
             # pocket disconnected from every agglomerate: each component
             # becomes its own agglomerate
             labels = _induced_components(dual.indptr, dual.indices, unassigned)
             assign[unassigned] = len(sizes) + labels
             report.isolated_resolved += len(unassigned)
             break
-        for e in frontier:
-            best = _best_neighbour(dual.indptr, dual.indices, dual.edge_faces,
-                                   assign, (e,), sizes)
-            assign[e] = best
+        owner = assign.tolist()  # each attachment sees the ones before it
+        for e in frontier.tolist():
+            best = _best_neighbour(indptr, indices, edge_faces, owner, (e,), sizes)
+            owner[e] = best
             sizes[best] += 1
+        assign[:] = owner
         if first_round:
             report.unused_attached += len(frontier)
             first_round = False
@@ -557,7 +583,7 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
 
 def _live_sizes(assign):
     nagg = int(assign.max()) + 1 if (assign >= 0).any() else 0
-    return list(np.bincount(assign[assign >= 0], minlength=nagg))
+    return np.bincount(assign[assign >= 0], minlength=nagg).tolist()
 
 
 def _split_noncontiguous(topo, assign) -> int:
@@ -574,24 +600,33 @@ def _split_noncontiguous(topo, assign) -> int:
 
     moved = 0
     sizes = _live_sizes(assign)
-    for a in multi:
-        members = np.flatnonzero(assign == a)
+    indptr, indices, edge_faces, label = map(memoryview, (
+        dual.indptr, dual.indices, dual.edge_faces, labels))
+    owner = assign.tolist()
+    # members of each agglomerate to split; a fragment moved into a later one joins it
+    members = {a: [] for a in multi.tolist()}
+    for e in np.flatnonzero(np.isin(assign, multi)).tolist():
+        members[owner[e]].append(e)
+    for a, elems in members.items():
         comps = {}
-        for e in members:
-            comps.setdefault(int(labels[e]), []).append(int(e))
+        for e in elems:
+            comps.setdefault(label[e], []).append(e)
+        # each component's list is ascending, so c[0] is its lowest element
         ordered = sorted(comps.values(), key=lambda c: (-len(c), c[0]))
         for comp in ordered[1:]:
-            best = _best_neighbour(dual.indptr, dual.indices, dual.edge_faces,
-                                   assign, comp, sizes, exclude=a)
+            best = _best_neighbour(indptr, indices, edge_faces, owner, comp, sizes,
+                                   exclude=a)
             if best < 0:
                 # isolated island (disconnected mesh): becomes its own agglomerate
-                assign[comp] = len(sizes)
-                sizes.append(len(comp))
-            else:
-                assign[comp] = best
-                sizes[best] += len(comp)
+                best = len(sizes)
+                sizes.append(0)
+            for e in comp:
+                owner[e] = best
+            sizes[best] += len(comp)
             sizes[a] -= len(comp)
+            members.get(best, []).extend(comp)
             moved += 1
+    assign[:] = owner
     return moved
 
 

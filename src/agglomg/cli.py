@@ -168,13 +168,9 @@ def cmd_coarsen(args) -> int:
 
 
 def _sweep_one(payload):
-    dim, n, jitter, mesh_path, config, size, lower, problem, do_solve, stop = payload
-    alg, seed = config.algorithm, config.seed
+    mesh, config, size, lower, problem, do_solve, stop = payload
+    alg = config.algorithm
     try:
-        if mesh_path:
-            mesh = mesh_io.read_msh(mesh_path)
-        else:
-            mesh = generate_mesh(dim, n, jitter=jitter, seed=seed)
         schedule = level_schedule(mesh.dim, top=size, lower=lower)
         if do_solve:
             spec = ProblemSpec(problem)
@@ -208,13 +204,10 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
-    gen_2d = args.gen_2d is not None
-    payloads = [
-        (2 if gen_2d else 3, args.gen_2d if gen_2d else args.gen_3d, args.jitter,
-         args.mesh, _make_config(args, s), s, args.lower_size, args.problem,
-         args.solve, _stop(args))
-        for s in _parse_sizes(args)
-    ]
+    mesh = _load_mesh(args)
+    payloads = [(mesh, _make_config(args, s), s, args.lower_size, args.problem,
+                 args.solve, _stop(args))
+                for s in _parse_sizes(args)]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_sweep_one, payloads))

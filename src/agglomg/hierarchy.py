@@ -341,15 +341,17 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     kept = np.bincount(edge_of, minlength=edges.n_edges) >= 2
     sel = kept[edge_of]
     edge_of, cfs = edge_of[sel], cfs[sel]
-    starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
+    starts = np.flatnonzero(np.diff(edge_of, prepend=-1)).tolist()
+    cfs = cfs.tolist()
     groups = {}
-    for e, sig in zip(edge_of[starts].tolist(), np.split(cfs, starts[1:])):
-        groups.setdefault(tuple(sig.tolist()), []).append(e)
+    for e, lo, hi in zip(edge_of[starts].tolist(), starts, starts[1:] + [len(cfs)]):
+        groups.setdefault(tuple(cfs[lo:hi]), []).append(e)
 
+    nodes = edges.nodes.tolist()  # the walks index one edge at a time
     ends, fine, fine_indptr, sigs, sig_indptr = [], [], [0], [], [0]
     for sig in sorted(groups):
-        for chain in _edge_chains(edges, groups[sig]):
-            ends.append(_chain_endpoints(edges, chain))
+        for chain in _edge_chains(nodes, groups[sig]):
+            ends.append(_chain_endpoints(nodes, chain))
             fine += chain
             fine_indptr.append(len(fine))
             sigs += sig
@@ -361,13 +363,13 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
                       face_ids=np.array(sigs, dtype=np.int64))
 
 
-def _edge_chains(edges: EdgeSet, members: list) -> list:
-    """Decompose an edge set into simple open paths."""
+def _edge_chains(nodes: list, members: list) -> list:
+    """Decompose an edge set into simple open paths; ``nodes`` lists each
+    edge's two endpoints."""
     node_deg = {}
     node_edges = {}
     for e in members:
-        for nd in edges.nodes[e]:
-            nd = int(nd)
+        for nd in nodes[e]:
             node_deg[nd] = node_deg.get(nd, 0) + 1
             node_edges.setdefault(nd, []).append(e)
     unused = set(members)
@@ -379,7 +381,7 @@ def _edge_chains(edges: EdgeSet, members: list) -> list:
         while True:
             chain.append(eid)
             unused.discard(eid)
-            a, b = int(edges.nodes[eid][0]), int(edges.nodes[eid][1])
+            a, b = nodes[eid]
             node = b if a == node else a
             if node_deg[node] != 2:
                 break
@@ -399,7 +401,7 @@ def _edge_chains(edges: EdgeSet, members: list) -> list:
     # what remains are pure cycles; break each at its two farthest nodes
     while unused:
         e0 = min(unused)
-        start = int(edges.nodes[e0][0])
+        start = nodes[e0][0]
         cycle, _ = walk(start, e0)
         if len(cycle) == 1:
             chains.append(cycle)
@@ -410,11 +412,10 @@ def _edge_chains(edges: EdgeSet, members: list) -> list:
     return chains
 
 
-def _chain_endpoints(edges: EdgeSet, chain: list) -> tuple:
+def _chain_endpoints(nodes: list, chain: list) -> tuple:
     count = {}
     for e in chain:
-        for nd in edges.nodes[e]:
-            nd = int(nd)
+        for nd in nodes[e]:
             count[nd] = count.get(nd, 0) + 1
     ends = sorted(n for n, c in count.items() if c == 1)
     if len(ends) == 2:

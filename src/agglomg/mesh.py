@@ -161,6 +161,17 @@ def _gather_ragged(indptr, data, rows):
     return data[np.repeat(indptr[rows], counts) + offsets], counts
 
 
+def _row_sums(indptr, values) -> np.ndarray:
+    """Per-row sums of CSR ``values`` with the bits of ``values[row].sum()``,
+    which adds fewer than eight terms in order (as bincount) and more pairwise."""
+    counts = np.diff(indptr)
+    sums = np.bincount(np.repeat(np.arange(len(counts)), counts), weights=values,
+                       minlength=len(counts))
+    for r in np.flatnonzero(counts >= 8):
+        sums[r] = values[indptr[r]:indptr[r + 1]].sum()
+    return sums
+
+
 def _components(src, dst, n) -> np.ndarray:
     """Connected-component label of each of ``n`` vertices under the edges
     ``src[i] - dst[i]``, numbered in order of first appearance."""
@@ -188,15 +199,15 @@ def _induced_components(indptr, indices, members) -> np.ndarray:
 
 
 def _neighbour_weights(indptr, indices, weight, labels, members, exclude=-1) -> dict:
-    """Label -> the ``weight`` of the CSR entries ``indptr``/``indices``
-    by which ``members`` reach it, summed in entry order. Unlabelled
-    (negative) neighbours and ``exclude`` do not count."""
+    """Label -> summed ``weight`` (in entry order) of the CSR entries by which
+    ``members`` reach it; unlabelled (negative) neighbours and ``exclude`` do
+    not count. Takes lists or memoryviews, which yield plain numbers."""
     tally = {}
     for e in members:
-        lo, hi = indptr[e], indptr[e + 1]
-        for b, w in zip(labels[indices[lo:hi]].tolist(), weight[lo:hi].tolist()):
+        for j in range(indptr[e], indptr[e + 1]):
+            b = labels[indices[j]]
             if b >= 0 and b != exclude:
-                tally[b] = tally.get(b, 0) + w
+                tally[b] = tally.get(b, 0) + weight[j]
     return tally
 
 

@@ -1,3 +1,6 @@
+import functools
+import heapq
+
 import numpy as np
 import pytest
 
@@ -365,3 +368,221 @@ class TestAllAlgorithms:
         a = run_algorithm(topo2d_jittered, alg, seed=42)
         b = run_algorithm(topo2d_jittered, alg, seed=42)
         assert np.array_equal(a.element_to_agg, b.element_to_agg)
+
+
+# ---------------------------------------------------------------------------
+# the sequential kernels against the numpy-scalar loops they replaced
+
+def _row(indptr, ids, i):
+    return ids[indptr[i]:indptr[i + 1]]
+
+
+def _reference_grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
+    """``_grow`` as it was written on numpy arrays, one scalar at a time."""
+    heap = [(-int(weight[i]), int(i)) for i in np.flatnonzero(weight >= 0)]
+    heapq.heapify(heap)
+    while heap:
+        negw, i = heapq.heappop(heap)
+        if weight[i] != -negw or weight[i] < 0:
+            continue
+        aid = next_id
+        next_id += 1
+        members = []
+        while True:
+            w_max = weight[i]
+            weight[i] = -1
+            for e in _row(*elements, i):
+                if assign[e] < 0:
+                    assign[e] = aid
+                    members.append(e)
+            for indptr, ids in bumps:
+                for j in _row(indptr, ids, i):
+                    if weight[j] >= 0:
+                        weight[j] += 1
+                        heapq.heappush(heap, (-int(weight[j]), int(j)))
+            if side is not None:
+                side_w, (indptr, ids) = side
+                row = _row(indptr, ids, i)
+                side_w[row[side_w[row] >= 0]] += 1
+            best, best_w = -1, -1
+            for j in _row(*pool, i):
+                wj = weight[j]
+                if wj > best_w or (wj == best_w and j < best):
+                    best, best_w = int(j), int(wj)
+            if best < 0 or best_w < w_max:
+                break
+            i = best
+        for w, (indptr, ids) in clears:
+            for e in members:
+                w[_row(indptr, ids, e)] = -1
+    return next_id
+
+
+def _reference_aspect_refine(topo, assign, s):
+    """``_aspect_refine`` as it was written on numpy arrays."""
+    dual = topo.dual
+    lower = max(2.0, s / 2.0)
+    upper = 2.0 * s
+    surf, vol = ag._surface_volume(topo, assign)
+    sizes = np.bincount(assign, minlength=len(vol))
+    total_area = topo.elem_boundary_area + np.array([
+        dual.neighbor_weights(e).sum() for e in range(topo.n_elements)])
+    for _ in range(ag.ASPECT_MAX_PASSES):
+        src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
+        boundary_elems = np.flatnonzero(np.bincount(
+            src[assign[src] != assign[dual.indices]], minlength=topo.n_elements))
+        improved = False
+        for e in boundary_elems:
+            a = int(assign[e])
+            if sizes[a] - 1 < lower:
+                continue
+            ve = topo.elem_volume[e]
+            if vol[a] - ve <= 0:
+                continue
+            area_to = {}
+            lo, hi = dual.indptr[e], dual.indptr[e + 1]
+            for b, w in zip(assign[dual.indices[lo:hi]].tolist(),
+                            dual.edge_weight[lo:hi].tolist()):
+                area_to[b] = area_to.get(b, 0) + w
+            obj_a = surf[a] ** 2 / vol[a]
+            best_delta, best_b = -1e-12 * (1.0 + obj_a), -1
+            for b, ab in sorted(area_to.items()):
+                if b == a or sizes[b] + 1 > upper:
+                    continue
+                surf_a_new = surf[a] - total_area[e] + 2.0 * area_to.get(a, 0.0)
+                surf_b_new = surf[b] + total_area[e] - 2.0 * ab
+                delta = (surf_a_new ** 2 / (vol[a] - ve) - obj_a
+                         + surf_b_new ** 2 / (vol[b] + ve) - surf[b] ** 2 / vol[b])
+                if delta < best_delta:
+                    best_delta, best_b = delta, b
+            if best_b >= 0:
+                b = best_b
+                surf[a] = surf[a] - total_area[e] + 2.0 * area_to.get(a, 0.0)
+                surf[b] = surf[b] + total_area[e] - 2.0 * area_to[b]
+                vol[a] -= ve
+                vol[b] += ve
+                sizes[a] -= 1
+                sizes[b] += 1
+                assign[e] = b
+                improved = True
+        if not improved:
+            break
+
+
+def _reference_split_noncontiguous(topo, assign):
+    """``_split_noncontiguous`` as it was written on numpy arrays."""
+    dual = topo.dual
+    n = topo.n_elements
+    src = np.repeat(np.arange(n), np.diff(dual.indptr))
+    same = assign[src] == assign[dual.indices]
+    labels = ag._components(src[same], dual.indices[same], n)
+    agg_of_pair, _ = ag._unique_pairs(assign, labels, labels.max() + 1)
+    moved = 0
+    sizes = list(np.bincount(assign))
+    for a in np.flatnonzero(np.bincount(agg_of_pair) > 1):
+        comps = {}
+        for e in np.flatnonzero(assign == a):
+            comps.setdefault(int(labels[e]), []).append(int(e))
+        for comp in sorted(comps.values(), key=lambda c: (-len(c), c[0]))[1:]:
+            tally = {}
+            for e in comp:
+                lo, hi = dual.indptr[e], dual.indptr[e + 1]
+                for b, w in zip(assign[dual.indices[lo:hi]].tolist(),
+                                dual.edge_faces[lo:hi].tolist()):
+                    if b != a:
+                        tally[b] = tally.get(b, 0) + w
+            if not tally:
+                assign[comp] = len(sizes)
+                sizes.append(len(comp))
+            else:
+                best = min(tally, key=lambda b: (-tally[b], sizes[b], b))
+                assign[comp] = best
+                sizes[best] += len(comp)
+            sizes[a] -= len(comp)
+            moved += 1
+    return moved
+
+
+def _two_boxes(dim, n):
+    box = generate_mesh(dim, n, jitter=0.2, seed=7)
+    return Mesh(dim, np.vstack([box.node_coords, box.node_coords + 2.0]),
+                np.vstack([box.elements, box.elements + box.n_nodes]),
+                np.zeros(2 * box.n_elements, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_case(name):
+    """Topologies the golden meshes do not cover: coarse levels (whose dual
+    rows reach eight or more neighbours) and two disjoint boxes."""
+    if name.endswith("two-boxes"):
+        dim = int(name[0])
+        return LevelTopology.from_mesh(_two_boxes(dim, 8 if dim == 2 else 3))
+    dim, level = int(name[0]), int(name[-1])
+    mesh = generate_mesh(dim, 24 if dim == 2 else 6, jitter=0.2, seed=9)
+    if level == 0:
+        return LevelTopology.from_mesh(mesh)
+    hier = build_hierarchy(mesh, CoarsenConfig("kraus" if dim == 3 else "node", seed=3))
+    return hier.levels[level - 1].topology
+
+
+KERNEL_CASES = ("2d-level0", "2d-level1", "2d-level2", "2d-two-boxes",
+                "3d-level0", "3d-level1", "3d-two-boxes")
+
+
+class TestSequentialKernels:
+    @pytest.mark.parametrize("kraus", [False, True], ids=["jones", "kraus"])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_grow_matches_numpy_loop(self, case, kraus, monkeypatch):
+        # the face sweep grows and clears the same face weights; the 3D
+        # kraus edge sweep bumps and clears the face weights beside the
+        # edge weights it grows
+        topo = _kernel_case(case)
+
+        def sweeps():
+            face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
+            edge_w = np.zeros(topo.edges.n_edges if kraus and topo.edges else 0,
+                              dtype=np.int64)
+            assign = np.full(topo.n_elements, -1, dtype=np.int64)
+            next_ids = [0]
+            if edge_w.size:
+                next_ids.append(ag._edge_sweep(topo, edge_w, face_w, assign, 0))
+            next_ids.append(ag._face_sweep(topo, face_w, assign, next_ids[-1],
+                                           restrict_g=kraus))
+            return next_ids, assign, face_w, edge_w
+
+        got = sweeps()
+        monkeypatch.setattr(ag, "_grow", _reference_grow)
+        want = sweeps()
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+        assert (len(got[0]) == 3) == (kraus and topo.dim == 3)
+
+    @pytest.mark.parametrize("s", [4, 12])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_aspect_refine_matches_numpy_loop(self, case, s):
+        topo = _kernel_case(case)
+        start = cleanup(topo, Agglomeration(ag._greedy(topo, s, 1)))[0].element_to_agg
+        got, want = start.copy(), start.copy()
+        ag._aspect_refine(topo, got, s)
+        _reference_aspect_refine(topo, want, s)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, start)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_split_matches_numpy_loop(self, case, seed):
+        # scattered labels: fragments move into agglomerates that are still
+        # to be split, and move on from there
+        topo = _kernel_case(case)
+        start = np.random.default_rng(seed).integers(0, 12, topo.n_elements)
+        got, want = start.copy(), start.copy()
+        assert (ag._split_noncontiguous(topo, got)
+                == _reference_split_noncontiguous(topo, want) > 0)
+        assert np.array_equal(got, want)
+
+    def test_coarse_cases_have_long_dual_rows(self):
+        # numpy sums eight or more terms pairwise; aspect's per-element
+        # area totals must keep those bits on coarse levels
+        assert any((np.diff(_kernel_case(c).dual.indptr) >= 8).any()
+                   for c in KERNEL_CASES if not c.endswith(("level0", "boxes")))

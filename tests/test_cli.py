@@ -110,6 +110,15 @@ class TestSweep:
         assert rows[1]["status"].startswith("failed")
 
 
+    @pytest.mark.parametrize("sources", [[], ["--gen-2d", "8", "--gen-3d", "4"]],
+                             ids=["none", "two"])
+    def test_exactly_one_mesh_source(self, sources, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit, match="exactly one of --mesh"):
+            run(["sweep", "--alg", "jones", "--csv", str(path)] + sources, capsys)
+        assert not path.exists()
+
+
 class TestSolve:
     def test_converged_json_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -219,7 +219,7 @@ class TestCoarseEdges:
         cyc = []
         for a, b in zip(quad, quad[1:] + quad[:1]):
             cyc.append(keys[tuple(sorted((a, b)))])
-        chains = hi._edge_chains(edges, cyc)
+        chains = hi._edge_chains(edges.nodes.tolist(), cyc)
         assert len(chains) == 2
         assert sorted(len(c) for c in chains) == [2, 2]
 

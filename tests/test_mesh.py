@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
-                          TopologyError, _collapse_pairs, _unique_pairs,
+                          TopologyError, _collapse_pairs, _row_sums, _unique_pairs,
                           build_topology, element_measures, generate_mesh,
                           geometry_measures, mesh_metrics)
 
@@ -219,3 +219,14 @@ class TestPairGrouping:
         np.testing.assert_array_equal(indices, [d for _, d in pairs])
         np.testing.assert_array_equal(wsum, [sums[p] for p in pairs])
         np.testing.assert_array_equal(count, [counts[p] for p in pairs])
+
+
+def test_row_sums_keep_numpy_sum_bits():
+    # rows of 0 to 19 terms: numpy sums eight or more pairwise, which
+    # rounds differently from adding in order
+    rng = np.random.default_rng(4)
+    counts = np.tile(np.arange(20), 50)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    values = rng.random(indptr[-1]) * 10.0 ** rng.integers(-3, 4, indptr[-1])
+    want = [values[lo:hi].sum() for lo, hi in zip(indptr[:-1], indptr[1:])]
+    assert np.array_equal(_row_sums(indptr, values), want)
