@@ -9,9 +9,9 @@ contiguous and densely numbered. Weighted-face growth (jones, kraus) is
 deterministic: one heap-growth kernel, :func:`_grow`, follows
 maximal-weight faces or edges (the 3D kraus edge phase), and each sweep
 only builds its adjacency arrays for it. The sequential loops (growth,
-aspect's moves, cleanup's re-homing) visit one entry at a time, so they
-run on lists and memoryviews, which yield plain numbers: numpy scalar
-indexing costs about twice as much. The randomized algorithms draw an
+the rgb, node and greedy visits, aspect's moves, cleanup's re-homing)
+visit one entry at a time, so they run on lists and memoryviews, which
+yield plain numbers: numpy scalar indexing costs about twice as much. The randomized algorithms draw an
 explicit 64-bit seed through a counter-based generator, never global RNG
 state.
 """
@@ -364,37 +364,38 @@ def _node(topo, seed):
     nodes; claimed elements mark all their nodes used.
     """
     n = topo.n_elements
-    assign = np.full(n, -1, dtype=np.int64)
-    node_used = np.zeros(topo.n_nodes, dtype=bool)
-    node_ptr, elem_nodes = _invert_csr(topo.node_elem_indptr, topo.node_elem_ids, n)
+    node_ptr, node_elems, elem_ptr, elem_nodes = map(memoryview, (
+        topo.node_elem_indptr, topo.node_elem_ids,
+        *_invert_csr(topo.node_elem_indptr, topo.node_elem_ids, n)))
+    assign = [-1] * n
+    node_used = [False] * topo.n_nodes
     rng = _rng(seed)
     interior = np.flatnonzero(~topo.node_boundary)
     boundary = np.flatnonzero(topo.node_boundary)
     order = np.concatenate([rng.permutation(interior), rng.permutation(boundary)])
     next_id = 0
-    for node in order:
+    for node in order.tolist():
         if node_used[node]:
             continue
-        elems = topo.node_elements(node)
-        elems = elems[assign[elems] < 0]
-        if elems.size == 0:
-            node_used[node] = True
+        elems = [e for e in node_elems[node_ptr[node]:node_ptr[node + 1]] if assign[e] < 0]
+        node_used[node] = True
+        if not elems:
             continue
-        assign[elems] = next_id
-        next_id += 1
         for e in elems:
-            node_used[elem_nodes[node_ptr[e]:node_ptr[e + 1]]] = True
-    return assign
+            assign[e] = next_id
+            for m in elem_nodes[elem_ptr[e]:elem_ptr[e + 1]]:
+                node_used[m] = True
+        next_id += 1
+    return np.array(assign, dtype=np.int64)
 
 
 def _greedy(topo, s, seed):
     """Breadth-first absorption of unused neighbours up to the desired size."""
-    dual = topo.dual
+    indptr, indices = memoryview(topo.dual.indptr), memoryview(topo.dual.indices)
     n = topo.n_elements
-    assign = np.full(n, -1, dtype=np.int64)
-    order = _rng(seed).permutation(n)
+    assign = [-1] * n
     next_id = 0
-    for e in order:
+    for e in _rng(seed).permutation(n).tolist():
         if assign[e] >= 0:
             continue
         aid = next_id
@@ -403,10 +404,10 @@ def _greedy(topo, s, seed):
         size = 1
         frontier = deque()
         in_frontier = set()
-        for nb in dual.neighbors(e):
-            if assign[nb] < 0 and int(nb) not in in_frontier:
-                frontier.append(int(nb))
-                in_frontier.add(int(nb))
+        for nb in indices[indptr[e]:indptr[e + 1]]:
+            if assign[nb] < 0 and nb not in in_frontier:
+                frontier.append(nb)
+                in_frontier.add(nb)
         while frontier and size < s:
             en = frontier.popleft()
             in_frontier.discard(en)
@@ -416,12 +417,11 @@ def _greedy(topo, s, seed):
             size += 1
             if size == s:
                 break
-            for nb in dual.neighbors(en):
-                nb = int(nb)
+            for nb in indices[indptr[en]:indptr[en + 1]]:
                 if assign[nb] < 0 and nb not in in_frontier:
                     frontier.append(nb)
                     in_frontier.add(nb)
-    return assign
+    return np.array(assign, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

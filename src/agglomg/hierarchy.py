@@ -25,7 +25,8 @@ import scipy.sparse as sp
 
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
-                   _dual_from_faces, _first_appearance, _gather_ragged, _unique_pairs)
+                   _dual_from_faces, _first_appearance, _gather_ragged, _row_sums,
+                   _unique_pairs)
 from .agglomerate import SIZE_BASED, Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
@@ -91,12 +92,14 @@ class ElementMaterials:
 
     @classmethod
     def from_table(cls, mesh: Mesh, table: MaterialTable) -> "ElementMaterials":
-        missing = set(int(r) for r in np.unique(mesh.material_id)) - set(table)
+        regions, inverse = np.unique(mesh.material_id, return_inverse=True)
+        missing = set(regions.tolist()) - set(table)
         if missing:
             raise ValueError(f"material table missing regions {sorted(missing)}")
-        src = np.array([table[int(r)].source for r in mesh.material_id])
-        st = np.array([table[int(r)].sigma_t for r in mesh.material_id])
-        ss = np.array([table[int(r)].sigma_s for r in mesh.material_id])
+        props = [table[r] for r in regions.tolist()]
+        src = np.array([m.source for m in props])[inverse]
+        st = np.array([m.sigma_t for m in props])[inverse]
+        ss = np.array([m.sigma_s for m in props])[inverse]
         return cls(source=src, sigma_t=st, sigma_s=ss)
 
 
@@ -560,13 +563,12 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     assign = agg.element_to_agg
     elem_volume = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
 
-    # one level face per geometric coarse face; each area is a plain sum over
-    # the row's ascending fine faces (np.add.reduceat would round differently)
+    # one level face per geometric coarse face; each area is the sum over the
+    # row's ascending fine faces, with the bits of ndarray.sum()
     cf = coarse_faces
     nf = cf.n_faces
     left, right, tag = cf.left, cf.right, cf.tag
-    area = np.array([faces.area[row].sum() for row in
-                     np.split(cf.fine_face_ids, cf.fine_face_indptr[1:-1])], dtype=float)
+    area = _row_sums(cf.fine_face_indptr, faces.area[cf.fine_face_ids])
     # coarse nodes of each level face, ascending
     on = col_of[cf.node_ids] >= 0
     row_of = np.repeat(np.arange(nf), np.diff(cf.node_indptr))

@@ -313,9 +313,6 @@ class LevelTopology:
     # level node id -> finest-mesh node id (identity on the finest level)
     node_fine_ids: np.ndarray
 
-    def node_elements(self, n: int) -> np.ndarray:
-        return self.node_elem_ids[self.node_elem_indptr[n]:self.node_elem_indptr[n + 1]]
-
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "LevelTopology":
         faces, edges, dual = build_topology(mesh)
@@ -419,9 +416,8 @@ def build_topology(mesh: Mesh):
 
     area = _face_areas(mesh, face_nodes)
     tag = np.full(n_faces, -1, dtype=np.int64)
-    for f in np.flatnonzero(right == BOUNDARY):
-        key = tuple(int(v) for v in face_nodes[f])
-        tag[f] = mesh.boundary_tag.get(key, 0)
+    bd = right == BOUNDARY
+    tag[bd] = [mesh.boundary_tag.get(tuple(f), 0) for f in face_nodes[bd].tolist()]
 
     # element -> face ids, in local-face order
     elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)

@@ -12,6 +12,8 @@ offers boundary moves best cut gain first with their gains kept current,
 in the manner of Fiduccia & Mattheyses (1982) and of the k-way refinement
 of Karypis & Kumar (1998). ``_rebalance`` takes the moves that bring parts
 into their bands, ``_refine`` the ones that lower the cut within them.
+The sequential loops (matching, region growing, moves, the articulation
+search, fragment tallies) run on lists and memoryviews of plain numbers.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (DualGraph, _collapse_pairs, _components, _csr_from_pairs,
-                   _first_appearance, _induced_components)
+                   _first_appearance, _induced_components, _neighbour_weights,
+                   _unique_pairs)
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
@@ -40,9 +43,6 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return self.indptr.shape[0] - 1
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
 
 @dataclass
@@ -154,9 +154,9 @@ def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
 
 def _heavy_edge_matching(graph: WeightedGraph, order: np.ndarray) -> np.ndarray:
     """Greedy matching preferring the heaviest edge, then lowest neighbor id."""
-    match = np.full(graph.n, -1, dtype=np.int64)
-    indptr, indices, ewgt = graph.indptr, graph.indices, graph.ewgt
-    for v in order:
+    indptr, indices, ewgt = map(memoryview, (graph.indptr, graph.indices, graph.ewgt))
+    match = [-1] * graph.n
+    for v in order.tolist():
         if match[v] >= 0:
             continue
         best = -1
@@ -173,7 +173,7 @@ def _heavy_edge_matching(graph: WeightedGraph, order: np.ndarray) -> np.ndarray:
             match[best] = v
         else:
             match[v] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def _contract(graph: WeightedGraph, match: np.ndarray):
@@ -196,15 +196,17 @@ def _contract(graph: WeightedGraph, match: np.ndarray):
 def _region_grow(graph: WeightedGraph, k: int, rng) -> np.ndarray:
     """Voronoi-style growth from k random seeds, smallest part grows first."""
     n = graph.n
-    part = np.full(n, -1, dtype=np.int64)
+    indptr, indices = map(memoryview, (graph.indptr, graph.indices))
+    vwgt = graph.vwgt.tolist()
+    part = [-1] * n
     seeds = rng.choice(n, size=k, replace=False)
     frontiers = [deque() for _ in range(k)]
-    weights = np.zeros(k, dtype=np.int64)
+    weights = [0] * k
     heap = []
-    for p, s in enumerate(seeds):
+    for p, s in enumerate(seeds.tolist()):
         part[s] = p
-        weights[p] = graph.vwgt[s]
-        frontiers[p].extend(graph.neighbors(s))
+        weights[p] = vwgt[s]
+        frontiers[p].extend(indices[indptr[s]:indptr[s + 1]])
         heapq.heappush(heap, (weights[p], p))
     assigned = k
     while heap and assigned < n:
@@ -221,17 +223,17 @@ def _region_grow(graph: WeightedGraph, k: int, rng) -> np.ndarray:
         if v < 0:
             continue  # frontier exhausted, part drops out
         part[v] = p
-        weights[p] += graph.vwgt[v]
+        weights[p] += vwgt[v]
         assigned += 1
-        fr.extend(u for u in graph.neighbors(v) if part[u] < 0)
+        fr.extend(u for u in indices[indptr[v]:indptr[v + 1]] if part[u] < 0)
         heapq.heappush(heap, (weights[p], p))
     if assigned < n:
         # disconnected leftovers: give each to the lightest part
-        for v in np.flatnonzero(part < 0):
-            p = int(np.argmin(weights))
+        for v in [v for v in range(n) if part[v] < 0]:
+            p = weights.index(min(weights))
             part[v] = p
-            weights[p] += graph.vwgt[v]
-    return part
+            weights[p] += vwgt[v]
+    return np.array(part, dtype=np.int64)
 
 
 def _induced_subgraph(graph: WeightedGraph, vertices: np.ndarray):
@@ -391,11 +393,13 @@ def _rebalance(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray,
     lo, hi, excess = lo.tolist(), hi.tolist(), excess.tolist()
     sizes = np.bincount(part, minlength=k).tolist()
     vwgt = graph.vwgt.tolist()
+    # the articulation test reads part through a view, so it sees each move
+    csr = (*map(memoryview, (graph.indptr, graph.indices)), memoryview(part))
     for v, p, q, _ in _best_moves(graph, part, k):
         x = vwgt[v]
         if (sizes[p] == 1 or excess[q] + x >= excess[p]
                 or not (excess[p] > hi[p] or excess[q] < lo[q])
-                or keep_connected and _is_articulation(graph, part, v)):
+                or keep_connected and _is_articulation(*csr, v, sizes[p])):
             continue
         part[v] = q
         excess[p] -= x
@@ -404,12 +408,21 @@ def _rebalance(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray,
         sizes[q] += 1
 
 
-def _is_articulation(graph: WeightedGraph, part: np.ndarray, v: int) -> bool:
-    """True when v's part, without v, is not connected."""
-    if (part[graph.neighbors(v)] == part[v]).sum() <= 1:
+def _is_articulation(indptr, indices, part, v: int, size: int) -> bool:
+    """True when a search inside v's part of ``size`` vertices, from one of
+    v's neighbours there and not through v, misses one of the others."""
+    p = part[v]
+    inside = [u for u in indices[indptr[v]:indptr[v + 1]] if part[u] == p]
+    if len(inside) <= 1:
         return False  # a leaf of its part
-    rest = np.flatnonzero(part == part[v])
-    return _induced_components(graph.indptr, graph.indices, rest[rest != v]).max() > 0
+    seen = {v, inside[0]}
+    queue = [inside[0]]
+    for w in queue:
+        for u in indices[indptr[w]:indptr[w + 1]]:
+            if u not in seen and part[u] == p:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) < size
 
 
 def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
@@ -437,32 +450,32 @@ def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
 
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
-    """Reassign every non-largest fragment of a part to its best neighbor."""
+    """Reassign every non-largest fragment of a part to the part it shares
+    the most edge weight with (ties to the lowest id)."""
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    indptr, indices, ewgt, where = map(memoryview, (graph.indptr, graph.indices,
+                                                    graph.ewgt, part))
     for _ in range(4):
         changed = False
-        # components of every part at once; a part that gains a fragment
-        # during the sweep is recomputed when its turn comes
+        # components of every part at once. Only a part in several pieces
+        # has fragments: one that gains an adjacent fragment stays in one
+        # piece, and a split one that gains some is recomputed in its turn
         same = part[src] == part[graph.indices]
         labels = _components(src[same], graph.indices[same], graph.n)
+        split = np.bincount(_unique_pairs(part, labels, graph.n)[0], minlength=k) > 1
         grown = np.zeros(k, dtype=bool)
-        for p in range(k):
+        for p in np.flatnonzero(split).tolist():
             members = np.flatnonzero(part == p)
             own = (_induced_components(graph.indptr, graph.indices, members) if grown[p]
                    else _first_appearance(labels[members]))
-            if own.size == 0 or own.max() == 0:
+            if own.max() == 0:
                 continue
             comps = np.split(members[np.argsort(own, kind="stable")],
                              np.cumsum(np.bincount(own))[:-1])
             comps.sort(key=lambda c: (-int(graph.vwgt[c].sum()), int(c[0])))
             for frag in comps[1:]:
-                conn = {}
-                for v in frag:
-                    for idx in range(graph.indptr[v], graph.indptr[v + 1]):
-                        u = graph.indices[idx]
-                        q = part[u]
-                        if q != p:
-                            conn[q] = conn.get(q, 0) + int(graph.ewgt[idx])
+                conn = _neighbour_weights(indptr, indices, ewgt, where, frag.tolist(),
+                                          exclude=p)
                 if not conn:
                     continue  # fragment isolated from all other parts
                 target = max(sorted(conn), key=lambda q: conn[q])

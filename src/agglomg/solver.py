@@ -19,8 +19,8 @@ from scipy.linalg import lu_factor, lu_solve
 from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
 from .agglomerate import CoarsenConfig
-from .hierarchy import (ElementMaterials, Hierarchy, LevelSchedule, StopRule,
-                        build_hierarchy, grid_complexity, level_schedule,
+from .hierarchy import (MIN_NODE_REDUCTION, ElementMaterials, Hierarchy, LevelSchedule,
+                        StopRule, build_hierarchy, grid_complexity, level_schedule,
                         operator_complexity, restriction)
 
 COARSEST_LIMIT = 2000
@@ -28,6 +28,10 @@ COARSEST_LIMIT = 2000
 
 class DivergenceError(RuntimeError):
     """The Krylov iteration produced a non-finite residual."""
+
+
+class CoarsestLevelError(ValueError):
+    """The coarsest level has too many unknowns for the dense coarse LU."""
 
 
 def diffuse_materials() -> MaterialTable:
@@ -333,10 +337,15 @@ class VCyclePreconditioner:
                 raise ValueError("zero diagonal entry on a multigrid level")
         n_coarse = self.operators[-1].shape[0]
         if n_coarse > COARSEST_LIMIT:
-            raise ValueError(
+            counts = hierarchy.node_counts
+            last = (f"{counts[-2]} -> {counts[-1]} nodes on the last level"
+                    if len(counts) > 1 else "no coarse level was built")
+            if len(counts) > 1 and counts[-1] > (1.0 - MIN_NODE_REDUCTION) * counts[-2]:
+                last += ": coarsening stagnated"
+            raise CoarsestLevelError(
                 f"coarsest level has {n_coarse} unknowns (> {COARSEST_LIMIT}) after "
-                f"{hierarchy.config.algorithm} coarsening; node counts per level: "
-                f"{hierarchy.node_counts}")
+                f"{hierarchy.config.algorithm} coarsening, {last}; node counts per "
+                f"level: {counts}")
         self._lu = lu_factor(self.operators[-1].toarray())
 
     @property

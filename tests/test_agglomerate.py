@@ -1,5 +1,6 @@
 import functools
 import heapq
+from collections import deque
 
 import numpy as np
 import pytest
@@ -503,6 +504,67 @@ def _reference_split_noncontiguous(topo, assign):
     return moved
 
 
+def _reference_node(topo, seed):
+    """``_node`` as it was written on numpy arrays."""
+    n = topo.n_elements
+    assign = np.full(n, -1, dtype=np.int64)
+    node_used = np.zeros(topo.n_nodes, dtype=bool)
+    node_ptr, elem_nodes = ag._invert_csr(topo.node_elem_indptr, topo.node_elem_ids, n)
+    rng = ag._rng(seed)
+    interior = np.flatnonzero(~topo.node_boundary)
+    boundary = np.flatnonzero(topo.node_boundary)
+    order = np.concatenate([rng.permutation(interior), rng.permutation(boundary)])
+    next_id = 0
+    for node in order:
+        if node_used[node]:
+            continue
+        elems = _row(topo.node_elem_indptr, topo.node_elem_ids, node)
+        elems = elems[assign[elems] < 0]
+        if elems.size == 0:
+            node_used[node] = True
+            continue
+        assign[elems] = next_id
+        next_id += 1
+        for e in elems:
+            node_used[elem_nodes[node_ptr[e]:node_ptr[e + 1]]] = True
+    return assign
+
+
+def _reference_greedy(topo, s, seed):
+    """``_greedy`` as it was written on numpy arrays."""
+    dual = topo.dual
+    assign = np.full(topo.n_elements, -1, dtype=np.int64)
+    next_id = 0
+    for e in ag._rng(seed).permutation(topo.n_elements):
+        if assign[e] >= 0:
+            continue
+        aid = next_id
+        next_id += 1
+        assign[e] = aid
+        size = 1
+        frontier = deque()
+        in_frontier = set()
+        for nb in dual.neighbors(e):
+            if assign[nb] < 0 and int(nb) not in in_frontier:
+                frontier.append(int(nb))
+                in_frontier.add(int(nb))
+        while frontier and size < s:
+            en = frontier.popleft()
+            in_frontier.discard(en)
+            if assign[en] >= 0:
+                continue
+            assign[en] = aid
+            size += 1
+            if size == s:
+                break
+            for nb in dual.neighbors(en):
+                nb = int(nb)
+                if assign[nb] < 0 and nb not in in_frontier:
+                    frontier.append(nb)
+                    in_frontier.add(nb)
+    return assign
+
+
 def _two_boxes(dim, n):
     box = generate_mesh(dim, n, jitter=0.2, seed=7)
     return Mesh(dim, np.vstack([box.node_coords, box.node_coords + 2.0]),
@@ -580,6 +642,23 @@ class TestSequentialKernels:
         assert (ag._split_noncontiguous(topo, got)
                 == _reference_split_noncontiguous(topo, want) > 0)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_node_matches_numpy_loop(self, case, seed):
+        topo = _kernel_case(case)
+        got = ag._node(topo, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_node(topo, seed))
+
+    @pytest.mark.parametrize("s", [3, 8])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_greedy_matches_numpy_loop(self, case, seed, s):
+        topo = _kernel_case(case)
+        got = ag._greedy(topo, s, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_greedy(topo, s, seed))
 
     def test_coarse_cases_have_long_dual_rows(self):
         # numpy sums eight or more terms pairwise; aspect's per-element

@@ -323,6 +323,36 @@ class TestMaterials:
         assert out.source[0] == pytest.approx(0.25)
 
 
+    def test_from_table_gathers_each_region(self):
+        m = generate_mesh(2, 4)
+        regions = np.arange(m.n_elements) % 3
+        m = Mesh(2, m.node_coords, m.elements, regions)
+        table = {r: MaterialProperties(source=float(r), sigma_t=2.0 + r, sigma_s=0.5 * r)
+                 for r in (2, 0, 1, 7)}
+        mats = ElementMaterials.from_table(m, table)
+        for name in ("source", "sigma_t", "sigma_s"):
+            want = [getattr(table[r], name) for r in regions.tolist()]
+            assert getattr(mats, name).tolist() == want
+        with pytest.raises(ValueError, match=r"missing regions \[1\]"):
+            ElementMaterials.from_table(m, {0: table[0], 2: table[2]})
+
+
+class TestCoarseTopology:
+    def test_face_areas_sum_fine_faces_in_order(self):
+        # areas of coarse faces with fewer than eight fine faces and of those
+        # with eight or more (summed pairwise by numpy) keep ndarray.sum()'s bits
+        mesh = generate_mesh(3, 6, jitter=0.2, seed=9)
+        level = build_hierarchy(mesh, CoarsenConfig("sizebased", desired_size=48,
+                                                    seed=3)).levels[0]
+        cf = level.coarse_faces
+        fine_area = LevelTopology.from_mesh(mesh).faces.area
+        rows = np.split(cf.fine_face_ids, cf.fine_face_indptr[1:-1])
+        want = np.array([fine_area[row].sum() for row in rows])
+        assert level.topology.faces.area.tobytes() == want.tobytes()
+        counts = np.diff(cf.fine_face_indptr)
+        assert (counts < 8).any() and (counts >= 8).any()
+
+
 class TestGalerkin:
     def test_identity_prolongation(self):
         A = sp.random(12, 12, density=0.4, random_state=0, format="csr")

@@ -48,6 +48,20 @@ class TestGenerateMesh:
         m3 = generate_mesh(3, 2)
         assert sorted(set(m3.boundary_tag.values())) == [1, 2, 3, 4, 5, 6]
 
+    def test_face_tags_follow_boundary_tag(self):
+        # tagged boundary faces carry their tag, an untagged one 0, interior -1
+        m = generate_mesh(3, 2)
+        tags = dict(m.boundary_tag)
+        untagged = min(tags)
+        del tags[untagged]
+        faces = LevelTopology.from_mesh(Mesh(3, m.node_coords, m.elements, m.material_id,
+                                             tags)).faces
+        nodes = faces.node_ids.reshape(-1, 3).tolist()
+        want = [-1 if r >= 0 else tags.get(tuple(f), 0)
+                for f, r in zip(nodes, faces.right.tolist())]
+        assert faces.tag.tolist() == want
+        assert want.count(0) == 1
+
     def test_source_region_assignment(self):
         m = generate_mesh(2, 20)  # 10 cm box, 2 cm source box
         centroids = m.node_coords[m.elements].mean(axis=1)

@@ -6,7 +6,7 @@ from agglomg.agglomerate import CoarsenConfig
 from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
                                operator_complexity)
 from agglomg.mesh import MaterialProperties, generate_mesh
-from agglomg.solver import (DivergenceError, ProblemSpec,
+from agglomg.solver import (CoarsestLevelError, DivergenceError, ProblemSpec,
                             VCyclePreconditioner, _gmres_cycle,
                             apply_dirichlet, assemble_operator,
                             assemble_problem, fgmres, mms_convergence, smooth,
@@ -284,8 +284,20 @@ class TestVCycle:
         assert hier.n_levels == 1
         with pytest.raises(ValueError, match="coarsest") as err:
             VCyclePreconditioner(hier)
+        assert isinstance(err.value, CoarsestLevelError)
         assert "sizebased" in str(err.value)
+        assert "no coarse level was built" in str(err.value)
         assert str(hier.node_counts) in str(err.value)
+
+    def test_coarsest_size_guard_names_stagnation(self):
+        # rgb on a 3D box removes under 10% of the nodes and stops
+        mesh = generate_mesh(3, 12, jitter=0.2, seed=1)
+        A, _ = assemble_problem(mesh, ProblemSpec("diffuse"))
+        hier = build_hierarchy(mesh, CoarsenConfig("rgb", seed=1), operator=A)
+        a, b = hier.node_counts
+        with pytest.raises(CoarsestLevelError, match="coarsest") as err:
+            VCyclePreconditioner(hier)
+        assert f"{a} -> {b} nodes on the last level: coarsening stagnated" in str(err.value)
 
     def test_galerkin_consistency_on_levels(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
