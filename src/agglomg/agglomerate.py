@@ -11,9 +11,9 @@ maximal-weight faces or edges (the 3D kraus edge phase), and each sweep
 only builds its adjacency arrays for it. The sequential loops (growth,
 the rgb, node and greedy visits, aspect's moves, cleanup's re-homing)
 visit one entry at a time, so they run on lists and memoryviews, which
-yield plain numbers: numpy scalar indexing costs about twice as much. The randomized algorithms draw an
-explicit 64-bit seed through a counter-based generator, never global RNG
-state.
+yield plain numbers: numpy scalar indexing costs about twice as much.
+The randomized algorithms draw an explicit 64-bit seed through a
+counter-based generator, never global RNG state.
 """
 from __future__ import annotations
 

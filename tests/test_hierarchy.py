@@ -322,7 +322,6 @@ class TestMaterials:
         out = project_materials(mats, agg, np.array([1.0, 3.0]))
         assert out.source[0] == pytest.approx(0.25)
 
-
     def test_from_table_gathers_each_region(self):
         m = generate_mesh(2, 4)
         regions = np.arange(m.n_elements) % 3
