@@ -6,9 +6,13 @@ algorithm is a private function mapping one grid level (a
 :class:`~agglomg.mesh.LevelTopology`) to a raw element -> agglomerate array
 (-1 = unassigned); ``coarsen`` cleans that once, so every result is total,
 contiguous and densely numbered. Weighted-face growth (jones, kraus) is
-deterministic: one heap-growth kernel, :func:`_grow`, follows
-maximal-weight faces or edges (the 3D kraus edge phase), and each sweep
-only builds its adjacency arrays for it. The sequential loops (growth,
+deterministic: one growth kernel, :func:`_grow`, follows maximal-weight
+faces or edges (the 3D kraus edge phase), and each sweep only builds its
+adjacency arrays for it. Its queue of starts is a heap of the entities of
+positive weight, each pushed once per agglomerate that bumps it, after
+that agglomerate is done, plus a forward-only cursor over the entities of
+weight 0; it pops in the same (-weight, id) order as a heap pushed on
+every bump, with a few times fewer entries. The sequential loops (growth,
 the rgb, node and greedy visits, aspect's moves, cleanup's re-homing)
 visit one entry at a time, so they run on lists and memoryviews, which
 yield plain numbers: numpy scalar indexing costs about twice as much.
@@ -155,12 +159,22 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     Each CSR argument is an (indptr, ids) pair. The heaviest live entity
     (weight >= 0, lowest id on ties) starts an agglomerate that claims its
     free ``elements``. The current entity is consumed (weight -1), every
-    live entity in its ``bumps`` rows gains one and is queued again, and
-    ``side``, a (weights, CSR) pair, adds one to the live entities of its
-    row without queueing them. Growth then follows the heaviest entity of
-    the ``pool`` row (lowest id on ties) while it weighs at least as much
-    as the current one. On completion each (weights, element CSR) pair in
-    ``clears`` consumes the entities of the agglomerate's elements.
+    live entity in its ``bumps`` rows gains one, and ``side``, a (weights,
+    CSR) pair of other entities, adds one to the live ones of its row.
+    Growth then follows the heaviest entity of the ``pool`` row (lowest id
+    on ties) while it weighs at least as much as the current one. On
+    completion each (weights, element CSR) pair in ``clears`` consumes the
+    entities of the agglomerate's elements.
+
+    The starts come from a heap of (-weight, id) entries and a cursor. The
+    heap holds the entities of weight > 0: the initial ones, and each live
+    entity an agglomerate bumped, pushed once at its final weight after the
+    agglomerate's clears. An entry whose weight no longer matches is stale
+    and skipped, so at every pop each live entity of weight > 0 has exactly
+    one current entry. When none is left, every live entity weighs 0, and
+    the start is the lowest-id one. A forward-only cursor finds it, since a
+    weight that leaves 0 never returns to it: bumps raise it and
+    consumption sets it to -1.
 
     The loop is sequential and runs on plain ints, as numpy scalar indexing
     costs about twice as much: the weights and ``assign`` become lists, one
@@ -182,15 +196,24 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     sides = [] if side is None else [side]
     clear_rows = [(as_list(cw), *map(memoryview, csr)) for cw, csr in clears]
     side_rows = [(as_list(sw), *map(memoryview, csr)) for sw, csr in sides]
-    heap = [(-wi, i) for i, wi in enumerate(w) if wi >= 0]
+    heap = [(-wi, i) for i, wi in enumerate(w) if wi > 0]
     heapq.heapify(heap)
-    while heap:
-        negw, i = heapq.heappop(heap)
-        if w[i] != -negw or w[i] < 0:
-            continue  # stale entry
+    heappop, heappush = heapq.heappop, heapq.heappush
+    cursor = 0
+    while True:
+        while heap:
+            negw, i = heappop(heap)
+            if w[i] == -negw:
+                break  # current entry; others are stale
+        else:
+            try:
+                i = cursor = w.index(0, cursor)
+            except ValueError:
+                break  # no live entity left
         aid = next_id
         next_id += 1
         members = []
+        bumped = set()
         while True:
             w_max = w[i]
             w[i] = -1
@@ -202,7 +225,7 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
                 for j in bi[bp[i]:bp[i + 1]]:
                     if w[j] >= 0:
                         w[j] += 1
-                        heapq.heappush(heap, (-w[j], j))
+                        bumped.add(j)
             for sw, sp_, si in side_rows:
                 for j in si[sp_[i]:sp_[i + 1]]:
                     if sw[j] >= 0:
@@ -219,6 +242,9 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
             for e in members:
                 for f in ci[cp[e]:cp[e + 1]]:
                     cw[f] = -1
+        for j in bumped:
+            if w[j] > 0:
+                heappush(heap, (-w[j], j))
     for arr in [weight, assign] + [wt for wt, _ in clears + sides]:
         arr[:] = lists[id(arr)]
     return next_id

@@ -204,12 +204,16 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     mesh = _load_mesh(args)
     payloads = [(mesh, _make_config(args, s), s, args.lower_size, args.problem,
                  args.solve, _stop(args))
                 for s in _parse_sizes(args)]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once: no more than there are rows
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_one, payloads))
     else:
         records = [_sweep_one(p) for p in payloads]

@@ -353,8 +353,15 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     nodes = edges.nodes.tolist()  # the walks index one edge at a time
     ends, fine, fine_indptr, sigs, sig_indptr = [], [], [0], [], [0]
     for sig in sorted(groups):
-        for chain in _edge_chains(nodes, groups[sig]):
-            ends.append(_chain_endpoints(nodes, chain))
+        members = groups[sig]
+        if len(members) == 1:
+            # one edge is one chain, between its two nodes
+            a, b = nodes[members[0]]
+            chains = [(members, (a, b) if a < b else (b, a))]
+        else:
+            chains = [(c, _chain_endpoints(nodes, c)) for c in _edge_chains(nodes, members)]
+        for chain, chain_ends in chains:
+            ends.append(chain_ends)
             fine += chain
             fine_indptr.append(len(fine))
             sigs += sig

@@ -284,16 +284,6 @@ class DualGraph:
     vertex_weight: np.ndarray
     edge_faces: np.ndarray
 
-    @property
-    def n_vertices(self) -> int:
-        return self.indptr.shape[0] - 1
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        return self.edge_weight[self.indptr[v]:self.indptr[v + 1]]
-
 
 @dataclass
 class LevelTopology:

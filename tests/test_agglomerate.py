@@ -13,6 +13,10 @@ from agglomg.hierarchy import StopRule, build_hierarchy, level_schedule
 from agglomg.mesh import LevelTopology, Mesh, _induced_components, generate_mesh
 
 
+def _row(indptr, ids, i):
+    return ids[indptr[i]:indptr[i + 1]]
+
+
 def assert_valid(topo, agg):
     """Total, contiguous, densely numbered."""
     assert agg.is_total()
@@ -139,20 +143,20 @@ class TestRgb:
         # recompute the black picks: every agglomerate's seed element plus
         # all its dual neighbours share the agglomerate id
         assign = agg.element_to_agg
+        dual = topo2d_small.dual
         rng = np.random.Generator(np.random.Philox(seed))
         order = rng.permutation(topo2d_small.n_elements)
         state = np.zeros(topo2d_small.n_elements, dtype=int)
         for e in order:
             if state[e] != 0:
                 continue
-            nbrs = topo2d_small.dual.neighbors(e)
+            nbrs = _row(dual.indptr, dual.indices, e)
             assert (assign[nbrs] == assign[e]).all()
             state[e] = 1
             state[nbrs] = 1
             for r in nbrs:
-                state[topo2d_small.dual.neighbors(r)] = np.where(
-                    state[topo2d_small.dual.neighbors(r)] == 0, 3,
-                    state[topo2d_small.dual.neighbors(r)])
+                ring = _row(dual.indptr, dual.indices, r)
+                state[ring] = np.where(state[ring] == 0, 3, state[ring])
 
     def test_determinism(self, topo3d_small):
         a = run_algorithm(topo3d_small, "rgb", seed=9)
@@ -257,7 +261,8 @@ def strip_path():
     # walk the dual path from one endpoint
     path = [int(np.flatnonzero(degrees == 1)[0])]
     while len(path) < 10:
-        nxt = [int(v) for v in topo.dual.neighbors(path[-1]) if v not in path]
+        nxt = [int(v) for v in _row(topo.dual.indptr, topo.dual.indices, path[-1])
+               if v not in path]
         path.append(nxt[0])
     return topo, path
 
@@ -308,7 +313,7 @@ class TestCleanup:
         d = topo.dual
         for a in range(topo.n_elements):
             for b in range(a + 1, topo.n_elements):
-                if b not in d.neighbors(a):
+                if b not in _row(d.indptr, d.indices, a):
                     share = set(mesh.elements[a]) & set(mesh.elements[b])
                     if len(share) == 1:
                         assign = np.full(topo.n_elements, 1, dtype=np.int64)
@@ -374,10 +379,6 @@ class TestAllAlgorithms:
 # ---------------------------------------------------------------------------
 # the sequential kernels against the numpy-scalar loops they replaced
 
-def _row(indptr, ids, i):
-    return ids[indptr[i]:indptr[i + 1]]
-
-
 def _reference_grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     """``_grow`` as it was written on numpy arrays, one scalar at a time."""
     heap = [(-int(weight[i]), int(i)) for i in np.flatnonzero(weight >= 0)]
@@ -427,7 +428,7 @@ def _reference_aspect_refine(topo, assign, s):
     surf, vol = ag._surface_volume(topo, assign)
     sizes = np.bincount(assign, minlength=len(vol))
     total_area = topo.elem_boundary_area + np.array([
-        dual.neighbor_weights(e).sum() for e in range(topo.n_elements)])
+        _row(dual.indptr, dual.edge_weight, e).sum() for e in range(topo.n_elements)])
     for _ in range(ag.ASPECT_MAX_PASSES):
         src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
         boundary_elems = np.flatnonzero(np.bincount(
@@ -544,7 +545,7 @@ def _reference_greedy(topo, s, seed):
         size = 1
         frontier = deque()
         in_frontier = set()
-        for nb in dual.neighbors(e):
+        for nb in _row(dual.indptr, dual.indices, e):
             if assign[nb] < 0 and int(nb) not in in_frontier:
                 frontier.append(int(nb))
                 in_frontier.add(int(nb))
@@ -557,7 +558,7 @@ def _reference_greedy(topo, s, seed):
             size += 1
             if size == s:
                 break
-            for nb in dual.neighbors(en):
+            for nb in _row(dual.indptr, dual.indices, en):
                 nb = int(nb)
                 if assign[nb] < 0 and nb not in in_frontier:
                     frontier.append(nb)
@@ -619,6 +620,71 @@ class TestSequentialKernels:
         for g, w in zip(got[1:], want[1:]):
             assert np.array_equal(g, w)
         assert (len(got[0]) == 3) == (kraus and topo.dim == 3)
+
+    @pytest.mark.parametrize("kraus", [False, True], ids=["jones", "kraus"])
+    @pytest.mark.parametrize("case", ["2d-level0", "3d-level0"])
+    def test_grow_queues_each_entity_once_per_agglomerate(self, case, kraus,
+                                                          monkeypatch):
+        # an agglomerate's pushes all come after its growth, before the
+        # next start pops; so the pushes between two pops belong to one
+        # agglomerate and must name distinct entities
+        topo = _kernel_case(case)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        batches = [[]]
+
+        def push(heap, item):
+            batches[-1].append(item[1])
+            heappush(heap, item)
+
+        def pop(heap):
+            batches.append([])
+            return heappop(heap)
+
+        monkeypatch.setattr(ag.heapq, "heappush", push)
+        monkeypatch.setattr(ag.heapq, "heappop", pop)
+        swept_weights(topo, kraus)
+        assert all(len(b) == len(set(b)) for b in batches)
+        got = sum(map(len, batches))
+        batches[:] = [[]]
+        monkeypatch.setattr(ag, "_grow", _reference_grow)
+        swept_weights(topo, kraus)
+        want = sum(map(len, batches))
+        assert 0 < got < want / 4
+
+    def test_grow_without_bumps_starts_in_id_order(self, monkeypatch):
+        # nothing is bumped, so every weight stays 0 and nothing is queued:
+        # the cursor starts each agglomerate at the lowest-id live face,
+        # which claims its free elements and clears their faces
+        topo = _kernel_case("2d-level0")
+        faces = topo.faces
+        sides = (np.arange(0, 2 * faces.n_faces + 1, 2),
+                 np.column_stack([faces.left, faces.right]).ravel())
+        elem_faces = (faces.elem_indptr, faces.elem_face_ids)
+        no_rows = (np.zeros(faces.n_faces + 1, dtype=np.int64),
+                   np.zeros(0, dtype=np.int64))
+        face_w = np.where(faces.interior, 0, -1).astype(np.int64)
+        assign = np.full(topo.n_elements, -1, dtype=np.int64)
+        pushes = []
+        monkeypatch.setattr(ag.heapq, "heappush", lambda heap, item: pushes.append(item))
+        next_id = ag._grow(face_w, assign, 0, sides, [], no_rows,
+                           [(face_w, elem_faces)])
+
+        want_w = np.where(faces.interior, 0, -1)
+        want = np.full(topo.n_elements, -1)
+        aid = 0
+        for f in range(faces.n_faces):
+            if want_w[f] < 0:
+                continue
+            members = [e for e in _row(*sides, f) if want[e] < 0]
+            want[members] = aid
+            aid += 1
+            want_w[f] = -1
+            for e in members:
+                want_w[_row(*elem_faces, e)] = -1
+        assert not pushes
+        assert next_id == aid > 100
+        assert np.array_equal(assign, want)
+        assert (face_w == -1).all()
 
     @pytest.mark.parametrize("s", [4, 12])
     @pytest.mark.parametrize("case", KERNEL_CASES)

@@ -222,6 +222,56 @@ class TestJobs:
             assert float(row["grid_complexity"]) == grid_complexity(expected)
 
 
+class TestJobsBounds:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool by a recorder of the worker counts
+        asked for, which maps in this process."""
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        return made
+
+    @pytest.mark.parametrize("jobs,sizes,want", [
+        ("5000", "4,8", [2]), ("2", "4,8,12", [2]), ("8", "4", [])])
+    def test_workers_capped_at_rows(self, tmp_path, capsys, pools, jobs, sizes, want):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(["sweep", "--gen-2d", "8", "--alg", "greedy", "--size", sizes,
+                            "--jobs", jobs, "--csv", str(path)], capsys)
+        assert code == 0
+        assert pools == want
+        assert len(list(csv.DictReader(path.open()))) == len(sizes.split(","))
+
+    @pytest.mark.parametrize("source", ["flag-0", "flag-negative", "config-0"])
+    def test_jobs_below_one_exit_one(self, tmp_path, capsys, pools, source):
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--gen-2d", "8", "--alg", "greedy", "--size", "4,8",
+                "--csv", str(path)]
+        if source == "config-0":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("jobs=0\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--jobs", "0" if source == "flag-0" else "-3"]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "--jobs must be at least 1" in err
+        assert pools == [] and not path.exists()
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -240,6 +243,36 @@ class TestCoarseEdges:
                     nodes[int(v)] = nodes.get(int(v), 0) + 1
             degree_one = [v for v, c in nodes.items() if c == 1]
             assert len(degree_one) == 2 or len(chain) == 1
+
+    def test_single_edge_groups_match_walk(self, mesh3d_small):
+        # a group of one fine edge skips the walk; every group of every
+        # level, one-edge or not, must equal what the walk makes of it,
+        # also when the edges list their nodes larger first
+        hier = build_hierarchy(mesh3d_small, CoarsenConfig("kraus"))
+        fine = hier.fine_topology
+        flipped = dataclasses.replace(fine, edges=dataclasses.replace(
+            fine.edges, nodes=fine.edges.nodes[:, ::-1].copy()))
+        cases = [(flipped, select_coarse_edges(flipped, hier.levels[0].coarse_faces))]
+        topos = [fine] + [lvl.topology for lvl in hier.levels]
+        cases += [(topo, lvl.coarse_edges) for topo, lvl in zip(topos, hier.levels)]
+        sizes = []
+        for topo, ces in cases:
+            nodes = topo.edges.nodes.tolist()
+            rows = [(tuple(ces.face_ids[ces.face_indptr[r]:ces.face_indptr[r + 1]]
+                           .tolist()),
+                     ces.fine_edge_ids[ces.fine_edge_indptr[r]:ces.fine_edge_indptr[r + 1]]
+                     .tolist(), tuple(ces.endpoints[r].tolist()))
+                    for r in range(len(ces.endpoints))]
+            assert [sig for sig, _, _ in rows] == sorted(sig for sig, _, _ in rows)
+            for _, group in itertools.groupby(rows, key=lambda row: row[0]):
+                group = list(group)
+                members = sorted(e for _, chain, _ in group for e in chain)
+                chains = hi._edge_chains(nodes, members)
+                assert [chain for _, chain, _ in group] == chains
+                assert ([ends for _, _, ends in group]
+                        == [hi._chain_endpoints(nodes, c) for c in chains])
+                sizes.append(len(members))
+        assert sizes.count(1) > len(sizes) / 2 and max(sizes) > 2
 
 
 class TestProlongation:

@@ -94,8 +94,8 @@ class TestTopology:
         assert faces.n_faces == 3
         assert (faces.right == BOUNDARY).sum() == 3
         assert edges is None
-        assert dual.n_vertices == 1
-        assert len(dual.neighbors(0)) == 0
+        assert dual.indptr.tolist() == [0, 0]
+        assert len(dual.indices) == 0
 
     def test_two_triangles(self, tri_pair):
         faces, _, dual = build_topology(tri_pair)
@@ -126,12 +126,16 @@ class TestTopology:
 
     def test_dual_symmetry(self, topo2d_jittered):
         dual = topo2d_jittered.dual
-        for v in range(dual.n_vertices):
-            for u, w in zip(dual.neighbors(v), dual.neighbor_weights(v)):
-                back = dual.neighbors(u)
+        def row(v):
+            lo, hi = dual.indptr[v], dual.indptr[v + 1]
+            return dual.indices[lo:hi], dual.edge_weight[lo:hi]
+
+        assert len(dual.indptr) - 1 == topo2d_jittered.n_elements
+        for v in range(topo2d_jittered.n_elements):
+            for u, w in zip(*row(v)):
+                back, w_back = row(u)
                 assert v in back
-                w_back = dual.neighbor_weights(u)[list(back).index(v)]
-                assert w == pytest.approx(w_back)
+                assert w == pytest.approx(w_back[list(back).index(v)])
 
     def test_dual_degree_bound(self, topo2d_jittered, topo3d_small):
         for topo in (topo2d_jittered, topo3d_small):
