@@ -126,6 +126,7 @@ class TestTopology:
 
     def test_dual_symmetry(self, topo2d_jittered):
         dual = topo2d_jittered.dual
+
         def row(v):
             lo, hi = dual.indptr[v], dual.indptr[v + 1]
             return dual.indices[lo:hi], dual.edge_weight[lo:hi]
