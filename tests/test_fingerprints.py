@@ -7,8 +7,12 @@ under the default smoother is pinned next to the hash. A second table
 hashes every array of every level's ``LevelTopology``, float bits
 included, since the first one does not see a coarse face area change in
 its last bit. A third pins the FGMRES iteration count under the GMRES(3)
-smoother (``SmootherConfig(inner=3)``). A change that keeps every value
-here rebuilds the same hierarchies bit for bit. Never edit a golden value
+smoother (``SmootherConfig(inner=3)``). A fourth hashes the file outputs:
+the bytes ``write_vtk`` writes for the 2D and 3D ``node`` hierarchies, and
+the arrays and boundary tags ``read_msh`` returns for a tet file with
+inverted tets, tagged boundary triangles and a skipped element type. A
+change that keeps every value here rebuilds the same hierarchies bit for
+bit. Never edit a golden value
 to make a refactor pass; only a change that is meant to alter the
 hierarchies (and says so) may re-record them.
 """
@@ -22,6 +26,7 @@ import pytest
 from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import build_hierarchy
 from agglomg.mesh import generate_mesh
+from agglomg.mesh_io import read_msh, write_vtk
 from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
                             assemble_problem, fgmres)
 
@@ -197,3 +202,53 @@ def test_topology_fingerprint(dim, algorithm, seed):
 def test_inner3_iterations(dim, algorithm, seed):
     expected = INNER3_ITERATIONS[(dim, algorithm, seed)]
     assert fgmres_iterations(dim, algorithm, seed, SmootherConfig(inner=3)) == expected
+
+
+# file name -> sha256 prefix of what the file-format code writes or reads
+FILE_GOLDEN = {
+    "vtk-2d-node": "6a953735ffcfdfef",
+    "vtk-3d-node": "c6010be599ad180f",
+    "msh-3d": "ce6ce98726ff829e",
+}
+
+
+def _msh_text():
+    """MSH 2.2 text of a jittered 3D box with 1-based node ids offset by 10:
+    every third tet inverted, boundary triangles tagged per side with their
+    nodes listed in reverse, and one point element (type 15) to skip."""
+    mesh = generate_mesh(3, 2, extent=1.0, jitter=0.2, seed=5)
+    tets = mesh.elements.copy()
+    tets[::3] = tets[::3][:, [0, 1, 3, 2]]
+    rows = [(15, 1, [0])]
+    rows += [(2, tag, nodes[::-1]) for nodes, tag in sorted(mesh.boundary_tag.items())]
+    rows += [(4, mat, conn) for conn, mat in zip(tets.tolist(), mesh.material_id.tolist())]
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(mesh.n_nodes)]
+    lines += [f"{i + 11} {x!r} {y!r} {z!r}"
+              for i, (x, y, z) in enumerate(mesh.node_coords.tolist())]
+    lines += ["$EndNodes", "$Elements", str(len(rows))]
+    lines += [f"{eid} {etype} 2 {tag} {tag} " + " ".join(str(v + 11) for v in nodes)
+              for eid, (etype, tag, nodes) in enumerate(rows, start=1)]
+    return "\n".join(lines + ["$EndElements"]) + "\n"
+
+
+def file_fingerprint(name, tmp_path):
+    digest = hashlib.sha256()
+    if name.startswith("vtk"):
+        hier, _, _ = _build(int(name[4]), "node", 1)
+        path = tmp_path / "levels.vtk"
+        write_vtk(path, hier.mesh, [level.agglomeration for level in hier.levels])
+        digest.update(path.read_bytes())
+    else:
+        path = tmp_path / "box.msh"
+        path.write_text(_msh_text())
+        with pytest.warns(UserWarning, match="skipped 1"):
+            mesh = read_msh(path)
+        tags = np.array([key + (tag,) for key, tag in sorted(mesh.boundary_tag.items())])
+        for value in (mesh.dim, mesh.node_coords, mesh.elements, mesh.material_id, tags):
+            _update(digest, value)
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(FILE_GOLDEN))
+def test_file_fingerprint(name, tmp_path):
+    assert file_fingerprint(name, tmp_path) == FILE_GOLDEN[name]
