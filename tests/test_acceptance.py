@@ -9,18 +9,18 @@ with the measured values (visible with -s or in the captured section).
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse import csgraph, csr_matrix
 
 from agglomg import agglomerate as ag
 from agglomg import hierarchy as hi
 from agglomg import partitioner as pt
 from agglomg.agglomerate import ALGORITHMS, Agglomeration, CoarsenConfig
 from agglomg.hierarchy import (LevelSchedule, StopRule, build_hierarchy,
-                               grid_complexity, restriction,
-                               select_coarse_faces, select_coarse_nodes)
+                               grid_complexity, select_coarse_faces)
 from agglomg.mesh import LevelTopology, generate_mesh, mesh_metrics
 from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
                             assemble_problem, fgmres, mms_convergence)
+
+from invariants import check_hierarchy, check_transfers, coarse_nodes
 
 SEEDED_ALGORITHMS = ("rgb", "node", "greedy", "sizebased", "aspect")
 DETERMINISTIC_ALGORITHMS = ("jones", "kraus")
@@ -87,61 +87,6 @@ def diffuse_system_2d(mesh2d_ref):
     spec = ProblemSpec("diffuse")
     A, b = assemble_problem(mesh2d_ref, spec)
     return spec, A, b
-
-
-# ---------------------------------------------------------------------------
-# validity helpers (criterion 1 body, also reused by criterion 6)
-
-def check_agglomeration(topo, agg):
-    """Total, contiguous, densely numbered."""
-    assign = agg.element_to_agg
-    assert (assign >= 0).all(), "agglomeration is not total"
-    ids = np.unique(assign)
-    assert ids[0] == 0 and ids[-1] == len(ids) - 1, "ids are not dense"
-    n = topo.n_elements
-    src = np.repeat(np.arange(n), np.diff(topo.dual.indptr))
-    same = assign[src] == assign[topo.dual.indices]
-    G = csr_matrix((np.ones(int(same.sum())), (src[same], topo.dual.indices[same])),
-                   shape=(n, n))
-    ncomp, labels = csgraph.connected_components(G, directed=False)
-    # contiguous exactly when each agglomerate spans one component
-    pairs = np.unique(assign * (labels.max() + 1) + labels)
-    assert len(pairs) == len(ids), "an agglomerate is not contiguous"
-
-
-def check_coarse_node_coverage(topo, lvl):
-    an, aa = hi._node_agg_pairs(topo, lvl.agglomeration)
-    is_coarse = np.zeros(topo.n_nodes, dtype=bool)
-    is_coarse[lvl.coarse_nodes] = True
-    covered = np.zeros(lvl.agglomeration.n_agglomerates, dtype=bool)
-    covered[aa[is_coarse[an]]] = True
-    assert covered.all(), "agglomerate without a coarse node"
-
-
-def check_transfers(lvl, n_rows):
-    """Criterion 6 assertions for one grid level."""
-    P = lvl.prolongation.tocsr()
-    R = restriction(P)
-    assert (R != P.T).nnz == 0, "restriction is not the exact transpose"
-    sums = np.asarray(P.sum(axis=1)).ravel()
-    assert np.abs(sums - 1.0).max() <= 1e-14, "row sums off beyond 1e-14"
-    is_coarse = np.zeros(n_rows, dtype=bool)
-    is_coarse[lvl.coarse_nodes] = True
-    indptr = P.indptr
-    nnz = np.diff(indptr)
-    assert (nnz[lvl.coarse_nodes] == 1).all(), "injection row with extra entries"
-    coarse_vals = P.data[indptr[lvl.coarse_nodes]]
-    assert (coarse_vals == 1.0).all(), "injection rows must hold a single 1"
-    assert (nnz > 0).all(), "empty prolongation row"
-
-
-def check_hierarchy(h):
-    topo = h.fine_topology
-    for lvl in h.levels:
-        check_agglomeration(topo, lvl.agglomeration)
-        check_coarse_node_coverage(topo, lvl)
-        check_transfers(lvl, topo.n_nodes)
-        topo = lvl.topology
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +276,7 @@ class TestCriterion08CoarseNodeRuleOracle:
         block = (cells[:, 0] // 2) * 2 + cells[:, 1] // 2
         agg = Agglomeration(np.repeat(block, 2))
         cfs = select_coarse_faces(topo, agg)
-        nodes = select_coarse_nodes(topo, agg, cfs)
+        nodes = coarse_nodes(topo, agg, cfs)
         expected = sorted(i * 5 + j for i in (0, 2, 4) for j in (0, 2, 4))
         assert sorted(int(v) for v in nodes) == expected
         report(8, f"2x2-block corners selected exactly: {expected}")

@@ -10,20 +10,13 @@ from agglomg.agglomerate import (ALGORITHMS, Agglomeration, CoarsenConfig,
                                  agglomerate_stats, aspect_objective, cleanup,
                                  coarsen)
 from agglomg.hierarchy import StopRule, build_hierarchy, level_schedule
-from agglomg.mesh import LevelTopology, Mesh, _induced_components, generate_mesh
+from agglomg.mesh import LevelTopology, Mesh, generate_mesh
+
+from invariants import check_agglomeration
 
 
 def _row(indptr, ids, i):
     return ids[indptr[i]:indptr[i + 1]]
-
-
-def assert_valid(topo, agg):
-    """Total, contiguous, densely numbered."""
-    assert agg.is_total()
-    ids = np.unique(agg.element_to_agg)
-    assert ids[0] == 0 and ids[-1] == len(ids) - 1
-    for group in agg.groups():
-        assert _induced_components(topo.dual.indptr, topo.dual.indices, group).max() == 0
 
 
 def run_algorithm(topo, alg, seed=0, s=8):
@@ -119,7 +112,7 @@ class TestFaceAdjacency:
         topo = hier.levels[0].topology
         assert topo.dim == 3 and topo.edges is None
         faces = topo.faces
-        nodes = {int(f): set(faces.face_nodes(f).tolist())
+        nodes = {int(f): set(_row(faces.node_indptr, faces.node_ids, f).tolist())
                  for f in np.flatnonzero(faces.interior)}
         want = {(f, g) for f in nodes for g in nodes
                 if f != g and len(nodes[f] & nodes[g]) >= 2}
@@ -128,7 +121,7 @@ class TestFaceAdjacency:
         assert all((np.diff(row) > 0).all() for row in rows)
         got = {(f, int(g)) for f, row in enumerate(rows) for g in row}
         assert len(want) > 100 and got == want
-        assert_valid(topo, run_algorithm(topo, "jones"))
+        check_agglomeration(topo, run_algorithm(topo, "jones"))
 
 
 class TestRgb:
@@ -301,7 +294,7 @@ class TestCleanup:
         assign = np.full(topo.n_elements, -1, dtype=np.int64)
         assign[0] = 0
         fixed, report = cleanup(topo, Agglomeration(assign))
-        assert_valid(topo, fixed)
+        check_agglomeration(topo, fixed)
         assert report.unused_attached > 0
         assert report.isolated_resolved > 0  # needed several frontier rounds
 
@@ -320,7 +313,7 @@ class TestCleanup:
                         assign[[a, b]] = 0
                         fixed, report = cleanup(topo, Agglomeration(assign))
                         assert report.disconnected_split >= 1
-                        assert_valid(topo, fixed)
+                        check_agglomeration(topo, fixed)
                         return
         pytest.skip("no node-touching pair found")
 
@@ -362,12 +355,12 @@ class TestAllAlgorithms:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_validity_2d(self, topo2d_jittered, alg, seed):
         agg = run_algorithm(topo2d_jittered, alg, seed=seed)
-        assert_valid(topo2d_jittered, agg)
+        check_agglomeration(topo2d_jittered, agg)
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_validity_3d(self, topo3d_small, alg):
         agg = run_algorithm(topo3d_small, alg, seed=1)
-        assert_valid(topo3d_small, agg)
+        check_agglomeration(topo3d_small, agg)
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_determinism(self, topo2d_jittered, alg):

@@ -11,12 +11,12 @@ from agglomg.hierarchy import (CoarseningError, ElementMaterials, StopRule,
                                build_hierarchy, build_prolongation,
                                galerkin_operator, grid_complexity, level_schedule,
                                operator_complexity, project_materials, restriction,
-                               select_coarse_edges, select_coarse_faces,
-                               select_coarse_nodes)
-from agglomg.mesh import (BOUNDARY, LevelTopology, MaterialProperties, Mesh,
-                          _induced_components, generate_mesh)
+                               select_coarse_edges, select_coarse_faces)
+from agglomg.mesh import BOUNDARY, LevelTopology, MaterialProperties, Mesh, generate_mesh
 from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
                             assemble_problem, fgmres)
+
+from invariants import check_hierarchy, coarse_nodes
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ class TestCoarseNodes:
     def test_block_corner_oracle(self, block_case):
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        nodes = select_coarse_nodes(topo, agg, cfs)
+        nodes = coarse_nodes(topo, agg, cfs)
         expected = sorted(i * 5 + j for i in (0, 2, 4) for j in (0, 2, 4))
         assert sorted(int(v) for v in nodes) == expected
 
@@ -131,15 +131,7 @@ class TestCoarseNodes:
         # so every agglomerate on every level owns a coarse node
         mesh = generate_mesh(3, 6, jitter=0.15, seed=4)
         h = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=8, seed=7))
-        topo = h.fine_topology
-        for lvl in h.levels:
-            an, aa = hi._node_agg_pairs(topo, lvl.agglomeration)
-            covered = np.zeros(lvl.agglomeration.n_agglomerates, dtype=bool)
-            is_coarse = np.zeros(topo.n_nodes, dtype=bool)
-            is_coarse[lvl.coarse_nodes] = True
-            covered[aa[is_coarse[an]]] = True
-            assert covered.all()
-            topo = lvl.topology
+        check_hierarchy(h)
 
     def test_mutual_merge_targets_shrink(self):
         # three vertical strips: strip 0 can only merge into strip 1, and
@@ -166,24 +158,7 @@ class TestCoarseNodes:
         h = build_hierarchy(mesh, CoarsenConfig("rgb", seed=1),
                             materials=spec.materials, operator=A)
         assert h.node_counts == [432, 361, 68]
-        topo = h.fine_topology
-        for lvl in h.levels:
-            agg = lvl.agglomeration
-            assert np.array_equal(np.unique(agg.element_to_agg),
-                                  np.arange(agg.n_agglomerates))
-            for group in agg.groups():
-                assert _induced_components(topo.dual.indptr, topo.dual.indices,
-                                           group).max() == 0
-            an, aa = hi._node_agg_pairs(topo, agg)
-            is_coarse = np.zeros(topo.n_nodes, dtype=bool)
-            is_coarse[lvl.coarse_nodes] = True
-            assert np.array_equal(np.unique(aa[is_coarse[an]]),
-                                  np.arange(agg.n_agglomerates))
-            P = lvl.prolongation
-            assert P.data.min() >= 0.0
-            assert np.allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0)
-            assert lvl.topology.n_elements == agg.n_agglomerates
-            topo = lvl.topology
+        check_hierarchy(h)
         M = VCyclePreconditioner(h, SmootherConfig())
         _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
         assert converged and iterations == 5
@@ -279,7 +254,7 @@ class TestProlongation:
     def test_injection_and_row_sums(self, block_case):
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        cn = select_coarse_nodes(topo, agg, cfs)
+        cn = coarse_nodes(topo, agg, cfs)
         P = build_prolongation(topo, agg, cfs, cn)
         assert P.shape == (topo.n_nodes, len(cn))
         sums = np.asarray(P.sum(axis=1)).ravel()
@@ -295,7 +270,7 @@ class TestProlongation:
         # coarse nodes: value (1 + 3) / 2 = 2
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        cn = select_coarse_nodes(topo, agg, cfs)
+        cn = coarse_nodes(topo, agg, cfs)
         P = build_prolongation(topo, agg, cfs, cn)
         # node (2, 1) = id 11 lies inside the interface x=0.5 between
         # blocks 0 and 1, whose endpoints are nodes 10 and 12
@@ -319,7 +294,7 @@ class TestRestriction:
     def test_exact_transpose(self, block_case):
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        cn = select_coarse_nodes(topo, agg, cfs)
+        cn = coarse_nodes(topo, agg, cfs)
         P = build_prolongation(topo, agg, cfs, cn)
         R = restriction(P)
         assert (R != P.T).nnz == 0
@@ -396,7 +371,7 @@ class TestGalerkin:
     def test_symmetry_preserved(self, block_case):
         _, topo, agg = block_case
         cfs = select_coarse_faces(topo, agg)
-        cn = select_coarse_nodes(topo, agg, cfs)
+        cn = coarse_nodes(topo, agg, cfs)
         P = build_prolongation(topo, agg, cfs, cn)
         rng = np.random.default_rng(1)
         B = sp.random(topo.n_nodes, topo.n_nodes, density=0.2,
