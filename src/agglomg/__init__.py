@@ -9,20 +9,19 @@ V-cycle preconditioner for FGMRES on model diffusion/transport problems.
 from .mesh import (BOUNDARY, DegenerateElementError, DualGraph, EdgeSet, FaceSet,
                    LevelTopology, MaterialProperties, MaterialTable, Mesh,
                    MeshMetrics, TopologyError, build_topology, generate_mesh,
-                   geometry_measures, mesh_metrics)
+                   mesh_metrics)
 from .mesh_io import MshFormatError, SweepRecord, read_msh, write_report_json, \
     write_sweep_csv, write_vtk
 from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStats,
                           CleanupReport, CoarsenConfig, agglomerate_stats, cleanup,
                           coarsen)
-from .partitioner import (Partition, WeightedGraph, edge_cut, partition_kway,
-                          scale_weights)
+from .partitioner import WeightedGraph, edge_cut, partition_kway, scale_weights
 from .hierarchy import (CoarseningError, EdgeChains, ElementMaterials, FacePatches,
                         GridLevel, Hierarchy, LevelSchedule, StopRule,
                         build_hierarchy, build_prolongation,
                         galerkin_operator, grid_complexity, level_schedule,
                         operator_complexity, project_materials, restriction,
-                        select_coarse_edges, select_coarse_faces, select_coarse_nodes)
+                        select_coarse_edges, select_coarse_faces)
 from .solver import (CoarsestLevelError, DivergenceError, ProblemSpec, SmootherConfig,
                      SolveReport, VCyclePreconditioner, absorbing_materials,
                      apply_dirichlet, assemble_operator, assemble_problem,

@@ -82,14 +82,6 @@ class Agglomeration:
         assigned = self.element_to_agg[self.element_to_agg >= 0]
         return np.bincount(assigned, minlength=self.n_agglomerates)
 
-    def groups(self) -> list:
-        """Per-agglomerate element index arrays (unassigned elements dropped)."""
-        a = self.element_to_agg
-        order = np.argsort(a, kind="stable")
-        order = order[a[order] >= 0]
-        splits = np.searchsorted(a[order], np.arange(1, self.n_agglomerates))
-        return np.split(order, splits)
-
     def is_total(self) -> bool:
         return bool((self.element_to_agg >= 0).all())
 
@@ -460,7 +452,7 @@ def _sizebased(topo, s, seed):
         raise ValueError(
             f"desired size {s} exceeds the {topo.n_elements}-element level; reduce s")
     graph = partitioner.scale_weights(topo.dual)
-    return partitioner.partition_kway(graph, k, contiguous=True, seed=seed).part
+    return partitioner.partition_kway(graph, k, contiguous=True, seed=seed)
 
 
 def _aspect(topo, s, seed):

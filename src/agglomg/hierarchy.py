@@ -165,7 +165,6 @@ class Hierarchy:
     levels: list
     config: CoarsenConfig
     fine_operator: sp.csr_matrix | None = None
-    fine_materials: ElementMaterials | None = None
 
     @property
     def node_counts(self) -> list:
@@ -303,23 +302,6 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
         if not covered.all():
             coarse[an[~covered[aa] & face_count_rule()[an]]] = True
     return coarse, coverage(coarse)
-
-
-def select_coarse_nodes(topo: LevelTopology, agg: Agglomeration,
-                        coarse_faces: FacePatches) -> np.ndarray:
-    """Nodes kept on the coarse level, by the face-count rule.
-
-    A node is coarse when the number of coarse faces containing it exceeds
-    2^(dim-2) times the number of coarse elements containing it, which
-    keeps exactly the vertices of the agglomerate tessellation. Raises
-    when any agglomerate ends up without a coarse node.
-    """
-    coarse, covered = _coarse_mask(topo, agg, coarse_faces)
-    if not covered.all():
-        missing = np.flatnonzero(~covered)
-        raise CoarseningError(
-            f"agglomerate(s) {missing[:10].tolist()} have no coarse node")
-    return np.flatnonzero(coarse)
 
 
 def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
@@ -668,10 +650,9 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     stop = stop or StopRule()
     topo0 = fine_topology if fine_topology is not None else LevelTopology.from_mesh(mesh)
     topo = topo0
-    fine_mats = ElementMaterials.from_table(mesh, materials) if materials else None
 
     levels = []
-    mats = fine_mats
+    mats = ElementMaterials.from_table(mesh, materials) if materials else None
     A = operator.tocsr() if operator is not None else None
     fine_A = A
 
@@ -706,7 +687,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
             break  # keep the level, but a sub-10% node reduction ends the hierarchy
 
     return Hierarchy(mesh=mesh, fine_topology=topo0, levels=levels, config=config,
-                     fine_operator=fine_A, fine_materials=fine_mats)
+                     fine_operator=fine_A)
 
 
 def _coarse_selection(topo, agg, algorithm):

@@ -244,9 +244,6 @@ class FaceSet:
     def n_faces(self) -> int:
         return self.left.shape[0]
 
-    def face_nodes(self, f: int) -> np.ndarray:
-        return self.node_ids[self.node_indptr[f]:self.node_indptr[f + 1]]
-
     @property
     def interior(self) -> np.ndarray:
         return self.right >= 0
@@ -341,19 +338,22 @@ def _face_node_matrix(faces: FaceSet) -> np.ndarray:
     return faces.node_ids.reshape(-1, w)
 
 
+def _signed_measures(coords: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
+    """Signed simplex measures: negative for an inverted element."""
+    x = coords[elements]
+    if dim == 2:
+        d1 = x[:, 1] - x[:, 0]
+        d2 = x[:, 2] - x[:, 0]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return np.linalg.det(x[:, 1:] - x[:, 0:1]) / 6.0
+
+
 def element_measures(mesh: Mesh) -> np.ndarray:
     """Signed simplex measures, validated positive.
 
     Raises DegenerateElementError naming the first offending element.
     """
-    x = mesh.node_coords[mesh.elements]
-    if mesh.dim == 2:
-        d1 = x[:, 1] - x[:, 0]
-        d2 = x[:, 2] - x[:, 0]
-        vol = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    else:
-        d = x[:, 1:] - x[:, 0:1]
-        vol = np.linalg.det(d) / 6.0
+    vol = _signed_measures(mesh.node_coords, mesh.elements, mesh.dim)
     bad = np.flatnonzero(vol <= 0.0)
     if bad.size:
         raise DegenerateElementError(
@@ -368,14 +368,6 @@ def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
         return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
     c = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     return 0.5 * np.linalg.norm(c, axis=1)
-
-
-def geometry_measures(mesh: Mesh, faces: FaceSet | None = None):
-    """Per-element volumes and, when a FaceSet is given, per-face areas."""
-    volumes = element_measures(mesh)
-    if faces is None:
-        return volumes, None
-    return volumes, faces.area.copy()
 
 
 def build_topology(mesh: Mesh):
@@ -498,14 +490,12 @@ def boundary_node_mask(mesh: Mesh) -> np.ndarray:
     return mask
 
 
-def mesh_metrics(level) -> MeshMetrics:
+def mesh_metrics(level: LevelTopology) -> MeshMetrics:
     """Node/element ratio and average connectivity of a level.
 
     Average connectivity is the mean, over nodes, of the number of
-    elements containing each node. Accepts a Mesh or a LevelTopology.
+    elements containing each node.
     """
-    if isinstance(level, Mesh):
-        level = LevelTopology.from_mesh(level)
     if level.n_elements == 0 or level.n_nodes == 0:
         raise ValueError("empty mesh")
     per_node = np.diff(level.node_elem_indptr)

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _enumerate_faces, _signed_measures
 
 VTK_TRIANGLE = 5
 VTK_TETRA = 10
@@ -134,13 +134,7 @@ def read_msh(path):
         raise MshFormatError("no triangle or tetrahedron elements found")
 
     # fix inverted elements by swapping two nodes (geometry is unchanged)
-    x = coords[elements]
-    if dim == 2:
-        d1, d2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
-        vol = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    else:
-        vol = np.linalg.det(x[:, 1:] - x[:, 0:1])
-    flipped = vol < 0
+    flipped = _signed_measures(coords, elements, dim) < 0
     if flipped.any():
         elements = elements.copy()
         elements[flipped] = elements[flipped][:, [0, 2, 1] + ([3] if dim == 3 else [])]
@@ -150,10 +144,7 @@ def read_msh(path):
     # the file mixes 2D and 3D volume elements
     boundary_tag = {}
     if dim == 3 and tris:
-        tet_faces = set()
-        for t in elements:
-            for skip in range(4):
-                tet_faces.add(tuple(sorted(int(t[j]) for j in range(4) if j != skip)))
+        tet_faces = set(map(tuple, _enumerate_faces(elements, 3)[0].tolist()))
         for conn, phys in zip(tris, tri_tags):
             key = tuple(sorted(id_to_row[v] for v in conn))
             if key not in tet_faces:
@@ -180,7 +171,7 @@ def write_vtk(path, mesh: Mesh, level_agglomerations=()):
     composed = []
     current = np.arange(mesh.n_elements)
     for k, agg in enumerate(level_agglomerations):
-        e2a = agg.element_to_agg if hasattr(agg, "element_to_agg") else np.asarray(agg)
+        e2a = agg.element_to_agg
         if (e2a < 0).any():
             raise ValueError(f"level {k} has unassigned elements")
         current = e2a[current]
@@ -247,15 +238,15 @@ def write_sweep_csv(path, records):
 def write_report_json(path, report):
     """JSON solve report with the residual history as an array."""
     payload = {
-        "problem": getattr(report, "problem", None),
-        "algorithm": getattr(report, "algorithm", None),
-        "levels": getattr(report, "levels", None),
+        "problem": report.problem,
+        "algorithm": report.algorithm,
+        "levels": report.levels,
         "iterations": report.iterations,
         "setup_time_s": report.setup_time_s,
         "solve_time_s": report.solve_time_s,
         "converged": report.converged,
         "residuals": [float(r) for r in report.residuals],
-        "meta": getattr(report, "meta", {}),
+        "meta": report.meta,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

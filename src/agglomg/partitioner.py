@@ -45,12 +45,6 @@ class WeightedGraph:
         return self.indptr.shape[0] - 1
 
 
-@dataclass
-class Partition:
-    part: np.ndarray
-    k: int
-
-
 def scale_weights(dual: DualGraph) -> WeightedGraph:
     """Integer vertex/edge weights from element volumes and face areas.
 
@@ -71,8 +65,7 @@ def scale_weights(dual: DualGraph) -> WeightedGraph:
     )
 
 
-def edge_cut(graph: WeightedGraph, partition: Partition | np.ndarray) -> int:
-    part = partition.part if isinstance(partition, Partition) else partition
+def edge_cut(graph: WeightedGraph, part: np.ndarray) -> int:
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     cross = part[src] != part[graph.indices]
     # each undirected edge appears twice in the CSR arrays
@@ -91,17 +84,18 @@ def balance_bounds(targets, max_vwgt: int):
 
 
 def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
-                   seed: int = 0) -> Partition:
-    """Partition into exactly k nonempty parts, minimizing weighted edge-cut."""
+                   seed: int = 0) -> np.ndarray:
+    """Part id of each vertex: exactly k nonempty parts, minimizing weighted
+    edge-cut."""
     n = graph.n
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"cannot split {n} vertices into {k} parts")
     if k == 1:
-        return Partition(np.zeros(n, dtype=np.int64), 1)
+        return np.zeros(n, dtype=np.int64)
     if k == n:
-        return Partition(np.arange(n, dtype=np.int64), n)
+        return np.arange(n, dtype=np.int64)
 
     rng = np.random.Generator(np.random.Philox(seed))
     targets = np.full(k, graph.vwgt.sum() / k)
@@ -149,7 +143,7 @@ def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
     sizes = np.bincount(part, minlength=k)
     if (sizes == 0).any():
         raise RuntimeError("internal error: produced an empty part")
-    return Partition(part, k)
+    return part
 
 
 def _heavy_edge_matching(graph: WeightedGraph, order: np.ndarray) -> np.ndarray:

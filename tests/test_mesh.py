@@ -4,7 +4,7 @@ import pytest
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
                           TopologyError, _collapse_pairs, _row_sums, _unique_pairs,
                           build_topology, element_measures, generate_mesh,
-                          geometry_measures, mesh_metrics)
+                          mesh_metrics)
 
 
 class TestGenerateMesh:
@@ -72,20 +72,20 @@ class TestGenerateMesh:
 
 class TestGeometry:
     def test_right_triangle_area(self, tri_single):
-        vol, _ = geometry_measures(tri_single)
+        vol = element_measures(tri_single)
         assert vol[0] == pytest.approx(0.5)
 
     def test_reference_tet_volume(self):
         m = Mesh(3, np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
                  np.array([[0, 1, 2, 3]]), np.zeros(1, dtype=np.int64))
-        vol, _ = geometry_measures(m)
+        vol = element_measures(m)
         assert vol[0] == pytest.approx(1.0 / 6.0)
 
     def test_collinear_triangle_rejected(self):
         m = Mesh(2, np.array([[0.0, 0], [1.0, 1], [2.0, 2]]),
                  np.array([[0, 1, 2]]), np.zeros(1, dtype=np.int64))
         with pytest.raises(DegenerateElementError):
-            geometry_measures(m)
+            element_measures(m)
 
 
 class TestTopology:
@@ -155,7 +155,7 @@ class TestTopology:
 
 class TestMetrics:
     def test_single_triangle_metrics(self, tri_single):
-        m = mesh_metrics(tri_single)
+        m = mesh_metrics(LevelTopology.from_mesh(tri_single))
         assert m.node_element_ratio == pytest.approx(3.0)
         assert m.average_connectivity == pytest.approx(1.0)
 
@@ -174,15 +174,15 @@ class TestMetrics:
         # the 2-triangles-per-cell generator needs n >= 23 before the
         # documented unstructured-mesh bands hold; checked at n = 32
         m = generate_mesh(2, 32, jitter=0.2, seed=9)
-        met = mesh_metrics(m)
+        met = mesh_metrics(LevelTopology.from_mesh(m))
         assert 0.45 <= met.node_element_ratio <= 0.55
         assert 5.5 <= met.average_connectivity <= 6.5
 
     def test_empty_mesh_rejected(self):
         m = Mesh(2, np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64),
                  np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            mesh_metrics(m)
+        with pytest.raises(ValueError, match="empty mesh"):
+            mesh_metrics(LevelTopology.from_mesh(m))
 
 
 class TestLevelTopology:

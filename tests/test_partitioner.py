@@ -79,15 +79,15 @@ class TestScaleWeights:
 class TestPartitionKway:
     def test_k1_all_in_one(self):
         g = path_graph(6)
-        p = pt.partition_kway(g, 1, seed=0)
-        assert (p.part == 0).all()
-        assert pt.edge_cut(g, p) == 0
+        part = pt.partition_kway(g, 1, seed=0)
+        assert (part == 0).all()
+        assert pt.edge_cut(g, part) == 0
 
     def test_k_equals_n_singletons(self):
         g = path_graph(5)
-        p = pt.partition_kway(g, 5, seed=0)
-        assert sorted(p.part.tolist()) == [0, 1, 2, 3, 4]
-        assert pt.edge_cut(g, p) == 4  # total edge weight
+        part = pt.partition_kway(g, 5, seed=0)
+        assert sorted(part.tolist()) == [0, 1, 2, 3, 4]
+        assert pt.edge_cut(g, part) == 4  # total edge weight
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -95,22 +95,22 @@ class TestPartitionKway:
 
     def test_path_graph_optimal(self):
         g = path_graph(4)
-        p = pt.partition_kway(g, 2, seed=0)
-        assert pt.edge_cut(g, p) == 1
-        assert p.part[0] == p.part[1] and p.part[2] == p.part[3]
+        part = pt.partition_kway(g, 2, seed=0)
+        assert pt.edge_cut(g, part) == 1
+        assert part[0] == part[1] and part[2] == part[3]
 
     @pytest.mark.parametrize("k", [2, 5, 12, 40])
     def test_exactly_k_nonempty_parts(self, k):
         g = graph_from_mesh(2, 8, seed=3)
-        p = pt.partition_kway(g, k, seed=1)
-        sizes = np.bincount(p.part, minlength=k)
+        part = pt.partition_kway(g, k, seed=1)
+        sizes = np.bincount(part, minlength=k)
         assert len(sizes) == k and (sizes > 0).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_contiguous_flag(self, seed):
         g = graph_from_mesh(2, 12, seed=seed)
-        p = pt.partition_kway(g, 17, contiguous=True, seed=seed)
-        assert parts_connected(g, p.part)
+        part = pt.partition_kway(g, 17, contiguous=True, seed=seed)
+        assert parts_connected(g, part)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_contiguous_partition_balanced(self, seed):
@@ -118,8 +118,8 @@ class TestPartitionKway:
         # must bring every part back near the mean weight
         g = graph_from_mesh(2, 32, seed=4)
         k = g.n // 24
-        p = pt.partition_kway(g, k, contiguous=True, seed=seed)
-        ratio = np.bincount(p.part, weights=g.vwgt, minlength=k) / (g.vwgt.sum() / k)
+        part = pt.partition_kway(g, k, contiguous=True, seed=seed)
+        ratio = np.bincount(part, weights=g.vwgt, minlength=k) / (g.vwgt.sum() / k)
         assert 0.75 <= ratio.min() and ratio.max() <= 1.25, (ratio.min(), ratio.max())
 
     @pytest.mark.parametrize("n, k", [(4, 3), (8, 7)])
@@ -128,15 +128,15 @@ class TestPartitionKway:
         # side with fewer vertices than parts, so a part came out empty
         g = path_graph(n)
         g.vwgt[0] = 50
-        p = pt.partition_kway(g, k, contiguous=True, seed=0)
-        assert (np.bincount(p.part, minlength=k) > 0).all()
-        assert parts_connected(g, p.part)
+        part = pt.partition_kway(g, k, contiguous=True, seed=0)
+        assert (np.bincount(part, minlength=k) > 0).all()
+        assert parts_connected(g, part)
 
     def test_determinism(self):
         g = graph_from_mesh(2, 10, seed=8)
         a = pt.partition_kway(g, 9, contiguous=True, seed=5)
         b = pt.partition_kway(g, 9, contiguous=True, seed=5)
-        assert np.array_equal(a.part, b.part)
+        assert np.array_equal(a, b)
 
     def test_refinement_never_increases_cut(self):
         g = graph_from_mesh(2, 8, seed=2)
@@ -289,7 +289,7 @@ class TestSequentialKernels:
     def test_articulation_matches_components(self, case, kind):
         g = _kernel_graph(case)
         if kind == "kway":
-            part = pt.partition_kway(g, max(2, g.n // 24), contiguous=True, seed=1).part
+            part = pt.partition_kway(g, max(2, g.n // 24), contiguous=True, seed=1)
         else:
             part = np.random.default_rng(0).integers(0, 6, g.n)
         sizes = np.bincount(part)
@@ -305,5 +305,5 @@ def test_mid_size_contiguous_partition_pin():
     # 400 articulation points, which the golden meshes (k <= 21) barely do.
     # The hash was recorded before the partitioner loops moved to lists.
     dual = LevelTopology.from_mesh(generate_mesh(2, 64, jitter=0.2, seed=11)).dual
-    part = pt.partition_kway(pt.scale_weights(dual), 341, contiguous=True, seed=5).part
+    part = pt.partition_kway(pt.scale_weights(dual), 341, contiguous=True, seed=5)
     assert hashlib.sha256(part.tobytes()).hexdigest()[:16] == "01dc00e5f8ed586a"
