@@ -49,7 +49,8 @@ def read_msh(path):
     physical tag maps to the region id (volume) or boundary tag (surface).
     Anything else is skipped, with a warning giving the skip count.
     Triangles of a tetrahedral file that are not faces of any tetrahedron
-    indicate a mixed-dimensional volume mesh and are rejected.
+    indicate a mixed-dimensional volume mesh and are rejected, as are
+    elements that name a node the $Nodes section does not define.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -91,6 +92,13 @@ def read_msh(path):
         xyz[r] = [float(parts[1]), float(parts[2]), float(parts[3])]
     id_to_row = {int(v): r for r, v in enumerate(ids)}
 
+    def rows(conn):
+        try:
+            return [id_to_row[v] for v in conn]
+        except KeyError as err:
+            raise MshFormatError(f"an element names node {err.args[0]}, "
+                                 "which $Nodes does not define") from None
+
     elem_lines = sections["Elements"]
     n_declared = int(elem_lines[0])
     if len(elem_lines) - 1 != n_declared:
@@ -122,12 +130,12 @@ def read_msh(path):
 
     if tets:
         dim = 3
-        elements = np.array([[id_to_row[v] for v in t] for t in tets], dtype=np.int64)
+        elements = np.array([rows(t) for t in tets], dtype=np.int64)
         material = np.array(tet_tags, dtype=np.int64)
         coords = xyz
     elif tris:
         dim = 2
-        elements = np.array([[id_to_row[v] for v in t] for t in tris], dtype=np.int64)
+        elements = np.array([rows(t) for t in tris], dtype=np.int64)
         material = np.array(tri_tags, dtype=np.int64)
         coords = xyz[:, :2]
     else:
@@ -146,7 +154,7 @@ def read_msh(path):
     if dim == 3 and tris:
         tet_faces = set(map(tuple, _enumerate_faces(elements, 3)[0].tolist()))
         for conn, phys in zip(tris, tri_tags):
-            key = tuple(sorted(id_to_row[v] for v in conn))
+            key = tuple(sorted(rows(conn)))
             if key not in tet_faces:
                 raise MshFormatError(
                     "mixed 2D/3D volume mesh: triangle "
@@ -154,7 +162,7 @@ def read_msh(path):
             boundary_tag[key] = phys
     elif dim == 2:
         for conn, phys in zip(lines_1d, line_tags):
-            key = tuple(sorted(id_to_row[v] for v in conn))
+            key = tuple(sorted(rows(conn)))
             boundary_tag[key] = phys
     return Mesh(dim=dim, node_coords=coords, elements=elements,
                 material_id=material, boundary_tag=boundary_tag)

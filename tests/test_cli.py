@@ -39,6 +39,16 @@ class TestCoarsen:
         assert code == 1
         assert "missing.msh" in err
 
+    def test_undefined_mesh_node(self, tmp_path, capsys):
+        # the file's one triangle names node 4 of 3
+        path = tmp_path / "bad.msh"
+        path.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n3\n"
+                        "1 0.0 0.0 0.0\n2 1.0 0.0 0.0\n3 0.0 1.0 0.0\n$EndNodes\n"
+                        "$Elements\n1\n1 2 2 7 1 1 2 4\n$EndElements\n")
+        code, _, err = run(["coarsen", "--mesh", str(path), "--alg", "jones"], capsys)
+        assert code == 1
+        assert "node 4" in err
+
     def test_size_ignored_warning(self, capsys):
         code, _, err = run(["coarsen", "--gen-2d", "8", "--alg", "jones",
                             "--size", "24"], capsys)

@@ -115,6 +115,17 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="mixed"):
             read_msh(path)
 
+    @pytest.mark.parametrize("text", [
+        MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 2 7 1 1 2 4"),
+        MSH_TET_WITH_BOUNDARY.replace("2 2 2 9 2 1 2 3", "2 2 2 9 2 1 2 8"),
+        MSH_2D_WITH_LINES.replace("2 1 2 5 1 1 2", "2 1 2 5 1 1 8")],
+        ids=["triangle", "boundary-triangle", "boundary-line"])
+    def test_undefined_node_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match="node [48]"):
+            read_msh(path)
+
     def test_skipped_types_warn(self, tmp_path):
         text = MSH_ONE_TRIANGLE.replace(
             "$Elements\n1\n1 2 2 7 1 1 2 3\n",
