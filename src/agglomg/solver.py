@@ -189,14 +189,9 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, boundary: np.ndarray):
     kept, so the system stays square over all nodes and SPD structure is
     preserved for the multigrid transfer operators.
     """
-    diag = A.diagonal().copy()
     keep = (~boundary).astype(float)
     Z = sp.diags(keep)
-    A_bc = (Z @ A @ Z).tolil()
-    idx = np.flatnonzero(boundary)
-    A_bc[idx, idx] = diag[idx]
-    b_bc = b * keep
-    return A_bc.tocsr(), b_bc
+    return (Z @ A @ Z + sp.diags(A.diagonal() * boundary)).tocsr(), b * keep
 
 
 def assemble_problem(mesh: Mesh, spec: ProblemSpec):
