@@ -171,10 +171,10 @@ def read_msh(path):
 def write_vtk(path, mesh: Mesh, level_agglomerations=()):
     """Legacy ASCII VTK unstructured grid with one id array per level.
 
-    ``level_agglomerations`` holds the per-level element -> agglomerate
-    maps, each defined on the previous level's elements; they are composed
-    so the CELL_DATA array ``agglomerate_L<k>`` gives each finest-level
-    element its level-k agglomerate id.
+    ``level_agglomerations`` holds one Agglomeration per level, each
+    defined on the previous level's elements; they are composed so the
+    CELL_DATA array ``agglomerate_L<k>`` gives each finest-level element its
+    level-k agglomerate id.
     """
     composed = []
     current = np.arange(mesh.n_elements)
@@ -183,20 +183,20 @@ def write_vtk(path, mesh: Mesh, level_agglomerations=()):
         if (e2a < 0).any():
             raise ValueError(f"level {k} has unassigned elements")
         current = e2a[current]
-        composed.append(current.copy())
+        composed.append(current)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("agglomerated unstructured mesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for p in mesh.node_coords:
-            row = list(p) + [0.0] * (3 - mesh.dim)
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        points = np.zeros((mesh.n_nodes, 3))
+        points[:, :mesh.dim] = mesh.node_coords
+        fh.write(("%.17g %.17g %.17g\n" * mesh.n_nodes) % tuple(points.ravel().tolist()))
         k = mesh.dim + 1
         fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (k + 1)}\n")
-        for el in mesh.elements:
-            fh.write(f"{k} " + " ".join(str(int(v)) for v in el) + "\n")
+        fh.write(((f"{k}" + " %d" * k + "\n") * mesh.n_elements)
+                 % tuple(mesh.elements.ravel().tolist()))
         fh.write(f"CELL_TYPES {mesh.n_elements}\n")
         ctype = VTK_TRIANGLE if mesh.dim == 2 else VTK_TETRA
         fh.write("\n".join([str(ctype)] * mesh.n_elements) + "\n")
@@ -205,7 +205,7 @@ def write_vtk(path, mesh: Mesh, level_agglomerations=()):
             for k_lvl, ids in enumerate(composed):
                 fh.write(f"SCALARS agglomerate_L{k_lvl + 1} int 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                fh.write("\n".join(str(int(v)) for v in ids) + "\n")
+                fh.write("\n".join(map(str, ids.tolist())) + "\n")
 
 
 def read_vtk_cell_data(path):
