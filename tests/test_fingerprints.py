@@ -67,34 +67,34 @@ GOLDEN = {
 
 # (dim, algorithm, seed) -> sha256 prefix over every level's LevelTopology
 TOPOLOGY_GOLDEN = {
-    (2, 'jones', 1): '40ee8e766dccee4d',
-    (2, 'jones', 2): '40ee8e766dccee4d',
-    (2, 'kraus', 1): '4b9a16d97f8fe399',
-    (2, 'kraus', 2): '4b9a16d97f8fe399',
-    (2, 'rgb', 1): 'dbebee1948ea9be5',
-    (2, 'rgb', 2): 'd82321339a421faa',
-    (2, 'node', 1): '6e515f71c707872c',
-    (2, 'node', 2): 'f488b2b9f9978d39',
-    (2, 'greedy', 1): '5ca170c6b1bee6a4',
-    (2, 'greedy', 2): '8e99e4c876f1909a',
-    (2, 'sizebased', 1): '83e95a874926d946',
-    (2, 'sizebased', 2): '465aa81f1cc3ca1d',
-    (2, 'aspect', 1): 'd00c319c01c65125',
-    (2, 'aspect', 2): '7fbf715fdf67b194',
-    (3, 'jones', 1): 'ecea75cbf74df088',
-    (3, 'jones', 2): 'ecea75cbf74df088',
-    (3, 'kraus', 1): '4f04ffe574fdbc0c',
-    (3, 'kraus', 2): '4f04ffe574fdbc0c',
-    (3, 'rgb', 1): '2f97029cc800be1a',
-    (3, 'rgb', 2): 'dcb674be4ffa45c0',
-    (3, 'node', 1): 'f192660cf293b44a',
-    (3, 'node', 2): 'b350b1b10dffcdda',
-    (3, 'greedy', 1): 'd12385ac532873ae',
-    (3, 'greedy', 2): 'dbc95328058f8700',
-    (3, 'sizebased', 1): 'a5d4d005dca37220',
-    (3, 'sizebased', 2): '52ac77a5f8dd8dc2',
-    (3, 'aspect', 1): '15a16b0406dca9d1',
-    (3, 'aspect', 2): '3e0976d88bb39919',
+    (2, 'jones', 1): '3679bea18054dcd7',
+    (2, 'jones', 2): '3679bea18054dcd7',
+    (2, 'kraus', 1): 'a98c42e4443d3b0d',
+    (2, 'kraus', 2): 'a98c42e4443d3b0d',
+    (2, 'rgb', 1): 'e5742fc16bfda16a',
+    (2, 'rgb', 2): '8b8966c2fb5ec50b',
+    (2, 'node', 1): 'd1ba120720d3dc06',
+    (2, 'node', 2): 'd6696600e2153e17',
+    (2, 'greedy', 1): '20d759a9f7f61a9f',
+    (2, 'greedy', 2): 'bfbfc372e02f5884',
+    (2, 'sizebased', 1): 'ce4a2947bac79daa',
+    (2, 'sizebased', 2): '6261959f361aae3d',
+    (2, 'aspect', 1): '9c1393c777deed26',
+    (2, 'aspect', 2): 'b0d5957510265cd1',
+    (3, 'jones', 1): 'e765f2949099d11a',
+    (3, 'jones', 2): 'e765f2949099d11a',
+    (3, 'kraus', 1): '591a1ef505c571b4',
+    (3, 'kraus', 2): '591a1ef505c571b4',
+    (3, 'rgb', 1): 'b3ef67fd9177ff30',
+    (3, 'rgb', 2): '9ae95ecc41fb3c57',
+    (3, 'node', 1): 'c8d4202c32cbe20b',
+    (3, 'node', 2): 'cbb4e10cca5cf112',
+    (3, 'greedy', 1): '2dfa321edb7f803f',
+    (3, 'greedy', 2): '3556b3e1c94d3010',
+    (3, 'sizebased', 1): '6ec9ceae827759e9',
+    (3, 'sizebased', 2): 'a37198c4cdd2e8f4',
+    (3, 'aspect', 1): '20055b5de4dae0f1',
+    (3, 'aspect', 2): '242e535bd86fd552',
 }
 
 # (dim, algorithm, seed) -> FGMRES iterations with SmootherConfig(inner=3)
@@ -180,7 +180,9 @@ def topology_fingerprint(dim, algorithm, seed):
     hier, _, _ = _build(dim, algorithm, seed)
     digest = hashlib.sha256()
     for topo in [hier.fine_topology] + [level.topology for level in hier.levels]:
-        _update(digest, topo)
+        for f in dataclasses.fields(topo):
+            if f.name not in ("node_fine_ids", "elem_volume"):
+                _update(digest, getattr(topo, f.name))
     return digest.hexdigest()[:16]
 
 
