@@ -22,7 +22,7 @@ print(f"{'algorithm':<10} {'desired':>8} {'actual':>8} {'grid cx':>8} "
 for alg in ("greedy", "sizebased", "aspect"):
     for s in (4, 8, 24, 100):
         h = build_hierarchy(mesh, CoarsenConfig(alg, desired_size=s, seed=1),
-                            schedule=LevelSchedule(dim=2, top=s, lower=4),
+                            schedule=LevelSchedule(top=s, lower=4),
                             fine_topology=topo)
         stats = agglomerate_stats(topo, h.levels[0].agglomeration)
         post = mesh_metrics(h.levels[0].topology)

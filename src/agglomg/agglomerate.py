@@ -97,7 +97,6 @@ class CleanupReport:
 @dataclass
 class AgglomerateStats:
     average_size: float
-    size_histogram: np.ndarray
     mean_surface_sq_over_volume: float
     edge_cut: int
 
@@ -452,7 +451,7 @@ def _sizebased(topo, s, seed):
         raise ValueError(
             f"desired size {s} exceeds the {topo.n_elements}-element level; reduce s")
     graph = partitioner.scale_weights(topo.dual)
-    return partitioner.partition_kway(graph, k, contiguous=True, seed=seed)
+    return partitioner.partition_kway(graph, k, seed=seed)
 
 
 def _aspect(topo, s, seed):
@@ -481,7 +480,7 @@ def aspect_objective(topo: LevelTopology, assign: np.ndarray) -> float:
 
 def _surface_volume(topo, assign):
     nagg = int(assign.max()) + 1
-    vol = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
+    vol = np.bincount(assign, weights=topo.dual.vertex_weight, minlength=nagg)
     surf = np.bincount(assign, weights=topo.elem_boundary_area, minlength=nagg)
     dual = topo.dual
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
@@ -500,7 +499,7 @@ def _aspect_refine(topo, assign, s):
                             + _row_sums(dual.indptr, dual.edge_weight))
     # sequential moves: lists for what they update, memoryviews for the rest
     elem_volume, indptr, indices, edge_weight = map(memoryview, (
-        topo.elem_volume, dual.indptr, dual.indices, dual.edge_weight))
+        dual.vertex_weight, dual.indptr, dual.indices, dual.edge_weight))
     owner = assign.tolist()
     src = np.repeat(np.arange(n), np.diff(dual.indptr))
     for _ in range(ASPECT_MAX_PASSES):
@@ -696,19 +695,17 @@ def _merge_enclosed(topo, assign) -> int:
 # ---------------------------------------------------------------------------
 
 def agglomerate_stats(topo: LevelTopology, agg: Agglomeration) -> AgglomerateStats:
-    """Average size, size histogram, mean surface^2/volume, dual edge-cut."""
+    """Average size, mean surface^2/volume, dual edge-cut."""
     if not agg.is_total():
         raise ValueError("statistics need a total agglomeration")
     assign = agg.element_to_agg
     nagg = agg.n_agglomerates
-    sizes = agg.sizes
     surf, vol = _surface_volume(topo, assign)
     dual = topo.dual
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
     cut = int((assign[src] != assign[dual.indices]).sum()) // 2
     return AgglomerateStats(
         average_size=topo.n_elements / nagg,
-        size_histogram=np.bincount(sizes),
         mean_surface_sq_over_volume=float((surf * surf / vol).mean()),
         edge_cut=cut,
     )

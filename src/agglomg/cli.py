@@ -127,9 +127,7 @@ def _make_config(args, size):
         raise SystemExit(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
     if size is not None and alg not in SIZE_BASED:
         print(f"warning: --size is ignored by the {alg} algorithm", file=sys.stderr)
-    if alg in SIZE_BASED and size is None:
-        size = 24  # only satisfies validate: level_schedule sets the top size
-    return CoarsenConfig(algorithm=alg, desired_size=size, seed=args.seed)
+    return CoarsenConfig(algorithm=alg, seed=args.seed)
 
 
 def _stop(args):

@@ -18,7 +18,7 @@ node ends the hierarchy one level early (see :func:`build_hierarchy`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,7 @@ from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
                    _dual_from_faces, _first_appearance, _gather_ragged, _row_sums,
                    _unique_pairs)
-from .agglomerate import SIZE_BASED, Agglomeration, CoarsenConfig, _group_pairs, coarsen
+from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
 # in 3D, levels with fewer elements than this are coarsened with SMALL_GRID_SIZE
@@ -103,33 +103,39 @@ class ElementMaterials:
         return cls(source=src, sigma_t=st, sigma_s=ss)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelSchedule:
-    """Desired agglomerate size for each coarsening step.
+    """Desired agglomerate size for each coarsening step: the one source of
+    every level's size.
 
     The top grid is coarsened aggressively, lower grids gently; in 3D the
     size drops to ``SMALL_GRID_SIZE`` once fewer than ``SMALL_GRID_ELEMENTS``
-    remain.
+    remain. Below the top, a size never exceeds half the remaining grid.
     """
 
-    dim: int
     top: int
     lower: int
 
-    def size_for(self, level_index: int, n_elements: int) -> int:
+    def __post_init__(self):
+        if self.top < 2 or self.lower < 2:
+            raise ValueError(f"agglomerate sizes must be >= 2, got top={self.top}, "
+                             f"lower={self.lower}")
+
+    def size_for(self, level_index: int, topo: LevelTopology) -> int:
         if level_index == 0:
             return self.top
-        if self.dim == 3 and n_elements < SMALL_GRID_ELEMENTS:
-            return SMALL_GRID_SIZE
-        return self.lower
+        s = SMALL_GRID_SIZE if topo.dim == 3 and topo.n_elements < SMALL_GRID_ELEMENTS \
+            else self.lower
+        # fixed lower-grid sizes must shrink with the remaining grid
+        return min(s, max(2, topo.n_elements // 2))
 
 
 def level_schedule(dim: int, top: int | None = None,
                    lower: int | None = None) -> LevelSchedule:
     """Default desired sizes: 24 then 4 in 2D; 168 then 8 (then 4) in 3D."""
-    if dim == 2:
-        return LevelSchedule(dim=2, top=top if top else 24, lower=lower if lower else 4)
-    return LevelSchedule(dim=3, top=top if top else 168, lower=lower if lower else 8)
+    default_top, default_lower = (24, 4) if dim == 2 else (168, 8)
+    return LevelSchedule(top=default_top if top is None else top,
+                         lower=default_lower if lower is None else lower)
 
 
 @dataclass
@@ -550,7 +556,7 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     col_of[coarse_nodes] = np.arange(nc)
 
     assign = agg.element_to_agg
-    elem_volume = np.bincount(assign, weights=topo.elem_volume, minlength=nagg)
+    elem_volume = np.bincount(assign, weights=topo.dual.vertex_weight, minlength=nagg)
 
     # one level face per geometric coarse face; each area is the sum over the
     # row's ascending fine faces, with the bits of ndarray.sum()
@@ -607,7 +613,6 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
         dim=topo.dim,
         n_elements=nagg,
         n_nodes=nc,
-        elem_volume=elem_volume,
         elem_boundary_area=elem_bd_area,
         faces=new_faces,
         edges=edges,
@@ -615,7 +620,6 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
         node_elem_indptr=ne_indptr,
         node_elem_ids=ne_ids,
         node_boundary=node_bd,
-        node_fine_ids=topo.node_fine_ids[coarse_nodes],
     )
 
 
@@ -644,9 +648,17 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     algorithms re-apply on coarse levels via the rebuilt LevelTopology. A
     precomputed ``fine_topology`` for the same mesh skips the topology
     derivation (useful in seed sweeps).
+
+    Every level's agglomerate size comes from ``schedule``: a
+    ``config.desired_size`` other than None or ``schedule.top`` raises
+    ValueError rather than being silently replaced.
     """
-    config.validate()
     schedule = schedule or level_schedule(mesh.dim)
+    if config.desired_size not in (None, schedule.top):
+        raise ValueError(
+            f"desired_size {config.desired_size} is not the schedule's top size "
+            f"{schedule.top}; set the sizes through the LevelSchedule")
+    replace(config, desired_size=schedule.top).validate()
     stop = stop or StopRule()
     topo0 = fine_topology if fine_topology is not None else LevelTopology.from_mesh(mesh)
     topo = topo0
@@ -659,10 +671,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     while len(levels) + 1 < stop.max_levels:
         if topo.n_nodes <= stop.coarse_nodes:
             break
-        s = schedule.size_for(len(levels), topo.n_elements)
-        if len(levels) > 0 and config.algorithm in SIZE_BASED:
-            # fixed lower-grid sizes must shrink with the remaining grid
-            s = min(s, max(2, topo.n_elements // 2))
+        s = schedule.size_for(len(levels), topo)
         level_config = CoarsenConfig(algorithm=config.algorithm, desired_size=s,
                                      seed=_level_seed(config.seed, len(levels)))
         agg = coarsen(topo, level_config)
@@ -674,7 +683,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         agg, cfs, cnodes, cedges = selection
         P = build_prolongation(topo, agg, cfs, cnodes)
         new_topo = _coarse_topology(topo, agg, cfs, cnodes, cedges)
-        new_mats = (project_materials(mats, agg, topo.elem_volume)
+        new_mats = (project_materials(mats, agg, topo.dual.vertex_weight)
                     if mats is not None else None)
         new_A = galerkin_operator(A, P) if A is not None else None
         stagnating = len(cnodes) > (1.0 - MIN_NODE_REDUCTION) * topo.n_nodes

@@ -107,9 +107,6 @@ class Mesh:
 class MeshMetrics:
     node_element_ratio: float
     average_connectivity: float
-    n_nodes: int
-    n_elements: int
-    n_faces: int
 
 
 def _csr_from_pairs(keys, values, n_keys):
@@ -284,12 +281,14 @@ class DualGraph:
 
 @dataclass
 class LevelTopology:
-    """Everything the coarsening machinery needs from one grid level."""
+    """Everything the coarsening machinery needs from one grid level.
+
+    Element volumes are the dual graph's vertex weights.
+    """
 
     dim: int
     n_elements: int
     n_nodes: int
-    elem_volume: np.ndarray
     elem_boundary_area: np.ndarray
     faces: FaceSet
     edges: EdgeSet | None
@@ -297,13 +296,10 @@ class LevelTopology:
     node_elem_indptr: np.ndarray
     node_elem_ids: np.ndarray
     node_boundary: np.ndarray
-    # level node id -> finest-mesh node id (identity on the finest level)
-    node_fine_ids: np.ndarray
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "LevelTopology":
         faces, edges, dual = build_topology(mesh)
-        volumes = dual.vertex_weight
         bd = faces.right == BOUNDARY
         elem_bd_area = np.bincount(faces.left[bd], weights=faces.area[bd],
                                    minlength=mesh.n_elements)
@@ -317,7 +313,6 @@ class LevelTopology:
             dim=mesh.dim,
             n_elements=mesh.n_elements,
             n_nodes=mesh.n_nodes,
-            elem_volume=volumes,
             elem_boundary_area=elem_bd_area,
             faces=faces,
             edges=edges,
@@ -325,7 +320,6 @@ class LevelTopology:
             node_elem_indptr=ne_indptr,
             node_elem_ids=ne_ids,
             node_boundary=node_bd,
-            node_fine_ids=np.arange(mesh.n_nodes),
         )
 
 
@@ -502,9 +496,6 @@ def mesh_metrics(level: LevelTopology) -> MeshMetrics:
     return MeshMetrics(
         node_element_ratio=level.n_nodes / level.n_elements,
         average_connectivity=float(per_node.mean()),
-        n_nodes=level.n_nodes,
-        n_elements=level.n_elements,
-        n_faces=level.faces.n_faces,
     )
 
 

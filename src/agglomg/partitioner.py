@@ -3,8 +3,8 @@
 The scheme is the classic one: coarsen by heavy-edge matching, build an
 initial partition on the small graph (greedy region growing for large k,
 recursive bisection for k <= 8), then balance and refine it on each level
-while uncoarsening. Contiguity, when requested, is enforced afterwards by
-reassigning disconnected fragments to their best-connected neighbor part.
+while uncoarsening. Contiguity is enforced afterwards by reassigning
+disconnected fragments to their best-connected neighbor part.
 
 Bisection and k-way share one band rule and one move kernel. Each part has
 a target weight and the band ``balance_bounds`` gives it; ``_best_moves``
@@ -83,10 +83,9 @@ def balance_bounds(targets, max_vwgt: int):
     return targets - slack, targets + slack
 
 
-def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
-                   seed: int = 0) -> np.ndarray:
+def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray:
     """Part id of each vertex: exactly k nonempty parts, minimizing weighted
-    edge-cut."""
+    edge-cut. Each part is connected where the graph allows it."""
     n = graph.n
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -134,11 +133,10 @@ def partition_kway(graph: WeightedGraph, k: int, *, contiguous: bool = False,
         _rebalance(g, part, targets)
         _refine(g, part, targets)
 
-    if contiguous:
-        _enforce_contiguity(graph, part, k)
-        # fragment reassignment skews weights; repair without re-fragmenting
-        _rebalance(graph, part, targets, keep_connected=True)
-        _enforce_contiguity(graph, part, k)
+    _enforce_contiguity(graph, part, k)
+    # fragment reassignment skews weights; repair without re-fragmenting
+    _rebalance(graph, part, targets, keep_connected=True)
+    _enforce_contiguity(graph, part, k)
 
     sizes = np.bincount(part, minlength=k)
     if (sizes == 0).any():

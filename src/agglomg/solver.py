@@ -2,8 +2,9 @@
 
 The model PDE is scalar advection-diffusion-reaction on the box geometry:
 the diffuse problem is -div(D grad u) + sigma_a u = S with D = 1/(3 sigma_t)
-and sigma_a = sigma_t - sigma_s, the absorbing problem adds b . grad u with
-streamline-diffusion stabilisation once the element Peclet number passes 1.
+and sigma_a = sigma_t - sigma_s, the absorbing problem adds b . grad u, with
+the fixed b = ``ADVECTION``, and streamline-diffusion stabilisation once the
+element Peclet number passes 1.
 Homogeneous Dirichlet walls, linear elements on triangles or tetrahedra.
 """
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
 from .agglomerate import CoarsenConfig
 from .hierarchy import (MIN_NODE_REDUCTION, ElementMaterials, Hierarchy, LevelSchedule,
-                        StopRule, build_hierarchy, grid_complexity, level_schedule,
-                        operator_complexity, restriction)
+                        StopRule, build_hierarchy, grid_complexity, operator_complexity,
+                        restriction)
 
 COARSEST_LIMIT = 2000
+# advection velocity of the absorbing problem, cm/s (the first dim entries)
+ADVECTION = np.array([1.0, 0.0, 0.0])
 
 
 class DivergenceError(RuntimeError):
@@ -50,7 +53,6 @@ def absorbing_materials() -> MaterialTable:
 class ProblemSpec:
     kind: str                              # "diffuse" | "absorbing"
     materials: MaterialTable = field(default_factory=dict)
-    advection: np.ndarray | None = None    # cm/s, absorbing only
 
     def __post_init__(self):
         if self.kind not in ("diffuse", "absorbing"):
@@ -58,10 +60,6 @@ class ProblemSpec:
         if not self.materials:
             self.materials = (diffuse_materials() if self.kind == "diffuse"
                               else absorbing_materials())
-        if self.kind == "diffuse":
-            self.advection = None
-        elif self.advection is None:
-            self.advection = np.array([1.0, 0.0, 0.0])
         for props in self.materials.values():
             props.validate()
 
@@ -151,17 +149,16 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec):
     load = np.repeat((mats.source * vol / nloc)[:, None], nloc, axis=1)
 
     if spec.kind == "absorbing":
-        b_vec = np.asarray(spec.advection, dtype=float)[:mesh.dim]
+        b_vec = ADVECTION[:mesh.dim]
         bg = np.einsum("d,nid->ni", b_vec, grads)           # b . grad phi_i
         conv = np.repeat((vol / nloc)[:, None, None], nloc, axis=1) * bg[:, None, :]
         local = local + conv
         bnorm = float(np.linalg.norm(b_vec))
-        if bnorm > 0:
-            h = _element_diameters(coords)
-            peclet = bnorm * h / (2.0 * diffusion)
-            tau = np.where(peclet > 1.0, h / (2.0 * bnorm), 0.0)
-            local = local + np.einsum("ni,nj->nij", bg, bg) * (tau * vol)[:, None, None]
-            load = load + bg * (tau * mats.source * vol)[:, None]
+        h = _element_diameters(coords)
+        peclet = bnorm * h / (2.0 * diffusion)
+        tau = np.where(peclet > 1.0, h / (2.0 * bnorm), 0.0)
+        local = local + np.einsum("ni,nj->nij", bg, bg) * (tau * vol)[:, None, None]
+        load = load + bg * (tau * mats.source * vol)[:, None]
 
     n = mesh.n_nodes
     ii = np.repeat(mesh.elements, nloc, axis=1).ravel()
@@ -406,22 +403,20 @@ def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
 
 def solve_problem(mesh: Mesh, spec: ProblemSpec, config: CoarsenConfig, *,
                   schedule: LevelSchedule | None = None,
-                  stop: StopRule | None = None,
-                  smoother: SmootherConfig | None = None):
+                  stop: StopRule | None = None):
     """Assemble, build the multigrid hierarchy, and solve with FGMRES.
 
     Setup time covers coarsening, cleanup, coarse topology, transfers and
     the Galerkin products (assembled coarse operators are counted in setup
     here, unlike the matrix-free original; noted in the report metadata).
     Solve time is the FGMRES iteration only: FGMRES(30) to a relative
-    residual of 1e-10, at most 500 iterations.
+    residual of 1e-10, at most 500 iterations, under the default smoother.
     """
     A, b = assemble_problem(mesh, spec)
     t0 = time.perf_counter()
     hier = build_hierarchy(mesh, config, materials=spec.materials,
-                           schedule=schedule or level_schedule(mesh.dim),
-                           stop=stop, operator=A)
-    M = VCyclePreconditioner(hier, smoother)
+                           schedule=schedule, stop=stop, operator=A)
+    M = VCyclePreconditioner(hier)
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()

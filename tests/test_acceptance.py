@@ -63,7 +63,7 @@ def hier2d_by_size(mesh2d_ref, topo2d_ref):
     for s in (4, 24, 100):
         out[s] = build_hierarchy(
             mesh2d_ref, CoarsenConfig("sizebased", desired_size=s, seed=1),
-            schedule=LevelSchedule(dim=2, top=s, lower=4),
+            schedule=LevelSchedule(top=s, lower=4),
             fine_topology=topo2d_ref)
     return out
 
@@ -72,7 +72,7 @@ def hier2d_by_size(mesh2d_ref, topo2d_ref):
 def hier3d_sizebased(mesh3d_ref, topo3d_ref):
     return build_hierarchy(
         mesh3d_ref, CoarsenConfig("sizebased", desired_size=168, seed=1),
-        schedule=LevelSchedule(dim=3, top=168, lower=8),
+        schedule=LevelSchedule(top=168, lower=8),
         fine_topology=topo3d_ref)
 
 
@@ -162,7 +162,7 @@ class TestCriterion03ConnectivityPhaseChange:
             else:
                 h = build_hierarchy(
                     mesh2d_ref, CoarsenConfig("sizebased", desired_size=s, seed=1),
-                    schedule=LevelSchedule(dim=2, top=s, lower=4),
+                    schedule=LevelSchedule(top=s, lower=4),
                     stop=StopRule(max_levels=2), fine_topology=topo2d_ref)
                 lvl = h.levels[0]
             post = mesh_metrics(lvl.topology)

@@ -431,7 +431,7 @@ def _reference_aspect_refine(topo, assign, s):
             a = int(assign[e])
             if sizes[a] - 1 < lower:
                 continue
-            ve = topo.elem_volume[e]
+            ve = topo.dual.vertex_weight[e]
             if vol[a] - ve <= 0:
                 continue
             area_to = {}

@@ -179,6 +179,15 @@ class TestExitCodes:
         assert code == 1
         assert "n must be >= 1" in err
 
+    @pytest.mark.parametrize("flag", ["--size", "--lower-size"])
+    def test_size_below_two_exit_one(self, capsys, flag):
+        # a size of 0 is an error, not a request for the default size
+        code, out, err = run(["coarsen", "--gen-2d", "16", "--alg", "greedy",
+                              "--size", "8", flag, "0"], capsys)
+        assert code == 1
+        assert "agglomerate sizes must be >= 2" in err
+        assert "grid cx" not in out
+
     def test_non_convergence_exits_two(self, capsys, monkeypatch):
         from agglomg.solver import SolveReport
 

@@ -135,7 +135,7 @@ def _build(dim, algorithm, seed):
     mesh = generate_mesh(dim, **MESHES[dim])
     spec = ProblemSpec("diffuse")
     A, b = assemble_problem(mesh, spec)
-    hier = build_hierarchy(mesh, CoarsenConfig(algorithm, desired_size=24, seed=seed),
+    hier = build_hierarchy(mesh, CoarsenConfig(algorithm, seed=seed),
                            materials=spec.materials, operator=A)
     return hier, A, b
 
@@ -180,9 +180,7 @@ def topology_fingerprint(dim, algorithm, seed):
     hier, _, _ = _build(dim, algorithm, seed)
     digest = hashlib.sha256()
     for topo in [hier.fine_topology] + [level.topology for level in hier.levels]:
-        for f in dataclasses.fields(topo):
-            if f.name not in ("node_fine_ids", "elem_volume"):
-                _update(digest, getattr(topo, f.name))
+        _update(digest, topo)
     return digest.hexdigest()[:16]
 
 

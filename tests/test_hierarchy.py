@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -81,8 +82,7 @@ class TestCoarseFacePartition:
         # the fingerprint meshes: every fine face on the boundary or between
         # two agglomerates lies in exactly one geometric coarse face
         mesh = generate_mesh(dim, **kw)
-        h = build_hierarchy(mesh, CoarsenConfig(alg, desired_size=24, seed=1),
-                            stop=StopRule(max_levels=2))
+        h = build_hierarchy(mesh, CoarsenConfig(alg, seed=1), stop=StopRule(max_levels=2))
         faces = h.fine_topology.faces
         assign = h.levels[0].agglomeration.element_to_agg
         a_side = assign[faces.left]
@@ -130,7 +130,7 @@ class TestCoarseNodes:
         # vertex under the counting rule; the hierarchy merges them away
         # so every agglomerate on every level owns a coarse node
         mesh = generate_mesh(3, 6, jitter=0.15, seed=4)
-        h = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=8, seed=7))
+        h = build_hierarchy(mesh, CoarsenConfig("greedy", seed=7))
         check_hierarchy(h)
 
     def test_mutual_merge_targets_shrink(self):
@@ -349,8 +349,7 @@ class TestCoarseTopology:
         # areas of coarse faces with fewer than eight fine faces and of those
         # with eight or more (summed pairwise by numpy) keep ndarray.sum()'s bits
         mesh = generate_mesh(3, 6, jitter=0.2, seed=9)
-        level = build_hierarchy(mesh, CoarsenConfig("sizebased", desired_size=48,
-                                                    seed=3)).levels[0]
+        level = build_hierarchy(mesh, CoarsenConfig("sizebased", seed=3)).levels[0]
         cf = level.coarse_faces
         fine_area = LevelTopology.from_mesh(mesh).faces.area
         rows = np.split(cf.fine_face_ids, cf.fine_face_indptr[1:-1])
@@ -394,39 +393,82 @@ class TestGalerkin:
             galerkin_operator(A, P)
 
 
+def _level(dim, n_elements):
+    """The two attributes LevelSchedule.size_for reads from a level."""
+    return types.SimpleNamespace(dim=dim, n_elements=n_elements)
+
+
 class TestSchedule:
     def test_2d_defaults(self):
         sched = level_schedule(2)
-        assert [sched.size_for(k, 10_000) for k in range(4)] == [24, 4, 4, 4]
+        assert [sched.size_for(k, _level(2, 10_000)) for k in range(4)] == [24, 4, 4, 4]
 
     def test_3d_small_grid_rule(self):
         sched = level_schedule(3)
-        assert sched.size_for(0, 219_000) == 168
-        assert sched.size_for(1, 5_000) == 8
-        assert sched.size_for(2, 80) == 4
+        assert sched.size_for(0, _level(3, 219_000)) == 168
+        assert sched.size_for(1, _level(3, 5_000)) == 8
+        assert sched.size_for(2, _level(3, 80)) == 4
 
     def test_override(self):
         sched = level_schedule(2, top=8)
-        assert sched.size_for(0, 1000) == 8
+        assert sched.size_for(0, _level(2, 1000)) == 8
+
+    def test_lower_sizes_shrink_with_the_grid(self):
+        sched = level_schedule(2)
+        assert [sched.size_for(1, _level(2, n)) for n in (9, 7, 5, 3)] == [4, 3, 2, 2]
+        assert level_schedule(3).size_for(1, _level(3, 6)) == 3
+        assert sched.size_for(0, _level(2, 5)) == 24  # the top size is never clamped
+
+    @pytest.mark.parametrize("top,lower", [(0, None), (None, 0), (1, None), (None, -3)])
+    def test_sizes_below_two_rejected(self, top, lower):
+        with pytest.raises(ValueError, match=">= 2"):
+            level_schedule(2, top=top, lower=lower)
+
+
+class TestSizeFromSchedule:
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return generate_mesh(2, 12, jitter=0.2, seed=1)
+
+    @pytest.mark.parametrize("alg", ["greedy", "node"])
+    def test_none_or_top_build_the_same_hierarchy(self, mesh, alg):
+        sched = level_schedule(2, top=8)
+        a = build_hierarchy(mesh, CoarsenConfig(alg, seed=1), schedule=sched)
+        b = build_hierarchy(mesh, CoarsenConfig(alg, desired_size=8, seed=1),
+                            schedule=sched)
+        assert a.node_counts == b.node_counts
+        for la, lb in zip(a.levels, b.levels):
+            assert np.array_equal(la.agglomeration.element_to_agg,
+                                  lb.agglomeration.element_to_agg)
+
+    @pytest.mark.parametrize("alg", ["greedy", "node"])
+    def test_other_size_rejected(self, mesh, alg):
+        with pytest.raises(ValueError, match="desired_size 24 is not the schedule's top"):
+            build_hierarchy(mesh, CoarsenConfig(alg, desired_size=24),
+                            schedule=level_schedule(2, top=8))
+        with pytest.raises(ValueError, match="desired_size 8"):
+            build_hierarchy(generate_mesh(3, 3), CoarsenConfig(alg, desired_size=8))
+
+    def test_unknown_algorithm_rejected(self, mesh):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            build_hierarchy(mesh, CoarsenConfig("metis"))
 
 
 class TestBuildHierarchy:
     def test_stop_threshold_no_coarsening(self):
         mesh = generate_mesh(2, 5, extent=1.0)  # 36 nodes < 60
-        h = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=4))
+        h = build_hierarchy(mesh, CoarsenConfig("greedy"))
         assert h.n_levels == 1
         assert grid_complexity(h) == pytest.approx(1.0)
 
     def test_node_counts_strictly_decrease(self, mesh2d_jittered):
-        h = build_hierarchy(mesh2d_jittered,
-                            CoarsenConfig("sizebased", desired_size=8, seed=1))
+        h = build_hierarchy(mesh2d_jittered, CoarsenConfig("sizebased", seed=1))
         counts = h.node_counts
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_all_algorithms_reapply_on_coarse_levels(self, mesh2d_jittered, alg):
-        h = build_hierarchy(mesh2d_jittered,
-                            CoarsenConfig(alg, desired_size=8, seed=2))
+        h = build_hierarchy(mesh2d_jittered, CoarsenConfig(alg, seed=2))
         assert h.n_levels >= 2
 
     def test_deterministic(self, mesh2d_jittered):
@@ -441,8 +483,7 @@ class TestBuildHierarchy:
         table = {0: MaterialProperties(1.0, 10.0, 10.0),
                  1: MaterialProperties(0.0, 10.0, 10.0)}
         h = build_hierarchy(mesh2d_jittered,
-                            CoarsenConfig("greedy", desired_size=8, seed=1),
-                            materials=table)
+                            CoarsenConfig("greedy", seed=1), materials=table)
         for lvl in h.levels:
             assert lvl.materials is not None
             assert np.allclose(lvl.materials.sigma_t, 10.0)
@@ -465,6 +506,5 @@ class TestComplexities:
         from agglomg.solver import ProblemSpec, assemble_problem
         A, _ = assemble_problem(mesh2d_jittered, ProblemSpec("diffuse"))
         h = build_hierarchy(mesh2d_jittered,
-                            CoarsenConfig("sizebased", desired_size=8, seed=1),
-                            operator=A)
+                            CoarsenConfig("sizebased", seed=1), operator=A)
         assert operator_complexity(h) > 1.0

@@ -190,7 +190,7 @@ class TestLevelTopology:
         t = topo2d_small
         assert t.n_elements == mesh2d_small.n_elements
         assert t.n_nodes == mesh2d_small.n_nodes
-        assert t.elem_volume.sum() == pytest.approx(100.0)  # 10 cm box
+        assert t.dual.vertex_weight.sum() == pytest.approx(100.0)  # 10 cm box
         # per-node element lists cover each element dim+1 times
         assert len(t.node_elem_ids) == mesh2d_small.n_elements * 3
 

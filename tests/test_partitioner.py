@@ -109,7 +109,7 @@ class TestPartitionKway:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_contiguous_flag(self, seed):
         g = graph_from_mesh(2, 12, seed=seed)
-        part = pt.partition_kway(g, 17, contiguous=True, seed=seed)
+        part = pt.partition_kway(g, 17, seed=seed)
         assert parts_connected(g, part)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -118,7 +118,7 @@ class TestPartitionKway:
         # must bring every part back near the mean weight
         g = graph_from_mesh(2, 32, seed=4)
         k = g.n // 24
-        part = pt.partition_kway(g, k, contiguous=True, seed=seed)
+        part = pt.partition_kway(g, k, seed=seed)
         ratio = np.bincount(part, weights=g.vwgt, minlength=k) / (g.vwgt.sum() / k)
         assert 0.75 <= ratio.min() and ratio.max() <= 1.25, (ratio.min(), ratio.max())
 
@@ -128,14 +128,14 @@ class TestPartitionKway:
         # side with fewer vertices than parts, so a part came out empty
         g = path_graph(n)
         g.vwgt[0] = 50
-        part = pt.partition_kway(g, k, contiguous=True, seed=0)
+        part = pt.partition_kway(g, k, seed=0)
         assert (np.bincount(part, minlength=k) > 0).all()
         assert parts_connected(g, part)
 
     def test_determinism(self):
         g = graph_from_mesh(2, 10, seed=8)
-        a = pt.partition_kway(g, 9, contiguous=True, seed=5)
-        b = pt.partition_kway(g, 9, contiguous=True, seed=5)
+        a = pt.partition_kway(g, 9, seed=5)
+        b = pt.partition_kway(g, 9, seed=5)
         assert np.array_equal(a, b)
 
     def test_refinement_never_increases_cut(self):
@@ -289,7 +289,7 @@ class TestSequentialKernels:
     def test_articulation_matches_components(self, case, kind):
         g = _kernel_graph(case)
         if kind == "kway":
-            part = pt.partition_kway(g, max(2, g.n // 24), contiguous=True, seed=1)
+            part = pt.partition_kway(g, max(2, g.n // 24), seed=1)
         else:
             part = np.random.default_rng(0).integers(0, 6, g.n)
         sizes = np.bincount(part)
@@ -305,5 +305,5 @@ def test_mid_size_contiguous_partition_pin():
     # 400 articulation points, which the golden meshes (k <= 21) barely do.
     # The hash was recorded before the partitioner loops moved to lists.
     dual = LevelTopology.from_mesh(generate_mesh(2, 64, jitter=0.2, seed=11)).dual
-    part = pt.partition_kway(pt.scale_weights(dual), 341, contiguous=True, seed=5)
+    part = pt.partition_kway(pt.scale_weights(dual), 341, seed=5)
     assert hashlib.sha256(part.tobytes()).hexdigest()[:16] == "01dc00e5f8ed586a"

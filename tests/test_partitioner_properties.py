@@ -53,19 +53,18 @@ def connected_per_component(graph, part):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graph=hostile_graphs(), k_frac=st.floats(0.0, 1.0), k_shift=st.sampled_from([0, 0, 0, -1, 1]),
-       contiguous=st.booleans(), seed=st.integers(0, 3))
-def test_partition_kway_on_hostile_graphs(graph, k_frac, k_shift, contiguous, seed):
+       seed=st.integers(0, 3))
+def test_partition_kway_on_hostile_graphs(graph, k_frac, k_shift, seed):
     n = graph.n
     k = 1 + round(k_frac * (n - 1)) if k_shift == 0 else (0 if k_shift < 0 else n + 1)
     try:
-        part = pt.partition_kway(graph, k, contiguous=contiguous, seed=seed)
+        part = pt.partition_kway(graph, k, seed=seed)
     except ValueError:
         assert not 1 <= k <= n
         return
     assert 1 <= k <= n
     sizes = np.bincount(part, minlength=k)
     assert len(sizes) == k and (sizes > 0).all()
-    if contiguous:
-        assert connected_per_component(graph, part)
-    again = pt.partition_kway(graph, k, contiguous=contiguous, seed=seed)
+    assert connected_per_component(graph, part)
+    again = pt.partition_kway(graph, k, seed=seed)
     assert np.array_equal(part, again)

@@ -260,8 +260,7 @@ class TestVCycle:
         mesh = generate_mesh(2, 5, extent=1.0)  # 36 nodes -> one level
         spec = ProblemSpec("diffuse")
         A, b = assemble_problem(mesh, spec)
-        hier = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=4),
-                               operator=A)
+        hier = build_hierarchy(mesh, CoarsenConfig("greedy"), operator=A)
         assert hier.n_levels == 1
         M = VCyclePreconditioner(hier)
         z = M(b)
@@ -269,7 +268,7 @@ class TestVCycle:
 
     def test_zero_rhs_zero_correction(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
-        hier = build_hierarchy(mesh, CoarsenConfig("greedy", desired_size=8, seed=1),
+        hier = build_hierarchy(mesh, CoarsenConfig("greedy", seed=1),
                                materials=spec.materials, operator=A)
         M = VCyclePreconditioner(hier)
         assert np.allclose(M(np.zeros_like(b)), 0.0)
@@ -277,8 +276,7 @@ class TestVCycle:
     def test_coarsest_size_guard(self):
         mesh = generate_mesh(2, 50, jitter=0.1, seed=1)  # 2601 nodes
         A, _ = assemble_problem(mesh, ProblemSpec("diffuse"))
-        hier = build_hierarchy(mesh, CoarsenConfig("sizebased", desired_size=8,
-                                                   seed=1),
+        hier = build_hierarchy(mesh, CoarsenConfig("sizebased", seed=1),
                                operator=A, stop=StopRule(coarse_nodes=10 ** 6))
         # a single-level "hierarchy" of this size exceeds the LU budget
         assert hier.n_levels == 1
@@ -301,8 +299,7 @@ class TestVCycle:
 
     def test_galerkin_consistency_on_levels(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
-        hier = build_hierarchy(mesh, CoarsenConfig("sizebased", desired_size=8,
-                                                   seed=2),
+        hier = build_hierarchy(mesh, CoarsenConfig("sizebased", seed=2),
                                materials=spec.materials, operator=A)
         rng = np.random.default_rng(0)
         Af = A
@@ -365,7 +362,7 @@ class TestSolveProblem:
 
     def test_determinism(self):
         mesh = generate_mesh(2, 24, jitter=0.2, seed=4)
-        cfg = CoarsenConfig("greedy", desired_size=8, seed=9)
+        cfg = CoarsenConfig("greedy", seed=9)
         x1, r1, _ = solve_problem(mesh, ProblemSpec("diffuse"), cfg)
         x2, r2, _ = solve_problem(mesh, ProblemSpec("diffuse"), cfg)
         assert np.array_equal(x1, x2)
