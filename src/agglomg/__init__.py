@@ -8,8 +8,7 @@ V-cycle preconditioner for FGMRES on model diffusion/transport problems.
 
 from .mesh import (BOUNDARY, DegenerateElementError, DualGraph, EdgeSet, FaceSet,
                    LevelTopology, MaterialProperties, MaterialTable, Mesh,
-                   MeshMetrics, TopologyError, build_topology, generate_mesh,
-                   mesh_metrics)
+                   MeshMetrics, TopologyError, generate_mesh, mesh_metrics)
 from .mesh_io import MshFormatError, SweepRecord, read_msh, write_report_json, \
     write_sweep_csv, write_vtk
 from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStats,

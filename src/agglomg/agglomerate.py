@@ -472,12 +472,6 @@ def _aspect(topo, s, seed):
     return assign
 
 
-def aspect_objective(topo: LevelTopology, assign: np.ndarray) -> float:
-    """Sum over agglomerates of (external surface area)^2 / volume."""
-    surf, vol = _surface_volume(topo, assign)
-    return float((surf * surf / vol).sum())
-
-
 def _surface_volume(topo, assign):
     nagg = int(assign.max()) + 1
     vol = np.bincount(assign, weights=topo.dual.vertex_weight, minlength=nagg)

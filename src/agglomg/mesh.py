@@ -299,18 +299,61 @@ class LevelTopology:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "LevelTopology":
-        faces, edges, dual = build_topology(mesh)
-        bd = faces.right == BOUNDARY
-        elem_bd_area = np.bincount(faces.left[bd], weights=faces.area[bd],
-                                   minlength=mesh.n_elements)
-        flat_nodes = mesh.elements.ravel()
-        elem_of = np.repeat(np.arange(mesh.n_elements), mesh.dim + 1)
-        ne_indptr, ne_ids = _csr_from_pairs(flat_nodes, elem_of, mesh.n_nodes)
+        """The finest level of a conforming mesh.
+
+        Every distinct (dim-1)-simplex of every element is enumerated exactly
+        once; a face shared by more than two elements is a topology error.
+        """
+        if mesh.n_elements == 0:
+            raise ValueError("empty mesh")
+        dim = mesh.dim
+        k = dim + 1
+        face_nodes, elem_face_ids, order, counts = _enumerate_faces(mesh.elements, dim)
+        n_faces = len(face_nodes)
+        if counts.max() > 2:
+            f = int(np.argmax(counts > 2))
+            raise TopologyError(
+                f"face {tuple(int(v) for v in face_nodes[f])} is shared by {counts[f]} "
+                "elements"
+            )
+
+        # slots are sorted by face, then element, so left < right in each pair
+        starts = np.cumsum(counts) - counts
+        slot_elem = order // k
+        left = slot_elem[starts]
+        right = np.full(n_faces, BOUNDARY, dtype=np.int64)
+        second = counts == 2
+        right[second] = slot_elem[starts[second] + 1]
+
+        area = _face_areas(mesh, face_nodes)
+        tag = np.full(n_faces, -1, dtype=np.int64)
+        bd = right == BOUNDARY
+        tag[bd] = [mesh.boundary_tag.get(tuple(f), 0) for f in face_nodes[bd].tolist()]
+
+        # element -> face ids, in local-face order
+        elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)
+
+        node_of_face = face_nodes.ravel()
+        face_of_node = np.repeat(np.arange(n_faces), dim)
+        nf_indptr, nf_ids = _csr_from_pairs(node_of_face, face_of_node, mesh.n_nodes)
+
+        faces = FaceSet(
+            node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
+            node_ids=face_nodes.ravel().copy(),
+            left=left, right=right, area=area, tag=tag,
+            elem_indptr=elem_indptr, elem_face_ids=elem_face_ids,
+            node_face_indptr=nf_indptr, node_face_ids=nf_ids,
+        )
+
+        dual = _dual_from_faces(faces, element_measures(mesh))
+        edges = _build_edges(mesh, face_nodes) if dim == 3 else None
+        elem_bd_area = np.bincount(left[bd], weights=area[bd], minlength=mesh.n_elements)
+        elem_of = np.repeat(np.arange(mesh.n_elements), k)
+        ne_indptr, ne_ids = _csr_from_pairs(mesh.elements.ravel(), elem_of, mesh.n_nodes)
         node_bd = np.zeros(mesh.n_nodes, dtype=bool)
-        bd_face_nodes = _face_node_matrix(faces)[bd]
-        node_bd[bd_face_nodes] = True
+        node_bd[face_nodes[bd]] = True
         return cls(
-            dim=mesh.dim,
+            dim=dim,
             n_elements=mesh.n_elements,
             n_nodes=mesh.n_nodes,
             elem_boundary_area=elem_bd_area,
@@ -321,15 +364,6 @@ class LevelTopology:
             node_elem_ids=ne_ids,
             node_boundary=node_bd,
         )
-
-
-def _face_node_matrix(faces: FaceSet) -> np.ndarray:
-    """Fine-level face nodes as a dense (F, dim) array (uniform arity)."""
-    widths = np.diff(faces.node_indptr)
-    w = int(widths[0]) if widths.size else 0
-    if widths.size and not np.all(widths == w):
-        raise ValueError("face node lists are ragged")
-    return faces.node_ids.reshape(-1, w)
 
 
 def _signed_measures(coords: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -364,58 +398,6 @@ def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(c, axis=1)
 
 
-def build_topology(mesh: Mesh):
-    """Derive (FaceSet, EdgeSet | None, DualGraph) from a conforming mesh.
-
-    Every distinct (dim-1)-simplex of every element is enumerated exactly
-    once; a face shared by more than two elements is a topology error.
-    """
-    if mesh.n_elements == 0:
-        raise ValueError("empty mesh")
-    dim = mesh.dim
-    k = dim + 1
-    face_nodes, elem_face_ids, order, counts = _enumerate_faces(mesh.elements, dim)
-    n_faces = len(face_nodes)
-    if counts.max() > 2:
-        f = int(np.argmax(counts > 2))
-        raise TopologyError(
-            f"face {tuple(int(v) for v in face_nodes[f])} is shared by {counts[f]} elements"
-        )
-
-    # slots are sorted by face, then element, so left < right in each pair
-    starts = np.cumsum(counts) - counts
-    slot_elem = order // k
-    left = slot_elem[starts]
-    right = np.full(n_faces, BOUNDARY, dtype=np.int64)
-    second = counts == 2
-    right[second] = slot_elem[starts[second] + 1]
-
-    area = _face_areas(mesh, face_nodes)
-    tag = np.full(n_faces, -1, dtype=np.int64)
-    bd = right == BOUNDARY
-    tag[bd] = [mesh.boundary_tag.get(tuple(f), 0) for f in face_nodes[bd].tolist()]
-
-    # element -> face ids, in local-face order
-    elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)
-
-    node_of_face = face_nodes.ravel()
-    face_of_node = np.repeat(np.arange(n_faces), dim)
-    nf_indptr, nf_ids = _csr_from_pairs(node_of_face, face_of_node, mesh.n_nodes)
-
-    faces = FaceSet(
-        node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
-        node_ids=face_nodes.ravel().copy(),
-        left=left, right=right, area=area, tag=tag,
-        elem_indptr=elem_indptr, elem_face_ids=elem_face_ids,
-        node_face_indptr=nf_indptr, node_face_ids=nf_ids,
-    )
-
-    volumes = element_measures(mesh)
-    dual = _dual_from_faces(faces, volumes)
-    edges = _build_edges(mesh, faces) if dim == 3 else None
-    return faces, edges, dual
-
-
 def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
     interior = faces.interior
     li, ri = faces.left[interior], faces.right[interior]
@@ -428,7 +410,8 @@ def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
                      vertex_weight=volumes, edge_faces=count)
 
 
-def _build_edges(mesh: Mesh, faces: FaceSet) -> EdgeSet:
+def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
+    """Edges of a tet mesh, given its (F, 3) sorted face node tuples."""
     n = mesh.n_nodes
     raw = np.sort(mesh.elements[:, _TET_EDGES], axis=2).reshape(-1, 2)
     keys = raw[:, 0] * n + raw[:, 1]
@@ -440,11 +423,10 @@ def _build_edges(mesh: Mesh, faces: FaceSet) -> EdgeSet:
     # an element may repeat an edge only if degenerate; pairs are unique here
     e_indptr, e_ids = _csr_from_pairs(inverse, elem_of, n_edges)
 
-    fnodes = _face_node_matrix(faces)
-    fe = np.sort(fnodes[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
+    fe = np.sort(face_nodes[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
     fkeys = fe[:, 0] * n + fe[:, 1]
     edge_id = np.searchsorted(ukeys, fkeys)
-    face_of = np.repeat(np.arange(faces.n_faces), 3)
+    face_of = np.repeat(np.arange(len(face_nodes)), 3)
     f_indptr, f_ids = _csr_from_pairs(edge_id, face_of, n_edges)
 
     node_of_edge = nodes.ravel()

@@ -33,13 +33,6 @@ class SweepRecord:
     setup_time_s: float | None = None
     status: str = "ok"
 
-    def validate(self):
-        if self.status == "ok":
-            if self.grid_complexity < 1.0:
-                raise ValueError("grid complexity must be >= 1")
-            if self.actual_average_size < 1.0:
-                raise ValueError("average agglomerate size must be >= 1")
-
 
 def read_msh(path):
     """Read an ASCII MSH 2.2 file into a Mesh.

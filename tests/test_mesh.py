@@ -3,8 +3,7 @@ import pytest
 
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
                           TopologyError, _collapse_pairs, _row_sums, _unique_pairs,
-                          build_topology, element_measures, generate_mesh,
-                          mesh_metrics)
+                          element_measures, generate_mesh, mesh_metrics)
 
 
 class TestGenerateMesh:
@@ -90,7 +89,8 @@ class TestGeometry:
 
 class TestTopology:
     def test_single_triangle(self, tri_single):
-        faces, edges, dual = build_topology(tri_single)
+        t = LevelTopology.from_mesh(tri_single)
+        faces, edges, dual = t.faces, t.edges, t.dual
         assert faces.n_faces == 3
         assert (faces.right == BOUNDARY).sum() == 3
         assert edges is None
@@ -98,14 +98,16 @@ class TestTopology:
         assert len(dual.indices) == 0
 
     def test_two_triangles(self, tri_pair):
-        faces, _, dual = build_topology(tri_pair)
+        t = LevelTopology.from_mesh(tri_pair)
+        faces, dual = t.faces, t.dual
         assert int(faces.interior.sum()) == 1
         assert int((~faces.interior).sum()) == 4
         # one dual edge, counted once per direction
         assert len(dual.indices) == 2
 
     def test_single_tet(self, tet_single):
-        faces, edges, dual = build_topology(tet_single)
+        t = LevelTopology.from_mesh(tet_single)
+        faces, edges = t.faces, t.edges
         assert faces.n_faces == 4
         assert edges.n_edges == 6
 
@@ -115,11 +117,11 @@ class TestTopology:
         elems = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
         m = Mesh(2, coords, elems, np.zeros(3, dtype=np.int64))
         with pytest.raises(TopologyError):
-            build_topology(m)
+            LevelTopology.from_mesh(m)
 
     def test_face_count_identity(self, mesh2d_jittered, mesh3d_small):
         for m in (mesh2d_jittered, mesh3d_small):
-            faces, _, _ = build_topology(m)
+            faces = LevelTopology.from_mesh(m).faces
             interior = int(faces.interior.sum())
             boundary = faces.n_faces - interior
             assert m.n_elements * (m.dim + 1) == 2 * interior + boundary
@@ -144,7 +146,7 @@ class TestTopology:
             assert degrees.max() <= topo.dim + 1
 
     def test_tet_contributes_six_edges(self, mesh3d_small):
-        _, edges, _ = build_topology(mesh3d_small)
+        edges = LevelTopology.from_mesh(mesh3d_small).edges
         per_elem = np.diff(edges.elem_indptr)
         # every edge's incident-element list is nonempty
         assert per_elem.min() >= 1

@@ -185,19 +185,11 @@ class TestTables:
         rec = SweepRecord(algorithm="sizebased", desired_size=24,
                           actual_average_size=23.9, grid_complexity=1.21,
                           node_element_ratio=2.0, average_connectivity=3.4)
-        rec.validate()
         path = tmp_path / "one.csv"
         mesh_io.write_sweep_csv(path, [rec])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "sizebased"
-
-    def test_record_validation(self):
-        rec = SweepRecord(algorithm="x", desired_size=4, actual_average_size=0.5,
-                          grid_complexity=1.2, node_element_ratio=1.0,
-                          average_connectivity=1.0)
-        with pytest.raises(ValueError):
-            rec.validate()
 
     def test_report_json_residual_array(self, tmp_path):
         report = SolveReport(iterations=10, residuals=[1.0] + [0.1] * 10,
