@@ -58,41 +58,33 @@ def _build_parser():
     return p
 
 
-# config-file value types for options that default to None
-_KEY_TYPES = {
-    "gen_2d": int, "gen_3d": int, "seed": int, "jobs": int, "lower_size": int,
-    "stop_nodes": int, "max_levels": int, "jitter": float, "solve": bool,
-}
-
-
-def _apply_config_file(args, parser):
+def _parse_args(parser, argv):
+    """Parse ``argv``; a ``--config`` file's ``key=value`` lines count as
+    ``--key=value`` flags placed before the command line's own, so a flag
+    given there wins, and a bad key or value is a usage error."""
+    args = parser.parse_args(argv)
     if not args.config:
         return args
-    overrides = {}
     try:
         with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, val = line.split("=", 1)
-                overrides[key.strip().replace("-", "_")] = val.strip()
+            lines = [line.strip() for line in fh]
     except OSError as err:
         parser.error(f"cannot read config file: {err}")
-    # command-line flags win over file values
-    defaults = parser.parse_args([args.command]).__dict__
-    for key, val in overrides.items():
-        if key not in args.__dict__:
-            raise SystemExit(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults.get(key):
-            coerce = _KEY_TYPES.get(key, str)
-            if coerce is bool:
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, coerce(val))
-    return args
+    file_args = []
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            parser.error(f"bad config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag != "--solve":
+            file_args.append(f"{flag}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            file_args.append(flag)
+        elif val.lower() not in ("0", "false", "no"):
+            parser.error(f"config key solve takes true or false, got {val!r}")
+    return parser.parse_args([args.command] + file_args + argv[1:])
 
 
 def _echo_config(args):
@@ -261,8 +253,7 @@ def cmd_export(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config_file(args, parser)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     _echo_config(args)
     handlers = {"coarsen": cmd_coarsen, "sweep": cmd_sweep,
                 "solve": cmd_solve, "export": cmd_export}

@@ -329,6 +329,37 @@ class TestConfigFile:
         assert code == 0
         assert "# seed=9" in out
 
+    def test_flag_equal_to_default_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("seed=5\n")
+        code, out, _ = run(["coarsen", "--gen-2d", "4", "--alg", "node", "--seed", "0",
+                            "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "# seed=0" in out and "# seed=5" not in out
+
+    def test_underscore_keys_and_solve_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("gen_2d=8\nalg=greedy\nsize=4\nsolve=true\n")
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(["sweep", "--config", str(cfg), "--csv", str(path)], capsys)
+        assert code == 0
+        assert "# gen-2d=8" in out and "# solve=True" in out
+        (row,) = csv.DictReader(path.open())
+        assert row["status"] == "ok" and int(row["iterations"]) > 0
+
+    @pytest.mark.parametrize("line,message", [
+        ("jitter=abc", "invalid float value: 'abc'"),
+        ("solve=maybe", "solve takes true or false"),
+        ("gen-2d", "bad config line"),
+    ])
+    def test_malformed_value_is_a_usage_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coarsen", "--gen-2d", "4", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense=1\n")
