@@ -41,9 +41,10 @@ def read_msh(path):
     tetrahedral file, triangles become tagged boundary faces. The first
     physical tag maps to the region id (volume) or boundary tag (surface).
     Anything else is skipped, with a warning giving the skip count.
-    Triangles of a tetrahedral file that are not faces of any tetrahedron
-    indicate a mixed-dimensional volume mesh and are rejected, as are
-    elements that name a node the $Nodes section does not define.
+    A boundary entity that is no face of any volume element (a triangle of
+    a tetrahedral file, a line of a triangular one) indicates a
+    mixed-dimensional mesh and is rejected, as are elements that name a
+    node the $Nodes section does not define.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -141,21 +142,20 @@ def read_msh(path):
         elements[flipped] = elements[flipped][:, [0, 2, 1] + ([3] if dim == 3 else [])]
 
     # surface entities become boundary tags: triangles under tetrahedra,
-    # lines under triangles; a triangle that is no tetrahedron's face means
-    # the file mixes 2D and 3D volume elements
+    # lines under triangles; one that is no face of a volume element means
+    # the file mixes dimensions
+    if dim == 3:
+        surface, surface_tags, kind, volume_kind = tris, tri_tags, "triangle", "tetrahedron"
+    else:
+        surface, surface_tags, kind, volume_kind = lines_1d, line_tags, "line", "triangle"
     boundary_tag = {}
-    if dim == 3 and tris:
-        tet_faces = set(map(tuple, _enumerate_faces(elements, 3)[0].tolist()))
-        for conn, phys in zip(tris, tri_tags):
+    if surface:
+        faces = set(map(tuple, _enumerate_faces(elements, dim)[0].tolist()))
+        for conn, phys in zip(surface, surface_tags):
             key = tuple(sorted(rows(conn)))
-            if key not in tet_faces:
+            if key not in faces:
                 raise MshFormatError(
-                    "mixed 2D/3D volume mesh: triangle "
-                    f"{key} is not a face of any tetrahedron")
-            boundary_tag[key] = phys
-    elif dim == 2:
-        for conn, phys in zip(lines_1d, line_tags):
-            key = tuple(sorted(rows(conn)))
+                    f"mixed-dimension mesh: {kind} {key} is not a face of any {volume_kind}")
             boundary_tag[key] = phys
     return Mesh(dim=dim, node_coords=coords, elements=elements,
                 material_id=material, boundary_tag=boundary_tag)

@@ -115,6 +115,16 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="mixed"):
             read_msh(path)
 
+    def test_line_off_the_triangles_rejected(self, tmp_path):
+        # the line joins node 1 to a fourth node no triangle uses
+        text = (MSH_2D_WITH_LINES.replace("$Nodes\n3\n", "$Nodes\n4\n")
+                .replace("$EndNodes", "4 5.0 5.0 0.0\n$EndNodes")
+                .replace("2 1 2 5 1 1 2", "2 1 2 5 1 1 4"))
+        path = tmp_path / "stray_line.msh"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match=r"line \(0, 3\) is not a face of any triangle"):
+            read_msh(path)
+
     @pytest.mark.parametrize("text", [
         MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 2 7 1 1 2 4"),
         MSH_TET_WITH_BOUNDARY.replace("2 2 2 9 2 1 2 3", "2 2 2 9 2 1 2 8"),
