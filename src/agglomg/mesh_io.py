@@ -167,16 +167,22 @@ def write_vtk(path, mesh: Mesh, level_agglomerations=()):
     ``level_agglomerations`` holds one Agglomeration per level, each
     defined on the previous level's elements; they are composed so the
     CELL_DATA array ``agglomerate_L<k>`` gives each finest-level element its
-    level-k agglomerate id.
+    level-k agglomerate id. A level without exactly one entry per element
+    of the level below, or with an unassigned one, raises ValueError.
     """
     composed = []
     current = np.arange(mesh.n_elements)
-    for k, agg in enumerate(level_agglomerations):
+    n_below = mesh.n_elements
+    for k, agg in enumerate(level_agglomerations, start=1):
         e2a = agg.element_to_agg
+        if len(e2a) != n_below:
+            raise ValueError(f"level {k} has {len(e2a)} entries for the {n_below} "
+                             f"elements of level {k - 1}")
         if (e2a < 0).any():
             raise ValueError(f"level {k} has unassigned elements")
         current = e2a[current]
         composed.append(current)
+        n_below = agg.n_agglomerates
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

@@ -177,6 +177,19 @@ class TestWriteVtk:
         assert "CELL_DATA" not in text
         assert "POINTS 4 double" in text
 
+    @pytest.mark.parametrize("levels,message", [
+        ([np.arange(10) % 3], "level 1 has 10 entries for the 8 elements of level 0"),
+        ([np.arange(7) % 3], "level 1 has 7 entries for the 8 elements of level 0"),
+        ([np.arange(8) // 2, np.zeros(3, dtype=np.int64)],
+         "level 2 has 3 entries for the 4 elements of level 1"),
+    ], ids=["long", "short", "second-level"])
+    def test_level_length_checked(self, tmp_path, levels, message):
+        mesh = generate_mesh(2, 2)  # 8 triangles
+        path = tmp_path / "bad.vtk"
+        with pytest.raises(ValueError, match=message):
+            mesh_io.write_vtk(path, mesh, [Agglomeration(ids) for ids in levels])
+        assert not path.exists()
+
     def test_unassigned_elements_rejected(self, tmp_path, tri_pair):
         bad = Agglomeration(np.array([0, -1]))
         with pytest.raises(ValueError, match="unassigned"):
