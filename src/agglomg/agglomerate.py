@@ -77,11 +77,6 @@ class Agglomeration:
     def n_agglomerates(self) -> int:
         return int(self.element_to_agg.max()) + 1 if self.n_elements else 0
 
-    @property
-    def sizes(self) -> np.ndarray:
-        assigned = self.element_to_agg[self.element_to_agg >= 0]
-        return np.bincount(assigned, minlength=self.n_agglomerates)
-
     def is_total(self) -> bool:
         return bool((self.element_to_agg >= 0).all())
 
