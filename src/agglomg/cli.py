@@ -60,8 +60,9 @@ def _build_parser():
 
 def _parse_args(parser, argv):
     """Parse ``argv``; a ``--config`` file's ``key=value`` lines count as
-    ``--key=value`` flags placed before the command line's own, so a flag
-    given there wins, and a bad key or value is a usage error."""
+    ``--key=value`` flags placed before the command line's own, so a
+    command-line flag wins over the file, and a bad key or value is a
+    usage error."""
     args = parser.parse_args(argv)
     if not args.config:
         return args

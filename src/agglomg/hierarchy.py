@@ -124,8 +124,8 @@ class LevelSchedule:
     def size_for(self, level_index: int, topo: LevelTopology) -> int:
         if level_index == 0:
             return self.top
-        s = SMALL_GRID_SIZE if topo.dim == 3 and topo.n_elements < SMALL_GRID_ELEMENTS \
-            else self.lower
+        small = topo.dim == 3 and topo.n_elements < SMALL_GRID_ELEMENTS
+        s = SMALL_GRID_SIZE if small else self.lower
         # fixed lower-grid sizes must shrink with the remaining grid
         return min(s, max(2, topo.n_elements // 2))
 
@@ -658,7 +658,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         raise ValueError(
             f"desired_size {config.desired_size} is not the schedule's top size "
             f"{schedule.top}; set the sizes through the LevelSchedule")
-    replace(config, desired_size=schedule.top).validate()
+    replace(config, desired_size=schedule.top).validate()  # the algorithm name
     stop = stop or StopRule()
     topo0 = fine_topology if fine_topology is not None else LevelTopology.from_mesh(mesh)
     topo = topo0
