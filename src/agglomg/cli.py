@@ -27,7 +27,8 @@ def _build_parser():
             ("sweep", "run size sweeps over one or more algorithms"),
             ("solve", "solve a model problem with the multigrid preconditioner"),
             ("export", "write a VTK file with per-level agglomerate ids")):
-        q = sub.add_parser(name, help=help_text)
+        # no prefix matching: a config key or flag must be spelt in full
+        q = sub.add_parser(name, help=help_text, allow_abbrev=False)
         q.add_argument("--mesh", help="MSH 2.2 file to read")
         q.add_argument("--gen-2d", type=int, metavar="N",
                        help="generate a jittered 2D mesh with N subdivisions")

@@ -365,3 +365,11 @@ class TestConfigFile:
         cfg.write_text("nonsense=1\n")
         with pytest.raises(SystemExit):
             cli.main(["coarsen", "--config", str(cfg), "--gen-2d", "8"])
+
+    def test_key_prefix_rejected(self, tmp_path, capsys):
+        # "si" is a prefix of "size", not a key
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("si=6\n")
+        with pytest.raises(SystemExit):
+            cli.main(["coarsen", "--config", str(cfg), "--gen-2d", "8"])
+        assert "unrecognized arguments: --si=6" in capsys.readouterr().err
