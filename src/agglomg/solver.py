@@ -26,7 +26,7 @@ from .hierarchy import (MIN_NODE_REDUCTION, ElementMaterials, Hierarchy, LevelSc
 
 COARSEST_LIMIT = 2000
 # advection velocity of the absorbing problem, cm/s (the first dim entries)
-ADVECTION = np.array([1.0, 0.0, 0.0])
+ADVECTION = (1.0, 0.0, 0.0)
 
 
 class DivergenceError(RuntimeError):
@@ -149,7 +149,7 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec):
     load = np.repeat((mats.source * vol / nloc)[:, None], nloc, axis=1)
 
     if spec.kind == "absorbing":
-        b_vec = ADVECTION[:mesh.dim]
+        b_vec = np.array(ADVECTION[:mesh.dim])
         bg = np.einsum("d,nid->ni", b_vec, grads)           # b . grad phi_i
         conv = np.repeat((vol / nloc)[:, None, None], nloc, axis=1) * bg[:, None, :]
         local = local + conv
