@@ -153,6 +153,7 @@ def cmd_coarsen(args) -> int:
               f"{lvl.coarse_faces.n_faces:>13} {stats.average_size:>13.2f} "
               f"{running / counts[0]:>8.3f}")
         topo = lvl.topology
+    print(f"stop_reason={hier.stop_reason}")
     if args.vtk:
         mesh_io.write_vtk(args.vtk, mesh, [l.agglomeration for l in hier.levels])
         print(f"wrote {args.vtk}")
@@ -229,7 +230,7 @@ def cmd_solve(args) -> int:
     x, report, hier = solve_problem(mesh, spec, config, schedule=schedule,
                                     stop=_stop(args))
     print(f"problem={report.problem} algorithm={report.algorithm} "
-          f"levels={report.levels}")
+          f"levels={report.levels} stop_reason={report.meta.get('stop_reason')}")
     print(f"iterations={report.iterations} converged={report.converged}")
     print(f"setup_time_s={report.setup_time_s:.3f} "
           f"solve_time_s={report.solve_time_s:.3f}")

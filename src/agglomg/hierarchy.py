@@ -35,6 +35,14 @@ SMALL_GRID_ELEMENTS = 100
 SMALL_GRID_SIZE = 4
 # a level that removes less than this share of the nodes is the last one
 MIN_NODE_REDUCTION = 0.10
+# the most unknowns the coarsest level may have: it is solved by a dense LU
+COARSEST_LIMIT = 2000
+# a coarse level of n <= COARSEST_LIMIT unknowns whose operator has
+# n**2 <= DENSE_STOP * nnz is the coarsest: the default V-cycle makes 8
+# matvecs per level (3 pre-smooth, 1 residual, 4 post-smooth), 16 nnz flops,
+# while lu_solve's two triangular solves take 2 n**2 flops, so from there on
+# the dense solve costs no more than that level's own smoothing
+DENSE_STOP = 8
 
 
 class CoarseningError(RuntimeError):
@@ -171,6 +179,9 @@ class Hierarchy:
     levels: list
     config: CoarsenConfig
     fine_operator: sp.csr_matrix | None = None
+    # why coarsening ended: "coarse_nodes", "stagnation", "max_levels",
+    # "no_coarsening", "uncoverable" or "dense" (see build_hierarchy)
+    stop_reason: str | None = None
 
     @property
     def node_counts(self) -> list:
@@ -640,11 +651,22 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
 
     Each step runs coarsen -> cleanup -> coarse topology -> prolongation
     -> material projection (-> Galerkin operator when a fine operator is
-    given). Stops at the node threshold, on stagnating node reduction, or
-    at the level cap. A level on which some agglomerate can get no coarse
-    node, because it has no neighbour to merge into (one agglomerate per
-    component of a disconnected mesh, say), also ends the hierarchy: the
-    levels built so far are kept and that level is dropped. All seven
+    given). Stops at the node threshold, on stagnating node reduction, at
+    the level cap, or when coarsening merges no elements. A level on which
+    some agglomerate can get no coarse node, because it has no neighbour to
+    merge into (one agglomerate per component of a disconnected mesh, say),
+    also ends the hierarchy: the levels built so far are kept and that
+    level is dropped. ``Hierarchy.stop_reason`` names the rule that ended
+    it.
+
+    With an ``operator``, a coarse level whose operator is dense enough
+    that its dense LU is no dearer than its smoothing (n unknowns, at most
+    ``COARSEST_LIMIT``, with n**2 <= ``DENSE_STOP`` * nnz) is the coarsest
+    one too. This deviates from the paper's node-count stop: in 3D the
+    assembled Galerkin operators fill in long before the node threshold.
+    The fine level never stops this way, and a hierarchy built without an
+    operator has no density to test, so it keeps the node-count stop. All
+    seven
     algorithms re-apply on coarse levels via the rebuilt LevelTopology. A
     precomputed ``fine_topology`` for the same mesh skips the topology
     derivation (useful in seed sweeps).
@@ -668,18 +690,26 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     A = operator.tocsr() if operator is not None else None
     fine_A = A
 
+    stop_reason = "max_levels"
     while len(levels) + 1 < stop.max_levels:
         if topo.n_nodes <= stop.coarse_nodes:
+            stop_reason = "coarse_nodes"
+            break
+        if (levels and A is not None and A.shape[0] <= COARSEST_LIMIT
+                and A.shape[0] ** 2 <= DENSE_STOP * A.nnz):
+            stop_reason = "dense"
             break
         s = schedule.size_for(len(levels), topo)
         level_config = CoarsenConfig(algorithm=config.algorithm, desired_size=s,
                                      seed=_level_seed(config.seed, len(levels)))
         agg = coarsen(topo, level_config)
         if agg.n_agglomerates >= topo.n_elements:
-            break  # no coarsening happened
+            stop_reason = "no_coarsening"
+            break
         selection = _coarse_selection(topo, agg, config.algorithm)
         if selection is None:
-            break  # an uncoverable agglomerate: end one level early
+            stop_reason = "uncoverable"  # end one level early
+            break
         agg, cfs, cnodes, cedges = selection
         P = build_prolongation(topo, agg, cfs, cnodes)
         new_topo = _coarse_topology(topo, agg, cfs, cnodes, cedges)
@@ -693,10 +723,12 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
                                 operator=new_A, coarse_edges=cedges))
         topo, mats, A = new_topo, new_mats, new_A
         if stagnating:
-            break  # keep the level, but a sub-10% node reduction ends the hierarchy
+            # keep the level, but a sub-10% node reduction ends the hierarchy
+            stop_reason = "stagnation"
+            break
 
     return Hierarchy(mesh=mesh, fine_topology=topo0, levels=levels, config=config,
-                     fine_operator=fine_A)
+                     fine_operator=fine_A, stop_reason=stop_reason)
 
 
 def _coarse_selection(topo, agg, algorithm):

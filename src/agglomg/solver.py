@@ -20,11 +20,10 @@ from scipy.linalg import lu_factor, lu_solve
 from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
 from .agglomerate import CoarsenConfig
-from .hierarchy import (MIN_NODE_REDUCTION, ElementMaterials, Hierarchy, LevelSchedule,
-                        StopRule, build_hierarchy, grid_complexity, operator_complexity,
-                        restriction)
+from .hierarchy import (COARSEST_LIMIT, MIN_NODE_REDUCTION, ElementMaterials, Hierarchy,
+                        LevelSchedule, StopRule, build_hierarchy, grid_complexity,
+                        operator_complexity, restriction)
 
-COARSEST_LIMIT = 2000
 # advection velocity of the absorbing problem, cm/s (the first dim entries)
 ADVECTION = (1.0, 0.0, 0.0)
 
@@ -438,6 +437,7 @@ def solve_problem(mesh: Mesh, spec: ProblemSpec, config: CoarsenConfig, *,
             "n_elements": mesh.n_elements,
             "grid_complexity": grid_complexity(hier),
             "operator_complexity": operator_complexity(hier),
+            "stop_reason": hier.stop_reason,
             "setup_includes_galerkin_products": True,
         },
     )

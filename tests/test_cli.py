@@ -33,6 +33,19 @@ class TestCoarsen:
         assert [int(r[3]) for r in rows[1:]] == [
             lvl.topology.faces.n_faces for lvl in hier.levels]
 
+    def test_stop_reason_printed(self, capsys):
+        # coarsen builds without an operator, so the density stop that ends
+        # the solve's hierarchy does not apply and the levels go deeper
+        argv = ["--gen-3d", "6", "--alg", "node"]
+        code, out, _ = run(["coarsen"] + argv, capsys)
+        assert code == 0
+        assert "stop_reason=coarse_nodes" in out
+        rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
+        assert len(rows) == 4
+        code, out, _ = run(["solve"] + argv, capsys)
+        assert code == 0
+        assert "levels=2 stop_reason=dense" in out
+
     def test_missing_mesh_file(self, capsys):
         code, _, err = run(["coarsen", "--mesh", "missing.msh", "--alg", "jones"],
                            capsys)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import types
 
@@ -153,11 +154,18 @@ class TestCoarseNodes:
         mesh = Mesh(3, np.vstack([box.node_coords, box.node_coords + 2.0]),
                     np.vstack([box.elements, box.elements + box.n_nodes]),
                     np.zeros(2 * box.n_elements, dtype=np.int64))
+        config = CoarsenConfig("rgb", seed=1)
+        h = build_hierarchy(mesh, config)
+        assert h.node_counts == [432, 361, 68]
+        assert h.stop_reason == "uncoverable"
+        check_hierarchy(h)
+        # with the operator, the 68-node level is dense enough to be the
+        # coarsest before the uncoverable level is tried
         spec = ProblemSpec("diffuse")
         A, b = assemble_problem(mesh, spec)
-        h = build_hierarchy(mesh, CoarsenConfig("rgb", seed=1),
-                            materials=spec.materials, operator=A)
+        h = build_hierarchy(mesh, config, materials=spec.materials, operator=A)
         assert h.node_counts == [432, 361, 68]
+        assert h.stop_reason == "dense"
         check_hierarchy(h)
         M = VCyclePreconditioner(h, SmootherConfig())
         _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
@@ -459,6 +467,7 @@ class TestBuildHierarchy:
         mesh = generate_mesh(2, 5, extent=1.0)  # 36 nodes < 60
         h = build_hierarchy(mesh, CoarsenConfig("greedy"))
         assert h.n_levels == 1
+        assert h.stop_reason == "coarse_nodes"
         assert grid_complexity(h) == pytest.approx(1.0)
 
     def test_node_counts_strictly_decrease(self, mesh2d_jittered):
@@ -487,6 +496,149 @@ class TestBuildHierarchy:
         for lvl in h.levels:
             assert lvl.materials is not None
             assert np.allclose(lvl.materials.sigma_t, 10.0)
+
+
+BOXES = {2: dict(n=16, jitter=0.2, seed=3), 3: dict(n=6, jitter=0.15, seed=3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _with_and_without_operator(dim, alg):
+    """One box built twice with the same config: with the diffuse operator
+    and without one."""
+    mesh = generate_mesh(dim, **BOXES[dim])
+    spec = ProblemSpec("diffuse")
+    A, _ = assemble_problem(mesh, spec)
+    config = CoarsenConfig(alg, seed=1)
+    return (build_hierarchy(mesh, config, materials=spec.materials, operator=A),
+            build_hierarchy(mesh, config, materials=spec.materials))
+
+
+def _dense_enough(op):
+    # the stop rule written out: n <= 2000 unknowns and n**2 <= 8 nnz
+    n = op.shape[0]
+    return n <= 2000 and n * n <= 8 * op.nnz
+
+
+def _first_level_operator(monkeypatch, nnz):
+    """Make the first Galerkin product an n x n matrix with ``nnz`` entries
+    (the first ``nnz`` in row-major order); later products stay real."""
+    real = hi.galerkin_operator
+    calls = []
+
+    def fake(A, P):
+        coarse = real(A, P)
+        calls.append(coarse.shape[0])
+        if len(calls) > 1:
+            return coarse
+        n = coarse.shape[0]
+        flat = np.arange(nnz)
+        return sp.csr_matrix((np.ones(nnz), (flat // n, flat % n)), shape=(n, n))
+
+    monkeypatch.setattr(hi, "galerkin_operator", fake)
+
+
+class TestDenseStop:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_only_the_coarsest_level_is_dense(self, dim, alg):
+        h, _ = _with_and_without_operator(dim, alg)
+        coarse_ops = h.operators[1:]
+        assert not any(_dense_enough(op) for op in coarse_ops[:-1])
+        if h.stop_reason == "dense":
+            assert _dense_enough(coarse_ops[-1])
+
+    def test_where_the_rule_fires(self):
+        dense = {(dim, alg) for dim in BOXES for alg in ALGORITHMS
+                 if _with_and_without_operator(dim, alg)[0].stop_reason == "dense"}
+        assert dense == {(3, "kraus"), (3, "node"), (3, "greedy"), (3, "aspect")}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_without_operator_the_levels_go_on(self, dim, alg):
+        # the operator only decides where to stop: the levels built with it
+        # are the first levels of the hierarchy built without it
+        with_op, without = _with_and_without_operator(dim, alg)
+        assert without.stop_reason != "dense"
+        n = len(with_op.levels)
+        assert without.node_counts[:n + 1] == with_op.node_counts
+        for a, b in zip(with_op.levels, without.levels):
+            assert np.array_equal(a.agglomeration.element_to_agg,
+                                  b.agglomeration.element_to_agg)
+        if with_op.stop_reason != "dense":
+            assert without.node_counts == with_op.node_counts
+
+    def test_kraus_keeps_its_old_levels_without_operator(self):
+        with_op, without = _with_and_without_operator(3, "kraus")
+        assert without.node_counts == [343, 299, 163, 88, 50]
+        assert with_op.node_counts == [343, 299, 163]
+
+    def test_fine_level_never_stops(self):
+        # an all-ones fine operator is as dense as can be; the fine level is
+        # what the caller asked to precondition, so it is coarsened anyway,
+        # and its all-ones Galerkin product then ends the hierarchy
+        mesh = generate_mesh(2, **BOXES[2])
+        A = sp.csr_matrix(np.ones((mesh.n_nodes, mesh.n_nodes)))
+        h = build_hierarchy(mesh, CoarsenConfig("node", seed=1), operator=A)
+        assert h.n_levels == 2
+        assert h.stop_reason == "dense"
+
+    @pytest.mark.parametrize("nnz,stops", [(132 * 132 // 8, True),
+                                           (132 * 132 // 8 - 1, False)])
+    def test_density_bound_is_inclusive(self, monkeypatch, nnz, stops):
+        # jones's first coarse level of the 2D box has 132 nodes, and
+        # 132**2 = 8 * 2178 exactly
+        _first_level_operator(monkeypatch, nnz)
+        mesh = generate_mesh(2, **BOXES[2])
+        A, _ = assemble_problem(mesh, ProblemSpec("diffuse"))
+        h = build_hierarchy(mesh, CoarsenConfig("jones"), operator=A)
+        assert h.node_counts[:2] == [289, 132]
+        assert (h.stop_reason == "dense") == stops
+        assert (h.n_levels == 2) == stops
+
+    @pytest.mark.parametrize("limit,stops", [(132, True), (131, False)])
+    def test_size_bound_is_inclusive(self, monkeypatch, limit, stops):
+        # a full 132 x 132 first coarse level stops only within the limit
+        _first_level_operator(monkeypatch, 132 * 132)
+        monkeypatch.setattr(hi, "COARSEST_LIMIT", limit)
+        mesh = generate_mesh(2, **BOXES[2])
+        A, _ = assemble_problem(mesh, ProblemSpec("diffuse"))
+        h = build_hierarchy(mesh, CoarsenConfig("jones"), operator=A)
+        assert h.node_counts[:2] == [289, 132]
+        assert (h.stop_reason == "dense") == stops
+
+
+class TestStopReason:
+    def test_dense(self):
+        h, _ = _with_and_without_operator(3, "node")
+        assert h.node_counts == [343, 207]
+        assert h.stop_reason == "dense"
+
+    def test_stagnation(self):
+        h, _ = _with_and_without_operator(3, "jones")
+        assert h.node_counts == [343, 342]
+        assert h.stop_reason == "stagnation"
+
+    def test_coarse_nodes(self):
+        h, _ = _with_and_without_operator(2, "sizebased")
+        assert h.node_counts[-1] <= StopRule().coarse_nodes
+        assert h.stop_reason == "coarse_nodes"
+
+    def test_max_levels(self):
+        mesh = generate_mesh(2, **BOXES[2])
+        h = build_hierarchy(mesh, CoarsenConfig("node", seed=1),
+                            stop=StopRule(max_levels=2))
+        assert h.n_levels == 2
+        assert h.stop_reason == "max_levels"
+
+    def test_no_coarsening(self):
+        # with no node threshold, greedy coarsens the 8-triangle box to one
+        # agglomerate, which cannot be coarsened further
+        mesh = generate_mesh(2, 2, extent=1.0)
+        h = build_hierarchy(mesh, CoarsenConfig("greedy", seed=1),
+                            stop=StopRule(coarse_nodes=0))
+        assert h.node_counts == [9, 4]
+        assert h.levels[-1].topology.n_elements == 1
+        assert h.stop_reason == "no_coarsening"
 
 
 class TestComplexities:

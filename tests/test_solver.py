@@ -331,6 +331,7 @@ class TestSolveProblem:
         assert report.meta["setup_includes_galerkin_products"] is True
         assert report.meta["grid_complexity"] == grid_complexity(hier)
         assert report.meta["operator_complexity"] == operator_complexity(hier)
+        assert report.meta["stop_reason"] == hier.stop_reason == "coarse_nodes"
 
     def test_preconditioning_beats_unpreconditioned(self):
         mesh = generate_mesh(2, 32, jitter=0.2, seed=8)
