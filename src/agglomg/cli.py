@@ -163,6 +163,8 @@ def cmd_coarsen(args) -> int:
 def _sweep_one(payload):
     mesh, config, size, lower, problem, do_solve, stop = payload
     alg = config.algorithm
+    # a row run without a size is built at the schedule's top size
+    top = size if size is not None else level_schedule(mesh.dim).top
     try:
         schedule = level_schedule(mesh.dim, top=size, lower=lower)
         if do_solve:
@@ -182,7 +184,7 @@ def _sweep_one(payload):
         metrics = mesh_metrics(hier.levels[0].topology)
         return mesh_io.SweepRecord(
             algorithm=alg,
-            desired_size=size if size is not None else -1,
+            desired_size=top,
             actual_average_size=stats.average_size,
             grid_complexity=grid_complexity(hier),
             node_element_ratio=metrics.node_element_ratio,
@@ -190,7 +192,7 @@ def _sweep_one(payload):
             iterations=iters, solve_time_s=solve_t, setup_time_s=setup_t)
     except Exception as err:  # failures become rows, the sweep continues
         return mesh_io.SweepRecord(
-            algorithm=alg, desired_size=size if size is not None else -1,
+            algorithm=alg, desired_size=top,
             actual_average_size=float("nan"), grid_complexity=float("nan"),
             node_element_ratio=float("nan"), average_connectivity=float("nan"),
             status=f"failed: {err}")

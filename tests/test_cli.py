@@ -108,6 +108,16 @@ class TestSweep:
                                    schedule=level_schedule(2))
             assert float(rows[0]["grid_complexity"]) == grid_complexity(hier)
 
+    @pytest.mark.parametrize("source,size", [(["--gen-2d", "16"], 24),
+                                             (["--gen-3d", "3"], 168)], ids=["2d", "3d"])
+    def test_no_size_row_records_schedule_top(self, tmp_path, capsys, source, size):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run(["sweep", "--alg", "sizebased", "--csv", str(path)] + source,
+                         capsys)
+        assert code == 0
+        rows = list(csv.DictReader(path.open()))
+        assert [r["desired_size"] for r in rows] == [str(size)]
+
     def test_determinism_modulo_timing(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--gen-2d", "16", "--alg", "greedy", "--size", "4,8",
