@@ -40,7 +40,9 @@ def read_msh(path):
     Volume elements are type 2 (triangle) or type 4 (tetrahedron); in a
     tetrahedral file, triangles become tagged boundary faces. The first
     physical tag maps to the region id (volume) or boundary tag (surface).
-    Anything else is skipped, with a warning giving the skip count.
+    Anything else is skipped, with a warning giving the skip count. Nodes
+    that no volume element uses are dropped, with a warning giving their
+    count; the others are renumbered in file order.
     A boundary entity that is no face of any volume element (a triangle of
     a tetrahedral file, a line of a triangular one) indicates a
     mixed-dimensional mesh and is rejected, as are elements that name a
@@ -157,6 +159,17 @@ def read_msh(path):
                 raise MshFormatError(
                     f"mixed-dimension mesh: {kind} {key} is not a face of any {volume_kind}")
             boundary_tag[key] = phys
+
+    # nodes no volume element uses are dropped; the rest keep file order
+    used = np.zeros(len(coords), dtype=bool)
+    used[elements] = True
+    if not used.all():
+        warnings.warn(f"dropped {int((~used).sum())} MSH node(s) that no "
+                      f"{volume_kind} uses")
+        new_row = np.cumsum(used) - 1
+        coords, elements = coords[used], new_row[elements]
+        boundary_tag = {tuple(new_row[list(key)].tolist()): phys
+                        for key, phys in boundary_tag.items()}
     return Mesh(dim=dim, node_coords=coords, elements=elements,
                 material_id=material, boundary_tag=boundary_tag)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from agglomg import mesh_io
-from agglomg.agglomerate import Agglomeration
+from agglomg.agglomerate import Agglomeration, CoarsenConfig
 from agglomg.mesh import generate_mesh
 from agglomg.mesh_io import MshFormatError, SweepRecord, read_msh
-from agglomg.solver import SolveReport
+from agglomg.solver import ProblemSpec, SolveReport, solve_problem
 
 MSH_ONE_TRIANGLE = """$MeshFormat
 2.2 0 8
@@ -135,6 +135,32 @@ class TestReadMsh:
         path.write_text(text)
         with pytest.raises(MshFormatError, match="node [48]"):
             read_msh(path)
+
+    def test_unused_node_dropped(self, tmp_path):
+        # an MSH copy of a 2D box, with tagged boundary lines and one node
+        # that no triangle uses listed first: every other row moves up one
+        mesh = generate_mesh(2, 12, jitter=0.2, seed=1)
+        n = mesh.n_nodes
+        rows = [(1, tag, key) for key, tag in sorted(mesh.boundary_tag.items())]
+        rows += [(2, mat, conn)
+                 for conn, mat in zip(mesh.elements.tolist(), mesh.material_id.tolist())]
+        lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(n + 1),
+                 f"{n + 1} 50.0 50.0 0.0"]
+        lines += [f"{i + 1} {x!r} {y!r} 0.0" for i, (x, y) in enumerate(mesh.node_coords.tolist())]
+        lines += ["$EndNodes", "$Elements", str(len(rows))]
+        lines += [f"{eid} {etype} 2 {tag} {tag} " + " ".join(str(v + 1) for v in nodes)
+                  for eid, (etype, tag, nodes) in enumerate(rows, start=1)]
+        path = tmp_path / "extra.msh"
+        path.write_text("\n".join(lines + ["$EndElements"]) + "\n")
+        with pytest.warns(UserWarning, match="dropped 1 MSH node"):
+            back = read_msh(path)
+        assert back.n_nodes == 169
+        assert np.array_equal(back.node_coords, mesh.node_coords)
+        assert np.array_equal(back.elements, mesh.elements)
+        assert back.boundary_tag == mesh.boundary_tag
+        _, report, _ = solve_problem(back, ProblemSpec("diffuse"),
+                                     CoarsenConfig("node", seed=1))
+        assert report.converged
 
     def test_skipped_types_warn(self, tmp_path):
         text = MSH_ONE_TRIANGLE.replace(
