@@ -665,11 +665,11 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     one too. This deviates from the paper's node-count stop: in 3D the
     assembled Galerkin operators fill in long before the node threshold.
     The fine level never stops this way, and a hierarchy built without an
-    operator has no density to test, so it keeps the node-count stop. All
-    seven
-    algorithms re-apply on coarse levels via the rebuilt LevelTopology. A
-    precomputed ``fine_topology`` for the same mesh skips the topology
-    derivation (useful in seed sweeps).
+    operator has no density to test, so it keeps the node-count stop.
+
+    All seven algorithms re-apply on coarse levels via the rebuilt
+    LevelTopology. A precomputed ``fine_topology`` for the same mesh skips
+    the topology derivation (useful in seed sweeps).
 
     Every level's agglomerate size comes from ``schedule``: a
     ``config.desired_size`` other than None or ``schedule.top`` raises
