@@ -20,9 +20,9 @@ from scipy.linalg import lu_factor, lu_solve
 from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
 from .agglomerate import CoarsenConfig
-from .hierarchy import (COARSEST_LIMIT, MIN_NODE_REDUCTION, ElementMaterials, Hierarchy,
-                        LevelSchedule, StopRule, build_hierarchy, grid_complexity,
-                        operator_complexity, restriction)
+from .hierarchy import (COARSEST_LIMIT, ElementMaterials, Hierarchy, LevelSchedule,
+                        StopRule, build_hierarchy, grid_complexity, operator_complexity,
+                        restriction)
 
 # advection velocity of the absorbing problem, cm/s (the first dim entries)
 ADVECTION = (1.0, 0.0, 0.0)
@@ -331,7 +331,7 @@ class VCyclePreconditioner:
             counts = hierarchy.node_counts
             last = (f"{counts[-2]} -> {counts[-1]} nodes on the last level"
                     if len(counts) > 1 else "no coarse level was built")
-            if len(counts) > 1 and counts[-1] > (1.0 - MIN_NODE_REDUCTION) * counts[-2]:
+            if hierarchy.stop_reason == "stagnation":
                 last += ": coarsening stagnated"
             raise CoarsestLevelError(
                 f"coarsest level has {n_coarse} unknowns (> {COARSEST_LIMIT}) after "
