@@ -608,20 +608,12 @@ class TestDenseStop:
 
 
 class TestStopReason:
-    def test_dense(self):
-        h, _ = _with_and_without_operator(3, "node")
-        assert h.node_counts == [343, 207]
-        assert h.stop_reason == "dense"
-
+    # "dense" is tested in TestDenseStop, "coarse_nodes" in
+    # TestBuildHierarchy and "uncoverable" in TestCoarseNodes
     def test_stagnation(self):
         h, _ = _with_and_without_operator(3, "jones")
         assert h.node_counts == [343, 342]
         assert h.stop_reason == "stagnation"
-
-    def test_coarse_nodes(self):
-        h, _ = _with_and_without_operator(2, "sizebased")
-        assert h.node_counts[-1] <= StopRule().coarse_nodes
-        assert h.stop_reason == "coarse_nodes"
 
     def test_max_levels(self):
         mesh = generate_mesh(2, **BOXES[2])
