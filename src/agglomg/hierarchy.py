@@ -38,10 +38,14 @@ MIN_NODE_REDUCTION = 0.10
 # the most unknowns the coarsest level may have: it is solved by a dense LU
 COARSEST_LIMIT = 2000
 # a coarse level of n <= COARSEST_LIMIT unknowns whose operator has
-# n**2 <= DENSE_STOP * nnz is the coarsest: the default V-cycle makes 8
-# matvecs per level (3 pre-smooth, 1 residual, 4 post-smooth), 16 nnz flops,
-# while lu_solve's two triangular solves take 2 n**2 flops, so from there on
-# the dense solve costs no more than that level's own smoothing
+# n**2 <= DENSE_STOP * nnz is the coarsest, because from there on the dense
+# solve costs about as much as that level's own smoothing: the default
+# V-cycle makes 7 operator products per level (3 pre-smooth, 4 post-smooth;
+# the pre-smoother's residual is restricted as it is), 14 nnz flops, while
+# lu_solve's two triangular solves take 2 n**2 flops. The value is 8, from
+# the 8 products the cycle made when the rule was set, and stays 8 so that
+# no hierarchy moves: at 7 the jones hierarchy of a jittered 2D n=64 box
+# would not stop at its 90-node level, where n**2 / nnz = 7.97
 DENSE_STOP = 8
 
 
@@ -660,7 +664,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     it.
 
     With an ``operator``, a coarse level whose operator is dense enough
-    that its dense LU is no dearer than its smoothing (n unknowns, at most
+    that its dense LU costs about as much as its smoothing (n unknowns, at most
     ``COARSEST_LIMIT``, with n**2 <= ``DENSE_STOP`` * nnz) is the coarsest
     one too. This deviates from the paper's node-count stop: in 3D the
     assembled Galerkin operators fill in long before the node threshold.

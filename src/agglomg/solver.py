@@ -9,6 +9,7 @@ Homogeneous Dirichlet walls, linear elements on triangles or tetrahedra.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,6 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lu_factor, lu_solve
+# scipy's compiled CSR product y += M v, the kernel behind csr_matrix @ vector.
+# It is private to scipy and checks no bounds, so it is imported here only and
+# called only through _CsrKernel, which checks the vector's shape first.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
                    element_measures)
@@ -69,8 +74,11 @@ class SmootherConfig:
 
     One application is one restart cycle of ``inner`` steps; it is applied
     ``applications`` times per pre- and post-smooth, all in one ``smooth``
-    call that carries the Jacobi-scaled residual from step to step (GCR
-    form: one matvec per step, none for the zero start of the pre-smooth).
+    call on the level's stored D^-1 A that carries the Jacobi-scaled
+    residual from step to step (GCR form: one product per step, none for
+    the zero start of the pre-smooth). A V-cycle level so makes
+    2 * applications * inner + 1 operator products: the pre-smoother's
+    residual is restricted as it is.
     The default is the "3x1" reading of "three iterations on each level":
     three cycles of GMRES(1). ``inner=3`` gives the "3x3" reading, three
     GMRES(3) cycles.
@@ -255,78 +263,103 @@ def _gmres_cycle(matvec, r, x, m, precondition=None, stop=None):
     return x + Z[:steps].T @ y, steps
 
 
-def smooth(A: sp.spmatrix, b: np.ndarray, x: np.ndarray | None, *,
-           inner: int = 1, applications: int = 1,
-           diag: np.ndarray | None = None) -> np.ndarray:
-    """``applications`` cycles of Jacobi-preconditioned GMRES(inner) from x.
+class _CsrKernel:
+    """``M @ v`` for a float CSR matrix, calling the compiled kernel directly.
+
+    It skips the Python dispatch of ``csr_matrix @ v``, a fixed few
+    microseconds per product that outweigh the product itself on a coarse
+    level. The result is the same bits as ``M @ v``.
+    """
+
+    def __init__(self, M: sp.csr_matrix):
+        self.shape = M.shape
+        self._csr = (M.shape[0], M.shape[1], M.indptr, M.indices, M.data)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        n, m = self.shape
+        if v.shape != (m,):
+            raise ValueError(f"vector of shape {v.shape} for a matrix with {m} columns")
+        y = np.zeros(n)
+        csr_matvec(*self._csr, v, y)
+        return y
+
+
+def smooth(A, b: np.ndarray, x: np.ndarray | None, *,
+           inner: int = 1, applications: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``applications`` cycles of GMRES(inner) on ``A x = b`` from x.
 
     Written as GCR (Eisenstat, Elman & Schultz 1983), which equals restarted
-    GMRES in exact arithmetic and carries its residual: the Jacobi-scaled
-    residual z = (b - A x)/diag is kept from step to step. Each step takes
-    p = z and q = (A p)/diag, orthogonalises q against the cycle's earlier
-    q (modified Gram-Schmidt, the same coefficients applied to p), then
-    moves x along p and z along q by the step that minimizes ||z||. The
-    directions stay unnormalised, each kept with its q @ q. They are
-    dropped every ``inner`` steps: that restart makes the loop GMRES(inner).
-    So a step costs one matvec, and the initial residual one more unless
-    ``x`` is None, which means a zero start. The caller's ``x`` is not
-    modified. A cycle ends early when q vanishes (an exact input or a
-    breakdown); a non-finite q raises DivergenceError.
+    GMRES in exact arithmetic and carries its residual z = b - A x from step
+    to step. Each step takes p = z and q = A p, orthogonalises q against the
+    cycle's earlier q (modified Gram-Schmidt, the same coefficients applied
+    to p), then moves x along p and z along q by the step that minimizes
+    ||z||. The directions stay unnormalised, each kept with its q @ q. They
+    are dropped every ``inner`` steps: that restart makes the loop
+    GMRES(inner). So a step costs one product with ``A``, and the initial
+    residual one more unless ``x`` is None, which means a zero start.
+    Returns ``(x, z)``; the caller's ``x`` and ``b`` are not modified. The
+    V-cycle passes the Jacobi-scaled level system D^-1 A x = D^-1 r, which
+    makes this Jacobi-preconditioned GMRES(inner). A cycle ends early when
+    q vanishes (an exact input or a breakdown); a non-finite q raises
+    DivergenceError.
     """
-    if diag is None:
-        diag = A.diagonal()
-        if np.any(diag == 0.0):
-            raise ValueError("smoother needs a nonzero diagonal")
     if x is None:
-        z = b / diag
+        z = np.array(b, dtype=float)
         x = np.zeros_like(z)
     else:
-        z = (b - A @ x) / diag
         x = np.array(x, dtype=float)
+        z = b - A @ x
+    last = inner - 1
     for _ in range(applications):
         saved = []  # (p, q, q @ q) of this cycle's earlier steps
-        for _ in range(inner):
+        for step in range(inner):
             p = z
             q = A @ p
-            q /= diag
             for pi, qi, qqi in saved:
-                h = (q @ qi) / qqi
+                h = float(q @ qi) / qqi
                 q -= h * qi
                 p = p - h * pi
-            qq = q @ q
-            if not np.isfinite(qq):
+            qq = float(q @ q)
+            if not math.isfinite(qq):
                 raise DivergenceError("non-finite entry in the smoother")
             if qq == 0.0:
                 break
-            alpha = (q @ z) / qq
+            alpha = float(q @ z) / qq
             x += alpha * p
-            z = z - alpha * q
-            saved.append((p, q, qq))
-    return x
+            if step == last:
+                # in place: earlier steps rebound z to a new array, so only
+                # this step's p, already applied, can alias it
+                z -= alpha * q
+            else:
+                z = z - alpha * q
+                saved.append((p, q, qq))
+    return x, z
 
 
 class VCyclePreconditioner:
     """Multigrid V-cycle over assembled Galerkin operators.
 
     Pre/post smoothing is Jacobi-preconditioned GMRES(inner) applied
-    ``applications`` times, one ``smooth`` call each; the coarsest level is
-    solved by a dense LU factored once. The smoother makes this a (mildly)
-    nonlinear preconditioner, which is why the outer iteration is flexible
-    GMRES.
+    ``applications`` times, one ``smooth`` call each, on the scaled level
+    system S_k = D_k^-1 A_k stored once per smoothed level in
+    ``operators``. The pre-smoother's residual z = D_k^-1 (r - A_k x) is
+    restricted by R_k D_k (``restrictions``), so no product recomputes it;
+    the coarsest level is solved by a dense LU factored once. Every level
+    product goes through one compiled CSR kernel. The smoother makes this a
+    (mildly) nonlinear preconditioner, which is why the outer iteration is
+    flexible GMRES.
     """
 
     def __init__(self, hierarchy: Hierarchy, smoother: SmootherConfig | None = None):
         smoother = smoother or SmootherConfig()
         smoother.validate()
         self.smoother = smoother
-        self.operators = [op.tocsr() for op in hierarchy.operators]
-        self.prolongations = [P.tocsr() for P in hierarchy.prolongations]
-        self.restrictions = [restriction(P) for P in self.prolongations]
-        self.diags = [np.asarray(op.diagonal()) for op in self.operators]
+        operators = [op.tocsr() for op in hierarchy.operators]
+        self.diags = [np.asarray(op.diagonal()) for op in operators]
         for d in self.diags:
             if np.any(d == 0.0):
                 raise ValueError("zero diagonal entry on a multigrid level")
-        n_coarse = self.operators[-1].shape[0]
+        n_coarse = operators[-1].shape[0]
         if n_coarse > COARSEST_LIMIT:
             counts = hierarchy.node_counts
             last = (f"{counts[-2]} -> {counts[-1]} nodes on the last level"
@@ -337,25 +370,41 @@ class VCyclePreconditioner:
                 f"coarsest level has {n_coarse} unknowns (> {COARSEST_LIMIT}) after "
                 f"{hierarchy.config.algorithm} coarsening, {last}; node counts per "
                 f"level: {counts}")
-        self._lu = lu_factor(self.operators[-1].toarray())
+        self._n = operators[0].shape[0]
+        self.operators, self.restrictions, self.prolongations = [], [], []
+        for A, d, P in zip(operators, self.diags, hierarchy.prolongations):
+            S = A.copy()
+            S.data /= np.repeat(d, np.diff(S.indptr))
+            RD = restriction(P)
+            RD.data *= d[RD.indices]
+            self.operators.append(_CsrKernel(S))
+            self.restrictions.append(_CsrKernel(RD))
+            self.prolongations.append(_CsrKernel(P.tocsr()))
+        self._lu = lu_factor(operators[-1].toarray())
 
     @property
     def n_levels(self):
-        return len(self.operators)
+        return len(self.operators) + 1
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        if np.shape(r) != (self._n,):
+            raise ValueError(f"residual of shape {np.shape(r)} for a V-cycle "
+                             f"on {self._n} unknowns")
+        if not np.isfinite(r).all():
+            raise DivergenceError("non-finite residual passed to the V-cycle")
         return self._cycle(0, r)
 
     def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
-        if k == self.n_levels - 1:
-            return lu_solve(self._lu, r)
-        A = self.operators[k]
-        d = self.diags[k]
+        if k == len(self.operators):
+            # r is finite: __call__ checked it, and the smoother raises on
+            # a non-finite value
+            return lu_solve(self._lu, r, check_finite=False)
+        S = self.operators[k]
+        c = r / self.diags[k]
         inner, applications = self.smoother.inner, self.smoother.applications
-        x = smooth(A, r, None, inner=inner, applications=applications, diag=d)
-        rc = self.restrictions[k] @ (r - A @ x)
-        x += self.prolongations[k] @ self._cycle(k + 1, rc)
-        return smooth(A, r, x, inner=inner, applications=applications, diag=d)
+        x, z = smooth(S, c, None, inner=inner, applications=applications)
+        x += self.prolongations[k] @ self._cycle(k + 1, self.restrictions[k] @ z)
+        return smooth(S, c, x, inner=inner, applications=applications)[0]
 
 
 def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,

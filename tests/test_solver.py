@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from agglomg.agglomerate import CoarsenConfig
+from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
                                operator_complexity)
-from agglomg.mesh import MaterialProperties, generate_mesh
+from agglomg.mesh import MaterialProperties, boundary_node_mask, generate_mesh
 from agglomg.solver import (CoarsestLevelError, DivergenceError, ProblemSpec,
-                            VCyclePreconditioner, _gmres_cycle,
-                            apply_dirichlet, assemble_operator,
+                            SmootherConfig, VCyclePreconditioner, _CsrKernel,
+                            _gmres_cycle, apply_dirichlet, assemble_operator,
                             assemble_problem, fgmres, mms_convergence, smooth,
                             solve_problem)
+from test_fingerprints import MESHES
 
 
 def unit_material_table():
@@ -147,68 +148,94 @@ class TestFgmres:
         assert np.allclose(res1[:m], res2[:m], rtol=1e-8, atol=1e-12)
 
 
+class Counted:
+    """An operator that counts its products."""
+
+    def __init__(self, A):
+        self.A, self.matvecs = A, 0
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.A @ v
+
+
+def _jacobi(A, b):
+    """The Jacobi-scaled system D^-1 A, D^-1 b that the V-cycle smooths."""
+    d = A.diagonal()
+    return sp.diags(1.0 / d) @ A, b / d
+
+
+class TestCsrKernel:
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_equals_scipy_product_bit_for_bit(self, index_dtype):
+        M = sp.random(30, 40, density=0.2, random_state=1, format="csr")
+        M.indptr = M.indptr.astype(index_dtype)
+        M.indices = M.indices.astype(index_dtype)
+        kernel = _CsrKernel(M)
+        v = np.random.default_rng(2).standard_normal(80)
+        for vec in (v[:40], v[::2]):  # contiguous and strided
+            assert np.array_equal(kernel @ vec, M @ vec)
+
+    def test_wrong_length_rejected(self):
+        kernel = _CsrKernel(sp.random(30, 40, density=0.2, random_state=1, format="csr"))
+        for n in (39, 41):
+            with pytest.raises(ValueError, match="40 columns"):
+                kernel @ np.ones(n)
+
+
 class TestSmoother:
     def test_exact_solution_unchanged(self):
         A = sp.diags(np.array([2.0, 3.0, 4.0])).tocsr()
         x = np.array([1.0, 1.0, 1.0])
         b = A @ x
-        out = smooth(A, b, x.copy())
+        out, z = smooth(A, b, x.copy())
         assert np.allclose(out, x)
+        assert np.array_equal(z, np.zeros(3))
 
     def test_diagonal_system_one_step(self):
+        # Jacobi scaling turns a diagonal system into the identity
         A = sp.diags(np.array([2.0, 5.0, 9.0])).tocsr()
         b = np.array([2.0, 10.0, 27.0])
-        out = smooth(A, b, np.zeros(3), inner=1)
+        out, _ = smooth(*_jacobi(A, b), np.zeros(3), inner=1)
         assert np.allclose(A @ out, b, atol=1e-12)
-
-    def test_zero_diagonal_rejected(self):
-        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            smooth(A, np.ones(2), np.zeros(2))
 
     def test_preconditioned_residual_monotone(self):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((30, 30))
         A = sp.csr_matrix(B @ B.T + 30 * np.eye(30))
-        d = A.diagonal()
         b = rng.standard_normal(30)
+        S, c = _jacobi(A, b)
         x = rng.standard_normal(30)
-        before = np.linalg.norm((b - A @ x) / d)
-        x1 = smooth(A, b, x)
-        after = np.linalg.norm((b - A @ x1) / d)
+        before = np.linalg.norm(c - S @ x)
+        x1, z = smooth(S, c, x)
+        after = np.linalg.norm(c - S @ x1)
         assert after <= before + 1e-13
+        assert np.allclose(z, c - S @ x1, atol=1e-13)
 
     def test_inner_sets_arnoldi_steps(self):
-        # one matvec for the residual unless x is None, then one per step;
+        # one product for the residual unless x is None, then one per step;
         # more steps minimize over a larger Krylov space, so the residual
         # keeps falling
-        class Counted:
-            def __init__(self, A):
-                self.A, self.matvecs = A, 0
-
-            def __matmul__(self, v):
-                self.matvecs += 1
-                return self.A @ v
-
         rng = np.random.default_rng(7)
         B = rng.standard_normal((40, 40))
         A = sp.csr_matrix(B @ B.T + 40 * np.eye(40))
-        d = A.diagonal()
-        b = rng.standard_normal(40)
+        S, c = _jacobi(A, rng.standard_normal(40))
         x0 = rng.standard_normal(40)
         residuals = []
         for k in (1, 3, 5):
             for applications in (1, 3):
-                op = Counted(A)
+                op = Counted(S)
                 start = x0.copy()
-                x = smooth(op, b, start, inner=k, applications=applications, diag=d)
+                given = c.copy()
+                x, _ = smooth(op, c, start, inner=k, applications=applications)
                 assert op.matvecs == 1 + k * applications
                 assert np.array_equal(start, x0)
-                op = Counted(A)
-                smooth(op, b, None, inner=k, applications=applications, diag=d)
+                op = Counted(S)
+                smooth(op, c, None, inner=k, applications=applications)
                 assert op.matvecs == k * applications
+                assert np.array_equal(c, given)
                 if applications == 1:
-                    residuals.append(np.linalg.norm((b - A @ x) / d))
+                    residuals.append(np.linalg.norm(c - S @ x))
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_divergence_detected(self):
@@ -216,7 +243,7 @@ class TestSmoother:
         with pytest.raises(DivergenceError):
             smooth(A, np.ones(2), np.zeros(2))
         with pytest.raises(DivergenceError):
-            smooth(A, np.ones(2), None, diag=np.ones(2))
+            smooth(A, np.ones(2), None)
 
 
 def _reference_smooth(A, b, x, inner, applications):
@@ -248,11 +275,44 @@ def test_smooth_matches_restarted_gmres(make_operator, inner, applications):
     n = A.shape[0]
     rng = np.random.default_rng(inner * 10 + applications)
     b = rng.standard_normal(n)
+    S, c = _jacobi(A, b)
     x0 = rng.standard_normal(n)
     for start, ref_start in ((x0, x0), (None, np.zeros(n))):
-        got = smooth(A, b, start, inner=inner, applications=applications)
+        got, z = smooth(S, c, start, inner=inner, applications=applications)
         want = _reference_smooth(A, b, ref_start, inner, applications)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # the carried residual drifts from the true one by rounding only
+        residual = (b - A @ got) / A.diagonal()
+        assert np.linalg.norm(z - residual) <= 1e-12 * np.linalg.norm(c)
+
+
+def _reference_vcycle(hier, r, inner, applications):
+    """The V-cycle in its textbook form: Jacobi-GMRES smoothing on A_k,
+    the residual r - A_k x recomputed for the restriction P_k^T, and a
+    dense solve on the coarsest level."""
+    ops = [op.tocsr() for op in hier.operators]
+    prolongations = hier.prolongations
+
+    def cycle(k, r):
+        if k == len(ops) - 1:
+            return np.linalg.solve(ops[k].toarray(), r)
+        A, P = ops[k], prolongations[k]
+        x = _reference_smooth(A, r, np.zeros(len(r)), inner, applications)
+        x = x + P @ cycle(k + 1, P.T @ (r - A @ x))
+        return _reference_smooth(A, r, x, inner, applications)
+
+    return cycle(0, r)
+
+
+@pytest.fixture(scope="module")
+def golden_box_2d():
+    """The 2D fingerprint box (289 nodes) with a multilevel hierarchy."""
+    mesh = generate_mesh(2, **MESHES[2])
+    spec = ProblemSpec("diffuse")
+    A, b = assemble_problem(mesh, spec)
+    hier = build_hierarchy(mesh, CoarsenConfig("node", seed=1),
+                           materials=spec.materials, operator=A)
+    return hier, b
 
 
 class TestVCycle:
@@ -296,6 +356,70 @@ class TestVCycle:
         with pytest.raises(CoarsestLevelError, match="coarsest") as err:
             VCyclePreconditioner(hier)
         assert f"{a} -> {b} nodes on the last level: coarsening stagnated" in str(err.value)
+
+    def test_zero_diagonal_rejected(self, poisson_problem):
+        mesh, spec, A, _ = poisson_problem
+        node = np.flatnonzero(~boundary_node_mask(mesh))[0]
+        A = A.tolil()
+        A[node, node] = 0.0
+        hier = build_hierarchy(mesh, CoarsenConfig("greedy", seed=1),
+                               materials=spec.materials, operator=A.tocsr())
+        assert hier.n_levels > 1
+        with pytest.raises(ValueError, match="zero diagonal"):
+            VCyclePreconditioner(hier)
+
+    def test_wrong_shaped_residual_rejected(self, golden_box_2d):
+        hier, b = golden_box_2d
+        M = VCyclePreconditioner(hier)
+        for n in (1, len(b) + 1):
+            with pytest.raises(ValueError, match="shape"):
+                M(np.ones(n))
+
+    def test_non_finite_residual_diverges(self, golden_box_2d):
+        single = generate_mesh(2, 5, extent=1.0)  # 36 nodes -> one level
+        A, _ = assemble_problem(single, ProblemSpec("diffuse"))
+        one_level = build_hierarchy(single, CoarsenConfig("greedy"), operator=A)
+        hier, _ = golden_box_2d
+        assert one_level.n_levels == 1 and hier.n_levels > 1
+        for h in (one_level, hier):
+            M = VCyclePreconditioner(h)
+            for bad in (np.nan, np.inf):
+                r = np.ones(h.node_counts[0])
+                r[3] = bad
+                with pytest.raises(DivergenceError, match="non-finite"):
+                    M(r)
+
+    @pytest.mark.parametrize("inner,applications", [(1, 3), (3, 3), (2, 1)])
+    def test_products_per_level(self, golden_box_2d, inner, applications):
+        # the pre-smoother's residual is restricted as it is: no product
+        # recomputes it, so a level makes 2 * applications * inner + 1
+        hier, b = golden_box_2d
+        M = VCyclePreconditioner(hier, SmootherConfig(inner=inner,
+                                                      applications=applications))
+        for ops in (M.operators, M.restrictions, M.prolongations):
+            ops[:] = [Counted(op) for op in ops]
+        M(b)
+        assert len(M.operators) == hier.n_levels - 1
+        assert [op.matvecs for op in M.operators] == \
+            [2 * applications * inner + 1] * len(M.operators)
+        assert [op.matvecs for op in M.restrictions + M.prolongations] == \
+            [1] * (2 * len(M.operators))
+
+    @pytest.mark.parametrize("problem", ["diffuse", "absorbing"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_reference_vcycle(self, dim, problem):
+        mesh = generate_mesh(dim, **MESHES[dim])
+        spec = ProblemSpec(problem)
+        A, _ = assemble_problem(mesh, spec)
+        r = np.random.default_rng(dim).standard_normal(mesh.n_nodes)
+        for alg in ALGORITHMS:
+            hier = build_hierarchy(mesh, CoarsenConfig(alg, seed=1),
+                                   materials=spec.materials, operator=A)
+            for inner in (1, 3):
+                got = VCyclePreconditioner(hier, SmootherConfig(inner=inner))(r)
+                want = _reference_vcycle(hier, r, inner, 3)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
+                    (alg, inner)
 
     def test_galerkin_consistency_on_levels(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
