@@ -539,8 +539,9 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
     the most faces (ties to the smallest, then lowest id); enclaves of
     unused elements are absorbed frontier by frontier; non-contiguous
     agglomerates keep their largest component and re-home the rest; fully
-    enclosed agglomerates merge into their single neighbour. The split
-    step runs once more after merging, then ids are re-densified.
+    enclosed agglomerates merge into their single neighbour, which keeps
+    every agglomerate contiguous since the two are adjacent; then ids are
+    re-densified.
     """
     assign = agg.element_to_agg.copy()
     report = CleanupReport()
@@ -580,9 +581,8 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
         else:
             report.isolated_resolved += len(frontier)
 
-    report.disconnected_split += _split_noncontiguous(topo, assign)
-    report.enclosed_merged += _merge_enclosed(topo, assign)
-    report.disconnected_split += _split_noncontiguous(topo, assign)
+    report.disconnected_split = _split_noncontiguous(topo, assign)
+    report.enclosed_merged = _merge_enclosed(topo, assign)
 
     return Agglomeration(_first_appearance(assign)), report
 
@@ -637,6 +637,15 @@ def _split_noncontiguous(topo, assign) -> int:
 
 
 def _merge_enclosed(topo, assign) -> int:
+    """Merge every agglomerate that touches no boundary and has a single
+    neighbour into that neighbour, round by round.
+
+    The neighbour is never itself such a candidate: adjacency is symmetric,
+    so two candidates naming each other would make up a mesh component
+    without a boundary face, and no component of positive-measure simplices
+    lacks one. So each round relabels every candidate once and removes at
+    least one agglomerate.
+    """
     dual = topo.dual
     merges = 0
     has_boundary = topo.elem_boundary_area > 0
@@ -650,35 +659,15 @@ def _merge_enclosed(topo, assign) -> int:
         touches_boundary[assign[has_boundary]] = True
         pair_a, pair_b = _unique_pairs(a_side[cross], b_side[cross], nagg)
         n_neighbours = np.bincount(pair_a, minlength=nagg)
-        candidates = np.flatnonzero(~touches_boundary & (n_neighbours == 1))
-        if candidates.size == 0:
-            break
-        # the single neighbour of each candidate, via its unique pair
-        single_target = np.zeros(nagg, dtype=np.int64)
-        single_target[pair_a] = pair_b
-        parent = np.arange(nagg, dtype=np.int64)
-        round_merges = 0
-        for a in candidates:
-            a = int(a)
-            target = int(single_target[a])
-            seen = {a}
-            while parent[target] != target and target not in seen:
-                seen.add(target)
-                target = int(parent[target])
-            if target == a:
-                continue  # mutual enclosure: keep the pair as-is
-            parent[a] = target
-            round_merges += 1
-        if round_merges == 0:
-            break
-        # every merge tree keeps the id of its root
-        labels = _components(np.arange(nagg), parent, nagg)
-        roots = np.flatnonzero(parent == np.arange(nagg))
-        root_of = np.empty(len(roots), dtype=np.int64)
-        root_of[labels[roots]] = roots
-        assign[:] = root_of[labels[assign]]
-        merges += round_merges
-    return merges
+        candidate = ~touches_boundary & (n_neighbours == 1)
+        if not candidate.any():
+            return merges
+        # a candidate's one pair names its neighbour
+        single = candidate[pair_a]
+        relabel = np.arange(nagg)
+        relabel[pair_a[single]] = pair_b[single]
+        assign[:] = relabel[assign]
+        merges += int(single.sum())
 
 
 # ---------------------------------------------------------------------------

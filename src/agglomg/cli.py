@@ -1,4 +1,4 @@
-"""Command-line front end: coarsen, sweep, solve, and export subcommands."""
+"""Command-line front end: coarsen, sweep and solve subcommands."""
 from __future__ import annotations
 
 import argparse
@@ -22,48 +22,53 @@ def _build_parser():
         prog="agglomg",
         description="Element agglomeration, multigrid hierarchies, and model solves")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("coarsen", "build a hierarchy and print per-level statistics"),
-            ("sweep", "run size sweeps over one or more algorithms"),
-            ("solve", "solve a model problem with the multigrid preconditioner"),
-            ("export", "write a VTK file with per-level agglomerate ids")):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mesh", help="MSH 2.2 file to read")
+    common.add_argument("--gen-2d", type=int, metavar="N",
+                        help="generate a jittered 2D mesh with N subdivisions")
+    common.add_argument("--gen-3d", type=int, metavar="N",
+                        help="generate a jittered 3D mesh with N subdivisions")
+    common.add_argument("--jitter", type=float, default=0.2,
+                        help="generator jitter as a fraction of the cell (default 0.2)")
+    common.add_argument("--alg", default="sizebased", help="coarsening algorithm: "
+                        + "|".join(ALGORITHMS))
+    common.add_argument("--size", default=None,
+                        help="desired top-grid agglomerate size (comma list for sweep)")
+    common.add_argument("--lower-size", type=int, default=None,
+                        help="desired size on lower grids")
+    common.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    common.add_argument("--config", help="key=value config file; flags win")
+    common.add_argument("--stop-nodes", type=int, default=None,
+                        help="stop coarsening at this many nodes")
+    common.add_argument("--max-levels", type=int, default=None)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", choices=("diffuse", "absorbing"),
+                         default="diffuse")
+
+    def command(name, help_text, *parents):
         # no prefix matching: a config key or flag must be spelt in full
-        q = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        q.add_argument("--mesh", help="MSH 2.2 file to read")
-        q.add_argument("--gen-2d", type=int, metavar="N",
-                       help="generate a jittered 2D mesh with N subdivisions")
-        q.add_argument("--gen-3d", type=int, metavar="N",
-                       help="generate a jittered 3D mesh with N subdivisions")
-        q.add_argument("--jitter", type=float, default=0.2,
-                       help="generator jitter as a fraction of the cell (default 0.2)")
-        q.add_argument("--alg", default="sizebased", help="coarsening algorithm: "
-                       + "|".join(ALGORITHMS))
-        q.add_argument("--size", default=None,
-                       help="desired top-grid agglomerate size (comma list for sweep)")
-        q.add_argument("--lower-size", type=int, default=None,
-                       help="desired size on lower grids")
-        q.add_argument("--seed", type=int, default=0, help="64-bit seed")
-        q.add_argument("--problem", choices=("diffuse", "absorbing"),
-                       default="diffuse")
-        q.add_argument("--csv", help="CSV output path (sweep)")
-        q.add_argument("--vtk", help="VTK output path")
-        q.add_argument("--json", help="JSON report path (solve)")
-        q.add_argument("--jobs", type=int, default=1,
-                       help="concurrent sweep configurations")
-        q.add_argument("--config", help="key=value config file; flags win")
-        q.add_argument("--stop-nodes", type=int, default=None,
-                       help="stop coarsening at this many nodes")
-        q.add_argument("--max-levels", type=int, default=None)
-        q.add_argument("--solve", action="store_true",
-                       help="also solve in each sweep configuration")
+        return sub.add_parser(name, help=help_text, parents=[common, *parents],
+                              allow_abbrev=False)
+
+    q = command("coarsen", "build a hierarchy and print per-level statistics")
+    q.add_argument("--vtk", help="VTK output path, one agglomerate-id array per level")
+    q = command("solve", "solve a model problem with the multigrid preconditioner",
+                problem)
+    q.add_argument("--json", help="JSON report path")
+    q = command("sweep", "run size sweeps over one or more algorithms", problem)
+    q.add_argument("--csv", help="CSV output path")
+    q.add_argument("--jobs", type=int, default=1,
+                   help="concurrent sweep configurations")
+    q.add_argument("--solve", action="store_true",
+                   help="also solve in each sweep configuration")
     return p
 
 
 def _parse_args(parser, argv):
     """Parse ``argv``; a ``--config`` file's ``key=value`` lines count as
     ``--key=value`` flags placed before the command line's own, so a
-    command-line flag wins over the file, and a bad key or value is a
-    usage error."""
+    command-line flag wins over the file, and a bad key or value, or one
+    the subcommand does not read, is a usage error."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -80,7 +85,8 @@ def _parse_args(parser, argv):
             parser.error(f"bad config line: {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if flag != "--solve":
+        # a solve key is a store-true flag where the subcommand reads it
+        if flag != "--solve" or not hasattr(args, "solve"):
             file_args.append(f"{flag}={val}")
         elif val.lower() in ("1", "true", "yes"):
             file_args.append(flag)
@@ -109,12 +115,6 @@ def _load_mesh(args):
     return generate_mesh(3, args.gen_3d, jitter=args.jitter, seed=args.seed)
 
 
-def _parse_sizes(args):
-    if args.size is None:
-        return [None]
-    return [int(tok) for tok in str(args.size).split(",") if tok]
-
-
 def _make_config(args, size):
     alg = args.alg
     if alg not in ALGORITHMS:
@@ -133,13 +133,22 @@ def _stop(args):
     return StopRule(**kwargs)
 
 
-def cmd_coarsen(args) -> int:
+def _setup(args):
+    """The mesh, coarsening config, level schedule and stop rule of a
+    coarsen or solve run."""
+    if args.size is not None and "," in args.size:
+        raise ValueError(f"--size {args.size}: a size list is for sweep; "
+                         f"{args.command} takes one size")
+    size = None if args.size is None else int(args.size)
     mesh = _load_mesh(args)
-    sizes = _parse_sizes(args)
-    size = sizes[0]
     config = _make_config(args, size)
     schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
-    hier = build_hierarchy(mesh, config, schedule=schedule, stop=_stop(args))
+    return mesh, config, schedule, _stop(args)
+
+
+def cmd_coarsen(args) -> int:
+    mesh, config, schedule, stop = _setup(args)
+    hier = build_hierarchy(mesh, config, schedule=schedule, stop=stop)
     print(f"{'level':>5} {'elements':>9} {'nodes':>8} {'coarse faces':>13} "
           f"{'avg agg size':>13} {'grid cx':>8}")
     counts = hier.node_counts
@@ -202,9 +211,10 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     mesh = _load_mesh(args)
+    sizes = [None] if args.size is None else [int(t) for t in args.size.split(",") if t]
     payloads = [(mesh, _make_config(args, s), s, args.lower_size, args.problem,
                  args.solve, _stop(args))
-                for s in _parse_sizes(args)]
+                for s in sizes]
     # the pool starts all its workers at once: no more than there are rows
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -223,14 +233,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    mesh = _load_mesh(args)
-    sizes = _parse_sizes(args)
-    size = sizes[0]
-    config = _make_config(args, size)
-    spec = ProblemSpec(args.problem)
-    schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
-    x, report, hier = solve_problem(mesh, spec, config, schedule=schedule,
-                                    stop=_stop(args))
+    mesh, config, schedule, stop = _setup(args)
+    x, report, hier = solve_problem(mesh, ProblemSpec(args.problem), config,
+                                    schedule=schedule, stop=stop)
     print(f"problem={report.problem} algorithm={report.algorithm} "
           f"levels={report.levels} stop_reason={report.meta.get('stop_reason')}")
     print(f"iterations={report.iterations} converged={report.converged}")
@@ -243,33 +248,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_export(args) -> int:
-    mesh = _load_mesh(args)
-    sizes = _parse_sizes(args)
-    size = sizes[0]
-    config = _make_config(args, size)
-    schedule = level_schedule(mesh.dim, top=size, lower=args.lower_size)
-    hier = build_hierarchy(mesh, config, schedule=schedule, stop=_stop(args))
-    path = args.vtk or "agglomerates.vtk"
-    mesh_io.write_vtk(path, mesh, [l.agglomeration for l in hier.levels])
-    print(f"wrote {path} with {len(hier.levels)} level array(s)")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     _echo_config(args)
-    handlers = {"coarsen": cmd_coarsen, "sweep": cmd_sweep,
-                "solve": cmd_solve, "export": cmd_export}
+    handlers = {"coarsen": cmd_coarsen, "sweep": cmd_sweep, "solve": cmd_solve}
     try:
         return handlers[args.command](args)
-    except SystemExit:
-        raise
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError) as err:
+    except (FileNotFoundError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -64,7 +64,9 @@ class Mesh:
     """Conforming simplicial mesh: triangles (dim=2) or tetrahedra (dim=3).
 
     ``boundary_tag`` maps each boundary face, keyed by its sorted node
-    tuple, to an integer side tag. Interior faces carry no tag.
+    tuple, to an integer side tag. Interior faces carry no tag. The
+    constructor checks dim, element arity and node ids; an empty mesh or a
+    degenerate element is rejected where topology and measures are computed.
     """
 
     dim: int
@@ -82,6 +84,16 @@ class Mesh:
                            np.ascontiguousarray(self.material_id, dtype=np.int64))
         for arr in (self.node_coords, self.elements, self.material_id):
             arr.flags.writeable = False
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
+            raise ValueError(f"a {self.dim}D element has {self.dim + 1} nodes, got "
+                             f"elements of shape {self.elements.shape}")
+        bad = ((self.elements < 0) | (self.elements >= self.n_nodes)).any(axis=1)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"element {e} names nodes {self.elements[e].tolist()}, "
+                             f"not all in 0..{self.n_nodes - 1}")
 
     @property
     def n_nodes(self) -> int:
@@ -90,17 +102,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    def validate(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.n_elements == 0:
-            raise ValueError("empty mesh")
-        if self.elements.shape[1] != self.dim + 1:
-            raise ValueError("element arity does not match dim")
-        if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
-            raise ValueError("element node index out of range")
-        element_measures(self)  # raises on degenerate/inverted elements
 
 
 @dataclass(frozen=True)

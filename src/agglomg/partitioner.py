@@ -112,14 +112,9 @@ def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray
         graphs.append(coarse)
         mappings.append(mapping)
 
+    # the coarsest graph has at least k vertices: a contraction runs only
+    # above 4k of them, and a matching at most halves them
     coarsest = graphs[-1]
-    if k > coarsest.n:
-        # matching overshot below k vertices; back off to a usable level
-        while len(graphs) > 1 and k > graphs[-1].n:
-            graphs.pop()
-            mappings.pop()
-        coarsest = graphs[-1]
-
     if k > 8:
         part = _region_grow(coarsest, k, rng)
     else:

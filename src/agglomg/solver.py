@@ -382,10 +382,6 @@ class VCyclePreconditioner:
             self.prolongations.append(_CsrKernel(P.tocsr()))
         self._lu = lu_factor(operators[-1].toarray())
 
-    @property
-    def n_levels(self):
-        return len(self.operators) + 1
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if np.shape(r) != (self._n,):
             raise ValueError(f"residual of shape {np.shape(r)} for a V-cycle "

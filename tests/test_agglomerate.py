@@ -330,6 +330,29 @@ class TestCleanup:
         assert report.enclosed_merged == 1
         assert fixed.n_agglomerates == 1
 
+    def test_nested_enclosures_merge_in_two_rounds(self, monkeypatch):
+        # square rings of cells on an 8x8 box: a 2x2 core inside a ring
+        # inside an agglomerate along the boundary. The ring has two
+        # neighbours until the core has merged into it, so the merge takes
+        # two rounds and a third finds nothing left to merge
+        mesh = generate_mesh(2, 8, extent=1.0)
+        topo = LevelTopology.from_mesh(mesh)
+        cell = np.floor(mesh.node_coords[mesh.elements].mean(axis=1) * 8)
+        ring = np.abs(cell - 3.5).max(axis=1).astype(np.int64)  # 0 at the core
+        assign = 2 - np.minimum(ring, 2)  # core 2, ring 1, outside 0
+        rounds = []
+        unique_pairs = ag._unique_pairs
+        monkeypatch.setattr(ag, "_unique_pairs",
+                            lambda *a: rounds.append(1) or unique_pairs(*a))
+        merged = assign.copy()
+        assert ag._merge_enclosed(topo, merged) == 2
+        assert len(rounds) == 3
+        assert (merged == 0).all()
+        monkeypatch.undo()
+        fixed, report = cleanup(topo, Agglomeration(assign))
+        assert (report.disconnected_split, report.enclosed_merged) == (0, 2)
+        assert fixed.n_agglomerates == 1
+
     def test_idempotent_on_clean_input(self, topo2d_jittered):
         agg = run_algorithm(topo2d_jittered, "greedy", seed=3, s=8)
         again, report = cleanup(topo2d_jittered, agg)

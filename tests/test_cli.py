@@ -78,6 +78,40 @@ class TestCoarsen:
         for ids in arrays.values():
             assert len(ids) == 2 * 8 * 8
 
+    def test_vtk_holds_the_hierarchy_levels(self, tmp_path, capsys):
+        # the file is write_vtk of the hierarchy the table prints, byte for byte
+        path, want = tmp_path / "levels.vtk", tmp_path / "want.vtk"
+        code, _, _ = run(["coarsen", "--gen-3d", "4", "--alg", "kraus", "--seed", "2",
+                          "--vtk", str(path)], capsys)
+        assert code == 0
+        mesh = generate_mesh(3, 4, jitter=0.2, seed=2)
+        hier = build_hierarchy(mesh, CoarsenConfig("kraus", seed=2),
+                               schedule=level_schedule(3))
+        mesh_io.write_vtk(want, mesh, [lvl.agglomeration for lvl in hier.levels])
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_single_level_hierarchy_writes_no_arrays(self, tmp_path, capsys):
+        # 5x5 mesh has 36 nodes, under the stop threshold: no coarsening
+        path = tmp_path / "flat.vtk"
+        code, _, _ = run(["coarsen", "--gen-2d", "5", "--alg", "greedy",
+                          "--size", "4", "--vtk", str(path)], capsys)
+        assert code == 0
+        arrays = mesh_io.read_vtk_cell_data(path)
+        assert arrays == {}
+
+    def test_vtk_one_array_per_level(self, tmp_path, capsys):
+        path = tmp_path / "levels.vtk"
+        code, out, _ = run(["coarsen", "--gen-2d", "16", "--alg", "sizebased",
+                            "--size", "8", "--seed", "2", "--vtk", str(path)],
+                           capsys)
+        assert code == 0
+        rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
+        arrays = mesh_io.read_vtk_cell_data(path)
+        assert len(arrays) == len(rows) - 1 >= 2
+        for ids in arrays.values():
+            uniq = np.unique(ids)
+            assert uniq[0] == 0 and uniq[-1] == len(uniq) - 1
+
 
 class TestSweep:
     def test_rows_and_decreasing_complexity(self, tmp_path, capsys):
@@ -172,30 +206,51 @@ class TestSolve:
         assert "converged=True" in out
 
 
-class TestExport:
-    def test_single_level_hierarchy_exports_no_arrays(self, tmp_path, capsys):
-        # 5x5 mesh has 36 nodes, under the stop threshold: no coarsening
-        path = tmp_path / "flat.vtk"
-        code, _, _ = run(["export", "--gen-2d", "5", "--alg", "greedy",
-                          "--size", "4", "--vtk", str(path)], capsys)
-        assert code == 0
-        arrays = mesh_io.read_vtk_cell_data(path)
-        assert arrays == {}
-
-    def test_export_levels(self, tmp_path, capsys):
-        path = tmp_path / "levels.vtk"
-        code, _, _ = run(["export", "--gen-2d", "16", "--alg", "sizebased",
-                          "--size", "8", "--seed", "2", "--vtk", str(path)],
-                         capsys)
-        assert code == 0
-        arrays = mesh_io.read_vtk_cell_data(path)
-        assert len(arrays) >= 2
-        for name, ids in arrays.items():
-            uniq = np.unique(ids)
-            assert uniq[0] == 0 and uniq[-1] == len(uniq) - 1
-
-
 class TestExitCodes:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("coarsen", "--json", "r.json"), ("coarsen", "--csv", "s.csv"),
+        ("coarsen", "--problem", "absorbing"), ("coarsen", "--jobs", "2"),
+        ("solve", "--vtk", "x.vtk"), ("solve", "--csv", "s.csv"), ("solve", "--jobs", "4"),
+        ("sweep", "--vtk", "x.vtk"), ("sweep", "--json", "r.json")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, flag, value, source):
+        # a flag the subcommand would drop is rejected before anything runs
+        argv = [command, "--gen-2d", "8", "--alg", "greedy", "--size", "4"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]}={value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["coarsen", "solve"])
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_solve_key_outside_sweep_exits_two(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"solve={value}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--gen-2d", "8", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solve" in capsys.readouterr().err
+
+    def test_export_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["export", "--gen-2d", "8", "--vtk", "x.vtk"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["coarsen", "solve"])
+    def test_size_list_outside_sweep_exits_one(self, capsys, command):
+        code, out, err = run([command, "--gen-2d", "16", "--alg", "greedy",
+                              "--size", "4,24"], capsys)
+        assert code == 1
+        assert "a size list is for sweep" in err
+        assert "grid cx" not in out and "iterations=" not in out
+
     @pytest.mark.parametrize("flag", ["--gen-2d", "--gen-3d"])
     def test_zero_subdivisions_exit_one(self, capsys, flag):
         code, _, err = run(["coarsen", flag, "0", "--alg", "jones"], capsys)
@@ -379,7 +434,7 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["coarsen", "--gen-2d", "4", "--config", str(cfg)])
+            cli.main(["sweep", "--gen-2d", "4", "--config", str(cfg)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

@@ -80,6 +80,23 @@ class TestGeometry:
         vol = element_measures(m)
         assert vol[0] == pytest.approx(1.0 / 6.0)
 
+    @pytest.mark.parametrize("node", [3, -1])
+    def test_node_out_of_range_rejected(self, node):
+        # the second triangle of a 3-node mesh names an undefined node
+        coords = np.array([[0.0, 0], [1.0, 0], [0, 1.0]])
+        with pytest.raises(ValueError, match=rf"element 1 names nodes \[0, 2, {node}\]"):
+            Mesh(2, coords, np.array([[0, 1, 2], [0, 2, node]]),
+                 np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("dim,elements,message", [
+        (4, [[0, 1, 2]], "dim must be 2 or 3, got 4"),
+        (3, [[0, 1, 2]], r"a 3D element has 4 nodes, got elements of shape \(1, 3\)"),
+    ], ids=["dim", "arity"])
+    def test_structure_rejected(self, dim, elements, message):
+        coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
+        with pytest.raises(ValueError, match=message):
+            Mesh(dim, coords, np.array(elements), np.zeros(1, dtype=np.int64))
+
     def test_collinear_triangle_rejected(self):
         m = Mesh(2, np.array([[0.0, 0], [1.0, 1], [2.0, 2]]),
                  np.array([[0, 1, 2]]), np.zeros(1, dtype=np.int64))

@@ -136,6 +136,26 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="node [48]"):
             read_msh(path)
 
+    @pytest.mark.parametrize("text,message", [
+        (MSH_ONE_TRIANGLE.replace("$EndElements\n", ""), r"unterminated section \$Elements"),
+        (MSH_ONE_TRIANGLE.split("$Nodes")[0].replace("MeshFormat", "Comments")
+         + "$Nodes" + MSH_ONE_TRIANGLE.split("$Nodes")[1], r"missing \$MeshFormat"),
+        (MSH_ONE_TRIANGLE.split("$Nodes")[0], r"missing \$Nodes or \$Elements"),
+        (MSH_ONE_TRIANGLE.split("$Elements")[0], r"missing \$Nodes or \$Elements"),
+        (MSH_ONE_TRIANGLE.replace("$Nodes\n3\n", "$Nodes\n4\n"),
+         "declared 4 nodes but found 3"),
+        (MSH_ONE_TRIANGLE.replace("$Elements\n1\n", "$Elements\n2\n"),
+         "declared 2 elements but found 1"),
+        (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 1 2 7 1 1 2"),
+         "no triangle or tetrahedron"),
+    ], ids=["unterminated", "no-format", "no-nodes", "no-elements", "node-count",
+            "element-count", "no-volume-element"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match=message):
+            read_msh(path)
+
     def test_unused_node_dropped(self, tmp_path):
         # an MSH copy of a 2D box, with tagged boundary lines and one node
         # that no triangle uses listed first: every other row moves up one

@@ -148,6 +148,21 @@ class TestPartitionKway:
         after = pt.edge_cut(g, part)
         assert after <= before
 
+    def test_region_grow_gives_unreached_vertex_to_lightest_part(self):
+        # a 6-vertex path and an isolated vertex 6 that no seed names: no
+        # frontier reaches it, so it goes to the lightest part at the end
+        path = path_graph(6)
+        g = pt.WeightedGraph(indptr=np.append(path.indptr, path.indptr[-1]),
+                             indices=path.indices, ewgt=path.ewgt,
+                             vwgt=np.array([6, 1, 1, 1, 1, 1, 1], dtype=np.int64))
+        seeds = np.random.Generator(np.random.Philox(1)).choice(7, size=2, replace=False)
+        assert 6 not in seeds
+        part = pt._region_grow(g, 2, np.random.Generator(np.random.Philox(1)))
+        assert (part >= 0).all()
+        grown = np.bincount(part[:6], weights=g.vwgt[:6], minlength=2)
+        assert grown[0] != grown[1]
+        assert part[6] == np.argmin(grown)
+
     def test_small_graph_quality_vs_brute_force(self):
         worst = 0.0
         for seed in range(10):
