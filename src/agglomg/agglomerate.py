@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
-                   _first_appearance, _gather_ragged, _induced_components,
-                   _neighbour_weights, _row_sums, _unique_pairs)
+                   _csr_from_unsorted, _first_appearance, _gather_ragged, _indptr,
+                   _induced_components, _neighbour_weights, _row_sums, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -109,6 +109,32 @@ def _group_pairs(indptr, ids):
     return src[keep], dst[keep]
 
 
+def _incidence(indptr, ids, n_cols, weight=None):
+    """Sparse matrix of a CSR's pattern: ones, or ``weight[ids]`` with the
+    zeros dropped."""
+    data = np.ones(len(ids)) if weight is None else weight[ids].astype(float)
+    m = sp.csr_matrix((data, ids, indptr), shape=(len(indptr) - 1, n_cols))
+    m.eliminate_zeros()
+    return m
+
+
+def _co_counts(incidence):
+    """For each pair of columns, the number of rows of a 0/1 ``incidence``
+    that hold both: the sparse product I^T I, with sorted indices."""
+    counts = (incidence.T @ incidence).tocsr()
+    counts.sort_indices()
+    return counts
+
+
+def _off_diagonal(counts, min_count=1):
+    """CSR (indptr, indices) of the off-diagonal entries of a square sparse
+    matrix with sorted indices that reach ``min_count``."""
+    n = counts.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(counts.indptr))
+    keep = (counts.indices != rows) & (counts.data >= min_count)
+    return _indptr(rows[keep], n), counts.indices[keep].astype(np.int64)
+
+
 def _face_adjacency(topo: LevelTopology):
     """CSR of interior-face neighbourships (shared node in 2D, edge in 3D).
 
@@ -120,11 +146,8 @@ def _face_adjacency(topo: LevelTopology):
         groups, min_shared = (topo.edges.face_indptr, topo.edges.face_ids), 1
     else:
         groups, min_shared = (faces.node_face_indptr, faces.node_face_ids), topo.dim - 1
-    src, dst = _group_pairs(*groups)
-    keep = faces.interior[src] & faces.interior[dst]
-    src, dst = src[keep], dst[keep]
-    return _csr_from_pairs(*_unique_pairs(src, dst, faces.n_faces, min_shared),
-                           faces.n_faces)
+    return _off_diagonal(_co_counts(_incidence(*groups, faces.n_faces, faces.interior)),
+                         min_shared)
 
 
 def _element_companion_faces(topo: LevelTopology):
@@ -133,7 +156,7 @@ def _element_companion_faces(topo: LevelTopology):
     faces = topo.faces
     src, dst = _group_pairs(faces.elem_indptr, faces.elem_face_ids)
     keep = faces.interior[src] & faces.interior[dst]
-    return _csr_from_pairs(src[keep], dst[keep], faces.n_faces)
+    return _csr_from_unsorted(src[keep], dst[keep], faces.n_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +259,15 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     return next_id
 
 
-def _face_sweep(topo, face_w, assign, next_id, restrict_g):
+def _face_sweep(topo, adj, face_w, assign, next_id, restrict_g):
     """Grow agglomerates along maximal-weight interior faces.
 
-    A face is bumped by its adjacent faces and by the other faces of its
-    elements. ``restrict_g`` confines the growth-face choice to faces
-    sharing an element with the current face (the kraus variant).
+    A face is bumped by its adjacent faces (``adj``, from
+    :func:`_face_adjacency`) and by the other faces of its elements.
+    ``restrict_g`` confines the growth-face choice to faces sharing an
+    element with the current face (the kraus variant).
     """
     faces = topo.faces
-    adj = _face_adjacency(topo)
     companions = _element_companion_faces(topo)
     sides = (np.arange(0, 2 * faces.n_faces + 1, 2),
              np.column_stack([faces.left, faces.right]).ravel())
@@ -257,7 +280,7 @@ def _jones(topo):
     """Deterministic growth along maximal-weight interior faces."""
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
-    _face_sweep(topo, face_w, assign, 0, restrict_g=False)
+    _face_sweep(topo, _face_adjacency(topo), face_w, assign, 0, restrict_g=False)
     return assign
 
 
@@ -265,19 +288,21 @@ def _kraus(topo):
     """Edge-weighted growth (3D) with a restricted face phase afterwards.
 
     In 2D only the face phase runs; unlike jones, the growth face must
-    share an element with the current one.
+    share an element with the current one. Both phases read one face
+    adjacency.
     """
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
+    adj = _face_adjacency(topo)
     next_id = 0
     if topo.dim == 3 and topo.edges is not None and topo.edges.n_edges:
         edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
-        next_id = _edge_sweep(topo, edge_w, face_w, assign, next_id)
-    _face_sweep(topo, face_w, assign, next_id, restrict_g=True)
+        next_id = _edge_sweep(topo, adj, edge_w, face_w, assign, next_id)
+    _face_sweep(topo, adj, face_w, assign, next_id, restrict_g=True)
     return assign
 
 
-def _edge_sweep(topo, edge_w, face_w, assign, next_id):
+def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
     """Grow agglomerates along maximal-weight edges (3D kraus).
 
     An edge is bumped by the edges sharing a node with it, once more by
@@ -285,11 +310,11 @@ def _edge_sweep(topo, edge_w, face_w, assign, next_id):
     bumps the faces adjacent to the current edge's faces, once each.
     """
     edges, faces = topo.edges, topo.faces
-    adj, shared = _edge_adjacency(edges, faces.n_faces)
+    edge_faces = _incidence(edges.face_indptr, edges.face_ids, faces.n_faces)
+    adj, shared = _edge_adjacency(edges, edge_faces)
     # the distinct faces adjacent to each edge's faces: the pattern of the
     # product of the edge -> face and face -> face incidences
-    near_faces = (_pattern(edges.face_indptr, edges.face_ids, faces.n_faces)
-                  @ _pattern(*_face_adjacency(topo), faces.n_faces))
+    near_faces = edge_faces @ _incidence(*face_adj, faces.n_faces)
     clears = [(edge_w, _invert_csr(edges.elem_indptr, edges.elem_ids, topo.n_elements)),
               (face_w, (faces.elem_indptr, faces.elem_face_ids))]
     return _grow(edge_w, assign, next_id, (edges.elem_indptr, edges.elem_ids),
@@ -297,30 +322,22 @@ def _edge_sweep(topo, edge_w, face_w, assign, next_id):
                  side=(face_w, (near_faces.indptr, near_faces.indices)))
 
 
-def _edge_adjacency(edges, n_faces):
+def _edge_adjacency(edges, edge_faces):
     """CSRs of the edges sharing a node with each edge, and of those of
-    them that also share a face."""
-    n = edges.n_edges
-    nsrc, ndst = _unique_pairs(
-        *_group_pairs(edges.node_edge_indptr, edges.node_edge_ids), n)
-    fsrc, fdst = _unique_pairs(
-        *_group_pairs(*_invert_csr(edges.face_indptr, edges.face_ids, n_faces)), n)
-    # a pair found both ways shares a node and a face
-    ssrc, sdst = _unique_pairs(np.concatenate([nsrc, fsrc]),
-                               np.concatenate([ndst, fdst]), n, 2)
-    return _csr_from_pairs(nsrc, ndst, n), _csr_from_pairs(ssrc, sdst, n)
-
-
-def _pattern(indptr, ids, n_cols):
-    """Boolean sparse matrix with the nonzero pattern of a CSR."""
-    return sp.csr_matrix((np.ones(len(ids), dtype=bool), ids, indptr),
-                         shape=(len(indptr) - 1, n_cols))
+    them that also share a face (``edge_faces``, the edge -> face
+    incidence): off-diagonal products of the incidences."""
+    by_node = _co_counts(_incidence(edges.node_edge_indptr, edges.node_edge_ids,
+                                    edges.n_edges))
+    by_face = _co_counts(edge_faces.T.tocsr())
+    both = by_node.multiply(by_face).tocsr()
+    both.sort_indices()
+    return _off_diagonal(by_node), _off_diagonal(both)
 
 
 def _invert_csr(indptr, ids, n_targets):
     """Invert a CSR mapping a->b into b->a."""
     src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    return _csr_from_pairs(np.asarray(ids), src, n_targets)
+    return _csr_from_unsorted(np.asarray(ids), src, n_targets)
 
 
 # ---------------------------------------------------------------------------

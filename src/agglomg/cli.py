@@ -207,11 +207,20 @@ def _sweep_one(payload):
             status=f"failed: {err}")
 
 
+def _size_list(text):
+    """The sizes of a sweep's comma list; an empty entry is an error, not
+    a row fewer."""
+    tokens = text.split(",")
+    if not all(t.strip() for t in tokens):
+        raise ValueError(f"--size {text!r}: the size list has an empty entry")
+    return [int(t) for t in tokens]
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    sizes = [None] if args.size is None else _size_list(args.size)
     mesh = _load_mesh(args)
-    sizes = [None] if args.size is None else [int(t) for t in args.size.split(",") if t]
     payloads = [(mesh, _make_config(args, s), s, args.lower_size, args.problem,
                  args.solve, _stop(args))
                 for s in sizes]

@@ -25,8 +25,8 @@ import scipy.sparse as sp
 
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
                    MaterialTable, _components, _csr_from_pairs,
-                   _dual_from_faces, _first_appearance, _gather_ragged, _row_sums,
-                   _unique_pairs)
+                   _dual_from_faces, _first_appearance, _gather_ragged, _indptr,
+                   _order_by, _row_sums, _sort_keys, _unique_pairs)
 from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
@@ -227,34 +227,39 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> FacePatches:
     cross = a_side != b_side
     bd = np.flatnonzero(~faces.interior)
     # interface groups per (lo, hi) agglomerate pair, then boundary groups
-    # per (owner, tag); faces stay ascending inside each group
+    # per (owner, tag), by one packed key; faces stay ascending inside each
+    # group. Boundary owners are shifted past the agglomerate ids, and tags
+    # enter by rank.
+    nagg = agg.n_agglomerates
+    tags, tag_rank = np.unique(faces.tag[bd], return_inverse=True)
+    width = max(nagg, len(tags))
     fids = np.concatenate([interior[cross], bd])
-    boundary = np.repeat([False, True], [int(cross.sum()), len(bd)])
     owner = np.concatenate([np.minimum(a_side, b_side)[cross], assign[faces.left[bd]]])
     other = np.concatenate([np.maximum(a_side, b_side)[cross], faces.tag[bd]])
-    order = np.lexsort((other, owner, boundary))
-    fids, boundary, owner, other = fids[order], boundary[order], owner[order], other[order]
+    n_cross = len(fids) - len(bd)
+    key, order = _sort_keys(
+        (owner + nagg * (np.arange(len(fids)) >= n_cross)) * width
+        + np.concatenate([other[:n_cross], tag_rank]), 2 * nagg * width)
+    fids = fids[order]
     new = np.ones(len(fids), dtype=bool)
-    new[1:] = ((boundary[1:] != boundary[:-1]) | (owner[1:] != owner[:-1])
-               | (other[1:] != other[:-1]))
-    group = np.cumsum(new) - 1
-    labels = _face_components(topo, fids, group)
+    new[1:] = key[1:] != key[:-1]
+    labels = _face_components(topo, fids, np.cumsum(new) - 1)
 
     # labels run group by group, and by smallest face inside a group: one
     # row per label, read off its first (smallest) fine face
-    _, first = np.unique(labels, return_index=True)
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1) > 0)
     n_rows = len(first)
-    on_boundary = boundary[first]
+    src = order[first]
+    on_boundary = src >= n_cross
     ff_indptr, ff_ids = _csr_from_pairs(labels, fids, n_rows)
     row_of = np.repeat(np.arange(n_rows), np.diff(ff_indptr))
     vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, ff_ids)
-    nodes, rows = _unique_pairs(vals, np.repeat(row_of, counts), n_rows)
-    node_indptr, node_ids = _csr_from_pairs(rows, nodes, n_rows)
-    return FacePatches(left=owner[first],
-                       right=np.where(on_boundary, BOUNDARY, other[first]),
-                       tag=np.where(on_boundary, other[first], -1),
+    rows, node_ids = _unique_pairs(np.repeat(row_of, counts), vals, topo.n_nodes)
+    return FacePatches(left=owner[src],
+                       right=np.where(on_boundary, BOUNDARY, other[src]),
+                       tag=np.where(on_boundary, other[src], -1),
                        fine_face_indptr=ff_indptr, fine_face_ids=ff_ids,
-                       node_indptr=node_indptr, node_ids=node_ids)
+                       node_indptr=_indptr(rows, n_rows), node_ids=node_ids)
 
 
 def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
@@ -276,10 +281,9 @@ def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
         i, j = i[lower], j[lower]
         pos, key = pos[i], vals[i] * topo.n_nodes + vals[j]
     # faces of one group that carry the same key are adjacent; linking
-    # each to the next in key order connects them all
-    g = group[pos]
-    order = np.lexsort((key, g))
-    pos, key, g = pos[order], key[order], g[order]
+    # each to the next in (group, key) order connects them all
+    order = _order_by(group[pos], key, topo.n_nodes ** (topo.dim - 1))
+    pos, key, g = pos[order], key[order], group[pos[order]]
     link = (key[1:] == key[:-1]) & (g[1:] == g[:-1])
     return _components(pos[:-1][link], pos[1:][link], len(fids))
 
@@ -328,8 +332,11 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
 def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
     """Chains of fine edges shared between the same set of coarse faces.
 
-    Cycles are broken at their two topologically farthest nodes; branch
-    points split chains so every coarse edge is a simple open path.
+    Each fine edge on two or more coarse faces is grouped by that set, its
+    signature; the groups run in lexicographic signature order, and
+    :func:`_edge_chains` splits each into simple open paths: branch points
+    split chains, and cycles are broken at their two topologically
+    farthest nodes.
     """
     if topo.edges is None:
         raise ValueError("coarse edges require an EdgeSet (3D kraus path)")
@@ -344,98 +351,134 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     edge_of = np.repeat(np.arange(edges.n_edges), np.diff(edges.face_indptr))
     on = cfs >= 0
     edge_of, cfs = _unique_pairs(edge_of[on], cfs[on], n_cf)
-    kept = np.bincount(edge_of, minlength=edges.n_edges) >= 2
-    sel = kept[edge_of]
-    edge_of, cfs = edge_of[sel], cfs[sel]
-    starts = np.flatnonzero(np.diff(edge_of, prepend=-1)).tolist()
-    cfs = cfs.tolist()
-    groups = {}
-    for e, lo, hi in zip(edge_of[starts].tolist(), starts, starts[1:] + [len(cfs)]):
-        groups.setdefault(tuple(cfs[lo:hi]), []).append(e)
+    kept = np.bincount(edge_of, minlength=edges.n_edges)[edge_of] >= 2
+    edge_of, cfs = edge_of[kept], cfs[kept]
 
-    nodes = edges.nodes.tolist()  # the walks index one edge at a time
-    ends, fine, fine_indptr, sigs, sig_indptr = [], [], [0], [], [0]
-    for sig in sorted(groups):
-        members = groups[sig]
-        if len(members) == 1:
-            # one edge is one chain, between its two nodes
-            a, b = nodes[members[0]]
-            chains = [(members, (a, b) if a < b else (b, a))]
-        else:
-            chains = [(c, _chain_endpoints(nodes, c)) for c in _edge_chains(nodes, members)]
-        for chain, chain_ends in chains:
-            ends.append(chain_ends)
-            fine += chain
-            fine_indptr.append(len(fine))
-            sigs += sig
-            sig_indptr.append(len(sigs))
-    return EdgeChains(endpoints=np.array(ends, dtype=np.int64).reshape(-1, 2),
-                      fine_edge_indptr=np.array(fine_indptr, dtype=np.int64),
-                      fine_edge_ids=np.array(fine, dtype=np.int64),
-                      face_indptr=np.array(sig_indptr, dtype=np.int64),
-                      face_ids=np.array(sigs, dtype=np.int64))
+    # one signature row per edge, padded with -1 so that a prefix sorts
+    # first, as tuples do; the stable sort keeps each group's edges ascending
+    starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
+    length = np.diff(starts, append=len(edge_of))
+    sig = np.full((len(starts), int(length.max(initial=0))), -1, dtype=np.int64)
+    sig[np.repeat(np.arange(len(starts)), length),
+        np.arange(len(edge_of)) - np.repeat(starts, length)] = cfs
+    order = np.lexsort(sig.T[::-1])
+    members, sig, length = edge_of[starts][order], sig[order], length[order]
+    first = np.ones(len(members), dtype=bool)
+    first[1:] = (sig[1:] != sig[:-1]).any(axis=1)
+
+    walk_order, indptr, chain_group, ends = _edge_chains(edges.nodes, members,
+                                                         np.cumsum(first) - 1)
+    rows = np.flatnonzero(first)[chain_group]
+    face_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(length[rows], out=face_indptr[1:])
+    return EdgeChains(endpoints=ends, fine_edge_indptr=indptr,
+                      fine_edge_ids=members[walk_order], face_indptr=face_indptr,
+                      face_ids=sig[rows][sig[rows] >= 0])
 
 
-def _edge_chains(nodes: list, members: list) -> list:
-    """Decompose an edge set into simple open paths; ``nodes`` lists each
-    edge's two endpoints."""
-    node_deg = {}
-    node_edges = {}
-    for e in members:
-        for nd in nodes[e]:
-            node_deg[nd] = node_deg.get(nd, 0) + 1
-            node_edges.setdefault(nd, []).append(e)
-    unused = set(members)
-    chains = []
+def _edge_chains(nodes: np.ndarray, members: np.ndarray, group: np.ndarray):
+    """Split each group of edges into simple open chains, in walk order.
 
-    def walk(start_node, first_edge):
-        chain = []
-        node, eid = start_node, first_edge
-        while True:
-            chain.append(eid)
-            unused.discard(eid)
-            a, b = nodes[eid]
-            node = b if a == node else a
-            if node_deg[node] != 2:
-                break
-            nxt = [x for x in node_edges[node] if x in unused]
-            if not nxt:
-                break
-            eid = nxt[0]
-        return chain, node
+    ``members`` are rows of ``nodes`` (two distinct nodes each), sorted by
+    ``group`` and ascending inside a group. In a group, a node not of
+    degree 2 is a breakpoint. The walk takes the breakpoints in ascending
+    order and, at each, its unused edges in ascending order, and follows
+    each through degree-2 nodes to the next breakpoint. Pure cycles are
+    left; each is walked from its lowest edge's first node and cut in two,
+    the first half the longer one.
 
-    # open paths start at nodes of degree != 2
-    breakpoints = sorted(n for n, d in node_deg.items() if d != 2)
-    for n in breakpoints:
-        for e in sorted(node_edges[n]):
-            if e in unused:
-                chain, _ = walk(n, e)
-                chains.append(chain)
-    # what remains are pure cycles; break each at its two farthest nodes
-    while unused:
-        e0 = min(unused)
-        start = nodes[e0][0]
-        cycle, _ = walk(start, e0)
-        if len(cycle) == 1:
-            chains.append(cycle)
-            continue
-        half = (len(cycle) + 1) // 2
-        chains.append(cycle[:half])
-        chains.append(cycle[half:])
-    return chains
+    The walk needs no loop over edges. Each edge has two ends (half-edges
+    ``2 i`` and ``2 i + 1`` of member i). The two ends at a degree-2 node
+    are partners, and an edge left by one end continues with the partner
+    of its other end. A chain begins at an end without a partner; of its
+    two such ends the walk starts from the one at the lower breakpoint,
+    ties to the lower edge. All chains then step forward together, one
+    edge per pass.
 
+    Returns the members' order (chain after chain, each in walk order),
+    the chains' indptr and group, and each chain's two end nodes,
+    ascending. A chain that returns to its first node has no single ends;
+    it ends at its lowest and highest node.
+    """
+    k = len(members)
+    empty = np.zeros(0, dtype=np.int64)
+    if k == 0:
+        return empty, np.zeros(1, dtype=np.int64), empty, np.zeros((0, 2), dtype=np.int64)
+    half_node = nodes[members].ravel()
+    n = int(half_node.max()) + 1
+    key, by_node = _sort_keys(np.repeat(group, 2) * n + half_node, (int(group[-1]) + 1) * n)
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    pair = bounds[:-1][np.diff(bounds) == 2]
+    partner = np.full(2 * k, -1, dtype=np.int64)
+    partner[by_node[pair]] = by_node[pair + 1]
+    partner[by_node[pair + 1]] = by_node[pair]
+    succ = partner[np.arange(2 * k) ^ 1]
 
-def _chain_endpoints(nodes: list, chain: list) -> tuple:
-    count = {}
-    for e in chain:
-        for nd in nodes[e]:
-            count[nd] = count.get(nd, 0) + 1
-    ends = sorted(n for n, c in count.items() if c == 1)
-    if len(ends) == 2:
-        return (ends[0], ends[1])
-    # degenerate single-edge loops or repeated nodes: fall back to extremes
-    nodes = sorted(count)
-    return (nodes[0], nodes[-1])
+    def walk(start, closed):
+        """(walk, step, half-edge) of every step of the walks from ``start``;
+        a closed walk stops before it would return to its start."""
+        steps = [(empty, empty, empty)]
+        idx, cur = np.arange(len(start)), start
+        while len(cur):
+            steps.append((idx, np.full(len(cur), len(steps) - 1), cur))
+            cur = succ[cur]
+            alive = cur >= 0
+            if closed:
+                alive &= cur != start[idx]
+            idx, cur = idx[alive], cur[alive]
+        return [np.concatenate(column) for column in zip(*steps)]
+
+    # open chains, walked from both ends: keep the walk from the lower end
+    term = np.flatnonzero(partner < 0)
+    chain, step, half = walk(term, False)
+    far = np.empty(len(term), dtype=np.int64)
+    far[chain] = half ^ 1  # steps run in order, so the last one stays
+    keep = ((half_node[term] < half_node[far])
+            | ((half_node[term] == half_node[far]) & (term < far)))
+    on_open = np.zeros(k, dtype=bool)
+    on_open[half >> 1] = True
+    sel = keep[chain]
+    chain, step, half = (np.cumsum(keep) - 1)[chain[sel]], step[sel], half[sel]
+    term = term[keep]
+    # chains sort by group, open before cyclic, then by their start
+    # (breakpoint, edge), or by (lowest edge, half) on a cycle
+    keys = [group[term >> 1], np.zeros(len(term), dtype=np.int64), half_node[term],
+            term >> 1]
+
+    cyc = np.flatnonzero(~on_open)
+    if len(cyc):
+        # linked through both ends, the labels number the cycles in order
+        # of their lowest member
+        cyc_ends = (2 * cyc[:, None] + [0, 1]).ravel()
+        labels = _components(cyc_ends >> 1, succ[cyc_ends] >> 1, k)
+        lowest = cyc[(np.diff(np.maximum.accumulate(labels), prepend=-1) > 0)[cyc]]
+        c_walk, c_step, c_half = walk(2 * lowest, True)
+        cut = ((np.bincount(c_walk) + 1) // 2)[c_walk]
+        second = c_step >= cut
+        chain = np.concatenate([chain, len(term) + 2 * c_walk + second])
+        step = np.concatenate([step, c_step - second * cut])
+        half = np.concatenate([half, c_half])
+        cyc_keys = [np.repeat(group[lowest], 2), np.ones(2 * len(lowest), dtype=np.int64),
+                    np.repeat(lowest, 2), np.tile([0, 1], len(lowest))]
+        keys = [np.concatenate(both) for both in zip(keys, cyc_keys)]
+
+    rank = np.empty(len(keys[0]), dtype=np.int64)
+    rank[np.lexsort(keys[::-1])] = np.arange(len(rank))
+    half = half[np.lexsort((step, rank[chain]))]
+    size = np.bincount(rank[chain], minlength=len(rank))
+    chain_group = np.empty(len(rank), dtype=np.int64)
+    chain_group[rank] = keys[0]
+    chain_group = chain_group[size > 0]
+    indptr = np.zeros(len(chain_group) + 1, dtype=np.int64)
+    np.cumsum(size[size > 0], out=indptr[1:])
+
+    a, b = half_node[half[indptr[:-1]]], half_node[half[indptr[1:] - 1] ^ 1]
+    both = np.column_stack([half_node[half], half_node[half ^ 1]])
+    ends = np.where((a != b)[:, None],
+                    np.column_stack([np.minimum(a, b), np.maximum(a, b)]),
+                    np.column_stack([np.minimum.reduceat(both.min(axis=1), indptr[:-1]),
+                                     np.maximum.reduceat(both.max(axis=1), indptr[:-1])]))
+    return half >> 1, indptr, chain_group, ends
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,19 @@ the element dual graph, node incidence and geometric measures -- is
 bundled into a :class:`LevelTopology`, which is also how coarse levels
 are represented, so the same coarsening code runs on every level.
 
-Integer pairs ``(a, b)`` are grouped in one place each: :func:`_unique_pairs`
-gives the distinct pairs in ascending order (optionally only those given a
-minimum number of times), and :func:`_collapse_pairs` gives the CSR of the
-distinct pairs with their weights summed and their repeats counted. Both
-sort the packed keys ``a * n + b``; numpy's hash-based ``np.unique`` is far
-slower on such keys.
+Integer tuples are grouped by sorting one packed int64 key per tuple:
+``a * n + b`` for a pair, ``(a * n + b) * n + c`` for a triangle's sorted
+nodes. :func:`_unique_pairs` gives the distinct pairs in ascending order
+(optionally only those given a minimum number of times), and
+:func:`_collapse_pairs` gives the CSR of the distinct pairs with their
+weights summed and their repeats counted. Where the order of a stable sort
+is needed too, :func:`_sort_keys` packs each key's index into its low bits,
+so one plain ``np.sort`` gives both; that is several times faster than a
+stable argsort or a multi-column ``np.lexsort`` on keys in no particular
+order, while a stable argsort stays the choice for keys that arrive sorted
+(:func:`_csr_from_pairs`). numpy's hash-based ``np.unique`` is far slower
+than either. A 3D face key addresses node ids below 2**21 = 2,097,152; a
+mesh whose elements name a higher id raises :class:`MeshSizeError`.
 """
 from __future__ import annotations
 
@@ -38,6 +45,10 @@ class TopologyError(ValueError):
 
 class DegenerateElementError(ValueError):
     """An element has zero or negative measure."""
+
+
+class MeshSizeError(ValueError):
+    """The mesh names more nodes than a packed int64 face key can address."""
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,47 @@ class MeshMetrics:
     average_connectivity: float
 
 
-def _csr_from_pairs(keys, values, n_keys):
-    """Group ``values`` by integer ``keys`` into CSR (indptr, data) arrays."""
+def _sort_keys(keys, bound):
+    """Sorted integer ``keys`` in [0, ``bound``) and the order of their stable
+    argsort. While ``bound`` times the next power of two above the key count
+    fits in int64, each key carries its index in its low bits and one
+    ``np.sort`` does the work; beyond that a stable argsort does."""
+    keys = np.asarray(keys, dtype=np.int64)
+    shift = max(len(keys) - 1, 0).bit_length()
+    if bound <= 1 << (63 - shift):
+        packed = np.sort((keys << shift) | np.arange(len(keys)))
+        return packed >> shift, packed & ((1 << shift) - 1)
     order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n_keys)
+    return keys[order], order
+
+
+def _order_by(major, minor, minor_bound):
+    """The order of a stable sort by (``major``, ``minor``), both integer
+    arrays with ``0 <= minor < minor_bound``: one packed sort while the key
+    ``major * minor_bound + minor`` fits in int64, else ``np.lexsort``."""
+    bound = (int(major.max(initial=0)) + 1) * minor_bound
+    if bound <= 2 ** 63:
+        return _sort_keys(major * minor_bound + minor, bound)[1]
+    return np.lexsort((minor, major))
+
+
+def _indptr(keys, n_keys):
     indptr = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.asarray(values)[order]
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
+    return indptr
+
+
+def _csr_from_pairs(keys, values, n_keys):
+    """Group ``values`` by integer ``keys`` into CSR (indptr, data) arrays,
+    each row in input order. For keys that arrive (nearly) sorted: the
+    stable argsort is a timsort, linear on sorted runs."""
+    return _indptr(keys, n_keys), np.asarray(values)[np.argsort(keys, kind="stable")]
+
+
+def _csr_from_unsorted(keys, values, n_keys):
+    """:func:`_csr_from_pairs` for keys in no particular order, by one
+    packed sort."""
+    return _indptr(keys, n_keys), np.asarray(values)[_sort_keys(keys, n_keys)[1]]
 
 
 def _unique_pairs(a, b, n, min_count=1):
@@ -137,10 +182,15 @@ def _unique_pairs(a, b, n, min_count=1):
 def _collapse_pairs(src, dst, weight, n):
     """CSR (indptr, indices) of the distinct pairs of ids in [0, n), each
     pair's weights summed in input order, and each pair's repeat count."""
-    key, inverse, count = np.unique(src * n + dst, return_inverse=True,
-                                    return_counts=True)
-    indptr, indices = _csr_from_pairs(key // n, key % n, n)
-    return indptr, indices, np.bincount(inverse, weights=weight, minlength=len(key)), count
+    key, order = _sort_keys(src * n + dst, n * n)
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    key = key[first]
+    return (_indptr(key // n, n), key % n,
+            np.bincount(inverse, weights=weight, minlength=len(key)),
+            np.diff(np.flatnonzero(first), append=len(inverse)))
 
 
 def _first_appearance(labels) -> np.ndarray:
@@ -334,9 +384,9 @@ class LevelTopology:
         # element -> face ids, in local-face order
         elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)
 
-        node_of_face = face_nodes.ravel()
-        face_of_node = np.repeat(np.arange(n_faces), dim)
-        nf_indptr, nf_ids = _csr_from_pairs(node_of_face, face_of_node, mesh.n_nodes)
+        nf_indptr, nf_ids = _csr_from_unsorted(face_nodes.ravel(),
+                                               np.repeat(np.arange(n_faces), dim),
+                                               mesh.n_nodes)
 
         faces = FaceSet(
             node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
@@ -350,7 +400,7 @@ class LevelTopology:
         edges = _build_edges(mesh, face_nodes) if dim == 3 else None
         elem_bd_area = np.bincount(left[bd], weights=area[bd], minlength=mesh.n_elements)
         elem_of = np.repeat(np.arange(mesh.n_elements), k)
-        ne_indptr, ne_ids = _csr_from_pairs(mesh.elements.ravel(), elem_of, mesh.n_nodes)
+        ne_indptr, ne_ids = _csr_from_unsorted(mesh.elements.ravel(), elem_of, mesh.n_nodes)
         node_bd = np.zeros(mesh.n_nodes, dtype=bool)
         node_bd[face_nodes[bd]] = True
         return cls(
@@ -392,11 +442,18 @@ def element_measures(mesh: Mesh) -> np.ndarray:
 
 
 def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
-    p = mesh.node_coords[face_nodes]
+    """Face lengths (2D) or areas (3D), with the bits of ``np.linalg.norm``
+    (of ``np.cross`` in 3D): the same products, summed in the same order."""
+    x = mesh.node_coords
     if mesh.dim == 2:
-        return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    c = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(c, axis=1)
+        d0, d1 = (x[face_nodes[:, 1]] - x[face_nodes[:, 0]]).T
+        return np.sqrt(d0 * d0 + d1 * d1)
+    o = x[face_nodes[:, 0]]
+    u, v = (x[face_nodes[:, 1]] - o).T, (x[face_nodes[:, 2]] - o).T
+    c0 = u[1] * v[2] - u[2] * v[1]
+    c1 = u[2] * v[0] - u[0] * v[2]
+    c2 = u[0] * v[1] - u[1] * v[0]
+    return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
@@ -412,30 +469,35 @@ def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
 
 
 def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
-    """Edges of a tet mesh, given its (F, 3) sorted face node tuples."""
+    """Edges of a tet mesh, given its (F, 3) sorted face node tuples.
+
+    The edges of each face, (a, b), (a, c) and (b, c), are sorted already;
+    one sort of their keys together with those of each element's six
+    edges numbers the edges and lists each edge's faces and elements,
+    ascending, since a group's slots keep their input order.
+    """
     n = mesh.n_nodes
-    raw = np.sort(mesh.elements[:, _TET_EDGES], axis=2).reshape(-1, 2)
-    keys = raw[:, 0] * n + raw[:, 1]
-    ukeys, inverse = np.unique(keys, return_inverse=True)
-    n_edges = len(ukeys)
+    a, b, c = face_nodes.T
+    ends = mesh.elements[:, _TET_EDGES]
+    lo = np.minimum(ends[..., 0], ends[..., 1]).ravel()
+    hi = np.maximum(ends[..., 0], ends[..., 1]).ravel()
+    face_slots = 3 * len(face_nodes)
+    keys, order = _sort_keys(np.concatenate([
+        np.column_stack([a * n + b, a * n + c, b * n + c]).ravel(), lo * n + hi]), n * n)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    edge_of = np.cumsum(new) - 1
+    n_edges = int(edge_of[-1]) + 1
+    ukeys = keys[new]
     nodes = np.column_stack([ukeys // n, ukeys % n])
 
-    elem_of = np.repeat(np.arange(mesh.n_elements), 6)
-    # an element may repeat an edge only if degenerate; pairs are unique here
-    e_indptr, e_ids = _csr_from_pairs(inverse, elem_of, n_edges)
-
-    fe = np.sort(face_nodes[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
-    fkeys = fe[:, 0] * n + fe[:, 1]
-    edge_id = np.searchsorted(ukeys, fkeys)
-    face_of = np.repeat(np.arange(len(face_nodes)), 3)
-    f_indptr, f_ids = _csr_from_pairs(edge_id, face_of, n_edges)
-
-    node_of_edge = nodes.ravel()
-    edge_of_node = np.repeat(np.arange(n_edges), 2)
-    ne_indptr, ne_ids = _csr_from_pairs(node_of_edge, edge_of_node, n)
-
-    return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=f_ids,
-                   elem_indptr=e_indptr, elem_ids=e_ids,
+    from_face = order < face_slots
+    f_indptr = _indptr(edge_of[from_face], n_edges)
+    e_indptr = _indptr(edge_of[~from_face], n_edges)
+    ne_indptr, ne_ids = _csr_from_unsorted(nodes.ravel(), np.repeat(np.arange(n_edges), 2),
+                                           n)
+    return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=order[from_face] // 3,
+                   elem_indptr=e_indptr, elem_ids=(order[~from_face] - face_slots) // 6,
                    node_edge_indptr=ne_indptr, node_edge_ids=ne_ids)
 
 
@@ -446,17 +508,36 @@ def _enumerate_faces(elements: np.ndarray, dim: int):
     with local node ``i`` removed). Returns the (F, dim) sorted face node
     tuples, the face of each slot, the slots sorted by face with ties in
     element order, and the number of slots on each face.
+
+    Each slot's nodes are sorted by min/max and grouped by one packed key,
+    so node ids must stay below ``floor(2**(63/dim))``: 2**21 in 3D.
     """
+    n = int(elements.max()) + 1 if elements.size else 1
+    if n ** dim > 2 ** 63:
+        raise MeshSizeError(
+            f"elements name {n:,} node ids; {dim}D faces are grouped by packed int64 "
+            f"keys, which address at most {int(2 ** (63 / dim)):,}")
     pattern = _TRI_FACES if dim == 2 else _TET_FACES
-    raw = np.sort(elements[:, pattern], axis=2).reshape(-1, dim)
-    order = np.lexsort(raw.T[::-1])  # stable, so ties keep element order
-    sraw = raw[order]
-    new = np.ones(len(sraw), dtype=bool)
-    new[1:] = np.any(sraw[1:] != sraw[:-1], axis=1)
-    slot_face = np.empty(len(raw), dtype=np.int64)
+    cols = elements[:, pattern].reshape(-1, dim)
+    if dim == 2:
+        sorted_cols = np.minimum(*cols.T), np.maximum(*cols.T)
+    else:
+        x, y, z = cols.T
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        sorted_cols = (np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)),
+                       np.maximum(hi, z))
+    key = sorted_cols[0]
+    for col in sorted_cols[1:]:
+        key = key * n + col
+    skey, order = _sort_keys(key, n ** dim)
+    new = np.ones(len(skey), dtype=bool)
+    new[1:] = skey[1:] != skey[:-1]
+    slot_face = np.empty(len(skey), dtype=np.int64)
     slot_face[order] = np.cumsum(new) - 1
-    counts = np.diff(np.append(np.flatnonzero(new), len(sraw)))
-    return sraw[new], slot_face, order, counts
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    face_nodes = np.column_stack([col[first] for col in sorted_cols])
+    return face_nodes, slot_face, order, np.diff(starts, append=len(skey))
 
 
 def boundary_node_mask(mesh: Mesh) -> np.ndarray:

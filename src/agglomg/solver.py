@@ -297,7 +297,9 @@ def smooth(A, b: np.ndarray, x: np.ndarray | None, *,
     are dropped every ``inner`` steps: that restart makes the loop
     GMRES(inner). So a step costs one product with ``A``, and the initial
     residual one more unless ``x`` is None, which means a zero start.
-    Returns ``(x, z)``; the caller's ``x`` and ``b`` are not modified. The
+    Returns ``(x, z)``. A given ``x``, a float array, is updated in place
+    and returned: the V-cycle's post-smoother passes the pre-smoother's
+    result, which it does not read again. ``b`` is not modified. The
     V-cycle passes the Jacobi-scaled level system D^-1 A x = D^-1 r, which
     makes this Jacobi-preconditioned GMRES(inner). A cycle ends early when
     q vanishes (an exact input or a breakdown); a non-finite q raises
@@ -307,7 +309,6 @@ def smooth(A, b: np.ndarray, x: np.ndarray | None, *,
         z = np.array(b, dtype=float)
         x = np.zeros_like(z)
     else:
-        x = np.array(x, dtype=float)
         z = b - A @ x
     last = inner - 1
     for _ in range(applications):

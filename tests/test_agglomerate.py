@@ -30,10 +30,11 @@ def swept_weights(topo, kraus=False):
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
     edge_w, next_id = None, 0
+    adj = ag._face_adjacency(topo)
     if kraus and topo.dim == 3:
         edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
-        next_id = ag._edge_sweep(topo, edge_w, face_w, assign, next_id)
-    ag._face_sweep(topo, face_w, assign, next_id, restrict_g=kraus)
+        next_id = ag._edge_sweep(topo, adj, edge_w, face_w, assign, next_id)
+    ag._face_sweep(topo, adj, face_w, assign, next_id, restrict_g=kraus)
     return assign, face_w, edge_w
 
 
@@ -624,9 +625,10 @@ class TestSequentialKernels:
                               dtype=np.int64)
             assign = np.full(topo.n_elements, -1, dtype=np.int64)
             next_ids = [0]
+            adj = ag._face_adjacency(topo)
             if edge_w.size:
-                next_ids.append(ag._edge_sweep(topo, edge_w, face_w, assign, 0))
-            next_ids.append(ag._face_sweep(topo, face_w, assign, next_ids[-1],
+                next_ids.append(ag._edge_sweep(topo, adj, edge_w, face_w, assign, 0))
+            next_ids.append(ag._face_sweep(topo, adj, face_w, assign, next_ids[-1],
                                            restrict_g=kraus))
             return next_ids, assign, face_w, edge_w
 

@@ -177,6 +177,16 @@ class TestSweep:
         assert rows[1]["status"].startswith("failed")
 
 
+    @pytest.mark.parametrize("size", [",", "4,,8"])
+    def test_empty_size_entry_exits_one(self, tmp_path, capsys, size):
+        # an empty entry used to be dropped: "," ran no row and exited 0
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(["sweep", "--gen-2d", "4", "--alg", "greedy",
+                              "--size", size, "--csv", str(path)], capsys)
+        assert code == 1
+        assert f"--size '{size}': the size list has an empty entry" in err
+        assert "wrote" not in out and not path.exists()
+
     @pytest.mark.parametrize("sources", [[], ["--gen-2d", "8", "--gen-3d", "4"]],
                              ids=["none", "two"])
     def test_exactly_one_mesh_source(self, sources, tmp_path, capsys):

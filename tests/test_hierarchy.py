@@ -18,6 +18,7 @@ from agglomg.mesh import BOUNDARY, LevelTopology, MaterialProperties, Mesh, gene
 from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
                             assemble_problem, fgmres)
 
+import reference_kernels as ref
 from invariants import check_hierarchy, coarse_nodes
 
 
@@ -205,9 +206,12 @@ class TestCoarseEdges:
         cyc = []
         for a, b in zip(quad, quad[1:] + quad[:1]):
             cyc.append(keys[tuple(sorted((a, b)))])
-        chains = hi._edge_chains(edges.nodes.tolist(), cyc)
-        assert len(chains) == 2
-        assert sorted(len(c) for c in chains) == [2, 2]
+        members = np.sort(cyc)
+        order, indptr, _, ends = hi._edge_chains(edges.nodes, members,
+                                                 np.zeros(4, dtype=np.int64))
+        assert np.diff(indptr).tolist() == [2, 2]
+        # the halves meet at the cycle's start node and at the node opposite
+        assert sorted(set(ends.ravel().tolist())) == sorted({quad[0], quad[2]})
 
     def test_straight_chain_endpoints(self):
         mesh = generate_mesh(3, 3, extent=1.0)
@@ -228,9 +232,9 @@ class TestCoarseEdges:
             assert len(degree_one) == 2 or len(chain) == 1
 
     def test_single_edge_groups_match_walk(self, mesh3d_small):
-        # a group of one fine edge skips the walk; every group of every
-        # level, one-edge or not, must equal what the walk makes of it,
-        # also when the edges list their nodes larger first
+        # every group of every level, one-edge or not, must equal what
+        # the reference walk makes of it, also when the edges list their
+        # nodes larger first
         hier = build_hierarchy(mesh3d_small, CoarsenConfig("kraus"))
         fine = hier.fine_topology
         flipped = dataclasses.replace(fine, edges=dataclasses.replace(
@@ -250,10 +254,10 @@ class TestCoarseEdges:
             for _, group in itertools.groupby(rows, key=lambda row: row[0]):
                 group = list(group)
                 members = sorted(e for _, chain, _ in group for e in chain)
-                chains = hi._edge_chains(nodes, members)
+                chains = ref._edge_chains(nodes, members)
                 assert [chain for _, chain, _ in group] == chains
                 assert ([ends for _, _, ends in group]
-                        == [hi._chain_endpoints(nodes, c) for c in chains])
+                        == [ref._chain_endpoints(nodes, c) for c in chains])
                 sizes.append(len(members))
         assert sizes.count(1) > len(sizes) / 2 and max(sizes) > 2
 
