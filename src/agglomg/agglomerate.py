@@ -185,30 +185,27 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     weight that leaves 0 never returns to it: bumps raise it and
     consumption sets it to -1.
 
+    Growth reads no weights but ``weight``, and a consumed entity never
+    lives again. So the loop applies only the clears of ``weight``; the
+    clears of other weights and the side bumps are applied once, after
+    it, to the elements it claimed and the entities it consumed: a side
+    entity still live then takes one for each of its rows' steps.
+
     The loop is sequential and runs on plain ints, as numpy scalar indexing
-    costs about twice as much: the weights and ``assign`` become lists, one
-    per distinct array as they alias (a ``clears`` weight is often
-    ``weight``), written back at the end; the CSRs are read through
-    memoryviews. Mutates the weights and ``assign``; returns the next id.
+    costs about twice as much: ``weight`` and ``assign`` become lists,
+    written back at the end; the CSRs are read through memoryviews.
+    Mutates the weights and ``assign``; returns the next id.
     """
-    lists = {}
-
-    def as_list(a):
-        if id(a) not in lists:
-            lists[id(a)] = a.tolist()
-        return lists[id(a)]
-
-    w, owner = as_list(weight), as_list(assign)
+    w, owner = weight.tolist(), assign.tolist()
     ep, ei = map(memoryview, elements)
     bump_rows = [tuple(map(memoryview, csr)) for csr in bumps]
     pp, pi = map(memoryview, pool)
-    sides = [] if side is None else [side]
-    clear_rows = [(as_list(cw), *map(memoryview, csr)) for cw, csr in clears]
-    side_rows = [(as_list(sw), *map(memoryview, csr)) for sw, csr in sides]
+    clear_rows = [tuple(map(memoryview, csr)) for cw, csr in clears if cw is weight]
     heap = [(-wi, i) for i, wi in enumerate(w) if wi > 0]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     cursor = 0
+    steps, claimed = [], []
     while True:
         while heap:
             negw, i = heappop(heap)
@@ -226,6 +223,7 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
         while True:
             w_max = w[i]
             w[i] = -1
+            steps.append(i)
             for e in ei[ep[i]:ep[i + 1]]:
                 if owner[e] < 0:
                     owner[e] = aid
@@ -235,10 +233,6 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
                     if w[j] >= 0:
                         w[j] += 1
                         bumped.add(j)
-            for sw, sp_, si in side_rows:
-                for j in si[sp_[i]:sp_[i + 1]]:
-                    if sw[j] >= 0:
-                        sw[j] += 1
             best, best_w = -1, -1
             for j in pi[pp[i]:pp[i + 1]]:
                 wj = w[j]
@@ -247,15 +241,23 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
             if best < 0 or best_w < w_max:
                 break
             i = best
-        for cw, cp, ci in clear_rows:
+        for cp, ci in clear_rows:
             for e in members:
                 for f in ci[cp[e]:cp[e + 1]]:
-                    cw[f] = -1
+                    w[f] = -1
+        claimed += members
         for j in bumped:
             if w[j] > 0:
                 heappush(heap, (-w[j], j))
-    for arr in [weight, assign] + [wt for wt, _ in clears + sides]:
-        arr[:] = lists[id(arr)]
+    weight[:] = w
+    assign[:] = owner
+    for cw, (cp, ci) in clears:
+        if cw is not weight:
+            cw[_gather_ragged(cp, ci, claimed)[0]] = -1
+    if side is not None:
+        side_w, (sp_, si) = side
+        hits = np.bincount(_gather_ragged(sp_, si, steps)[0], minlength=len(side_w))
+        side_w += np.where(side_w >= 0, hits, 0)
     return next_id
 
 
