@@ -8,7 +8,8 @@ V-cycle preconditioner for FGMRES on model diffusion/transport problems.
 
 from .mesh import (BOUNDARY, DegenerateElementError, DualGraph, EdgeSet, FaceSet,
                    LevelTopology, MaterialProperties, MaterialTable, Mesh,
-                   MeshMetrics, TopologyError, generate_mesh, mesh_metrics)
+                   MeshMetrics, MeshSizeError, TopologyError, generate_mesh,
+                   mesh_metrics)
 from .mesh_io import MshFormatError, SweepRecord, read_msh, write_report_json, \
     write_sweep_csv, write_vtk
 from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStats,

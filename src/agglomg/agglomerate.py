@@ -8,7 +8,9 @@ algorithm is a private function mapping one grid level (a
 contiguous and densely numbered. Weighted-face growth (jones, kraus) is
 deterministic: one growth kernel, :func:`_grow`, follows maximal-weight
 faces or edges (the 3D kraus edge phase), and each sweep only builds its
-adjacency arrays for it. Its queue of starts is a heap of the entities of
+adjacency arrays for it, as off-diagonal patterns of sparse incidence
+products (kraus builds its face adjacency once for both phases). Its
+queue of starts is a heap of the entities of
 positive weight, each pushed once per agglomerate that bumps it, after
 that agglomerate is done, plus a forward-only cursor over the entities of
 weight 0; it pops in the same (-weight, id) order as a heap pushed on
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
-                   _csr_from_unsorted, _first_appearance, _gather_ragged, _indptr,
-                   _induced_components, _neighbour_weights, _row_sums, _unique_pairs)
+from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_unsorted,
+                   _first_appearance, _gather_ragged, _indptr, _induced_components,
+                   _neighbour_weights, _row_sums, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")

@@ -12,9 +12,10 @@ every coarsening algorithm can run again on it.
 agglomerate id, and the fine faces and fine nodes of each row are stored
 there once. The coarse edges, coarse nodes, prolongation and coarse
 topology all read those rows, and every step works on whole incidence
-arrays; only the walk that orders each coarse edge's fine edges into
-chains is sequential. A level on which an agglomerate can get no coarse
-node ends the hierarchy one level early (see :func:`build_hierarchy`).
+arrays, the ordering of each coarse edge's fine edges into chains too
+(:func:`_edge_chains` steps all chains forward together). A level on
+which an agglomerate can get no coarse node ends the hierarchy one level
+early (see :func:`build_hierarchy`).
 """
 from __future__ import annotations
 

@@ -13,12 +13,14 @@ nodes. :func:`_unique_pairs` gives the distinct pairs in ascending order
 :func:`_collapse_pairs` gives the CSR of the distinct pairs with their
 weights summed and their repeats counted. Where the order of a stable sort
 is needed too, :func:`_sort_keys` packs each key's index into its low bits,
-so one plain ``np.sort`` gives both; that is several times faster than a
-stable argsort or a multi-column ``np.lexsort`` on keys in no particular
-order, while a stable argsort stays the choice for keys that arrive sorted
-(:func:`_csr_from_pairs`). numpy's hash-based ``np.unique`` is far slower
-than either. A 3D face key addresses node ids below 2**21 = 2,097,152; a
-mesh whose elements name a higher id raises :class:`MeshSizeError`.
+so one plain ``np.sort`` gives both: several times faster than a stable
+argsort or a multi-column ``np.lexsort`` on keys in no particular order.
+Keys that arrive sorted keep the stable argsort (:func:`_csr_from_pairs`),
+a timsort, linear on them; numpy's hash-based ``np.unique`` is far slower
+than either. A 3D face key addresses node ids below 2**21 = 2,097,152,
+and a mesh whose elements name a higher id raises :class:`MeshSizeError`;
+:func:`_order_by` falls back to ``np.lexsort`` where a two-field key
+would overflow.
 """
 from __future__ import annotations
 
@@ -123,7 +125,7 @@ class MeshMetrics:
 
 def _sort_keys(keys, bound):
     """Sorted integer ``keys`` in [0, ``bound``) and the order of their stable
-    argsort. While ``bound`` times the next power of two above the key count
+    argsort. While ``bound`` times the least power of two >= the key count
     fits in int64, each key carries its index in its low bits and one
     ``np.sort`` does the work; beyond that a stable argsort does."""
     keys = np.asarray(keys, dtype=np.int64)
