@@ -10,11 +10,11 @@ deterministic: one growth kernel, :func:`_grow`, follows maximal-weight
 faces or edges (the 3D kraus edge phase), and each sweep only builds its
 adjacency arrays for it, as off-diagonal patterns of sparse incidence
 products (kraus builds its face adjacency once for both phases). Its
-queue of starts is a heap of the entities of
-positive weight, each pushed once per agglomerate that bumps it, after
-that agglomerate is done, plus a forward-only cursor over the entities of
-weight 0; it pops in the same (-weight, id) order as a heap pushed on
-every bump, with a few times fewer entries. The sequential loops (growth,
+queue of starts is a heap of the entities of positive weight, each pushed
+once per agglomerate that bumps it, after that agglomerate is done, plus
+a forward-only cursor over the entities of weight 0; it pops in the same
+(-weight, id) order as a heap pushed on every bump, with a few times
+fewer entries. The sequential loops (growth,
 the rgb, node and greedy visits, aspect's moves, cleanup's re-homing)
 visit one entry at a time, so they run on lists and memoryviews, which
 yield plain numbers: numpy scalar indexing costs about twice as much.

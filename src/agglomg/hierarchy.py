@@ -228,19 +228,18 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> FacePatches:
     cross = a_side != b_side
     bd = np.flatnonzero(~faces.interior)
     # interface groups per (lo, hi) agglomerate pair, then boundary groups
-    # per (owner, tag), by one packed key; faces stay ascending inside each
-    # group. Boundary owners are shifted past the agglomerate ids, and tags
-    # enter by rank.
+    # per (owner, tag), by one packed key: boundary owners are shifted past
+    # the agglomerate ids, and tags enter by rank. Faces stay ascending
+    # inside each group
     nagg = agg.n_agglomerates
     tags, tag_rank = np.unique(faces.tag[bd], return_inverse=True)
     width = max(nagg, len(tags))
+    n_cross = int(cross.sum())
     fids = np.concatenate([interior[cross], bd])
-    owner = np.concatenate([np.minimum(a_side, b_side)[cross], assign[faces.left[bd]]])
-    other = np.concatenate([np.maximum(a_side, b_side)[cross], faces.tag[bd]])
-    n_cross = len(fids) - len(bd)
-    key, order = _sort_keys(
-        (owner + nagg * (np.arange(len(fids)) >= n_cross)) * width
-        + np.concatenate([other[:n_cross], tag_rank]), 2 * nagg * width)
+    owner = np.concatenate([np.minimum(a_side, b_side)[cross],
+                            nagg + assign[faces.left[bd]]])
+    other = np.concatenate([np.maximum(a_side, b_side)[cross], tag_rank])
+    key, order = _sort_keys(owner * width + other, 2 * nagg * width)
     fids = fids[order]
     new = np.ones(len(fids), dtype=bool)
     new[1:] = key[1:] != key[:-1]
@@ -252,13 +251,14 @@ def select_coarse_faces(topo: LevelTopology, agg: Agglomeration) -> FacePatches:
     n_rows = len(first)
     src = order[first]
     on_boundary = src >= n_cross
+    tag = np.full(n_rows, -1, dtype=np.int64)
+    tag[on_boundary] = tags[other[src[on_boundary]]]
     ff_indptr, ff_ids = _csr_from_pairs(labels, fids, n_rows)
     row_of = np.repeat(np.arange(n_rows), np.diff(ff_indptr))
     vals, counts = _gather_ragged(faces.node_indptr, faces.node_ids, ff_ids)
     rows, node_ids = _unique_pairs(np.repeat(row_of, counts), vals, topo.n_nodes)
-    return FacePatches(left=owner[src],
-                       right=np.where(on_boundary, BOUNDARY, other[src]),
-                       tag=np.where(on_boundary, other[src], -1),
+    return FacePatches(left=owner[src] - nagg * on_boundary,
+                       right=np.where(on_boundary, BOUNDARY, other[src]), tag=tag,
                        fine_face_indptr=ff_indptr, fine_face_ids=ff_ids,
                        node_indptr=_indptr(rows, n_rows), node_ids=node_ids)
 
@@ -463,15 +463,11 @@ def _edge_chains(nodes: np.ndarray, members: np.ndarray, group: np.ndarray):
                     np.repeat(lowest, 2), np.tile([0, 1], len(lowest))]
         keys = [np.concatenate(both) for both in zip(keys, cyc_keys)]
 
-    rank = np.empty(len(keys[0]), dtype=np.int64)
-    rank[np.lexsort(keys[::-1])] = np.arange(len(rank))
+    chain_order = np.lexsort(keys[::-1])
+    rank = np.empty_like(chain_order)
+    rank[chain_order] = np.arange(len(rank))
     half = half[np.lexsort((step, rank[chain]))]
-    size = np.bincount(rank[chain], minlength=len(rank))
-    chain_group = np.empty(len(rank), dtype=np.int64)
-    chain_group[rank] = keys[0]
-    chain_group = chain_group[size > 0]
-    indptr = np.zeros(len(chain_group) + 1, dtype=np.int64)
-    np.cumsum(size[size > 0], out=indptr[1:])
+    indptr = _indptr(rank[chain], len(rank))
 
     a, b = half_node[half[indptr[:-1]]], half_node[half[indptr[1:] - 1] ^ 1]
     both = np.column_stack([half_node[half], half_node[half ^ 1]])
@@ -479,7 +475,7 @@ def _edge_chains(nodes: np.ndarray, members: np.ndarray, group: np.ndarray):
                     np.column_stack([np.minimum(a, b), np.maximum(a, b)]),
                     np.column_stack([np.minimum.reduceat(both.min(axis=1), indptr[:-1]),
                                      np.maximum.reduceat(both.max(axis=1), indptr[:-1])]))
-    return half >> 1, indptr, chain_group, ends
+    return half >> 1, indptr, keys[0][chain_order], ends
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ class TestCoarseEdges:
         for a, b in zip(quad, quad[1:] + quad[:1]):
             cyc.append(keys[tuple(sorted((a, b)))])
         members = np.sort(cyc)
-        order, indptr, _, ends = hi._edge_chains(edges.nodes, members,
-                                                 np.zeros(4, dtype=np.int64))
+        _, indptr, _, ends = hi._edge_chains(edges.nodes, members,
+                                             np.zeros(4, dtype=np.int64))
         assert np.diff(indptr).tolist() == [2, 2]
         # the halves meet at the cycle's start node and at the node opposite
         assert sorted(set(ends.ravel().tolist())) == sorted({quad[0], quad[2]})
