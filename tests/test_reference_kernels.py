@@ -103,6 +103,7 @@ def test_kraus_level_kernels_match_reference(n):
         assert_same(ag._edge_adjacency(edges, edge_faces),
                     ref._edge_adjacency(edges, topo.faces.n_faces))
         assert_same(ag._face_adjacency(topo), ref._face_adjacency(topo))
+        assert_same(ag._element_companion_faces(topo), ref._element_companion_faces(topo))
         assert_same(coarse_edges, ref.select_coarse_edges(topo, coarse_faces))
         flipped = dataclasses.replace(topo, edges=dataclasses.replace(
             edges, nodes=edges.nodes[:, ::-1].copy()))
@@ -124,6 +125,7 @@ def test_coarse_faces_and_adjacency_match_reference(name, alg):
         assert_same(hi.select_coarse_faces(topo, lvl.agglomeration),
                     ref.select_coarse_faces(topo, lvl.agglomeration))
         assert_same(ag._face_adjacency(topo), ref._face_adjacency(topo))
+        assert_same(ag._element_companion_faces(topo), ref._element_companion_faces(topo))
 
 
 def test_edge_chains_match_the_walk_on_random_multigraphs():
