@@ -356,10 +356,12 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     edge_of, cfs = edge_of[kept], cfs[kept]
 
     # one signature row per edge, padded with -1 so that a prefix sorts
-    # first, as tuples do; the stable sort keeps each group's edges ascending
+    # first, as tuples do; the stable sort keeps each group's edges ascending.
+    # With no edge on two coarse faces it still has one column: lexsort
+    # needs a key
     starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
     length = np.diff(starts, append=len(edge_of))
-    sig = np.full((len(starts), int(length.max(initial=0))), -1, dtype=np.int64)
+    sig = np.full((len(starts), int(length.max(initial=1))), -1, dtype=np.int64)
     sig[np.repeat(np.arange(len(starts)), length),
         np.arange(len(edge_of)) - np.repeat(starts, length)] = cfs
     order = np.lexsort(sig.T[::-1])

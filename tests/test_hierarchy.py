@@ -172,6 +172,20 @@ class TestCoarseNodes:
         _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
         assert converged and iterations == 5
 
+    def test_kraus_one_agglomerate_per_untagged_box_ends_hierarchy(self):
+        # the same two boxes on the 3D kraus path: with every boundary face
+        # tagged 0, the level that leaves one agglomerate per box has one
+        # coarse face per box and no coarse edge, so it cannot be covered
+        box = generate_mesh(3, 5, extent=1.0)
+        mesh = Mesh(3, np.vstack([box.node_coords, box.node_coords + 2.0]),
+                    np.vstack([box.elements, box.elements + box.n_nodes]),
+                    np.zeros(2 * box.n_elements, dtype=np.int64))
+        h = build_hierarchy(mesh, CoarsenConfig("kraus", seed=1),
+                            stop=StopRule(coarse_nodes=0))
+        assert h.node_counts == [432, 302, 106, 16]
+        assert h.stop_reason == "uncoverable"
+        check_hierarchy(h)
+
 
 class TestCoarseEdges:
     def test_slab_interface_rim(self):

@@ -103,7 +103,6 @@ def test_kraus_level_kernels_match_reference(n):
         assert_same(ag._edge_adjacency(edges, edge_faces),
                     ref._edge_adjacency(edges, topo.faces.n_faces))
         assert_same(ag._face_adjacency(topo), ref._face_adjacency(topo))
-        assert_same(ag._element_companion_faces(topo), ref._element_companion_faces(topo))
         assert_same(coarse_edges, ref.select_coarse_edges(topo, coarse_faces))
         flipped = dataclasses.replace(topo, edges=dataclasses.replace(
             edges, nodes=edges.nodes[:, ::-1].copy()))
@@ -125,7 +124,19 @@ def test_coarse_faces_and_adjacency_match_reference(name, alg):
         assert_same(hi.select_coarse_faces(topo, lvl.agglomeration),
                     ref.select_coarse_faces(topo, lvl.agglomeration))
         assert_same(ag._face_adjacency(topo), ref._face_adjacency(topo))
-        assert_same(ag._element_companion_faces(topo), ref._element_companion_faces(topo))
+
+
+@pytest.mark.parametrize("name", [k for k in MESHES if mesh(k).dim == 3])
+def test_coarse_edges_of_one_agglomerate_match_reference(name):
+    # one agglomerate: on the untagged meshes every fine edge lies on at
+    # most one coarse face, so there is no coarse edge at all
+    m = mesh(name)
+    topo = LevelTopology.from_mesh(m)
+    coarse_faces = hi.select_coarse_faces(
+        topo, ag.Agglomeration(np.zeros(m.n_elements, dtype=np.int64)))
+    got = hi.select_coarse_edges(topo, coarse_faces)
+    assert_same(got, ref.select_coarse_edges(topo, coarse_faces))
+    assert (len(got.endpoints) == 0) == (not m.boundary_tag)
 
 
 def test_edge_chains_match_the_walk_on_random_multigraphs():
