@@ -154,15 +154,11 @@ def _face_adjacency(topo: LevelTopology):
 
 def _element_companion_faces(topo: LevelTopology):
     """CSR: for each interior face, the other interior faces of its elements
-    (once per element they share): those of its left element, then those
-    of its right one (left < right), each in the element's face order."""
+    (once per element they share)."""
     faces = topo.faces
-    rows = np.flatnonzero(faces.interior)
-    elems = np.column_stack([faces.left[rows], faces.right[rows]]).ravel()
-    comp, counts = _gather_ragged(faces.elem_indptr, faces.elem_face_ids, elems)
-    src = np.repeat(np.repeat(rows, 2), counts)
-    keep = (comp != src) & faces.interior[comp]
-    return _indptr(src[keep], faces.n_faces), comp[keep]
+    src, dst = _group_pairs(faces.elem_indptr, faces.elem_face_ids)
+    keep = faces.interior[src] & faces.interior[dst]
+    return _csr_from_unsorted(src[keep], dst[keep], faces.n_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +171,7 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     (weight >= 0, lowest id on ties) starts an agglomerate that claims its
     free ``elements``. The current entity is consumed (weight -1), every
     live entity in its ``bumps`` rows gains one, and ``side``, a (weights,
-    rows) pair of other entities, adds one to the live ones of its row;
-    ``rows`` maps an array of entities to their side rows, concatenated.
+    CSR) pair of other entities, adds one to the live ones of its row.
     Growth then follows the heaviest entity of the ``pool`` row (lowest id
     on ties) while it weighs at least as much as the current one. On
     completion each (weights, element CSR) pair in ``clears`` consumes the
@@ -262,8 +257,8 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
         if cw is not weight:
             cw[_gather_ragged(cp, ci, claimed)[0]] = -1
     if side is not None:
-        side_w, rows = side
-        hits = np.bincount(rows(np.array(steps, dtype=np.int64)), minlength=len(side_w))
+        side_w, (sp_, si) = side
+        hits = np.bincount(_gather_ragged(sp_, si, steps)[0], minlength=len(side_w))
         side_w += np.where(side_w >= 0, hits, 0)
     return next_id
 
@@ -321,19 +316,14 @@ def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
     edges, faces = topo.edges, topo.faces
     edge_faces = _incidence(edges.face_indptr, edges.face_ids, faces.n_faces)
     adj, shared = _edge_adjacency(edges, edge_faces)
-    face_faces = _incidence(*face_adj, faces.n_faces)
-
-    def near_faces(steps):
-        # the distinct faces adjacent to each step's faces: the pattern of
-        # the product of the edge -> face and face -> face incidences, taken
-        # on the rows of the edges grown, about a third of them
-        return (edge_faces[steps] @ face_faces).indices
-
+    # the distinct faces adjacent to each edge's faces: the pattern of the
+    # product of the edge -> face and face -> face incidences
+    near_faces = edge_faces @ _incidence(*face_adj, faces.n_faces)
     clears = [(edge_w, _invert_csr(edges.elem_indptr, edges.elem_ids, topo.n_elements)),
               (face_w, (faces.elem_indptr, faces.elem_face_ids))]
     return _grow(edge_w, assign, next_id, (edges.elem_indptr, edges.elem_ids),
                  [adj, shared], shared, clears,
-                 side=(face_w, near_faces))
+                 side=(face_w, (near_faces.indptr, near_faces.indices)))
 
 
 def _edge_adjacency(edges, edge_faces):

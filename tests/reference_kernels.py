@@ -94,15 +94,6 @@ def _face_adjacency(topo: LevelTopology):
                            faces.n_faces)
 
 
-def _element_companion_faces(topo: LevelTopology):
-    """CSR: for each interior face, the other interior faces of its elements
-    (once per element they share)."""
-    faces = topo.faces
-    src, dst = _group_pairs(faces.elem_indptr, faces.elem_face_ids)
-    keep = faces.interior[src] & faces.interior[dst]
-    return _csr_from_pairs(src[keep], dst[keep], faces.n_faces)
-
-
 def _edge_adjacency(edges, n_faces):
     """CSRs of the edges sharing a node with each edge, and of those of
     them that also share a face."""

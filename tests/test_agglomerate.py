@@ -421,8 +421,8 @@ def _reference_grow(weight, assign, next_id, elements, bumps, pool, clears, side
                         weight[j] += 1
                         heapq.heappush(heap, (-int(weight[j]), int(j)))
             if side is not None:
-                side_w, rows = side
-                row = rows(np.array([i]))
+                side_w, (indptr, ids) = side
+                row = _row(indptr, ids, i)
                 side_w[row[side_w[row] >= 0]] += 1
             best, best_w = -1, -1
             for j in _row(*pool, i):
