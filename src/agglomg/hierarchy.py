@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
-                   MaterialTable, _components, _csr_from_pairs,
+                   MaterialTable, _collapse_pairs, _components, _csr_from_pairs,
                    _dual_from_faces, _first_appearance, _gather_ragged, _indptr,
                    _order_by, _row_sums, _sort_keys, _unique_pairs)
 from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
@@ -809,16 +809,15 @@ def _merge_uncovered(topo, agg, uncovered):
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
     a_side = assign[src]
     b_side = assign[dual.indices]
-    sources, targets = [], []
-    for a in uncovered:
-        sel = (a_side == a) & (b_side != a)
-        if not sel.any():
-            continue  # isolated agglomerate; nothing to merge into
-        areas = np.bincount(b_side[sel], weights=dual.edge_weight[sel], minlength=nagg)
-        sources.append(int(a))
-        targets.append(int(np.argmax(areas)))
-    labels = _components(np.array(sources, dtype=np.int64),
-                         np.array(targets, dtype=np.int64), nagg)
+    sel = np.isin(a_side, uncovered) & (a_side != b_side)
+    # interface area per (uncovered, neighbour) pair, summed in entry order;
+    # an isolated agglomerate has no pair and merges into nothing
+    indptr, nbr, area, _ = _collapse_pairs(a_side[sel], b_side[sel],
+                                           dual.edge_weight[sel], nagg)
+    row = np.repeat(np.arange(nagg), np.diff(indptr))
+    best = np.lexsort((nbr, -area, row))
+    best = best[np.flatnonzero(np.diff(row[best], prepend=-1))]
+    labels = _components(row[best], nbr[best], nagg)
     return Agglomeration(_first_appearance(labels[assign]))
 
 

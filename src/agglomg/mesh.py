@@ -8,9 +8,8 @@ are represented, so the same coarsening code runs on every level.
 
 Integer tuples are grouped by sorting one packed int64 key per tuple:
 ``a * n + b`` for a pair, ``(a * n + b) * n + c`` for a triangle's sorted
-nodes. :func:`_unique_pairs` gives the distinct pairs in ascending order
-(optionally only those given a minimum number of times), and
-:func:`_collapse_pairs` gives the CSR of the distinct pairs with their
+nodes. :func:`_unique_pairs` gives the distinct pairs in ascending order,
+and :func:`_collapse_pairs` gives the CSR of the distinct pairs with their
 weights summed and their repeats counted. Where the order of a stable sort
 is needed too, :func:`_sort_keys` packs each key's index into its low bits,
 so one plain ``np.sort`` gives both: several times faster than a stable
@@ -166,17 +165,14 @@ def _csr_from_unsorted(keys, values, n_keys):
     return _indptr(keys, n_keys), np.asarray(values)[_sort_keys(keys, n_keys)[1]]
 
 
-def _unique_pairs(a, b, n, min_count=1):
+def _unique_pairs(a, b, n):
     """The distinct pairs ``(a[i], b[i])``, with ``0 <= b[i] < n``, ascending
-    by (a, b); with ``min_count`` only pairs given at least that many times."""
+    by (a, b)."""
     n = max(int(n), 1)
     key = a * n + b
     key.sort()
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
-    if min_count > 1:
-        starts = np.flatnonzero(new)
-        new[starts[np.diff(starts, append=len(key)) < min_count]] = False
     key = key[new]
     return key // n, key % n
 

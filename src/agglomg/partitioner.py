@@ -6,14 +6,14 @@ recursive bisection for k <= 8), then balance and refine it on each level
 while uncoarsening. Contiguity is enforced afterwards by reassigning
 disconnected fragments to their best-connected neighbor part.
 
-Bisection and k-way share one band rule and one move kernel. Each part has
-a target weight and the band ``balance_bounds`` gives it; ``_best_moves``
-offers boundary moves best cut gain first with their gains kept current,
-in the manner of Fiduccia & Mattheyses (1982) and of the k-way refinement
-of Karypis & Kumar (1998). ``_rebalance`` takes the moves that bring parts
-into their bands, ``_refine`` the ones that lower the cut within them.
-The sequential loops (matching, region growing, moves, the articulation
-search, fragment tallies) run on lists and memoryviews of plain numbers.
+Bisection and k-way share one band rule (``balance_bounds``) and the same
+two steps. ``_rebalance`` moves the bulk of the weight along the
+least-norm flow between adjacent parts (``_flow``, after Hu & Blake 1999
+and Walshaw & Cross 2000), then finishes with ``_walk``, a queue of the
+few moves out of or into out-of-band parts. ``_refine`` runs ``_walk`` on
+the moves that lower the cut: best gain first, gains kept current, as in
+Fiduccia & Mattheyses (1982) and Karypis & Kumar (1998). The sequential
+loops run on lists and memoryviews of plain numbers.
 """
 from __future__ import annotations
 
@@ -22,10 +22,12 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import (DualGraph, _collapse_pairs, _components, _csr_from_pairs,
                    _first_appearance, _induced_components, _neighbour_weights,
-                   _unique_pairs)
+                   _order_by, _unique_pairs)
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
@@ -52,17 +54,10 @@ def scale_weights(dual: DualGraph) -> WeightedGraph:
     rounds to at least 1, keeping 0.1% relative resolution.
     """
     def scaled(w):
-        if w.size == 0:
-            return np.ones(0, dtype=np.int64)
-        out = np.rint(WEIGHT_SCALE * w / w.max()).astype(np.int64)
-        return np.maximum(out, 1)
+        return np.maximum(np.rint(WEIGHT_SCALE * w / w.max(initial=0)).astype(np.int64), 1)
 
-    return WeightedGraph(
-        indptr=dual.indptr.copy(),
-        indices=dual.indices.copy(),
-        ewgt=scaled(dual.edge_weight),
-        vwgt=scaled(dual.vertex_weight),
-    )
+    return WeightedGraph(indptr=dual.indptr.copy(), indices=dual.indices.copy(),
+                         ewgt=scaled(dual.edge_weight), vwgt=scaled(dual.vertex_weight))
 
 
 def edge_cut(graph: WeightedGraph, part: np.ndarray) -> int:
@@ -100,13 +95,10 @@ def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray
     targets = np.full(k, graph.vwgt.sum() / k)
 
     # coarsening phase
-    graphs = [graph]
-    mappings = []
-    target = max(4 * k, 64)
-    while graphs[-1].n > target:
+    graphs, mappings = [graph], []
+    while graphs[-1].n > max(4 * k, 64):
         g = graphs[-1]
-        match = _heavy_edge_matching(g, rng.permutation(g.n))
-        coarse, mapping = _contract(g, match)
+        coarse, mapping = _contract(g, _heavy_edge_matching(g, rng.permutation(g.n)))
         if coarse.n > 0.95 * g.n:
             break
         graphs.append(coarse)
@@ -114,17 +106,11 @@ def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray
 
     # the coarsest graph has at least k vertices: a contraction runs only
     # above 4k of them, and a matching at most halves them
-    coarsest = graphs[-1]
-    if k > 8:
-        part = _region_grow(coarsest, k, rng)
-    else:
-        part = _recursive_bisect(coarsest, k, rng)
-    _rebalance(coarsest, part, targets)
-    _refine(coarsest, part, targets)
-
+    part = (_region_grow if k > 8 else _recursive_bisect)(graphs[-1], k, rng)
     # uncoarsening phase; the balance band tightens as vertices shrink
-    for g, mapping in zip(graphs[-2::-1], mappings[::-1]):
-        part = part[mapping]
+    for g, mapping in zip(graphs[::-1], [None] + mappings[::-1]):
+        if mapping is not None:
+            part = part[mapping]
         _rebalance(g, part, targets)
         _refine(g, part, targets)
 
@@ -133,8 +119,7 @@ def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray
     _rebalance(graph, part, targets, keep_connected=True)
     _enforce_contiguity(graph, part, k)
 
-    sizes = np.bincount(part, minlength=k)
-    if (sizes == 0).any():
+    if (np.bincount(part, minlength=k) == 0).any():
         raise RuntimeError("internal error: produced an empty part")
     return part
 
@@ -146,38 +131,28 @@ def _heavy_edge_matching(graph: WeightedGraph, order: np.ndarray) -> np.ndarray:
     for v in order.tolist():
         if match[v] >= 0:
             continue
-        best = -1
-        best_w = -1
+        best = best_w = -1
         for idx in range(indptr[v], indptr[v + 1]):
-            u = indices[idx]
-            if match[u] >= 0 or u == v:
-                continue
-            w = ewgt[idx]
-            if w > best_w or (w == best_w and u < best):
+            u, w = indices[idx], ewgt[idx]
+            if match[u] < 0 and u != v and (w > best_w or (w == best_w and u < best)):
                 best, best_w = u, w
-        if best >= 0:
-            match[v] = best
-            match[best] = v
-        else:
-            match[v] = v
+        match[v] = best if best >= 0 else v
+        match[match[v]] = v
     return np.array(match, dtype=np.int64)
 
 
 def _contract(graph: WeightedGraph, match: np.ndarray):
     n = graph.n
     # coarse ids in order of the smaller endpoint
-    rep = np.minimum(np.arange(n), match)
-    uniq, mapping = np.unique(rep, return_inverse=True)
-    nc = len(uniq)
+    mapping = np.unique(np.minimum(np.arange(n), match), return_inverse=True)[1]
+    nc = int(mapping.max()) + 1
     vwgt = np.bincount(mapping, weights=graph.vwgt, minlength=nc).astype(np.int64)
 
     src = mapping[np.repeat(np.arange(n), np.diff(graph.indptr))]
     dst = mapping[graph.indices]
     keep = src != dst
     indptr, indices, ewgt, _ = _collapse_pairs(src[keep], dst[keep], graph.ewgt[keep], nc)
-    coarse = WeightedGraph(indptr=indptr, indices=indices, ewgt=ewgt.astype(np.int64),
-                           vwgt=vwgt)
-    return coarse, mapping
+    return WeightedGraph(indptr, indices, ewgt.astype(np.int64), vwgt), mapping
 
 
 def _region_grow(graph: WeightedGraph, k: int, rng) -> np.ndarray:
@@ -201,25 +176,21 @@ def _region_grow(graph: WeightedGraph, k: int, rng) -> np.ndarray:
         if w != weights[p]:
             continue
         fr = frontiers[p]
-        v = -1
-        while fr:
-            cand = fr.popleft()
-            if part[cand] < 0:
-                v = cand
-                break
-        if v < 0:
+        while fr and part[fr[0]] >= 0:
+            fr.popleft()
+        if not fr:
             continue  # frontier exhausted, part drops out
+        v = fr.popleft()
         part[v] = p
         weights[p] += vwgt[v]
         assigned += 1
         fr.extend(u for u in indices[indptr[v]:indptr[v + 1]] if part[u] < 0)
         heapq.heappush(heap, (weights[p], p))
-    if assigned < n:
-        # disconnected leftovers: give each to the lightest part
-        for v in [v for v in range(n) if part[v] < 0]:
-            p = weights.index(min(weights))
-            part[v] = p
-            weights[p] += vwgt[v]
+    # disconnected leftovers: give each to the lightest part
+    for v in [v for v in range(n) if part[v] < 0]:
+        p = weights.index(min(weights))
+        part[v] = p
+        weights[p] += vwgt[v]
     return np.array(part, dtype=np.int64)
 
 
@@ -243,8 +214,7 @@ def _recursive_bisect(graph: WeightedGraph, k: int, rng) -> np.ndarray:
             return
         kl = (kk + 1) // 2
         side = _bisect(sub, kl / kk, rng)
-        left = vertices[side]
-        right = vertices[~side]
+        left, right = vertices[side], vertices[~side]
         # a heavy vertex can leave a side with fewer vertices than parts
         kl = min(max(kl, kk - len(right)), len(left))
         recurse(left, _induced_subgraph(graph, left), kl, base)
@@ -259,36 +229,29 @@ def _bisect(graph: WeightedGraph, ratio: float, rng) -> np.ndarray:
     n = graph.n
     total = int(graph.vwgt.sum())
     targets = np.array([total * ratio, total * (1 - ratio)])
-    starts = rng.permutation(n)[:min(8, n)]
-    best_side = None
-    best_score = None
-    for s in starts:
+    best = None
+    for v in rng.permutation(n)[:min(8, n)]:
         side = np.zeros(n, dtype=bool)
-        side[s] = True
-        wgt = int(graph.vwgt[s])
-        # connection weight of each outside vertex to the region
-        conn = np.zeros(n, dtype=np.int64)
-        for idx in range(graph.indptr[s], graph.indptr[s + 1]):
-            conn[graph.indices[idx]] += graph.ewgt[idx]
-        while wgt < targets[0] and side.sum() < n - 1:
+        conn = np.zeros(n, dtype=np.int64)  # edge weight of each vertex into the region
+        wgt = 0
+        while True:
+            side[v] = True
+            wgt += int(graph.vwgt[v])
+            row = slice(graph.indptr[v], graph.indptr[v + 1])
+            conn[graph.indices[row]] += graph.ewgt[row]
+            if wgt >= targets[0] or side.sum() >= n - 1:
+                break
             cand = np.flatnonzero(~side & (conn > 0))
             if cand.size == 0:
                 cand = np.flatnonzero(~side)
             v = cand[np.argmax(conn[cand])]
-            side[v] = True
-            wgt += int(graph.vwgt[v])
-            for idx in range(graph.indptr[v], graph.indptr[v + 1]):
-                conn[graph.indices[idx]] += graph.ewgt[idx]
         part2 = (~side).astype(np.int64)
         _rebalance(graph, part2, targets)
         _refine(graph, part2, targets)
-        cut = edge_cut(graph, part2)
-        dev = abs((total - part2 @ graph.vwgt) - targets[0])
-        score = (cut, dev)
-        if best_score is None or score < best_score:
-            best_score = score
-            best_side = part2 == 0
-    return best_side
+        score = (edge_cut(graph, part2), abs((total - part2 @ graph.vwgt) - targets[0]))
+        if best is None or score < best[0]:
+            best = score, part2 == 0
+    return best[1]
 
 
 def _moves(graph: WeightedGraph, part: np.ndarray, k: int):
@@ -298,101 +261,144 @@ def _moves(graph: WeightedGraph, part: np.ndarray, k: int):
     own part; ties go to the lighter vertex, then to the lower (v, q).
     """
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    q = part[graph.indices]
+    inside = q == part[src]
+    own = np.bincount(src[inside], weights=graph.ewgt[inside], minlength=graph.n)
     n = max(graph.n, k)  # vertex and part ids share the pair-key range
-    indptr, q, conn, _ = _collapse_pairs(src, part[graph.indices], graph.ewgt, n)
+    indptr, q, conn, _ = _collapse_pairs(src[~inside], q[~inside], graph.ewgt[~inside], n)
     v = np.repeat(np.arange(n), np.diff(indptr))
-    conn = conn.astype(np.int64)
-    inside = q == part[v]
-    own = np.zeros(graph.n, dtype=np.int64)
-    own[v[inside]] = conn[inside]
-    v, q = v[~inside], q[~inside]
-    gain = conn[~inside] - own[v]
-    order = np.lexsort((q, v, graph.vwgt[v], -gain))
+    gain = (conn - own[v]).astype(np.int64)
+    # the pairs come sorted by (v, q), which a stable sort keeps for ties
+    order = _order_by(gain.max(initial=0) - gain, graph.vwgt[v], int(graph.vwgt.max()) + 1)
     return v[order], q[order], gain[order]
 
 
-def _best_moves(graph: WeightedGraph, part: np.ndarray, k: int):
-    """Yield boundary moves ``(v, p, q, gain)`` best first, each gain current.
+def _walk(graph: WeightedGraph, part: np.ndarray, moves, weights, sizes, admit, fits) -> bool:
+    """Take boundary moves best cut gain first, gains kept current; True if any.
 
-    The caller takes a move by setting ``part[v] = q`` before asking for the
-    next one. The moves of v and of its neighbours are then queued again
-    with their new gains, and the entries they replace are skipped. A move
-    the caller declines is offered again once a vertex leaves part q or
-    joins part p, the only changes that can lift a weight limit that held
-    it back.
+    ``moves`` seeds the queue: arrays ``(v, q, gain)`` in ``_moves``' order.
+    A move of v (weight x) from p to q is taken if ``fits(v, x, p, q)``,
+    updating ``part``, ``weights`` and ``sizes``. The moves of v and its
+    neighbours are then queued again with their new gains if ``admit(p, q,
+    gain)``, and the entries they replace are skipped. A declined move is
+    queued again once a vertex leaves q or joins p, which alone can make it fit.
     """
-    indptr, indices, ewgt = (a.tolist() for a in (graph.indptr, graph.indices, graph.ewgt))
-    vwgt = graph.vwgt.tolist()
-    where = part.tolist()
+    indptr, indices, ewgt, vwgt, where = map(memoryview, (
+        graph.indptr, graph.indices, graph.ewgt, graph.vwgt, part))
     stamp = [0] * graph.n
-    declined = {}                       # (v, q) -> its heap entry
-    into = [[] for _ in range(k)]       # keys of the declined moves into each part
-    out_of = [[] for _ in range(k)]
-    vs, qs, gains = _moves(graph, part, k)
+    declined = {}                               # (v, q) -> its heap entry
+    into = [[] for _ in range(len(sizes))]      # keys of the declined moves into each part
+    out_of = [[] for _ in range(len(sizes))]
+    vs, qs, gains = moves
     # sorted ascending, so already a heap
     heap = list(zip((-gains).tolist(), graph.vwgt[vs].tolist(), vs.tolist(), qs.tolist(),
                     [0] * len(vs)))
+    taken = False
     while heap:
         entry = heapq.heappop(heap)
-        neg, _, v, q, t = entry
+        _, x, v, q, t = entry
         if t != stamp[v]:
             continue
         p = where[v]
-        yield v, p, q, -neg
-        if part[v] == p:
+        if not fits(v, x, p, q):
             declined[v, q] = entry
             into[q].append((v, q))
             out_of[p].append((v, q))
             continue
-        where[v] = q
+        part[v] = q
+        weights[p] -= x
+        weights[q] += x
+        sizes[p] -= 1
+        sizes[q] += 1
+        taken = True
+        for u in (v, *indices[indptr[v]:indptr[v + 1]]):
+            t = stamp[u] = stamp[u] + 1
+            conn = {}
+            for idx in range(indptr[u], indptr[u + 1]):
+                r = where[indices[idx]]
+                conn[r] = conn.get(r, 0) + ewgt[idx]
+            own = where[u]
+            base = conn.pop(own, 0)
+            for r, w in conn.items():
+                if admit(own, r, w - base):
+                    heapq.heappush(heap, (base - w, vwgt[u], u, r, t))
         for keys in (into[p], out_of[q]):
             for key in keys:
                 if key in declined:
                     heapq.heappush(heap, declined.pop(key))
             keys.clear()
-        for u in [v] + indices[indptr[v]:indptr[v + 1]]:
-            stamp[u] += 1
-            conn = {}
-            for idx in range(indptr[u], indptr[u + 1]):
-                r = where[indices[idx]]
-                conn[r] = conn.get(r, 0) + ewgt[idx]
-            base = conn.pop(where[u], 0)
-            for r, w in conn.items():
-                heapq.heappush(heap, (base - w, vwgt[u], u, r, stamp[u]))
+    return taken
+
+
+def _flow(graph: WeightedGraph, part: np.ndarray, excess: np.ndarray):
+    """Send boundary layers along the least-norm flow that balances the parts.
+
+    The flow solves L lam = excess on the graph of adjacent parts (Hu &
+    Blake 1999), each connected group of parts balanced to its own mean.
+    Part p then sends its boundary vertices next to part q, best cut gain
+    first, while more than half of the next vertex fits in lam_p - lam_q.
+    A vertex moves once, and every part keeps at least one vertex.
+    """
+    k = len(excess)
+    v, q, _ = _moves(graph, part, k)
+    p = part[v]
+    a, b = _unique_pairs(p, q, k)
+    comp = _components(a, b, k)
+    excess = excess - (np.bincount(comp, weights=excess) / np.bincount(comp))[comp]
+    ground = np.zeros(k)  # one grounded part per group makes L nonsingular
+    ground[np.unique(comp, return_index=True)[1]] = 1
+    lap = sp.diags(np.bincount(a, minlength=k) + ground, format="csc")
+    lam = spla.spsolve(lap - sp.csc_matrix((np.ones(len(a)), (a, b)), shape=(k, k)), excess)
+    flow, pair = lam[p] - lam[q], p * k + q
+    # the moves along the flow by (p, q) in gain order, each with the weight
+    # its pair sends before it
+    sel = np.flatnonzero(flow > 0)
+    sel = sel[np.argsort(pair[sel], kind="stable")]
+    w = graph.vwgt[v[sel]]
+    before = np.cumsum(w) - w
+    sent = before - before[np.searchsorted(pair[sel], pair[sel])]
+    take = np.sort(sel[sent + w / 2 < flow[sel]])
+    take = take[np.unique(v[take], return_index=True)[1]]
+    # each part sends at most its size - 1 vertices, the best ones
+    take = take[np.lexsort((take, p[take]))]
+    rank = np.arange(len(take)) - np.searchsorted(p[take], p[take])
+    take = take[rank < np.bincount(part, minlength=k)[p[take]] - 1]
+    part[v[take]] = q[take]
 
 
 def _rebalance(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray,
                keep_connected: bool = False):
     """Move boundary vertices until every part lies in its weight band.
 
-    A move of v from p to q is taken while p is above its band or q below
-    its own, and only when q's excess over its target, v included, stays
-    below p's. Each move then strictly lowers the sum of squared excesses,
-    so the walk ends. Moves are tried best cut gain first. With
-    ``keep_connected`` a vertex only leaves a part it is not an
-    articulation point of.
+    Without ``keep_connected``, ``_flow`` moves the bulk of the weight first.
+    Then ``_walk`` takes moves out of parts above their band or into parts
+    below it, each only if q's excess over target, v included, stays below
+    p's; so each lowers the sum of squared excesses, and the walk ends. It
+    restarts from the parts still out of band until it takes no move. With
+    ``keep_connected`` v only leaves a part it is no articulation point of.
     """
     k = len(targets)
     lo, hi = (b - targets for b in balance_bounds(targets, int(graph.vwgt.max())))
-    excess = np.bincount(part, weights=graph.vwgt, minlength=k) - targets
-    if ((lo <= excess) & (excess <= hi)).all():
-        return
-    lo, hi, excess = lo.tolist(), hi.tolist(), excess.tolist()
-    sizes = np.bincount(part, minlength=k).tolist()
-    vwgt = graph.vwgt.tolist()
+    lo_, hi_ = lo.tolist(), hi.tolist()
     # the articulation test reads part through a view, so it sees each move
     csr = (*map(memoryview, (graph.indptr, graph.indices)), memoryview(part))
-    for v, p, q, _ in _best_moves(graph, part, k):
-        x = vwgt[v]
-        if (sizes[p] == 1 or excess[q] + x >= excess[p]
-                or not (excess[p] > hi[p] or excess[q] < lo[q])
-                or keep_connected and _is_articulation(*csr, v, sizes[p])):
-            continue
-        part[v] = q
-        excess[p] -= x
-        excess[q] += x
-        sizes[p] -= 1
-        sizes[q] += 1
+    excess = np.bincount(part, weights=graph.vwgt, minlength=k) - targets
+    if not keep_connected and ((excess < lo) | (excess > hi)).any():
+        _flow(graph, part, excess)
+        excess = np.bincount(part, weights=graph.vwgt, minlength=k) - targets
+    while ((excess < lo) | (excess > hi)).any():
+        vs, qs, gains = _moves(graph, part, k)
+        pick = (excess > hi)[part[vs]] | (excess < lo)[qs]
+        ex, sizes = excess.tolist(), np.bincount(part, minlength=k).tolist()
+
+        def fits(v, x, p, q):
+            return (sizes[p] > 1 and ex[q] + x < ex[p] and (ex[p] > hi_[p] or ex[q] < lo_[q])
+                    and not (keep_connected and _is_articulation(*csr, v, sizes[p])))
+
+        if not _walk(graph, part, (vs[pick], qs[pick], gains[pick]), ex, sizes,
+                     lambda p, q, gain: ex[p] > hi_[p] or ex[q] < lo_[q], fits):
+            return
+        excess = np.array(ex)
 
 
 def _is_articulation(indptr, indices, part, v: int, size: int) -> bool:
@@ -415,25 +421,18 @@ def _is_articulation(indptr, indices, part, v: int, size: int) -> bool:
 def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
     """Take strictly cut-reducing moves that keep the bands, best first.
 
-    Gains stay current as vertices move, so the cut never rises, and the
-    walk ends when no positive-gain move fits the bands.
+    Gains stay current, so the cut never rises. Only positive-gain moves are
+    queued: they sort before every other move, and the walk stops at those.
     """
     k = len(targets)
     lo, hi = (b.tolist() for b in balance_bounds(targets, int(graph.vwgt.max())))
     weights = np.bincount(part, weights=graph.vwgt, minlength=k).tolist()
     sizes = np.bincount(part, minlength=k).tolist()
-    vwgt = graph.vwgt.tolist()
-    for v, p, q, gain in _best_moves(graph, part, k):
-        if gain <= 0:
-            return
-        x = vwgt[v]
-        if sizes[p] == 1 or weights[p] - x < lo[p] or weights[q] + x > hi[q]:
-            continue
-        part[v] = q
-        weights[p] -= x
-        weights[q] += x
-        sizes[p] -= 1
-        sizes[q] += 1
+    vs, qs, gains = _moves(graph, part, k)
+    m = int(np.searchsorted(-gains, 0))
+    _walk(graph, part, (vs[:m], qs[:m], gains[:m]), weights, sizes,
+          lambda p, q, gain: gain > 0,
+          lambda v, x, p, q: sizes[p] > 1 and weights[p] - x >= lo[p] and weights[q] + x <= hi[q])
 
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):

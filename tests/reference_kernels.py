@@ -1,19 +1,27 @@
-"""Reference versions of the grouping kernels, kept for the tests only.
+"""Reference versions of rewritten kernels, kept for the tests only.
 
 These are the kernels as they were before they became single-sort and
 sparse-product array passes: face enumeration by a three-column
 ``np.lexsort``, edge numbering by ``np.unique``, pair lists deduplicated
-by ``_unique_pairs``, and the coarse-edge chains walked edge by edge in
-Python dicts. ``tests/test_reference_kernels.py`` asserts that each
-kernel of the package returns the same arrays as its reference here,
-dtype included. Nothing in the package imports this module.
+by sorting packed keys, and the coarse-edge chains walked edge by edge in
+Python dicts. Cleanup's attachment of unused elements and the merge of
+uncovered agglomerates are kept as the loops over elements and over
+agglomerates they were. The partitioner's refinement is kept as it was when its
+queue held every boundary move and its loops copied the graph to lists.
+``tests/test_reference_kernels.py`` and ``tests/test_partitioner.py``
+assert that each kernel of the package returns the same arrays as its
+reference here, dtype included. Nothing in the package imports this module.
 """
+import heapq
+
 import numpy as np
 
 from agglomg.agglomerate import Agglomeration, _group_pairs
 from agglomg.hierarchy import BOUNDARY, EdgeChains, FacePatches
-from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _components, _csr_from_pairs,
-                          _gather_ragged, _unique_pairs)
+from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _best_neighbour, _collapse_pairs,
+                          _components, _csr_from_pairs, _first_appearance, _gather_ragged,
+                          _unique_pairs)
+from agglomg.partitioner import balance_bounds
 
 _TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 _TRI_FACES = np.array([[1, 2], [0, 2], [0, 1]])
@@ -90,8 +98,18 @@ def _face_adjacency(topo: LevelTopology):
     src, dst = _group_pairs(*groups)
     keep = faces.interior[src] & faces.interior[dst]
     src, dst = src[keep], dst[keep]
-    return _csr_from_pairs(*_unique_pairs(src, dst, faces.n_faces, min_shared),
+    return _csr_from_pairs(*_pairs_given(src, dst, faces.n_faces, min_shared),
                            faces.n_faces)
+
+
+def _pairs_given(a, b, n, min_count):
+    """The distinct pairs ``(a[i], b[i])`` given at least ``min_count``
+    times, ascending by (a, b)."""
+    n = max(int(n), 1)
+    key = np.sort(a * n + b)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[starts[np.diff(starts, append=len(key)) >= min_count]]
+    return key // n, key % n
 
 
 def _edge_adjacency(edges, n_faces):
@@ -103,8 +121,8 @@ def _edge_adjacency(edges, n_faces):
     fsrc, fdst = _unique_pairs(
         *_group_pairs(*_invert_csr(edges.face_indptr, edges.face_ids, n_faces)), n)
     # a pair found both ways shares a node and a face
-    ssrc, sdst = _unique_pairs(np.concatenate([nsrc, fsrc]),
-                               np.concatenate([ndst, fdst]), n, 2)
+    ssrc, sdst = _pairs_given(np.concatenate([nsrc, fsrc]),
+                              np.concatenate([ndst, fdst]), n, 2)
     return _csr_from_pairs(nsrc, ndst, n), _csr_from_pairs(ssrc, sdst, n)
 
 
@@ -300,3 +318,117 @@ def _chain_endpoints(nodes: list, chain: list) -> tuple:
     # degenerate single-edge loops or repeated nodes: fall back to extremes
     nodes = sorted(count)
     return (nodes[0], nodes[-1])
+
+
+def _moves(graph, part, k):
+    """Every boundary move (v, q) with its cut gain, sorted by
+    (-gain, vertex weight, v, q) with one four-key ``np.lexsort``."""
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    n = max(graph.n, k)
+    indptr, q, conn, _ = _collapse_pairs(src, part[graph.indices], graph.ewgt, n)
+    v = np.repeat(np.arange(n), np.diff(indptr))
+    conn = conn.astype(np.int64)
+    inside = q == part[v]
+    own = np.zeros(graph.n, dtype=np.int64)
+    own[v[inside]] = conn[inside]
+    v, q = v[~inside], q[~inside]
+    gain = conn[~inside] - own[v]
+    order = np.lexsort((q, v, graph.vwgt[v], -gain))
+    return v[order], q[order], gain[order]
+
+
+def _best_moves(graph, part, k):
+    """Boundary moves ``(v, p, q, gain)`` best first from a queue seeded
+    with every boundary move, each gain kept current, a declined move
+    offered again once a vertex leaves q or joins p."""
+    indptr, indices, ewgt = (a.tolist() for a in (graph.indptr, graph.indices, graph.ewgt))
+    vwgt = graph.vwgt.tolist()
+    where = part.tolist()
+    stamp = [0] * graph.n
+    declined = {}
+    into = [[] for _ in range(k)]
+    out_of = [[] for _ in range(k)]
+    vs, qs, gains = _moves(graph, part, k)
+    heap = list(zip((-gains).tolist(), graph.vwgt[vs].tolist(), vs.tolist(), qs.tolist(),
+                    [0] * len(vs)))
+    while heap:
+        entry = heapq.heappop(heap)
+        neg, _, v, q, t = entry
+        if t != stamp[v]:
+            continue
+        p = where[v]
+        yield v, p, q, -neg
+        if part[v] == p:
+            declined[v, q] = entry
+            into[q].append((v, q))
+            out_of[p].append((v, q))
+            continue
+        where[v] = q
+        for keys in (into[p], out_of[q]):
+            for key in keys:
+                if key in declined:
+                    heapq.heappush(heap, declined.pop(key))
+            keys.clear()
+        for u in [v] + indices[indptr[v]:indptr[v + 1]]:
+            stamp[u] += 1
+            conn = {}
+            for idx in range(indptr[u], indptr[u + 1]):
+                r = where[indices[idx]]
+                conn[r] = conn.get(r, 0) + ewgt[idx]
+            base = conn.pop(where[u], 0)
+            for r, w in conn.items():
+                heapq.heappush(heap, (base - w, vwgt[u], u, r, stamp[u]))
+
+
+def refine(graph, part, targets):
+    """Strictly cut-reducing moves that keep the bands, best first, until
+    the first offered move whose gain is not positive."""
+    k = len(targets)
+    lo, hi = (b.tolist() for b in balance_bounds(targets, int(graph.vwgt.max())))
+    weights = np.bincount(part, weights=graph.vwgt, minlength=k).tolist()
+    sizes = np.bincount(part, minlength=k).tolist()
+    vwgt = graph.vwgt.tolist()
+    for v, p, q, gain in _best_moves(graph, part, k):
+        if gain <= 0:
+            return
+        x = vwgt[v]
+        if sizes[p] == 1 or weights[p] - x < lo[p] or weights[q] + x > hi[q]:
+            continue
+        part[v] = q
+        weights[p] -= x
+        weights[q] += x
+        sizes[p] -= 1
+        sizes[q] += 1
+
+
+def attach(dual, owner, frontier, sizes):
+    """Cleanup's attachment of frontier elements, one ``_best_neighbour``
+    call per element."""
+    indptr, indices, edge_faces = map(memoryview, (dual.indptr, dual.indices,
+                                                   dual.edge_faces))
+    for e in frontier.tolist():
+        best = _best_neighbour(indptr, indices, edge_faces, owner, (e,), sizes)
+        owner[e] = best
+        sizes[best] += 1
+
+
+def merge_uncovered(topo, agg, uncovered):
+    """``hierarchy._merge_uncovered`` with two masks and an interface-area
+    bincount per uncovered agglomerate."""
+    assign = agg.element_to_agg
+    dual = topo.dual
+    nagg = agg.n_agglomerates
+    src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
+    a_side = assign[src]
+    b_side = assign[dual.indices]
+    sources, targets = [], []
+    for a in uncovered:
+        sel = (a_side == a) & (b_side != a)
+        if not sel.any():
+            continue
+        areas = np.bincount(b_side[sel], weights=dual.edge_weight[sel], minlength=nagg)
+        sources.append(int(a))
+        targets.append(int(np.argmax(areas)))
+    labels = _components(np.array(sources, dtype=np.int64),
+                         np.array(targets, dtype=np.int64), nagg)
+    return Agglomeration(_first_appearance(labels[assign]))

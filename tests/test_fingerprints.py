@@ -45,8 +45,8 @@ GOLDEN = {
     (2, 'node', 2): ('fdb61add75395e42', 10),
     (2, 'greedy', 1): ('5805e49b976986de', 13),
     (2, 'greedy', 2): ('a34208d121be14d5', 13),
-    (2, 'sizebased', 1): ('d337280a657ece85', 14),
-    (2, 'sizebased', 2): ('236015273c4ec655', 14),
+    (2, 'sizebased', 1): ('1e89ad200cb6a72b', 14),
+    (2, 'sizebased', 2): ('7a04e07c19ff6f51', 13),
     (2, 'aspect', 1): ('c2adec1aa8242c8f', 13),
     (2, 'aspect', 2): ('5e8dd95a35ff50cb', 12),
     (3, 'jones', 1): ('c7eea4e9b12d8fad', 1),
@@ -59,8 +59,8 @@ GOLDEN = {
     (3, 'node', 2): ('6502605d3d42d678', 6),
     (3, 'greedy', 1): ('3e9dba0fb291e144', 8),
     (3, 'greedy', 2): ('90aad9628a3b10bf', 8),
-    (3, 'sizebased', 1): ('51adf1eae304ed14', 8),
-    (3, 'sizebased', 2): ('9ef3f0daee71f8e7', 8),
+    (3, 'sizebased', 1): ('49c5d1887ef87474', 8),
+    (3, 'sizebased', 2): ('76dbecaf4444cea8', 8),
     (3, 'aspect', 1): ('56aba3c0b9f57083', 8),
     (3, 'aspect', 2): ('6c9c52051914e5f3', 8),
 }
@@ -77,8 +77,8 @@ TOPOLOGY_GOLDEN = {
     (2, 'node', 2): 'd6696600e2153e17',
     (2, 'greedy', 1): '20d759a9f7f61a9f',
     (2, 'greedy', 2): '65ab40341120ebeb',
-    (2, 'sizebased', 1): 'ce4a2947bac79daa',
-    (2, 'sizebased', 2): '6261959f361aae3d',
+    (2, 'sizebased', 1): '93113dd0b8f9ea73',
+    (2, 'sizebased', 2): '5b5bb1e446318d5a',
     (2, 'aspect', 1): '9c1393c777deed26',
     (2, 'aspect', 2): 'b0d5957510265cd1',
     (3, 'jones', 1): 'e765f2949099d11a',
@@ -91,8 +91,8 @@ TOPOLOGY_GOLDEN = {
     (3, 'node', 2): 'ec0e011cfa0a52f5',
     (3, 'greedy', 1): '6fd6f4dccbbbbc85',
     (3, 'greedy', 2): '01b31f42e6172abd',
-    (3, 'sizebased', 1): '6ec9ceae827759e9',
-    (3, 'sizebased', 2): 'a37198c4cdd2e8f4',
+    (3, 'sizebased', 1): '23fed6aed9992906',
+    (3, 'sizebased', 2): '979c6c27348b2a38',
     (3, 'aspect', 1): 'e703ac07eb5b6b18',
     (3, 'aspect', 2): 'da77976938601ad8',
 }
@@ -109,7 +109,7 @@ INNER3_ITERATIONS = {
     (2, 'node', 2): 5,
     (2, 'greedy', 1): 6,
     (2, 'greedy', 2): 7,
-    (2, 'sizebased', 1): 7,
+    (2, 'sizebased', 1): 6,
     (2, 'sizebased', 2): 6,
     (2, 'aspect', 1): 6,
     (2, 'aspect', 2): 6,

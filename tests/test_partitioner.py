@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from agglomg import partitioner as pt
 from agglomg.mesh import LevelTopology, _induced_components, generate_mesh
 
@@ -315,10 +316,40 @@ class TestSequentialKernels:
 
 
 def test_mid_size_contiguous_partition_pin():
-    # k = 341 on 8,192 triangles, as sizebased's first level at that size:
-    # the keep_connected rebalance takes hundreds of moves and tests about
-    # 400 articulation points, which the golden meshes (k <= 21) barely do.
-    # The hash was recorded before the partitioner loops moved to lists.
+    # k = 341 on 8,192 triangles, as sizebased's first level at that size,
+    # where the golden meshes have k <= 21: every level runs the flow pass,
+    # and the keep_connected walk tests articulation points. The hash was
+    # recorded when the balance became a flow pass.
     dual = LevelTopology.from_mesh(generate_mesh(2, 64, jitter=0.2, seed=11)).dual
     part = pt.partition_kway(pt.scale_weights(dual), 341, seed=5)
-    assert hashlib.sha256(part.tobytes()).hexdigest()[:16] == "01dc00e5f8ed586a"
+    assert hashlib.sha256(part.tobytes()).hexdigest()[:16] == "c7fb9b0d456827c2"
+
+
+# the mean edge cut over seeds 1-5 before the balance became a flow pass
+CUT_BEFORE_FLOW = {(2, 64, 11, 341): 1463359.6, (3, 12, 1, 61): 1441135.2}
+
+
+@pytest.mark.parametrize("dim, n, mesh_seed, k", list(CUT_BEFORE_FLOW))
+def test_mean_cut_no_higher_than_before_the_flow_pass(dim, n, mesh_seed, k):
+    g = graph_from_mesh(dim, n, mesh_seed, jitter=0.2)
+    cuts = [pt.edge_cut(g, pt.partition_kway(g, k, seed=s)) for s in range(1, 6)]
+    assert np.mean(cuts) <= CUT_BEFORE_FLOW[dim, n, mesh_seed, k]
+
+
+@pytest.mark.parametrize("dim, n, k", [(2, 64, 341), (3, 12, 61)])
+def test_refine_makes_the_moves_of_the_full_queue(dim, n, k, monkeypatch):
+    # every level's refinement inside partition_kway, against the version
+    # that queued every boundary move and stopped at the first gain <= 0
+    calls = []
+    refine = pt._refine
+
+    def both(graph, part, targets):
+        before, want = part.copy(), part.copy()
+        ref.refine(graph, want, targets)
+        refine(graph, part, targets)
+        calls.append((np.array_equal(part, want), not np.array_equal(part, before)))
+
+    monkeypatch.setattr(pt, "_refine", both)
+    pt.partition_kway(graph_from_mesh(dim, n, 1, jitter=0.2), k, seed=1)
+    assert len(calls) >= 3 and all(same for same, _ in calls)
+    assert all(moved for _, moved in calls)

@@ -68,3 +68,26 @@ def test_partition_kway_on_hostile_graphs(graph, k_frac, k_shift, seed):
     assert connected_per_component(graph, part)
     again = pt.partition_kway(graph, k, seed=seed)
     assert np.array_equal(part, again)
+
+
+@st.composite
+def fine_grained_boxes(draw):
+    """The dual graph of one jittered box and a part count k whose target
+    is at least 1 / BALANCE_FRACTION vertices heavy: every vertex then fits
+    in the band's slack, 5% of the target."""
+    graph = graph_from_mesh(draw(st.sampled_from([2, 3])), draw(st.integers(3, 6)),
+                            draw(st.integers(0, 9)))
+    k_max = int(pt.BALANCE_FRACTION * graph.vwgt.sum() // graph.vwgt.max())
+    return graph, draw(st.integers(1, max(k_max, 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=fine_grained_boxes(), seed=st.integers(0, 3))
+def test_parts_lie_in_their_bands(case, seed):
+    graph, k = case
+    targets = np.full(k, graph.vwgt.sum() / k)
+    assert graph.vwgt.max() <= pt.BALANCE_FRACTION * targets[0] or k == 1
+    lo, hi = pt.balance_bounds(targets, int(graph.vwgt.max()))
+    weights = np.bincount(pt.partition_kway(graph, k, seed=seed), weights=graph.vwgt,
+                          minlength=k)
+    assert ((lo <= weights) & (weights <= hi)).all()

@@ -18,7 +18,7 @@ from agglomg import agglomerate as ag
 from agglomg import hierarchy as hi
 from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import build_hierarchy, level_schedule
-from agglomg.mesh import (LevelTopology, Mesh, MeshSizeError, _build_edges,
+from agglomg.mesh import (DualGraph, LevelTopology, Mesh, MeshSizeError, _build_edges,
                           _enumerate_faces, _face_areas, _order_by, _sort_keys,
                           generate_mesh)
 
@@ -167,6 +167,20 @@ def test_edge_chains_match_the_walk_on_random_multigraphs():
         assert chain_group.tolist() == want_group
 
 
+@pytest.mark.parametrize("case", ["repeats", "empty", "n=1"])
+def test_pairs_given_twice(case):
+    # the reference adjacency kernels' pair count, against np.unique's
+    n_rows, n, size = {"repeats": (20, 30, 600), "empty": (3, 4, 0), "n=1": (4, 1, 50)}[case]
+    rng = np.random.default_rng(1)
+    a, b = rng.integers(0, n_rows, size), rng.integers(0, n, size)
+    key, counts = np.unique(a * n + b, return_counts=True)
+    got_a, got_b = ref._pairs_given(a, b, n, 2)
+    np.testing.assert_array_equal(got_a, key[counts >= 2] // n)
+    np.testing.assert_array_equal(got_b, key[counts >= 2] % n)
+    if case == "repeats":
+        assert 0 < (counts >= 2).sum() < len(key)
+
+
 class TestPackedKeys:
     """A 3D face key (a n + b) n + c addresses node ids below 2**21."""
 
@@ -215,3 +229,49 @@ def test_kraus_builds_face_adjacency_once_per_level(dim, n, monkeypatch):
     h = build_hierarchy(generate_mesh(dim, n, jitter=0.2, seed=3), CoarsenConfig("kraus"))
     assert calls["coarsen"] >= len(h.levels) > 1
     assert calls["adjacency"] == calls["coarsen"]
+
+
+@pytest.mark.parametrize("dim, n, seed", [(2, 16, 1), (2, 32, 5), (3, 6, 1), (3, 8, 9)])
+def test_cleanup_attaches_as_the_per_element_loop(dim, n, seed, monkeypatch):
+    # a raw node agglomeration leaves unused elements, a frontier at a time
+    topo = LevelTopology.from_mesh(generate_mesh(dim, n, jitter=0.2, seed=seed))
+    raw = ag.Agglomeration(ag._node(topo, seed))
+    assert (raw.element_to_agg < 0).sum() > 0
+    got, report = ag.cleanup(topo, raw)
+    monkeypatch.setattr(ag, "_attach", ref.attach)
+    want, want_report = ag.cleanup(topo, raw)
+    assert_same(got.element_to_agg, want.element_to_agg)
+    assert report == want_report and report.unused_attached > 0
+
+
+def test_attach_tie_breaks_and_earlier_attachments():
+    # elements 0-6 in agglomerates 0, 1, 2 of sizes 3, 2, 2; frontier 7, 8, 9:
+    # 7 shares a face with 0 and with 1 and takes the smaller, 1; 8 shares a
+    # face with 0 and with 1, now both of size 3, and takes the lower id, 0;
+    # 9 shares one face with 2 and two with frontier element 8, which it
+    # sees in agglomerate 0
+    edges = [(7, 0, 1), (7, 3, 1), (8, 4, 1), (8, 1, 1), (9, 8, 2), (9, 5, 1),
+             (0, 1, 1), (1, 2, 1), (3, 4, 1), (5, 6, 1)]
+    a, b, f = (np.array(c) for c in zip(*edges))
+    src, dst, faces = np.r_[a, b], np.r_[b, a], np.r_[f, f]
+    order = np.lexsort((dst, src))
+    indptr = np.r_[0, np.cumsum(np.bincount(src, minlength=10))]
+    dual = DualGraph(indptr=indptr, indices=dst[order], edge_weight=faces[order] * 1.0,
+                     vertex_weight=np.ones(10), edge_faces=faces[order])
+    frontier = np.array([7, 8, 9])
+    for attach in (ag._attach, ref.attach):
+        owner, sizes = [0, 0, 0, 1, 1, 2, 2, -1, -1, -1], [3, 2, 2]
+        attach(dual, owner, frontier, sizes)
+        assert owner[7:] == [1, 0, 0] and sizes == [5, 3, 2]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 6)])
+def test_merge_uncovered_matches_the_per_agglomerate_loop(dim, n):
+    # every third agglomerate uncovered, so merges chain and pairs meet
+    mesh = generate_mesh(dim, n, jitter=0.2, seed=4)
+    topo = LevelTopology.from_mesh(mesh)
+    agg = ag.coarsen(topo, CoarsenConfig("greedy", desired_size=6, seed=2))
+    uncovered = np.arange(0, agg.n_agglomerates, 3)
+    got = hi._merge_uncovered(topo, agg, uncovered)
+    assert_same(got.element_to_agg, ref.merge_uncovered(topo, agg, uncovered).element_to_agg)
+    assert got.n_agglomerates < agg.n_agglomerates - len(uncovered) // 2
