@@ -11,9 +11,10 @@ smoother (``SmootherConfig(inner=3)``). A fourth hashes the file outputs:
 the bytes ``write_vtk`` writes for the 2D and 3D ``node`` hierarchies, and
 the arrays and boundary tags ``read_msh`` returns for a tet file with
 inverted tets, tagged boundary triangles and a skipped element type. A
-change that keeps every value here rebuilds the same hierarchies bit for
-bit. Never edit a golden value
-to make a refactor pass; only a change that is meant to alter the
+fifth hashes the boxes ``generate_mesh`` builds: elements, coordinates,
+materials and boundary tags. A change that keeps every value here
+rebuilds the same hierarchies bit for bit. Never edit a golden value to
+make a refactor pass; only a change that is meant to alter the
 hierarchies (and says so) may re-record them.
 """
 import dataclasses
@@ -252,3 +253,45 @@ def file_fingerprint(name, tmp_path):
 @pytest.mark.parametrize("name", list(FILE_GOLDEN))
 def test_file_fingerprint(name, tmp_path):
     assert file_fingerprint(name, tmp_path) == FILE_GOLDEN[name]
+
+
+# (dim, n, jitter, seed) -> sha256 prefix of generate_mesh's arrays and tags.
+# (2, 6, 0.49, 0) and the n=16 boxes at jitter 0.49 invert an element on the
+# first draw and halve the jitter, so the retry path is pinned too.
+GENERATOR_GOLDEN = {
+    (2, 1, 0.0, 0): 'c6701a648e75f71f',
+    (2, 1, 0.2, 0): 'c6701a648e75f71f',
+    (2, 1, 0.49, 0): 'c6701a648e75f71f',
+    (2, 3, 0.0, 0): 'f48d0a88e1066fc0',
+    (2, 3, 0.2, 0): '48d918e89756a43d',
+    (2, 3, 0.49, 0): 'a7f829e25a68ad3e',
+    (2, 16, 0.0, 0): 'b4ea35bbd4d071bb',
+    (2, 16, 0.2, 0): '964c6bf667fc35f2',
+    (2, 16, 0.49, 0): '6fd85150f9e3d56a',
+    (3, 1, 0.0, 0): '75d200466010f654',
+    (3, 1, 0.2, 0): '75d200466010f654',
+    (3, 1, 0.49, 0): '75d200466010f654',
+    (3, 3, 0.0, 0): '5f8b48a78dde0ef8',
+    (3, 3, 0.2, 0): '1158a5d09857cefa',
+    (3, 3, 0.49, 0): 'e1e0c61bb885e0a5',
+    (3, 16, 0.0, 0): '5114845df028857e',
+    (3, 16, 0.2, 0): 'fdefb53bdf624e3b',
+    (3, 16, 0.49, 0): '64ba0f5da6d9922d',
+    (2, 6, 0.49, 0): '1e7d1c903a25950f',
+}
+
+
+def generator_fingerprint(dim, n, jitter, seed):
+    mesh = generate_mesh(dim, n, jitter=jitter, seed=seed)
+    # the tags come in sorted face order, which the hash below does not see
+    assert list(mesh.boundary_tag) == sorted(mesh.boundary_tag)
+    tags = np.array([key + (tag,) for key, tag in sorted(mesh.boundary_tag.items())])
+    digest = hashlib.sha256()
+    for value in (mesh.elements, mesh.node_coords, mesh.material_id, tags):
+        _update(digest, value)
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_GOLDEN))
+def test_generator_fingerprint(case):
+    assert generator_fingerprint(*case) == GENERATOR_GOLDEN[case]
