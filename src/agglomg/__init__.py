@@ -22,9 +22,9 @@ from .hierarchy import (CoarseningError, EdgeChains, ElementMaterials, FacePatch
                         galerkin_operator, grid_complexity, level_schedule,
                         operator_complexity, project_materials, restriction,
                         select_coarse_edges, select_coarse_faces)
-from .solver import (CoarsestLevelError, DivergenceError, ProblemSpec, SmootherConfig,
-                     SolveReport, VCyclePreconditioner, absorbing_materials,
-                     apply_dirichlet, assemble_operator, assemble_problem,
-                     diffuse_materials, fgmres, mms_convergence, smooth, solve_problem)
+from .solver import (CoarsestLevelError, DivergenceError, ProblemSpec, SolveReport,
+                     VCyclePreconditioner, absorbing_materials, apply_dirichlet,
+                     assemble_operator, assemble_problem, diffuse_materials, fgmres,
+                     mms_convergence, smooth, solve_problem)
 
 __version__ = "0.1.0"

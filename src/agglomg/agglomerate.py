@@ -461,11 +461,9 @@ def _greedy(topo, s, seed):
 # sizebased / aspect
 
 def _sizebased(topo, s, seed):
-    """Partition the weighted dual graph into floor(n/s) contiguous parts."""
-    k = topo.n_elements // s
-    if k < 1:
-        raise ValueError(
-            f"desired size {s} exceeds the {topo.n_elements}-element level; reduce s")
+    """Partition the weighted dual graph into floor(n/s) contiguous parts,
+    or into one on a level of fewer than s elements, as greedy does there."""
+    k = max(1, topo.n_elements // s)
     graph = partitioner.scale_weights(topo.dual)
     return partitioner.partition_kway(graph, k, seed=seed)
 
@@ -573,6 +571,8 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
 
     sizes = _live_sizes(assign)
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
+    indptr, indices, edge_faces = map(memoryview, (dual.indptr, dual.indices,
+                                                   dual.edge_faces))
     first_round = True
     while True:
         unassigned = np.flatnonzero(assign < 0)
@@ -588,8 +588,12 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
             assign[unassigned] = len(sizes) + labels
             report.isolated_resolved += len(unassigned)
             break
+        # each attachment sees the ones before it
         owner = assign.tolist()
-        _attach(dual, owner, frontier, sizes)
+        for e in frontier.tolist():
+            best = _best_neighbour(indptr, indices, edge_faces, owner, (e,), sizes)
+            owner[e] = best
+            sizes[best] += 1
         assign[:] = owner
         if first_round:
             report.unused_attached += len(frontier)
@@ -601,26 +605,6 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
     report.enclosed_merged = _merge_enclosed(topo, assign)
 
     return Agglomeration(_first_appearance(assign)), report
-
-
-def _attach(dual, owner, frontier, sizes):
-    """Give each frontier element, in order, the agglomerate it shares the
-    most faces with (ties to the smallest ``sizes``, then the lowest id);
-    each attachment sees the ones before it. ``owner`` and ``sizes`` are
-    lists, updated in place."""
-    nbrs, counts = _gather_ragged(dual.indptr, dual.indices, frontier)
-    nbrs, faces = nbrs.tolist(), _gather_ragged(dual.indptr, dual.edge_faces, frontier)[0].tolist()
-    end = 0
-    for e, count in zip(frontier.tolist(), counts.tolist()):
-        tally = {}
-        for u, f in zip(nbrs[end:end + count], faces[end:end + count]):
-            b = owner[u]
-            if b >= 0:
-                tally[b] = tally.get(b, 0) + f
-        end += count
-        best = min(tally, key=lambda b: (-tally[b], sizes[b], b))
-        owner[e] = best
-        sizes[best] += 1
 
 
 def _live_sizes(assign):

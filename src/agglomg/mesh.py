@@ -23,7 +23,6 @@ would overflow.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,18 @@ SOURCE_EXTENT = 2.0
 _TRI_FACES = np.array([[1, 2], [0, 2], [0, 1]])
 _TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+# the positively oriented simplices generate_mesh cuts a lattice cell into,
+# as corner offsets: 2 triangles per square, and 6 Kuhn tetrahedra per cube,
+# one per path from (0,0,0) to (1,1,1) along the axes
+_CELL_SIMPLICES = {
+    2: np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]),
+    3: np.array([[(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+                 [(0, 0, 0), (1, 0, 1), (1, 0, 0), (1, 1, 1)],
+                 [(0, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 1)],
+                 [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)],
+                 [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)],
+                 [(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 1, 1)]]),
+}
 
 
 class TopologyError(ValueError):
@@ -570,9 +581,9 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
     nodes as a fraction of the cell width and must stay below 0.5 so no
     element can invert in expectation; if a draw does invert an element the
     amplitude is halved, with a hard error after 5 attempts. Boundary faces
-    are tagged per geometric side (1..2*dim). Elements whose centroid falls
-    in the centered source box of width ``SOURCE_EXTENT`` get material 0,
-    the rest material 1.
+    are tagged per geometric side: 1 and 2 for low and high x, 3 and 4 for
+    y, 5 and 6 for z. Elements whose centroid falls in the centered source
+    box of width ``SOURCE_EXTENT`` get material 0, the rest material 1.
     Pure function of (parameters, seed).
     """
     if dim not in (2, 3):
@@ -583,66 +594,26 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
         raise ValueError("jitter must be in [0, 0.5) cell widths")
 
     h = extent / n
-    axes = [np.linspace(0.0, extent, n + 1)] * dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([g.ravel() for g in grids], axis=1)
     lattice = np.stack(np.meshgrid(*[np.arange(n + 1)] * dim, indexing="ij"),
                        axis=-1).reshape(-1, dim)
-
-    def node_id(idx):
-        out = idx[..., 0]
-        for a in range(1, dim):
-            out = out * (n + 1) + idx[..., a]
-        return out
-
-    cells = np.stack(np.meshgrid(*[np.arange(n)] * dim, indexing="ij"),
-                     axis=-1).reshape(-1, dim)
-    if dim == 2:
-        v00 = node_id(cells)
-        v10 = node_id(cells + [1, 0])
-        v01 = node_id(cells + [0, 1])
-        v11 = node_id(cells + [1, 1])
-        tris = np.empty((len(cells) * 2, 3), dtype=np.int64)
-        tris[0::2] = np.column_stack([v00, v10, v11])
-        tris[1::2] = np.column_stack([v00, v11, v01])
-        elements = tris
-    else:
-        corner = {}
-        for dx, dy, dz in itertools.product((0, 1), repeat=3):
-            corner[(dx, dy, dz)] = node_id(cells + [dx, dy, dz])
-        elements = np.empty((len(cells) * 6, 4), dtype=np.int64)
-        for t, perm in enumerate(itertools.permutations(range(3))):
-            steps = [(0, 0, 0)]
-            for axis in perm:
-                prev = steps[-1]
-                nxt = list(prev)
-                nxt[axis] += 1
-                steps.append(tuple(nxt))
-            tet = np.column_stack([corner[s] for s in steps])
-            # odd permutations give negative orientation; swap to fix
-            parity = sum(1 for i in range(3) for j in range(i + 1, 3)
-                         if perm[i] > perm[j]) % 2
-            if parity:
-                tet = tet[:, [0, 2, 1, 3]]
-            elements[t::6] = tet
-        elements = np.ascontiguousarray(elements)
+    base = np.linspace(0.0, extent, n + 1)[lattice]
+    cells = lattice[(lattice < n).all(axis=1)]
+    stride = (n + 1) ** np.arange(dim - 1, -1, -1)   # node id = lattice @ stride
+    corners = cells[:, None, None, :] + _CELL_SIMPLICES[dim]
+    elements = (corners @ stride).reshape(-1, dim + 1)
 
     interior = np.all((lattice > 0) & (lattice < n), axis=1)
     coords = base
     if jitter > 0.0 and interior.any():
         amp = jitter
-        for attempt in range(5):
+        for _ in range(5):
             rng = np.random.Generator(np.random.Philox(seed))
             coords = base.copy()
             coords[interior] += rng.uniform(-amp * h, amp * h,
                                             size=(int(interior.sum()), dim))
-            try:
-                probe = Mesh(dim=dim, node_coords=coords, elements=elements,
-                             material_id=np.zeros(len(elements), dtype=np.int64))
-                element_measures(probe)
+            if (_signed_measures(coords, elements, dim) > 0).all():
                 break
-            except DegenerateElementError:
-                amp *= 0.5
+            amp *= 0.5
         else:
             raise DegenerateElementError(
                 "jitter inverted elements even after 5 reductions")
@@ -653,18 +624,13 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
     inside = np.all((centroids >= lo) & (centroids <= hi), axis=1)
     material = np.where(inside, 0, 1).astype(np.int64)
 
-    # tag boundary faces by geometric side, using lattice positions
+    # tag each boundary face by the first side, in the order low x, high x,
+    # low y, ..., that holds all its lattice positions
     face_nodes, _, _, counts = _enumerate_faces(elements, dim)
     boundary_faces = face_nodes[counts == 1]
-    tags = {}
-    for fnodes in boundary_faces:
-        pos = lattice[fnodes]
-        for axis in range(dim):
-            if np.all(pos[:, axis] == 0):
-                tags[tuple(int(v) for v in fnodes)] = 2 * axis + 1
-                break
-            if np.all(pos[:, axis] == n):
-                tags[tuple(int(v) for v in fnodes)] = 2 * axis + 2
-                break
+    pos = lattice[boundary_faces]
+    on_side = np.stack([(pos == 0).all(axis=1), (pos == n).all(axis=1)], axis=2)
+    tags = dict(zip(map(tuple, boundary_faces.tolist()),
+                    (on_side.reshape(len(pos), -1).argmax(axis=1) + 1).tolist()))
     return Mesh(dim=dim, node_coords=coords, elements=elements,
                 material_id=material, boundary_tag=tags)

@@ -31,6 +31,8 @@ from .hierarchy import (COARSEST_LIMIT, ElementMaterials, Hierarchy, LevelSchedu
 
 # advection velocity of the absorbing problem, cm/s (the first dim entries)
 ADVECTION = (1.0, 0.0, 0.0)
+# GMRES(inner) cycles per pre- and post-smooth of the V-cycle
+SMOOTHING_APPLICATIONS = 3
 
 
 class DivergenceError(RuntimeError):
@@ -66,30 +68,6 @@ class ProblemSpec:
                               else absorbing_materials())
         for props in self.materials.values():
             props.validate()
-
-
-@dataclass
-class SmootherConfig:
-    """Jacobi-preconditioned GMRES(m) smoothing parameters.
-
-    One application is one restart cycle of ``inner`` steps; it is applied
-    ``applications`` times per pre- and post-smooth, all in one ``smooth``
-    call on the level's stored D^-1 A that carries the Jacobi-scaled
-    residual from step to step (GCR form: one product per step, none for
-    the zero start of the pre-smooth). A V-cycle level so makes
-    2 * applications * inner + 1 operator products: the pre-smoother's
-    residual is restricted as it is.
-    The default is the "3x1" reading of "three iterations on each level":
-    three cycles of GMRES(1). ``inner=3`` gives the "3x3" reading, three
-    GMRES(3) cycles.
-    """
-
-    inner: int = 1
-    applications: int = 3
-
-    def validate(self):
-        if self.inner < 1 or self.applications < 1:
-            raise ValueError("smoother iterations and applications must be >= 1")
 
 
 @dataclass
@@ -340,21 +318,25 @@ def smooth(A, b: np.ndarray, x: np.ndarray | None, *,
 class VCyclePreconditioner:
     """Multigrid V-cycle over assembled Galerkin operators.
 
-    Pre/post smoothing is Jacobi-preconditioned GMRES(inner) applied
-    ``applications`` times, one ``smooth`` call each, on the scaled level
-    system S_k = D_k^-1 A_k stored once per smoothed level in
-    ``operators``. The pre-smoother's residual z = D_k^-1 (r - A_k x) is
-    restricted by R_k D_k (``restrictions``), so no product recomputes it;
-    the coarsest level is solved by a dense LU factored once. Every level
-    product goes through one compiled CSR kernel. The smoother makes this a
-    (mildly) nonlinear preconditioner, which is why the outer iteration is
-    flexible GMRES.
+    Pre/post smoothing is Jacobi-preconditioned GMRES(inner) restarted
+    ``SMOOTHING_APPLICATIONS`` (3) times, one ``smooth`` call each, on the
+    scaled level system S_k = D_k^-1 A_k stored once per smoothed level in
+    ``operators``. The default ``inner=1`` is the "3x1" reading of "three
+    iterations on each level": three cycles of GMRES(1). ``inner=3`` gives
+    the "3x3" reading, three GMRES(3) cycles. A step makes one product,
+    and the pre-smoother's zero start none, so a level makes
+    2 * 3 * inner + 1 products per V-cycle: the pre-smoother's residual
+    z = D_k^-1 (r - A_k x) is restricted by R_k D_k (``restrictions``), so
+    no product recomputes it. The coarsest level is solved by a dense LU
+    factored once. Every level product goes through one compiled CSR
+    kernel. The smoother makes this a (mildly) nonlinear preconditioner,
+    which is why the outer iteration is flexible GMRES.
     """
 
-    def __init__(self, hierarchy: Hierarchy, smoother: SmootherConfig | None = None):
-        smoother = smoother or SmootherConfig()
-        smoother.validate()
-        self.smoother = smoother
+    def __init__(self, hierarchy: Hierarchy, inner: int = 1):
+        if inner < 1:
+            raise ValueError(f"smoother steps per cycle must be >= 1, got {inner}")
+        self.inner = inner
         operators = [op.tocsr() for op in hierarchy.operators]
         self.diags = [np.asarray(op.diagonal()) for op in operators]
         for d in self.diags:
@@ -398,10 +380,9 @@ class VCyclePreconditioner:
             return lu_solve(self._lu, r, check_finite=False)
         S = self.operators[k]
         c = r / self.diags[k]
-        inner, applications = self.smoother.inner, self.smoother.applications
-        x, z = smooth(S, c, None, inner=inner, applications=applications)
+        x, z = smooth(S, c, None, inner=self.inner, applications=SMOOTHING_APPLICATIONS)
         x += self.prolongations[k] @ self._cycle(k + 1, self.restrictions[k] @ z)
-        return smooth(S, c, x, inner=inner, applications=applications)[0]
+        return smooth(S, c, x, inner=self.inner, applications=SMOOTHING_APPLICATIONS)[0]
 
 
 def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,

@@ -4,10 +4,10 @@ These are the kernels as they were before they became single-sort and
 sparse-product array passes: face enumeration by a three-column
 ``np.lexsort``, edge numbering by ``np.unique``, pair lists deduplicated
 by sorting packed keys, and the coarse-edge chains walked edge by edge in
-Python dicts. Cleanup's attachment of unused elements and the merge of
-uncovered agglomerates are kept as the loops over elements and over
-agglomerates they were. The partitioner's refinement is kept as it was when its
-queue held every boundary move and its loops copied the graph to lists.
+Python dicts. The merge of uncovered agglomerates is kept as the loop
+over agglomerates it was. The partitioner's refinement is kept as it was
+when its queue held every boundary move and its loops copied the graph to
+lists.
 ``tests/test_reference_kernels.py`` and ``tests/test_partitioner.py``
 assert that each kernel of the package returns the same arrays as its
 reference here, dtype included. Nothing in the package imports this module.
@@ -18,9 +18,8 @@ import numpy as np
 
 from agglomg.agglomerate import Agglomeration, _group_pairs
 from agglomg.hierarchy import BOUNDARY, EdgeChains, FacePatches
-from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _best_neighbour, _collapse_pairs,
-                          _components, _csr_from_pairs, _first_appearance, _gather_ragged,
-                          _unique_pairs)
+from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _collapse_pairs, _components,
+                          _csr_from_pairs, _first_appearance, _gather_ragged, _unique_pairs)
 from agglomg.partitioner import balance_bounds
 
 _TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -399,17 +398,6 @@ def refine(graph, part, targets):
         weights[q] += x
         sizes[p] -= 1
         sizes[q] += 1
-
-
-def attach(dual, owner, frontier, sizes):
-    """Cleanup's attachment of frontier elements, one ``_best_neighbour``
-    call per element."""
-    indptr, indices, edge_faces = map(memoryview, (dual.indptr, dual.indices,
-                                                   dual.edge_faces))
-    for e in frontier.tolist():
-        best = _best_neighbour(indptr, indices, edge_faces, owner, (e,), sizes)
-        owner[e] = best
-        sizes[best] += 1
 
 
 def merge_uncovered(topo, agg, uncovered):

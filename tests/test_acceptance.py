@@ -17,8 +17,8 @@ from agglomg.agglomerate import ALGORITHMS, Agglomeration, CoarsenConfig
 from agglomg.hierarchy import (LevelSchedule, StopRule, build_hierarchy,
                                grid_complexity, select_coarse_faces)
 from agglomg.mesh import LevelTopology, generate_mesh, mesh_metrics
-from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
-                            assemble_problem, fgmres, mms_convergence)
+from agglomg.solver import (ProblemSpec, VCyclePreconditioner, assemble_problem, fgmres,
+                            mms_convergence)
 
 from invariants import check_hierarchy, check_transfers, coarse_nodes
 
@@ -294,7 +294,7 @@ class TestCriterion09SolverEndToEnd:
                                materials=spec.materials, operator=A,
                                stop=StopRule(coarse_nodes=2000),
                                fine_topology=topo2d_ref)
-        M = VCyclePreconditioner(hier, SmootherConfig(inner=3, applications=3))
+        M = VCyclePreconditioner(hier, inner=3)
         x, res, iters, conv = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
         assert conv, "did not converge"
         assert res[-1] <= 1e-10, f"relative residual {res[-1]:.2e}"
@@ -317,7 +317,7 @@ class TestCriterion09SolverEndToEnd:
                                    CoarsenConfig(alg, desired_size=24, seed=1),
                                    materials=spec.materials, operator=A,
                                    fine_topology=topo2d_ref)
-            M = VCyclePreconditioner(hier, SmootherConfig(inner=3, applications=3))
+            M = VCyclePreconditioner(hier, inner=3)
             x, res, iters, conv = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
             assert conv, f"{alg} failed to converge"
             counts[alg] = iters

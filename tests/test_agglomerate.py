@@ -203,10 +203,10 @@ class TestSizebased:
         agg = Agglomeration(ag._sizebased(topo, 8, 0))  # k = 4
         assert agg.n_agglomerates == 4
 
-    def test_too_large_size_rejected(self, tri_pair):
+    def test_size_above_level_gives_one_agglomerate(self, tri_pair):
         topo = LevelTopology.from_mesh(tri_pair)
-        with pytest.raises(ValueError, match="reduce"):
-            run_algorithm(topo, "sizebased", seed=0, s=10)
+        agg = run_algorithm(topo, "sizebased", seed=0, s=10)
+        assert agg.element_to_agg.tolist() == [0, 0]
 
     def test_average_size_tracks_target(self, topo2d_jittered):
         agg = run_algorithm(topo2d_jittered, "sizebased", seed=3, s=8)

@@ -167,14 +167,14 @@ class TestSweep:
 
     def test_failed_row_recorded(self, tmp_path, capsys):
         path = tmp_path / "fail.csv"
-        # desired size larger than the mesh forces a per-row failure
+        # a size below 2 fails its own row, not the sweep
         code, _, _ = run(["sweep", "--gen-2d", "16", "--alg", "sizebased",
-                          "--size", "4,1000", "--csv", str(path)], capsys)
+                          "--size", "4,1", "--csv", str(path)], capsys)
         assert code == 0
         rows = list(csv.DictReader(path.open()))
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("failed")
+        assert rows[1]["status"].startswith("failed: agglomerate sizes must be >= 2")
 
 
     @pytest.mark.parametrize("size", [",", "4,,8"])

@@ -15,8 +15,7 @@ from agglomg.hierarchy import (CoarseningError, ElementMaterials, StopRule,
                                operator_complexity, project_materials, restriction,
                                select_coarse_edges, select_coarse_faces)
 from agglomg.mesh import BOUNDARY, LevelTopology, MaterialProperties, Mesh, generate_mesh
-from agglomg.solver import (ProblemSpec, SmootherConfig, VCyclePreconditioner,
-                            assemble_problem, fgmres)
+from agglomg.solver import ProblemSpec, VCyclePreconditioner, assemble_problem, fgmres
 
 import reference_kernels as ref
 from invariants import check_hierarchy, coarse_nodes
@@ -168,7 +167,7 @@ class TestCoarseNodes:
         assert h.node_counts == [432, 361, 68]
         assert h.stop_reason == "dense"
         check_hierarchy(h)
-        M = VCyclePreconditioner(h, SmootherConfig())
+        M = VCyclePreconditioner(h)
         _, _, iterations, converged = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
         assert converged and iterations == 5
 

@@ -9,6 +9,7 @@ edges can share both endpoints.
 """
 import dataclasses
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -231,19 +232,6 @@ def test_kraus_builds_face_adjacency_once_per_level(dim, n, monkeypatch):
     assert calls["adjacency"] == calls["coarsen"]
 
 
-@pytest.mark.parametrize("dim, n, seed", [(2, 16, 1), (2, 32, 5), (3, 6, 1), (3, 8, 9)])
-def test_cleanup_attaches_as_the_per_element_loop(dim, n, seed, monkeypatch):
-    # a raw node agglomeration leaves unused elements, a frontier at a time
-    topo = LevelTopology.from_mesh(generate_mesh(dim, n, jitter=0.2, seed=seed))
-    raw = ag.Agglomeration(ag._node(topo, seed))
-    assert (raw.element_to_agg < 0).sum() > 0
-    got, report = ag.cleanup(topo, raw)
-    monkeypatch.setattr(ag, "_attach", ref.attach)
-    want, want_report = ag.cleanup(topo, raw)
-    assert_same(got.element_to_agg, want.element_to_agg)
-    assert report == want_report and report.unused_attached > 0
-
-
 def test_attach_tie_breaks_and_earlier_attachments():
     # elements 0-6 in agglomerates 0, 1, 2 of sizes 3, 2, 2; frontier 7, 8, 9:
     # 7 shares a face with 0 and with 1 and takes the smaller, 1; 8 shares a
@@ -258,11 +246,12 @@ def test_attach_tie_breaks_and_earlier_attachments():
     indptr = np.r_[0, np.cumsum(np.bincount(src, minlength=10))]
     dual = DualGraph(indptr=indptr, indices=dst[order], edge_weight=faces[order] * 1.0,
                      vertex_weight=np.ones(10), edge_faces=faces[order])
-    frontier = np.array([7, 8, 9])
-    for attach in (ag._attach, ref.attach):
-        owner, sizes = [0, 0, 0, 1, 1, 2, 2, -1, -1, -1], [3, 2, 2]
-        attach(dual, owner, frontier, sizes)
-        assert owner[7:] == [1, 0, 0] and sizes == [5, 3, 2]
+    # every element touches the boundary, so cleanup merges nothing
+    level = types.SimpleNamespace(dual=dual, n_elements=10, elem_boundary_area=np.ones(10))
+    raw = ag.Agglomeration(np.array([0, 0, 0, 1, 1, 2, 2, -1, -1, -1]))
+    got, report = ag.cleanup(level, raw)
+    assert got.element_to_agg.tolist() == [0, 0, 0, 1, 1, 2, 2, 1, 0, 0]
+    assert report == ag.CleanupReport(unused_attached=3)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 6)])

@@ -6,11 +6,10 @@ from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
                                operator_complexity)
 from agglomg.mesh import MaterialProperties, boundary_node_mask, generate_mesh
-from agglomg.solver import (CoarsestLevelError, DivergenceError, ProblemSpec,
-                            SmootherConfig, VCyclePreconditioner, _CsrKernel,
-                            _gmres_cycle, apply_dirichlet, assemble_operator,
-                            assemble_problem, fgmres, mms_convergence, smooth,
-                            solve_problem)
+from agglomg.solver import (SMOOTHING_APPLICATIONS, CoarsestLevelError, DivergenceError,
+                            ProblemSpec, VCyclePreconditioner, _CsrKernel, _gmres_cycle,
+                            apply_dirichlet, assemble_operator, assemble_problem, fgmres,
+                            mms_convergence, smooth, solve_problem)
 from test_fingerprints import MESHES
 
 
@@ -326,6 +325,11 @@ class TestVCycle:
         z = M(b)
         assert np.allclose(A @ z, b, atol=1e-10)
 
+    def test_inner_below_one_rejected(self, golden_box_2d):
+        hier, _ = golden_box_2d
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            VCyclePreconditioner(hier, inner=0)
+
     def test_zero_rhs_zero_correction(self, poisson_problem):
         mesh, spec, A, b = poisson_problem
         hier = build_hierarchy(mesh, CoarsenConfig("greedy", seed=1),
@@ -389,13 +393,13 @@ class TestVCycle:
                 with pytest.raises(DivergenceError, match="non-finite"):
                     M(r)
 
-    @pytest.mark.parametrize("inner,applications", [(1, 3), (3, 3), (2, 1)])
+    @pytest.mark.parametrize("inner,applications",
+                             [(inner, SMOOTHING_APPLICATIONS) for inner in (1, 2, 3)])
     def test_products_per_level(self, golden_box_2d, inner, applications):
         # the pre-smoother's residual is restricted as it is: no product
         # recomputes it, so a level makes 2 * applications * inner + 1
         hier, b = golden_box_2d
-        M = VCyclePreconditioner(hier, SmootherConfig(inner=inner,
-                                                      applications=applications))
+        M = VCyclePreconditioner(hier, inner=inner)
         for ops in (M.operators, M.restrictions, M.prolongations):
             ops[:] = [Counted(op) for op in ops]
         M(b)
@@ -416,7 +420,7 @@ class TestVCycle:
             hier = build_hierarchy(mesh, CoarsenConfig(alg, seed=1),
                                    materials=spec.materials, operator=A)
             for inner in (1, 3):
-                got = VCyclePreconditioner(hier, SmootherConfig(inner=inner))(r)
+                got = VCyclePreconditioner(hier, inner=inner)(r)
                 want = _reference_vcycle(hier, r, inner, 3)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
                     (alg, inner)
