@@ -111,10 +111,10 @@ def _group_pairs(indptr, ids):
     return src[keep], dst[keep]
 
 
-def _incidence(indptr, ids, n_cols, weight=None):
-    """Sparse matrix of a CSR's pattern: ones, or ``weight[ids]`` with the
-    zeros dropped."""
-    data = np.ones(len(ids)) if weight is None else weight[ids].astype(float)
+def _incidence(indptr, ids, n_cols, data=None):
+    """Sparse matrix of a CSR's pattern: ones, or ``data`` (one value per
+    entry) with the zeros dropped."""
+    data = np.ones(len(ids)) if data is None else data.astype(float)
     m = sp.csr_matrix((data, ids, indptr), shape=(len(indptr) - 1, n_cols))
     m.eliminate_zeros()
     return m
@@ -143,13 +143,15 @@ def _face_adjacency(topo: LevelTopology):
     On coarse levels the face node sets are coarse nodes and the same rule
     applies: at least one shared node in 2D, at least two in 3D.
     """
-    faces = topo.faces
-    if topo.dim == 3 and topo.edges is not None:
-        groups, min_shared = (topo.edges.face_indptr, topo.edges.face_ids), 1
-    else:
-        groups, min_shared = (faces.node_face_indptr, faces.node_face_ids), topo.dim - 1
-    return _off_diagonal(_co_counts(_incidence(*groups, faces.n_faces, faces.interior)),
-                         min_shared)
+    faces, edges = topo.faces, topo.edges
+    if topo.dim == 3 and edges is not None:
+        edge_faces = _incidence(edges.face_indptr, edges.face_ids, faces.n_faces,
+                                faces.interior[edges.face_ids])
+        return _off_diagonal(_co_counts(edge_faces), 1)
+    # the node -> face incidence: the transpose of the interior faces' node lists
+    face_nodes = _incidence(faces.node_indptr, faces.node_ids, topo.n_nodes,
+                            np.repeat(faces.interior, np.diff(faces.node_indptr)))
+    return _off_diagonal(_co_counts(face_nodes.T), topo.dim - 1)
 
 
 def _element_companion_faces(topo: LevelTopology):
@@ -315,7 +317,7 @@ def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
     """
     edges, faces = topo.edges, topo.faces
     edge_faces = _incidence(edges.face_indptr, edges.face_ids, faces.n_faces)
-    adj, shared = _edge_adjacency(edges, edge_faces)
+    adj, shared = _edge_adjacency(topo, edge_faces)
     # the distinct faces adjacent to each edge's faces: the pattern of the
     # product of the edge -> face and face -> face incidences
     near_faces = edge_faces @ _incidence(*face_adj, faces.n_faces)
@@ -326,12 +328,13 @@ def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
                  side=(face_w, (near_faces.indptr, near_faces.indices)))
 
 
-def _edge_adjacency(edges, edge_faces):
+def _edge_adjacency(topo, edge_faces):
     """CSRs of the edges sharing a node with each edge, and of those of
     them that also share a face (``edge_faces``, the edge -> face
-    incidence): off-diagonal products of the incidences."""
-    by_node = _co_counts(_incidence(edges.node_edge_indptr, edges.node_edge_ids,
-                                    edges.n_edges))
+    incidence): off-diagonal products of the incidences. The node -> edge
+    incidence is the transpose of the edges' end-node rows."""
+    by_node = _co_counts(_incidence(np.arange(0, 2 * topo.edges.n_edges + 1, 2),
+                                    topo.edges.nodes.ravel(), topo.n_nodes).T)
     by_face = _co_counts(edge_faces.T.tocsr())
     both = by_node.multiply(by_face).tocsr()
     both.sort_indices()

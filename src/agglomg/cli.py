@@ -170,12 +170,9 @@ def cmd_coarsen(args) -> int:
 
 
 def _sweep_one(payload):
-    mesh, config, size, lower, problem, do_solve, stop = payload
-    alg = config.algorithm
-    # a row run without a size is built at the schedule's top size
-    top = size if size is not None else level_schedule(mesh.dim).top
+    mesh, config, schedule, problem, do_solve, stop = payload
+    alg, top = config.algorithm, schedule.top
     try:
-        schedule = level_schedule(mesh.dim, top=size, lower=lower)
         if do_solve:
             spec = ProblemSpec(problem)
             x, report, hier = solve_problem(mesh, spec, config,
@@ -221,7 +218,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sizes = [None] if args.size is None else _size_list(args.size)
     mesh = _load_mesh(args)
-    payloads = [(mesh, _make_config(args, s), s, args.lower_size, args.problem,
+    # every size is checked before any row runs; a row run without a size
+    # is built at the schedule's top size
+    payloads = [(mesh, _make_config(args, s),
+                 level_schedule(mesh.dim, top=s, lower=args.lower_size), args.problem,
                  args.solve, _stop(args))
                 for s in sizes]
     # the pool starts all its workers at once: no more than there are rows

@@ -24,10 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh,
-                   MaterialTable, _collapse_pairs, _components, _csr_from_pairs,
-                   _dual_from_faces, _first_appearance, _gather_ragged, _indptr,
-                   _order_by, _row_sums, _sort_keys, _unique_pairs)
+from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh, MaterialTable,
+                   _collapse_pairs, _components, _csr_from_pairs, _first_appearance,
+                   _gather_ragged, _indptr, _order_by, _row_sums, _sort_keys, _unique_pairs)
 from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
@@ -630,24 +629,13 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     fface = np.concatenate([np.arange(nf), np.flatnonzero(right >= 0)])
     ef_indptr, ef_ids = _csr_from_pairs(fsrc, fface, nagg)
 
-    nface = np.repeat(np.arange(nf), np.diff(node_indptr))
-    nf_indptr, nf_ids = _csr_from_pairs(node_ids, nface, nc)
-
     new_faces = FaceSet(node_indptr=node_indptr, node_ids=node_ids,
                         left=left, right=right, area=area, tag=tag,
-                        elem_indptr=ef_indptr, elem_face_ids=ef_ids,
-                        node_face_indptr=nf_indptr, node_face_ids=nf_ids)
-
-    dual = _dual_from_faces(new_faces, elem_volume)
+                        elem_indptr=ef_indptr, elem_face_ids=ef_ids)
 
     an, aa = _node_agg_pairs(topo, agg)
     keep = col_of[an] >= 0
-    ne_indptr, ne_ids = _csr_from_pairs(col_of[an[keep]], aa[keep], nc)
-
-    bd_mask = right == BOUNDARY
-    node_bd = np.zeros(nc, dtype=bool)
-    node_bd[node_ids[np.repeat(bd_mask, np.diff(node_indptr))]] = True
-    elem_bd_area = np.bincount(left[bd_mask], weights=area[bd_mask], minlength=nagg)
+    node_elem = _csr_from_pairs(col_of[an[keep]], aa[keep], nc)
 
     edges = None
     if coarse_edges is not None and len(coarse_edges.endpoints):
@@ -660,24 +648,10 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
         on = sides >= 0
         el_indptr, el_ids = _csr_from_pairs(
             *_unique_pairs(edge_of[on], sides[on], nagg), n_edges)
-        ne2_indptr, ne2_ids = _csr_from_pairs(
-            enodes.ravel(), np.repeat(np.arange(n_edges), 2), nc)
         edges = EdgeSet(nodes=enodes, face_indptr=ce.face_indptr, face_ids=ce.face_ids,
-                        elem_indptr=el_indptr, elem_ids=el_ids,
-                        node_edge_indptr=ne2_indptr, node_edge_ids=ne2_ids)
+                        elem_indptr=el_indptr, elem_ids=el_ids)
 
-    return LevelTopology(
-        dim=topo.dim,
-        n_elements=nagg,
-        n_nodes=nc,
-        elem_boundary_area=elem_bd_area,
-        faces=new_faces,
-        edges=edges,
-        dual=dual,
-        node_elem_indptr=ne_indptr,
-        node_elem_ids=ne_ids,
-        node_boundary=node_bd,
-    )
+    return LevelTopology.from_faces(topo.dim, new_faces, elem_volume, node_elem, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,11 @@ def _best_neighbour(indptr, indices, weight, labels, members, sizes, exclude=-1)
 
 @dataclass
 class FaceSet:
-    """All (dim-1)-faces of one level, with element and node incidence.
+    """All (dim-1)-faces of one level, with their nodes and elements.
 
     Node lists are ragged (CSR layout) so the same container also holds
-    coarse faces, whose node sets are the coarse nodes lying on them.
+    coarse faces, whose node sets are the coarse nodes lying on them. The
+    node -> face incidence is their transpose, taken where it is read.
     """
 
     node_indptr: np.ndarray
@@ -294,8 +295,6 @@ class FaceSet:
     tag: np.ndarray       # -1 for interior faces
     elem_indptr: np.ndarray
     elem_face_ids: np.ndarray
-    node_face_indptr: np.ndarray
-    node_face_ids: np.ndarray
 
     @property
     def n_faces(self) -> int:
@@ -308,15 +307,15 @@ class FaceSet:
 
 @dataclass
 class EdgeSet:
-    """Edges of a 3D level: node pair, incident faces and elements."""
+    """Edges of a 3D level: node pair, incident faces and elements. The
+    node -> edge incidence is the transpose of ``nodes``, taken where it
+    is read."""
 
     nodes: np.ndarray           # (E, 2) endpoint node ids
     face_indptr: np.ndarray
     face_ids: np.ndarray
     elem_indptr: np.ndarray
     elem_ids: np.ndarray
-    node_edge_indptr: np.ndarray
-    node_edge_ids: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -343,7 +342,9 @@ class DualGraph:
 class LevelTopology:
     """Everything the coarsening machinery needs from one grid level.
 
-    Element volumes are the dual graph's vertex weights.
+    Element volumes are the dual graph's vertex weights. Every level, the
+    finest one too, is built by :meth:`from_faces`, which derives the dual
+    graph, the element boundary areas and the boundary nodes from the faces.
     """
 
     dim: int
@@ -356,6 +357,33 @@ class LevelTopology:
     node_elem_indptr: np.ndarray
     node_elem_ids: np.ndarray
     node_boundary: np.ndarray
+
+    @classmethod
+    def from_faces(cls, dim: int, faces: FaceSet, volumes: np.ndarray,
+                   node_elem: tuple, edges: EdgeSet | None = None) -> "LevelTopology":
+        """A level of element ``volumes`` bounded by ``faces``, with the
+        node -> element CSR ``node_elem`` (indptr, ids).
+
+        Parallel faces between the same element pair collapse into one dual
+        edge weighted by their summed area.
+        """
+        n_elements, n_nodes = len(volumes), len(node_elem[0]) - 1
+        interior = faces.interior
+        li, ri, ar = faces.left[interior], faces.right[interior], faces.area[interior]
+        indptr, indices, weight, count = _collapse_pairs(
+            np.concatenate([li, ri]), np.concatenate([ri, li]), np.concatenate([ar, ar]),
+            n_elements)
+        bd = ~interior
+        node_bd = np.zeros(n_nodes, dtype=bool)
+        node_bd[faces.node_ids[np.repeat(bd, np.diff(faces.node_indptr))]] = True
+        return cls(dim=dim, n_elements=n_elements, n_nodes=n_nodes,
+                   elem_boundary_area=np.bincount(faces.left[bd], weights=faces.area[bd],
+                                                  minlength=n_elements),
+                   faces=faces, edges=edges,
+                   dual=DualGraph(indptr=indptr, indices=indices, edge_weight=weight,
+                                  vertex_weight=volumes, edge_faces=count),
+                   node_elem_indptr=node_elem[0], node_elem_ids=node_elem[1],
+                   node_boundary=node_bd)
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "LevelTopology":
@@ -390,40 +418,19 @@ class LevelTopology:
         bd = right == BOUNDARY
         tag[bd] = [mesh.boundary_tag.get(tuple(f), 0) for f in face_nodes[bd].tolist()]
 
-        # element -> face ids, in local-face order
-        elem_indptr = np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64)
-
-        nf_indptr, nf_ids = _csr_from_unsorted(face_nodes.ravel(),
-                                               np.repeat(np.arange(n_faces), dim),
-                                               mesh.n_nodes)
-
         faces = FaceSet(
             node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
             node_ids=face_nodes.ravel().copy(),
             left=left, right=right, area=area, tag=tag,
-            elem_indptr=elem_indptr, elem_face_ids=elem_face_ids,
-            node_face_indptr=nf_indptr, node_face_ids=nf_ids,
+            # element -> face ids, in local-face order
+            elem_indptr=np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64),
+            elem_face_ids=elem_face_ids,
         )
-
-        dual = _dual_from_faces(faces, element_measures(mesh))
-        edges = _build_edges(mesh, face_nodes) if dim == 3 else None
-        elem_bd_area = np.bincount(left[bd], weights=area[bd], minlength=mesh.n_elements)
-        elem_of = np.repeat(np.arange(mesh.n_elements), k)
-        ne_indptr, ne_ids = _csr_from_unsorted(mesh.elements.ravel(), elem_of, mesh.n_nodes)
-        node_bd = np.zeros(mesh.n_nodes, dtype=bool)
-        node_bd[face_nodes[bd]] = True
-        return cls(
-            dim=dim,
-            n_elements=mesh.n_elements,
-            n_nodes=mesh.n_nodes,
-            elem_boundary_area=elem_bd_area,
-            faces=faces,
-            edges=edges,
-            dual=dual,
-            node_elem_indptr=ne_indptr,
-            node_elem_ids=ne_ids,
-            node_boundary=node_bd,
-        )
+        node_elem = _csr_from_unsorted(mesh.elements.ravel(),
+                                       np.repeat(np.arange(mesh.n_elements), k),
+                                       mesh.n_nodes)
+        return cls.from_faces(dim, faces, element_measures(mesh), node_elem,
+                              _build_edges(mesh, face_nodes) if dim == 3 else None)
 
 
 def _signed_measures(coords: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -465,18 +472,6 @@ def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
-def _dual_from_faces(faces: FaceSet, volumes: np.ndarray) -> DualGraph:
-    interior = faces.interior
-    li, ri = faces.left[interior], faces.right[interior]
-    ar = faces.area[interior]
-    # collapse parallel faces between the same element pair
-    indptr, indices, weight, count = _collapse_pairs(
-        np.concatenate([li, ri]), np.concatenate([ri, li]), np.concatenate([ar, ar]),
-        len(volumes))
-    return DualGraph(indptr=indptr, indices=indices, edge_weight=weight,
-                     vertex_weight=volumes, edge_faces=count)
-
-
 def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
     """Edges of a tet mesh, given its (F, 3) sorted face node tuples.
 
@@ -503,11 +498,8 @@ def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
     from_face = order < face_slots
     f_indptr = _indptr(edge_of[from_face], n_edges)
     e_indptr = _indptr(edge_of[~from_face], n_edges)
-    ne_indptr, ne_ids = _csr_from_unsorted(nodes.ravel(), np.repeat(np.arange(n_edges), 2),
-                                           n)
     return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=order[from_face] // 3,
-                   elem_indptr=e_indptr, elem_ids=(order[~from_face] - face_slots) // 6,
-                   node_edge_indptr=ne_indptr, node_edge_ids=ne_ids)
+                   elem_indptr=e_indptr, elem_ids=(order[~from_face] - face_slots) // 6)
 
 
 def _enumerate_faces(elements: np.ndarray, dim: int):

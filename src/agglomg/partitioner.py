@@ -437,36 +437,37 @@ def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
     """Reassign every non-largest fragment of a part to the part it shares
-    the most edge weight with (ties to the lowest id)."""
+    the most edge weight with (ties to the lowest id), in one pass.
+
+    The components of every part are found at once; only a part in several
+    pieces has fragments. A fragment left in place has no neighbour outside
+    its part, so it is a whole component of the graph. One that moves is
+    adjacent to its target's kept piece, or to a part whose turn is still
+    to come, which is marked ``grown`` and recomputed in its turn. Each part
+    thus ends as one piece plus whole components, and a second pass would
+    change nothing.
+    """
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     indptr, indices, ewgt, where = map(memoryview, (graph.indptr, graph.indices,
                                                     graph.ewgt, part))
-    for _ in range(4):
-        changed = False
-        # components of every part at once. Only a part in several pieces
-        # has fragments: one that gains an adjacent fragment stays in one
-        # piece, and a split one that gains some is recomputed in its turn
-        same = part[src] == part[graph.indices]
-        labels = _components(src[same], graph.indices[same], graph.n)
-        split = np.bincount(_unique_pairs(part, labels, graph.n)[0], minlength=k) > 1
-        grown = np.zeros(k, dtype=bool)
-        for p in np.flatnonzero(split).tolist():
-            members = np.flatnonzero(part == p)
-            own = (_induced_components(graph.indptr, graph.indices, members) if grown[p]
-                   else _first_appearance(labels[members]))
-            if own.max() == 0:
-                continue
-            comps = np.split(members[np.argsort(own, kind="stable")],
-                             np.cumsum(np.bincount(own))[:-1])
-            comps.sort(key=lambda c: (-int(graph.vwgt[c].sum()), int(c[0])))
-            for frag in comps[1:]:
-                conn = _neighbour_weights(indptr, indices, ewgt, where, frag.tolist(),
-                                          exclude=p)
-                if not conn:
-                    continue  # fragment isolated from all other parts
-                target = max(sorted(conn), key=lambda q: conn[q])
-                part[frag] = target
-                grown[target] = True
-                changed = True
-        if not changed:
-            return
+    same = part[src] == part[graph.indices]
+    labels = _components(src[same], graph.indices[same], graph.n)
+    split = np.bincount(_unique_pairs(part, labels, graph.n)[0], minlength=k) > 1
+    grown = np.zeros(k, dtype=bool)
+    for p in np.flatnonzero(split).tolist():
+        members = np.flatnonzero(part == p)
+        own = (_induced_components(graph.indptr, graph.indices, members) if grown[p]
+               else _first_appearance(labels[members]))
+        if own.max() == 0:
+            continue
+        comps = np.split(members[np.argsort(own, kind="stable")],
+                         np.cumsum(np.bincount(own))[:-1])
+        comps.sort(key=lambda c: (-int(graph.vwgt[c].sum()), int(c[0])))
+        for frag in comps[1:]:
+            conn = _neighbour_weights(indptr, indices, ewgt, where, frag.tolist(),
+                                      exclude=p)
+            if not conn:
+                continue  # fragment isolated from all other parts
+            target = max(sorted(conn), key=lambda q: conn[q])
+            part[frag] = target
+            grown[target] = True

@@ -54,13 +54,8 @@ def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
     face_of = np.repeat(np.arange(len(face_nodes)), 3)
     f_indptr, f_ids = _csr_from_pairs(edge_id, face_of, n_edges)
 
-    node_of_edge = nodes.ravel()
-    edge_of_node = np.repeat(np.arange(n_edges), 2)
-    ne_indptr, ne_ids = _csr_from_pairs(node_of_edge, edge_of_node, n)
-
     return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=f_ids,
-                   elem_indptr=e_indptr, elem_ids=e_ids,
-                   node_edge_indptr=ne_indptr, node_edge_ids=ne_ids)
+                   elem_indptr=e_indptr, elem_ids=e_ids)
 
 
 def _enumerate_faces(elements: np.ndarray, dim: int):
@@ -93,7 +88,8 @@ def _face_adjacency(topo: LevelTopology):
     if topo.dim == 3 and topo.edges is not None:
         groups, min_shared = (topo.edges.face_indptr, topo.edges.face_ids), 1
     else:
-        groups, min_shared = (faces.node_face_indptr, faces.node_face_ids), topo.dim - 1
+        groups = _invert_csr(faces.node_indptr, faces.node_ids, topo.n_nodes)
+        min_shared = topo.dim - 1
     src, dst = _group_pairs(*groups)
     keep = faces.interior[src] & faces.interior[dst]
     src, dst = src[keep], dst[keep]
@@ -111,14 +107,16 @@ def _pairs_given(a, b, n, min_count):
     return key // n, key % n
 
 
-def _edge_adjacency(edges, n_faces):
+def _edge_adjacency(topo: LevelTopology):
     """CSRs of the edges sharing a node with each edge, and of those of
     them that also share a face."""
+    edges = topo.edges
     n = edges.n_edges
-    nsrc, ndst = _unique_pairs(
-        *_group_pairs(edges.node_edge_indptr, edges.node_edge_ids), n)
+    node_edges = _invert_csr(np.arange(0, 2 * n + 1, 2), edges.nodes.ravel(), topo.n_nodes)
+    nsrc, ndst = _unique_pairs(*_group_pairs(*node_edges), n)
     fsrc, fdst = _unique_pairs(
-        *_group_pairs(*_invert_csr(edges.face_indptr, edges.face_ids, n_faces)), n)
+        *_group_pairs(*_invert_csr(edges.face_indptr, edges.face_ids, topo.faces.n_faces)),
+        n)
     # a pair found both ways shares a node and a face
     ssrc, sdst = _pairs_given(np.concatenate([nsrc, fsrc]),
                               np.concatenate([ndst, fdst]), n, 2)

@@ -165,16 +165,35 @@ class TestSweep:
             assert {k: v for k, v in x.items() if k not in drop} == \
                 {k: v for k, v in y.items() if k not in drop}
 
-    def test_failed_row_recorded(self, tmp_path, capsys):
+    def test_failed_row_recorded(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "fail.csv"
-        # a size below 2 fails its own row, not the sweep
+        build = cli.build_hierarchy
+
+        def fail_at_size_1000(mesh, config, schedule, stop):
+            if schedule.top == 1000:
+                raise RuntimeError("build failed")
+            return build(mesh, config, schedule=schedule, stop=stop)
+
+        # a row whose build raises fails its own row, not the sweep
+        monkeypatch.setattr(cli, "build_hierarchy", fail_at_size_1000)
         code, _, _ = run(["sweep", "--gen-2d", "16", "--alg", "sizebased",
-                          "--size", "4,1", "--csv", str(path)], capsys)
+                          "--size", "4,1000", "--jobs", "1", "--csv", str(path)], capsys)
         assert code == 0
         rows = list(csv.DictReader(path.open()))
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("failed: agglomerate sizes must be >= 2")
+        assert rows[1]["status"] == "failed: build failed"
+
+    @pytest.mark.parametrize("sizes", [["--size", "4,1"], ["--lower-size", "1"]],
+                             ids=["size", "lower"])
+    def test_size_below_two_exits_one(self, tmp_path, capsys, sizes):
+        # a size below 2 used to fail only its own row, and the sweep exited 0
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(["sweep", "--gen-2d", "4", "--alg", "greedy", "--csv",
+                              str(path)] + sizes, capsys)
+        assert code == 1
+        assert "agglomerate sizes must be >= 2" in err
+        assert "wrote" not in out and not path.exists()
 
 
     @pytest.mark.parametrize("size", [",", "4,,8"])

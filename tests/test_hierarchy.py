@@ -19,6 +19,7 @@ from agglomg.solver import ProblemSpec, VCyclePreconditioner, assemble_problem, 
 
 import reference_kernels as ref
 from invariants import check_hierarchy, coarse_nodes
+from test_agglomerate import _two_boxes
 
 
 @pytest.fixture(scope="module")
@@ -308,11 +309,30 @@ class TestProlongation:
         values[cols[12]] = 3.0
         assert (P @ values)[11] == pytest.approx(2.0)
 
-    def test_interior_equal_thirds(self):
-        # synthetic check of the equal-weight rule instance
-        w = np.full(3, 1.0 / 3.0)
-        assert w.sum() == pytest.approx(1.0)
-        assert np.unique(w).size == 1
+    @pytest.mark.parametrize("ring_limit,far_row", [(hi.SEARCH_RING_LIMIT, [0.5, 0.5]),
+                                                     (100, [1.0, 0.0])],
+                             ids=["capped", "uncapped"])
+    def test_ring_cap_falls_back_to_agglomerate(self, monkeypatch, ring_limit, far_row):
+        # one agglomerate of a 48x48 box whose coarse nodes are the lattice
+        # corners (0, 0) and (0, 48); node id = 49 * i + j at lattice (i, j)
+        monkeypatch.setattr(hi, "SEARCH_RING_LIMIT", ring_limit)
+        topo = LevelTopology.from_mesh(generate_mesh(2, 48, extent=1.0))
+        agg = Agglomeration(np.zeros(topo.n_elements))
+        P = build_prolongation(topo, agg, select_coarse_faces(topo, agg), np.array([0, 48]))
+        # (3, 3) finds (0, 0) in its first rings; (47, 24) is 47 mesh edges
+        # from (0, 0) and 71 from (0, 48), so under the 20-ring cap it
+        # averages its agglomerate's coarse nodes
+        assert P[49 * 3 + 3].toarray().ravel().tolist() == [1.0, 0.0]
+        assert P[49 * 47 + 24].toarray().ravel().tolist() == far_row
+
+    def test_stalled_rings_without_coarse_node_raise(self):
+        # two disjoint boxes, one agglomerate each, and a coarse node in the
+        # first box only: the second box's rings stop growing, and its
+        # agglomerate has no coarse node to average
+        topo = LevelTopology.from_mesh(_two_boxes(2, 4))
+        agg = Agglomeration(np.repeat([0, 1], topo.n_elements // 2))
+        with pytest.raises(CoarseningError, match="node 25: agglomerate has no coarse nodes"):
+            build_prolongation(topo, agg, select_coarse_faces(topo, agg), np.array([0]))
 
 
 class TestRestriction:

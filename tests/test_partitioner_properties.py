@@ -91,3 +91,16 @@ def test_parts_lie_in_their_bands(case, seed):
     weights = np.bincount(pt.partition_kway(graph, k, seed=seed), weights=graph.vwgt,
                           minlength=k)
     assert ((lo <= weights) & (weights <= hi)).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph=hostile_graphs(), k=st.integers(1, 12), seed=st.integers(0, 3))
+def test_contiguity_pass_is_final(graph, k, seed):
+    """One ``_enforce_contiguity`` pass leaves each part one piece per
+    component of the graph, so a second pass changes nothing."""
+    part = np.random.default_rng(seed).integers(0, k, graph.n)
+    pt._enforce_contiguity(graph, part, k)
+    assert connected_per_component(graph, part)
+    again = part.copy()
+    pt._enforce_contiguity(graph, again, k)
+    assert np.array_equal(again, part)

@@ -101,8 +101,7 @@ def test_kraus_level_kernels_match_reference(n):
     for topo, coarse_faces, coarse_edges in kraus_levels(n):
         edges = topo.edges
         edge_faces = ag._incidence(edges.face_indptr, edges.face_ids, topo.faces.n_faces)
-        assert_same(ag._edge_adjacency(edges, edge_faces),
-                    ref._edge_adjacency(edges, topo.faces.n_faces))
+        assert_same(ag._edge_adjacency(topo, edge_faces), ref._edge_adjacency(topo))
         assert_same(ag._face_adjacency(topo), ref._face_adjacency(topo))
         assert_same(coarse_edges, ref.select_coarse_edges(topo, coarse_faces))
         flipped = dataclasses.replace(topo, edges=dataclasses.replace(
