@@ -9,15 +9,16 @@ contiguous and densely numbered. Weighted-face growth (jones, kraus) is
 deterministic: one growth kernel, :func:`_grow`, follows maximal-weight
 faces or edges (the 3D kraus edge phase), and each sweep only builds its
 adjacency arrays for it, as off-diagonal patterns of sparse incidence
-products (kraus builds its face adjacency once for both phases). Its
+products, and the element -> face and edge -> element lists from the
+face sides (kraus builds both face arrays once for both phases). Its
 queue of starts is a heap of the entities of positive weight, each pushed
 once per agglomerate that bumps it, after that agglomerate is done, plus
 a forward-only cursor over the entities of weight 0; it pops in the same
 (-weight, id) order as a heap pushed on every bump, with a few times
-fewer entries. The sequential loops (growth,
-the rgb, node and greedy visits, aspect's moves, cleanup's re-homing)
-visit one entry at a time, so they run on lists and memoryviews, which
-yield plain numbers: numpy scalar indexing costs about twice as much.
+fewer entries. The sequential loops (growth, the rgb, node and greedy
+visits, aspect's moves, cleanup's re-homing) visit one entry at a time,
+so they run on lists and memoryviews, which yield plain numbers: numpy
+scalar indexing costs about twice as much.
 The randomized algorithms draw an explicit 64-bit seed through a
 counter-based generator, never global RNG state.
 """
@@ -154,11 +155,34 @@ def _face_adjacency(topo: LevelTopology):
     return _off_diagonal(_co_counts(face_nodes.T), topo.dim - 1)
 
 
-def _element_companion_faces(topo: LevelTopology):
-    """CSR: for each interior face, the other interior faces of its elements
-    (once per element they share)."""
+def _element_faces(topo: LevelTopology):
+    """CSR element -> face, the transpose of the face sides: each row lists
+    the faces an element is the left side of, then those it is the right
+    side of, each ascending."""
     faces = topo.faces
-    src, dst = _group_pairs(faces.elem_indptr, faces.elem_face_ids)
+    inner = np.flatnonzero(faces.interior)
+    return _csr_from_unsorted(np.concatenate([faces.left, faces.right[inner]]),
+                              np.concatenate([np.arange(faces.n_faces), inner]),
+                              topo.n_elements)
+
+
+def _edge_elements(topo: LevelTopology):
+    """CSR edge -> element (3D): the distinct sides of each edge's faces,
+    ascending."""
+    edges, faces = topo.edges, topo.faces
+    edge_of = np.tile(np.repeat(np.arange(edges.n_edges), np.diff(edges.face_indptr)), 2)
+    sides = np.concatenate([faces.left[edges.face_ids], faces.right[edges.face_ids]])
+    on = sides >= 0
+    edge, elem = _unique_pairs(edge_of[on], sides[on], topo.n_elements)
+    return _indptr(edge, edges.n_edges), elem
+
+
+def _element_companion_faces(topo: LevelTopology, elem_faces):
+    """CSR: for each interior face, the other interior faces of its elements
+    (once per element they share), from the element -> face CSR
+    ``elem_faces``."""
+    faces = topo.faces
+    src, dst = _group_pairs(*elem_faces)
     keep = faces.interior[src] & faces.interior[dst]
     return _csr_from_unsorted(src[keep], dst[keep], faces.n_faces)
 
@@ -265,19 +289,19 @@ def _grow(weight, assign, next_id, elements, bumps, pool, clears, side=None):
     return next_id
 
 
-def _face_sweep(topo, adj, face_w, assign, next_id, restrict_g):
+def _face_sweep(topo, adj, elem_faces, face_w, assign, next_id, restrict_g):
     """Grow agglomerates along maximal-weight interior faces.
 
     A face is bumped by its adjacent faces (``adj``, from
-    :func:`_face_adjacency`) and by the other faces of its elements.
-    ``restrict_g`` confines the growth-face choice to faces sharing an
-    element with the current face (the kraus variant).
+    :func:`_face_adjacency`) and by the other faces of its elements
+    (``elem_faces``, from :func:`_element_faces`). ``restrict_g`` confines
+    the growth-face choice to faces sharing an element with the current
+    face (the kraus variant).
     """
     faces = topo.faces
-    companions = _element_companion_faces(topo)
+    companions = _element_companion_faces(topo, elem_faces)
     sides = (np.arange(0, 2 * faces.n_faces + 1, 2),
              np.column_stack([faces.left, faces.right]).ravel())
-    elem_faces = (faces.elem_indptr, faces.elem_face_ids)
     return _grow(face_w, assign, next_id, sides, [adj, companions],
                  companions if restrict_g else adj, [(face_w, elem_faces)])
 
@@ -286,7 +310,8 @@ def _jones(topo):
     """Deterministic growth along maximal-weight interior faces."""
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
-    _face_sweep(topo, _face_adjacency(topo), face_w, assign, 0, restrict_g=False)
+    _face_sweep(topo, _face_adjacency(topo), _element_faces(topo), face_w, assign, 0,
+                restrict_g=False)
     return assign
 
 
@@ -295,25 +320,27 @@ def _kraus(topo):
 
     In 2D only the face phase runs; unlike jones, the growth face must
     share an element with the current one. Both phases read one face
-    adjacency.
+    adjacency and one element -> face CSR.
     """
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
-    adj = _face_adjacency(topo)
+    adj, elem_faces = _face_adjacency(topo), _element_faces(topo)
     next_id = 0
     if topo.dim == 3 and topo.edges is not None and topo.edges.n_edges:
         edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
-        next_id = _edge_sweep(topo, adj, edge_w, face_w, assign, next_id)
-    _face_sweep(topo, adj, face_w, assign, next_id, restrict_g=True)
+        next_id = _edge_sweep(topo, adj, elem_faces, edge_w, face_w, assign, next_id)
+    _face_sweep(topo, adj, elem_faces, face_w, assign, next_id, restrict_g=True)
     return assign
 
 
-def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
+def _edge_sweep(topo, face_adj, elem_faces, edge_w, face_w, assign, next_id):
     """Grow agglomerates along maximal-weight edges (3D kraus).
 
     An edge is bumped by the edges sharing a node with it, once more by
     those that also share a face, and follows the latter; each step also
-    bumps the faces adjacent to the current edge's faces, once each.
+    bumps the faces adjacent to the current edge's faces, once each. A
+    finished agglomerate consumes its elements' edges and faces
+    (``elem_faces``, from :func:`_element_faces`).
     """
     edges, faces = topo.edges, topo.faces
     edge_faces = _incidence(edges.face_indptr, edges.face_ids, faces.n_faces)
@@ -321,9 +348,9 @@ def _edge_sweep(topo, face_adj, edge_w, face_w, assign, next_id):
     # the distinct faces adjacent to each edge's faces: the pattern of the
     # product of the edge -> face and face -> face incidences
     near_faces = edge_faces @ _incidence(*face_adj, faces.n_faces)
-    clears = [(edge_w, _invert_csr(edges.elem_indptr, edges.elem_ids, topo.n_elements)),
-              (face_w, (faces.elem_indptr, faces.elem_face_ids))]
-    return _grow(edge_w, assign, next_id, (edges.elem_indptr, edges.elem_ids),
+    edge_elems = _edge_elements(topo)
+    clears = [(edge_w, _invert_csr(*edge_elems, topo.n_elements)), (face_w, elem_faces)]
+    return _grow(edge_w, assign, next_id, edge_elems,
                  [adj, shared], shared, clears,
                  side=(face_w, (near_faces.indptr, near_faces.indices)))
 

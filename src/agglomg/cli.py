@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     handlers = {"coarsen": cmd_coarsen, "sweep": cmd_sweep, "solve": cmd_solve}
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, ValueError, RuntimeError) as err:
+    except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -298,7 +298,8 @@ def _node_agg_pairs(topo, agg):
 
 
 def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
-    """Coarse-node mask of a level and which agglomerates it covers.
+    """Coarse-node mask of a level, which agglomerates it covers, and the
+    level's (node, agglomerate) pairs it read.
 
     Without coarse edges a node is coarse by the face-count rule. With them
     (the 3D kraus path) the coarse-edge endpoints are coarse, and an
@@ -326,7 +327,7 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
         covered = coverage(coarse)
         if not covered.all():
             coarse[an[~covered[aa] & face_count_rule()[an]]] = True
-    return coarse, coverage(coarse)
+    return coarse, coverage(coarse), (an, aa)
 
 
 def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
@@ -603,8 +604,11 @@ def galerkin_operator(fine_operator: sp.spmatrix,
 # coarse level topology
 
 def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: FacePatches,
-                     coarse_nodes: np.ndarray,
-                     coarse_edges: EdgeChains | None) -> LevelTopology:
+                     coarse_nodes: np.ndarray, coarse_edges: EdgeChains | None,
+                     node_aggs: tuple) -> LevelTopology:
+    """The level whose elements are ``agg``'s agglomerates, with
+    ``node_aggs``, the fine level's (node, agglomerate) pairs from
+    :func:`_coarse_mask`."""
     faces = topo.faces
     nagg = agg.n_agglomerates
     nc = len(coarse_nodes)
@@ -618,38 +622,23 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     # row's ascending fine faces, with the bits of ndarray.sum()
     cf = coarse_faces
     nf = cf.n_faces
-    left, right, tag = cf.left, cf.right, cf.tag
     area = _row_sums(cf.fine_face_indptr, faces.area[cf.fine_face_ids])
     # coarse nodes of each level face, ascending
     on = col_of[cf.node_ids] >= 0
     row_of = np.repeat(np.arange(nf), np.diff(cf.node_indptr))
     node_indptr, node_ids = _csr_from_pairs(row_of[on], col_of[cf.node_ids[on]], nf)
-
-    fsrc = np.concatenate([left, right[right >= 0]])
-    fface = np.concatenate([np.arange(nf), np.flatnonzero(right >= 0)])
-    ef_indptr, ef_ids = _csr_from_pairs(fsrc, fface, nagg)
-
     new_faces = FaceSet(node_indptr=node_indptr, node_ids=node_ids,
-                        left=left, right=right, area=area, tag=tag,
-                        elem_indptr=ef_indptr, elem_face_ids=ef_ids)
+                        left=cf.left, right=cf.right, area=area, tag=cf.tag)
 
-    an, aa = _node_agg_pairs(topo, agg)
+    an, aa = node_aggs
     keep = col_of[an] >= 0
     node_elem = _csr_from_pairs(col_of[an[keep]], aa[keep], nc)
 
     edges = None
     if coarse_edges is not None and len(coarse_edges.endpoints):
         ce = coarse_edges
-        n_edges = len(ce.endpoints)
-        enodes = np.sort(col_of[ce.endpoints], axis=1)
-        # the elements of a coarse edge: the agglomerates on its faces
-        edge_of = np.tile(np.repeat(np.arange(n_edges), np.diff(ce.face_indptr)), 2)
-        sides = np.concatenate([left[ce.face_ids], right[ce.face_ids]])
-        on = sides >= 0
-        el_indptr, el_ids = _csr_from_pairs(
-            *_unique_pairs(edge_of[on], sides[on], nagg), n_edges)
-        edges = EdgeSet(nodes=enodes, face_indptr=ce.face_indptr, face_ids=ce.face_ids,
-                        elem_indptr=el_indptr, elem_ids=el_ids)
+        edges = EdgeSet(nodes=np.sort(col_of[ce.endpoints], axis=1),
+                        face_indptr=ce.face_indptr, face_ids=ce.face_ids)
 
     return LevelTopology.from_faces(topo.dim, new_faces, elem_volume, node_elem, edges)
 
@@ -730,9 +719,9 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         if selection is None:
             stop_reason = "uncoverable"  # end one level early
             break
-        agg, cfs, cnodes, cedges = selection
+        agg, cfs, cnodes, cedges, node_aggs = selection
         P = build_prolongation(topo, agg, cfs, cnodes)
-        new_topo = _coarse_topology(topo, agg, cfs, cnodes, cedges)
+        new_topo = _coarse_topology(topo, agg, cfs, cnodes, cedges, node_aggs)
         new_mats = (project_materials(mats, agg, topo.dual.vertex_weight)
                     if mats is not None else None)
         new_A = galerkin_operator(A, P) if A is not None else None
@@ -752,7 +741,8 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
 
 
 def _coarse_selection(topo, agg, algorithm):
-    """Coarse faces, nodes and (kraus) edges, repairing deficient agglomerates.
+    """Coarse faces, nodes and (kraus) edges, repairing deficient
+    agglomerates, with the final round's (node, agglomerate) pairs.
 
     An agglomerate that owns no coarse node under the selection rule is
     merged into the neighbour it shares the most interface area with (the
@@ -764,9 +754,9 @@ def _coarse_selection(topo, agg, algorithm):
     while True:
         cfs = select_coarse_faces(topo, agg)
         cedges = select_coarse_edges(topo, cfs) if kraus3d else None
-        coarse, covered = _coarse_mask(topo, agg, cfs, cedges)
+        coarse, covered, node_aggs = _coarse_mask(topo, agg, cfs, cedges)
         if covered.all():
-            return agg, cfs, np.flatnonzero(coarse), cedges
+            return agg, cfs, np.flatnonzero(coarse), cedges, node_aggs
         merged = _merge_uncovered(topo, agg, np.flatnonzero(~covered))
         if merged.n_agglomerates == agg.n_agglomerates:
             return None

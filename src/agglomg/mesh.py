@@ -36,7 +36,6 @@ SOURCE_EXTENT = 2.0
 # local face index patterns: face i is the element with local node i removed
 _TRI_FACES = np.array([[1, 2], [0, 2], [0, 1]])
 _TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 # the positively oriented simplices generate_mesh cuts a lattice cell into,
 # as corner offsets: 2 triangles per square, and 6 Kuhn tetrahedra per cube,
 # one per path from (0,0,0) to (1,1,1) along the axes
@@ -280,11 +279,13 @@ def _best_neighbour(indptr, indices, weight, labels, members, sizes, exclude=-1)
 
 @dataclass
 class FaceSet:
-    """All (dim-1)-faces of one level, with their nodes and elements.
+    """All (dim-1)-faces of one level, with their nodes and their two sides.
 
     Node lists are ragged (CSR layout) so the same container also holds
     coarse faces, whose node sets are the coarse nodes lying on them. The
-    node -> face incidence is their transpose, taken where it is read.
+    node -> face incidence is their transpose, and the element -> face
+    incidence that of ``left`` and the interior ``right``; both are taken
+    where they are read.
     """
 
     node_indptr: np.ndarray
@@ -293,8 +294,6 @@ class FaceSet:
     right: np.ndarray     # BOUNDARY (-1) for boundary faces
     area: np.ndarray
     tag: np.ndarray       # -1 for interior faces
-    elem_indptr: np.ndarray
-    elem_face_ids: np.ndarray
 
     @property
     def n_faces(self) -> int:
@@ -307,15 +306,13 @@ class FaceSet:
 
 @dataclass
 class EdgeSet:
-    """Edges of a 3D level: node pair, incident faces and elements. The
-    node -> edge incidence is the transpose of ``nodes``, taken where it
-    is read."""
+    """Edges of a 3D level: node pair and incident faces. The node -> edge
+    incidence is the transpose of ``nodes``, and an edge's elements are
+    the sides of its faces; both are taken where they are read."""
 
     nodes: np.ndarray           # (E, 2) endpoint node ids
     face_indptr: np.ndarray
     face_ids: np.ndarray
-    elem_indptr: np.ndarray
-    elem_ids: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -345,6 +342,8 @@ class LevelTopology:
     Element volumes are the dual graph's vertex weights. Every level, the
     finest one too, is built by :meth:`from_faces`, which derives the dual
     graph, the element boundary areas and the boundary nodes from the faces.
+    A level stores no element -> face or edge -> element list: the jones
+    and kraus sweeps derive them from the face sides.
     """
 
     dim: int
@@ -396,7 +395,7 @@ class LevelTopology:
             raise ValueError("empty mesh")
         dim = mesh.dim
         k = dim + 1
-        face_nodes, elem_face_ids, order, counts = _enumerate_faces(mesh.elements, dim)
+        face_nodes, order, counts = _enumerate_faces(mesh.elements, dim)
         n_faces = len(face_nodes)
         if counts.max() > 2:
             f = int(np.argmax(counts > 2))
@@ -418,14 +417,9 @@ class LevelTopology:
         bd = right == BOUNDARY
         tag[bd] = [mesh.boundary_tag.get(tuple(f), 0) for f in face_nodes[bd].tolist()]
 
-        faces = FaceSet(
-            node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
-            node_ids=face_nodes.ravel().copy(),
-            left=left, right=right, area=area, tag=tag,
-            # element -> face ids, in local-face order
-            elem_indptr=np.arange(0, len(elem_face_ids) + 1, k, dtype=np.int64),
-            elem_face_ids=elem_face_ids,
-        )
+        faces = FaceSet(node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
+                        node_ids=face_nodes.ravel().copy(),
+                        left=left, right=right, area=area, tag=tag)
         node_elem = _csr_from_unsorted(mesh.elements.ravel(),
                                        np.repeat(np.arange(mesh.n_elements), k),
                                        mesh.n_nodes)
@@ -475,31 +469,21 @@ def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
 def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
     """Edges of a tet mesh, given its (F, 3) sorted face node tuples.
 
-    The edges of each face, (a, b), (a, c) and (b, c), are sorted already;
-    one sort of their keys together with those of each element's six
-    edges numbers the edges and lists each edge's faces and elements,
-    ascending, since a group's slots keep their input order.
+    Every edge of a tet lies on its faces. The edges of each face, (a, b),
+    (a, c) and (b, c), are sorted already; one sort of their keys numbers
+    the edges and lists each edge's faces, ascending, since a group's slots
+    keep their input order.
     """
     n = mesh.n_nodes
     a, b, c = face_nodes.T
-    ends = mesh.elements[:, _TET_EDGES]
-    lo = np.minimum(ends[..., 0], ends[..., 1]).ravel()
-    hi = np.maximum(ends[..., 0], ends[..., 1]).ravel()
-    face_slots = 3 * len(face_nodes)
-    keys, order = _sort_keys(np.concatenate([
-        np.column_stack([a * n + b, a * n + c, b * n + c]).ravel(), lo * n + hi]), n * n)
+    keys, order = _sort_keys(
+        np.column_stack([a * n + b, a * n + c, b * n + c]).ravel(), n * n)
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
-    edge_of = np.cumsum(new) - 1
-    n_edges = int(edge_of[-1]) + 1
     ukeys = keys[new]
-    nodes = np.column_stack([ukeys // n, ukeys % n])
-
-    from_face = order < face_slots
-    f_indptr = _indptr(edge_of[from_face], n_edges)
-    e_indptr = _indptr(edge_of[~from_face], n_edges)
-    return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=order[from_face] // 3,
-                   elem_indptr=e_indptr, elem_ids=(order[~from_face] - face_slots) // 6)
+    return EdgeSet(nodes=np.column_stack([ukeys // n, ukeys % n]),
+                   face_indptr=np.append(np.flatnonzero(new), len(keys)),
+                   face_ids=order // 3)
 
 
 def _enumerate_faces(elements: np.ndarray, dim: int):
@@ -507,8 +491,8 @@ def _enumerate_faces(elements: np.ndarray, dim: int):
 
     Slot ``e * (dim + 1) + i`` is face ``i`` of element ``e`` (the element
     with local node ``i`` removed). Returns the (F, dim) sorted face node
-    tuples, the face of each slot, the slots sorted by face with ties in
-    element order, and the number of slots on each face.
+    tuples, the slots sorted by face with ties in element order, and the
+    number of slots on each face.
 
     Each slot's nodes are sorted by min/max and grouped by one packed key,
     so node ids must stay below ``floor(2**(63/dim))``: 2**21 in 3D.
@@ -533,17 +517,15 @@ def _enumerate_faces(elements: np.ndarray, dim: int):
     skey, order = _sort_keys(key, n ** dim)
     new = np.ones(len(skey), dtype=bool)
     new[1:] = skey[1:] != skey[:-1]
-    slot_face = np.empty(len(skey), dtype=np.int64)
-    slot_face[order] = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
     first = order[starts]
     face_nodes = np.column_stack([col[first] for col in sorted_cols])
-    return face_nodes, slot_face, order, np.diff(starts, append=len(skey))
+    return face_nodes, order, np.diff(starts, append=len(skey))
 
 
 def boundary_node_mask(mesh: Mesh) -> np.ndarray:
     """Nodes lying on any boundary face, without full topology extraction."""
-    face_nodes, _, _, counts = _enumerate_faces(mesh.elements, mesh.dim)
+    face_nodes, _, counts = _enumerate_faces(mesh.elements, mesh.dim)
     mask = np.zeros(mesh.n_nodes, dtype=bool)
     mask[face_nodes[counts == 1]] = True
     return mask
@@ -618,7 +600,7 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
 
     # tag each boundary face by the first side, in the order low x, high x,
     # low y, ..., that holds all its lattice positions
-    face_nodes, _, _, counts = _enumerate_faces(elements, dim)
+    face_nodes, _, counts = _enumerate_faces(elements, dim)
     boundary_faces = face_nodes[counts == 1]
     pos = lattice[boundary_faces]
     on_side = np.stack([(pos == 0).all(axis=1), (pos == n).all(axis=1)], axis=2)

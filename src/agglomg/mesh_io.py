@@ -46,7 +46,9 @@ def read_msh(path):
     A boundary entity that is no face of any volume element (a triangle of
     a tetrahedral file, a line of a triangular one) indicates a
     mixed-dimensional mesh and is rejected, as are elements that name a
-    node the $Nodes section does not define.
+    node the $Nodes section does not define. An empty section, a short node
+    or element line and an element of the wrong node count raise
+    :class:`MshFormatError` naming the section or line.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -66,6 +68,9 @@ def read_msh(path):
             i = j + 1
         else:
             i += 1
+    for name, body in sections.items():
+        if name in ("MeshFormat", "Nodes", "Elements") and not (body and body[0]):
+            raise MshFormatError(f"empty ${name} section")
 
     if "MeshFormat" not in sections:
         raise MshFormatError("missing $MeshFormat section")
@@ -84,6 +89,8 @@ def read_msh(path):
     xyz = np.empty((n_nodes, 3), dtype=float)
     for r, ln in enumerate(node_lines[1:]):
         parts = ln.split()
+        if len(parts) < 4:
+            raise MshFormatError(f"$Nodes line '{ln}' has {len(parts)} fields, not 4")
         ids[r] = int(parts[0])
         xyz[r] = [float(parts[1]), float(parts[2]), float(parts[3])]
     id_to_row = {int(v): r for r, v in enumerate(ids)}
@@ -100,42 +107,35 @@ def read_msh(path):
     if len(elem_lines) - 1 != n_declared:
         raise MshFormatError(
             f"declared {n_declared} elements but found {len(elem_lines) - 1}")
-    lines_1d, line_tags = [], []
-    tris, tri_tags = [], []
-    tets, tet_tags = [], []
+    # the element types read, line, triangle and tetrahedron, by node count
+    arity = {1: 2, 2: 3, 4: 4}
+    conns = {etype: [] for etype in arity}
+    phys_tags = {etype: [] for etype in arity}
     skipped = 0
     for ln in elem_lines[1:]:
         parts = [int(p) for p in ln.split()]
+        if len(parts) < 3 or len(parts) < 3 + parts[2]:
+            raise MshFormatError(f"$Elements line '{ln}' is shorter than its tag count")
         etype, ntags = parts[1], parts[2]
-        tags = parts[3:3 + ntags]
         conn = parts[3 + ntags:]
-        phys = tags[0] if tags else 0
-        if etype == 1:
-            lines_1d.append(conn)
-            line_tags.append(phys)
-        elif etype == 2:
-            tris.append(conn)
-            tri_tags.append(phys)
-        elif etype == 4:
-            tets.append(conn)
-            tet_tags.append(phys)
-        else:
+        if etype not in arity:
             skipped += 1
+        elif len(conn) != arity[etype]:
+            raise MshFormatError(f"$Elements line '{ln}': a type {etype} element has "
+                                 f"{arity[etype]} nodes, not {len(conn)}")
+        else:
+            conns[etype].append(conn)
+            phys_tags[etype].append(parts[3] if ntags else 0)
     if skipped:
         warnings.warn(f"skipped {skipped} unsupported MSH element(s)")
 
-    if tets:
-        dim = 3
-        elements = np.array([rows(t) for t in tets], dtype=np.int64)
-        material = np.array(tet_tags, dtype=np.int64)
-        coords = xyz
-    elif tris:
-        dim = 2
-        elements = np.array([rows(t) for t in tris], dtype=np.int64)
-        material = np.array(tri_tags, dtype=np.int64)
-        coords = xyz[:, :2]
-    else:
+    dim = 3 if conns[4] else 2
+    volume, surface = (4, 2) if dim == 3 else (2, 1)
+    if not conns[volume]:
         raise MshFormatError("no triangle or tetrahedron elements found")
+    elements = np.array([rows(t) for t in conns[volume]], dtype=np.int64)
+    material = np.array(phys_tags[volume], dtype=np.int64)
+    coords = xyz[:, :dim]
 
     # fix inverted elements by swapping two nodes (geometry is unchanged)
     flipped = _signed_measures(coords, elements, dim) < 0
@@ -146,14 +146,11 @@ def read_msh(path):
     # surface entities become boundary tags: triangles under tetrahedra,
     # lines under triangles; one that is no face of a volume element means
     # the file mixes dimensions
-    if dim == 3:
-        surface, surface_tags, kind, volume_kind = tris, tri_tags, "triangle", "tetrahedron"
-    else:
-        surface, surface_tags, kind, volume_kind = lines_1d, line_tags, "line", "triangle"
+    kind, volume_kind = ("triangle", "tetrahedron") if dim == 3 else ("line", "triangle")
     boundary_tag = {}
-    if surface:
+    if conns[surface]:
         faces = set(map(tuple, _enumerate_faces(elements, dim)[0].tolist()))
-        for conn, phys in zip(surface, surface_tags):
+        for conn, phys in zip(conns[surface], phys_tags[surface]):
             key = tuple(sorted(rows(conn)))
             if key not in faces:
                 raise MshFormatError(

@@ -393,8 +393,10 @@ def fgmres(A: sp.spmatrix, b: np.ndarray, preconditioner=None, *,
     Stops when the residual is below ``tol`` relative to ||b|| or below
     ``atol`` absolutely, whichever happens first (``atol`` defaults to
     ``tol``); iterations are total Arnoldi steps across restarts. A
-    NaN/Inf residual raises DivergenceError.
+    NaN/Inf residual raises DivergenceError, and ``restart`` < 1 ValueError.
     """
+    if restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
     x = np.zeros(len(b))
     if atol is None:
         atol = tol

@@ -37,7 +37,7 @@ def check_agglomeration(topo, agg):
 
 def coarse_nodes(topo, agg, coarse_faces):
     """Coarse nodes of a level by the face-count rule, each agglomerate covered."""
-    coarse, covered = hi._coarse_mask(topo, agg, coarse_faces)
+    coarse, covered, _ = hi._coarse_mask(topo, agg, coarse_faces)
     assert covered.all(), "agglomerate without a coarse node"
     return np.flatnonzero(coarse)
 

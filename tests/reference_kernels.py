@@ -35,8 +35,9 @@ def _face_areas(mesh: Mesh, face_nodes: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(c, axis=1)
 
 
-def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
-    """Edges of a tet mesh, given its (F, 3) sorted face node tuples."""
+def _build_edges(mesh: Mesh, face_nodes: np.ndarray):
+    """Edges of a tet mesh, given its (F, 3) sorted face node tuples, and
+    the edge -> element CSR from each element's six edges."""
     n = mesh.n_nodes
     raw = np.sort(mesh.elements[:, _TET_EDGES], axis=2).reshape(-1, 2)
     keys = raw[:, 0] * n + raw[:, 1]
@@ -54,8 +55,7 @@ def _build_edges(mesh: Mesh, face_nodes: np.ndarray) -> EdgeSet:
     face_of = np.repeat(np.arange(len(face_nodes)), 3)
     f_indptr, f_ids = _csr_from_pairs(edge_id, face_of, n_edges)
 
-    return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=f_ids,
-                   elem_indptr=e_indptr, elem_ids=e_ids)
+    return EdgeSet(nodes=nodes, face_indptr=f_indptr, face_ids=f_ids), (e_indptr, e_ids)
 
 
 def _enumerate_faces(elements: np.ndarray, dim: int):

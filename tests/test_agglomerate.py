@@ -30,11 +30,11 @@ def swept_weights(topo, kraus=False):
     face_w = np.where(topo.faces.interior, 0, -1).astype(np.int64)
     assign = np.full(topo.n_elements, -1, dtype=np.int64)
     edge_w, next_id = None, 0
-    adj = ag._face_adjacency(topo)
+    adj, elem_faces = ag._face_adjacency(topo), ag._element_faces(topo)
     if kraus and topo.dim == 3:
         edge_w = np.zeros(topo.edges.n_edges, dtype=np.int64)
-        next_id = ag._edge_sweep(topo, adj, edge_w, face_w, assign, next_id)
-    ag._face_sweep(topo, adj, face_w, assign, next_id, restrict_g=kraus)
+        next_id = ag._edge_sweep(topo, adj, elem_faces, edge_w, face_w, assign, next_id)
+    ag._face_sweep(topo, adj, elem_faces, face_w, assign, next_id, restrict_g=kraus)
     return assign, face_w, edge_w
 
 
@@ -625,11 +625,12 @@ class TestSequentialKernels:
                               dtype=np.int64)
             assign = np.full(topo.n_elements, -1, dtype=np.int64)
             next_ids = [0]
-            adj = ag._face_adjacency(topo)
+            adj, elem_faces = ag._face_adjacency(topo), ag._element_faces(topo)
             if edge_w.size:
-                next_ids.append(ag._edge_sweep(topo, adj, edge_w, face_w, assign, 0))
-            next_ids.append(ag._face_sweep(topo, adj, face_w, assign, next_ids[-1],
-                                           restrict_g=kraus))
+                next_ids.append(ag._edge_sweep(topo, adj, elem_faces, edge_w, face_w,
+                                               assign, 0))
+            next_ids.append(ag._face_sweep(topo, adj, elem_faces, face_w, assign,
+                                           next_ids[-1], restrict_g=kraus))
             return next_ids, assign, face_w, edge_w
 
         got = sweeps()
@@ -639,6 +640,27 @@ class TestSequentialKernels:
         for g, w in zip(got[1:], want[1:]):
             assert np.array_equal(g, w)
         assert (len(got[0]) == 3) == (kraus and topo.dim == 3)
+
+    @pytest.mark.parametrize("kraus", [False, True], ids=["jones", "kraus"])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_element_face_order_does_not_matter(self, case, kraus, monkeypatch):
+        # the sweeps read each element's faces as a set: bumps, the pool's
+        # heaviest-then-lowest-id pick and the clears give the same
+        # assignment whatever order the rows list them in
+        topo = _kernel_case(case)
+        sweep = ag._kraus if kraus else ag._jones
+        want = sweep(topo)
+        derive = ag._element_faces
+        rng = np.random.default_rng(17)
+
+        def shuffled(topo):
+            indptr, ids = derive(topo)
+            rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            return indptr, ids[np.lexsort((rng.random(len(ids)), rows))]
+
+        monkeypatch.setattr(ag, "_element_faces", shuffled)
+        for _ in range(3):
+            assert np.array_equal(sweep(topo), want)
 
     @pytest.mark.parametrize("kraus", [False, True], ids=["jones", "kraus"])
     @pytest.mark.parametrize("case", ["2d-level0", "3d-level0"])
@@ -678,7 +700,7 @@ class TestSequentialKernels:
         faces = topo.faces
         sides = (np.arange(0, 2 * faces.n_faces + 1, 2),
                  np.column_stack([faces.left, faces.right]).ravel())
-        elem_faces = (faces.elem_indptr, faces.elem_face_ids)
+        elem_faces = ag._element_faces(topo)
         no_rows = (np.zeros(faces.n_faces + 1, dtype=np.int64),
                    np.zeros(0, dtype=np.int64))
         face_w = np.where(faces.interior, 0, -1).astype(np.int64)

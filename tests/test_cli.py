@@ -52,6 +52,12 @@ class TestCoarsen:
         assert code == 1
         assert "missing.msh" in err
 
+    def test_directory_as_mesh_exits_one(self, tmp_path, capsys):
+        # open() raises IsADirectoryError, an OSError
+        code, _, err = run(["coarsen", "--mesh", str(tmp_path), "--alg", "jones"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_undefined_mesh_node(self, tmp_path, capsys):
         # the file's one triangle names node 4 of 3
         path = tmp_path / "bad.msh"

@@ -160,10 +160,6 @@ def fgmres_iterations(dim, algorithm, seed, inner):
     return iterations
 
 
-# element -> face and edge -> element lists, about to be derived where they are read
-_SKIP = {"elem_indptr", "elem_face_ids", "elem_ids"}
-
-
 def _update(digest, value):
     """Hash a topology field: dataclasses field by field, arrays with their
     shape and canonical dtype, scalars as int64, None as a marker."""
@@ -171,8 +167,7 @@ def _update(digest, value):
         digest.update(b"none")
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            if f.name not in _SKIP:
-                _update(digest, getattr(value, f.name))
+            _update(digest, getattr(value, f.name))
     else:
         arr = np.asarray(value)
         dtype = {"b": "u1", "f": "<f8"}.get(arr.dtype.kind, "<i8")

@@ -403,6 +403,24 @@ class TestCoarseTopology:
         counts = np.diff(cf.fine_face_indptr)
         assert (counts < 8).any() and (counts >= 8).any()
 
+    def test_node_agglomerate_pairs_once_per_selection_round(self, monkeypatch):
+        # the coarse topology reads the final round's (node, agglomerate)
+        # pairs; this build keeps 2 levels and repairs once: 3 rounds
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        for name in ("select_coarse_faces", "_node_agg_pairs"):
+            monkeypatch.setattr(hi, name, counted(name, getattr(hi, name)))
+        h = build_hierarchy(generate_mesh(3, 6, jitter=0.15, seed=3),
+                            CoarsenConfig("aspect", desired_size=168, seed=1))
+        assert len(h.levels) == 2
+        assert calls == ["select_coarse_faces", "_node_agg_pairs"] * 3
+
 
 class TestGalerkin:
     def test_identity_prolongation(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agglomg import agglomerate as ag
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
                           TopologyError, _collapse_pairs, _row_sums, _unique_pairs,
                           element_measures, generate_mesh, mesh_metrics)
@@ -163,12 +164,13 @@ class TestTopology:
             assert degrees.max() <= topo.dim + 1
 
     def test_tet_contributes_six_edges(self, mesh3d_small):
-        edges = LevelTopology.from_mesh(mesh3d_small).edges
-        per_elem = np.diff(edges.elem_indptr)
+        # the edge -> element lists the kraus sweep derives from face sides
+        indptr, elems = ag._edge_elements(LevelTopology.from_mesh(mesh3d_small))
+        per_elem = np.diff(indptr)
         # every edge's incident-element list is nonempty
         assert per_elem.min() >= 1
         # and each tet appears across exactly 6 edge incidence lists
-        counts = np.bincount(edges.elem_ids, minlength=mesh3d_small.n_elements)
+        counts = np.bincount(elems, minlength=mesh3d_small.n_elements)
         assert (counts == 6).all()
 
 

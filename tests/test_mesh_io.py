@@ -148,8 +148,18 @@ class TestReadMsh:
          "declared 2 elements but found 1"),
         (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 1 2 7 1 1 2"),
          "no triangle or tetrahedron"),
+        (MSH_ONE_TRIANGLE.replace("2.2 0 8\n", ""), r"empty \$MeshFormat section"),
+        (MSH_ONE_TRIANGLE.split("$Nodes")[0] + "$Nodes\n$EndNodes"
+         + MSH_ONE_TRIANGLE.split("$EndNodes")[1], r"empty \$Nodes section"),
+        (MSH_ONE_TRIANGLE.replace("2 1.0 0.0 0.0", "2 1.0 0.0"),
+         r"\$Nodes line '2 1.0 0.0' has 3 fields"),
+        (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 5 7 1 1"),
+         r"\$Elements line '1 2 5 7 1 1' is shorter than its tag count"),
+        (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 2 7 1 1 2"),
+         r"'1 2 2 7 1 1 2': a type 2 element has 3 nodes, not 2"),
     ], ids=["unterminated", "no-format", "no-nodes", "no-elements", "node-count",
-            "element-count", "no-volume-element"])
+            "element-count", "no-volume-element", "empty-format", "empty-nodes",
+            "short-node-line", "short-element-line", "two-node-triangle"])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.msh"
         path.write_text(text)

@@ -70,6 +70,14 @@ MESHES = {
 }
 
 
+def _reference_faces(elements, dim):
+    """The reference face enumeration without its slot -> face array, which
+    the package does not return: the sweeps derive element -> face from
+    the face sides."""
+    face_nodes, _, order, counts = ref._enumerate_faces(elements, dim)
+    return face_nodes, order, counts
+
+
 @functools.lru_cache(maxsize=None)
 def mesh(name):
     return MESHES[name]()
@@ -89,10 +97,27 @@ def kraus_levels(n):
 def test_topology_kernels_match_reference(name):
     m = mesh(name)
     faces = _enumerate_faces(m.elements, m.dim)
-    assert_same(faces, ref._enumerate_faces(m.elements, m.dim))
+    assert_same(faces, _reference_faces(m.elements, m.dim))
     assert_same(_face_areas(m, faces[0]), ref._face_areas(m, faces[0]))
     if m.dim == 3:
-        assert_same(_build_edges(m, faces[0]), ref._build_edges(m, faces[0]))
+        assert_same(_build_edges(m, faces[0]), ref._build_edges(m, faces[0])[0])
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_derived_element_lists_match_reference(name):
+    # the sweeps' element -> face rows hold each element's face slots, in
+    # some order, and their edge -> element CSR is the reference's lists
+    # from each tet's six edges, array for array
+    m = mesh(name)
+    topo = LevelTopology.from_mesh(m)
+    k = m.dim + 1
+    indptr, face_ids = ag._element_faces(topo)
+    np.testing.assert_array_equal(indptr, np.arange(0, k * m.n_elements + 1, k))
+    face_nodes, slot_face = ref._enumerate_faces(m.elements, m.dim)[:2]
+    np.testing.assert_array_equal(np.sort(face_ids.reshape(-1, k)),
+                                  np.sort(slot_face.reshape(-1, k)))
+    if m.dim == 3:
+        assert_same(ag._edge_elements(topo), ref._build_edges(m, face_nodes)[1])
 
 
 @pytest.mark.parametrize("n", [6, 12])
@@ -188,7 +213,7 @@ class TestPackedKeys:
         # here the key's value range leaves no bits for the slot index, so
         # the stable argsort path groups them
         elements = np.array([[0, 1, 2, 2 ** 21 - 1], [1, 2, 2 ** 21 - 1, 5]])
-        assert_same(_enumerate_faces(elements, 3), ref._enumerate_faces(elements, 3))
+        assert_same(_enumerate_faces(elements, 3), _reference_faces(elements, 3))
 
     def test_a_higher_id_raises_naming_the_count(self):
         # the zero coordinates are never touched, so they take no memory

@@ -97,6 +97,11 @@ class TestFgmres:
         with pytest.raises(DivergenceError):
             fgmres(A, np.ones(2))
 
+    @pytest.mark.parametrize("restart", [0, -1])
+    def test_restart_below_one_rejected(self, restart):
+        with pytest.raises(ValueError, match=f"restart must be >= 1, got {restart}"):
+            fgmres(sp.eye(3, format="csr"), np.ones(3), restart=restart)
+
     def test_matches_plain_gmres_with_identity_preconditioner(self):
         # independent textbook GMRES(30) oracle
         rng = np.random.default_rng(3)
