@@ -5,22 +5,22 @@
 algorithm is a private function mapping one grid level (a
 :class:`~agglomg.mesh.LevelTopology`) to a raw element -> agglomerate array
 (-1 = unassigned); ``coarsen`` cleans that once, so every result is total,
-contiguous and densely numbered. Weighted-face growth (jones, kraus) is
-deterministic: one growth kernel, :func:`_grow`, follows maximal-weight
-faces or edges (the 3D kraus edge phase), and each sweep only builds its
-adjacency arrays for it, as off-diagonal patterns of sparse incidence
-products, and the element -> face and edge -> element lists from the
-face sides (kraus builds both face arrays once for both phases). Its
-queue of starts is a heap of the entities of positive weight, each pushed
-once per agglomerate that bumps it, after that agglomerate is done, plus
-a forward-only cursor over the entities of weight 0; it pops in the same
-(-weight, id) order as a heap pushed on every bump, with a few times
-fewer entries. The sequential loops (growth, the rgb, node and greedy
-visits, aspect's moves, cleanup's re-homing) visit one entry at a time,
-so they run on lists and memoryviews, which yield plain numbers: numpy
-scalar indexing costs about twice as much.
-The randomized algorithms draw an explicit 64-bit seed through a
-counter-based generator, never global RNG state.
+contiguous and densely numbered. Cleanup's frontier loop is the one loop
+that attaches unassigned elements, rgb's grey fringe among them.
+Weighted-face growth (jones, kraus) is deterministic: one growth kernel,
+:func:`_grow`, follows maximal-weight faces or edges (the 3D kraus edge
+phase), and each sweep builds its adjacency arrays as off-diagonal
+patterns of sparse incidence products, and the element -> face and edge
+-> element lists from the face sides. Its queue of starts is a heap of
+the entities of positive weight, each pushed once per agglomerate that
+bumps it, after that agglomerate is done, plus a forward-only cursor over
+the entities of weight 0; it pops in the same (-weight, id) order as a
+heap pushed on every bump, with a few times fewer entries. The sequential
+loops (growth, the rgb, node and greedy visits, aspect's moves, cleanup's
+attachments) visit one entry at a time, on lists and memoryviews, which
+yield plain numbers: numpy scalar indexing costs about twice as much. The
+randomized algorithms draw an explicit 64-bit seed through a counter-based
+generator, never global RNG state.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_unsorted,
+from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
                    _first_appearance, _gather_ragged, _indptr, _induced_components,
                    _neighbour_weights, _row_sums, _unique_pairs)
 from . import partitioner
@@ -57,6 +57,8 @@ class CoarsenConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.algorithm in SIZE_BASED:
             if self.desired_size is None or self.desired_size < 2:
                 raise ValueError(
@@ -161,9 +163,9 @@ def _element_faces(topo: LevelTopology):
     side of, each ascending."""
     faces = topo.faces
     inner = np.flatnonzero(faces.interior)
-    return _csr_from_unsorted(np.concatenate([faces.left, faces.right[inner]]),
-                              np.concatenate([np.arange(faces.n_faces), inner]),
-                              topo.n_elements)
+    return _csr_from_pairs(np.concatenate([faces.left, faces.right[inner]]),
+                           np.concatenate([np.arange(faces.n_faces), inner]),
+                           topo.n_elements)
 
 
 def _edge_elements(topo: LevelTopology):
@@ -184,7 +186,7 @@ def _element_companion_faces(topo: LevelTopology, elem_faces):
     faces = topo.faces
     src, dst = _group_pairs(*elem_faces)
     keep = faces.interior[src] & faces.interior[dst]
-    return _csr_from_unsorted(src[keep], dst[keep], faces.n_faces)
+    return _csr_from_pairs(src[keep], dst[keep], faces.n_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +373,7 @@ def _edge_adjacency(topo, edge_faces):
 def _invert_csr(indptr, ids, n_targets):
     """Invert a CSR mapping a->b into b->a."""
     src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    return _csr_from_unsorted(np.asarray(ids), src, n_targets)
+    return _csr_from_pairs(np.asarray(ids), src, n_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +386,27 @@ def _rng(seed):
 def _rgb(topo, seed):
     """Red-green-black colouring: random seeds absorb their whole neighbourhood.
 
-    Grey fringe elements join the adjacent agglomerate they fit best:
-    most shared dual edges, then fewest elements, then lowest id.
+    Each element left uncoloured, in seeded random order, turns black and
+    starts an agglomerate; its uncoloured and grey neighbours turn red and
+    join it, and their uncoloured neighbours turn grey. The grey fringe
+    stays -1: every grey borders a red, so :func:`cleanup`'s first frontier
+    holds all of them and attaches them by its rule.
     """
     indptr, indices = memoryview(topo.dual.indptr), memoryview(topo.dual.indices)
     n = topo.n_elements
-    UNCOLOURED, BLACK, RED, GREY = 0, 1, 2, 3
-    state = [UNCOLOURED] * n
-    assign = [-1] * n
-    sizes = []
+    assign, grey = [-1] * n, [False] * n   # assign: black and red elements
+    next_id = 0
     for e in _rng(seed).permutation(n).tolist():
-        if state[e] != UNCOLOURED:
+        if assign[e] >= 0 or grey[e]:
             continue
-        aid = len(sizes)
-        state[e] = BLACK
-        assign[e] = aid
-        reds = []
-        for nb in indices[indptr[e]:indptr[e + 1]]:
-            if state[nb] in (UNCOLOURED, GREY):
-                state[nb] = RED
-                assign[nb] = aid
-                reds.append(nb)
+        reds = [nb for nb in indices[indptr[e]:indptr[e + 1]] if assign[nb] < 0]
+        for r in (e, *reds):
+            assign[r] = next_id
         for r in reds:
             for nb in indices[indptr[r]:indptr[r + 1]]:
-                if state[nb] == UNCOLOURED:
-                    state[nb] = GREY
-        sizes.append(1 + len(reds))
-    # unit weights, not edge_faces (above one on coarse levels): greys
-    # count shared dual edges
-    ones = [1] * len(indices)
-    for e in [e for e in range(n) if state[e] == GREY]:
-        best = _best_neighbour(indptr, indices, ones, assign, (e,), sizes)
-        assign[e] = best
-        sizes[best] += 1
+                if assign[nb] < 0:
+                    grey[nb] = True
+        next_id += 1
     return np.array(assign, dtype=np.int64)
 
 
@@ -596,14 +586,10 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
     report = CleanupReport()
     dual = topo.dual
 
-    if (assign < 0).all():
-        assign[0] = 0
-
     sizes = _live_sizes(assign)
     src = np.repeat(np.arange(topo.n_elements), np.diff(dual.indptr))
     indptr, indices, edge_faces = map(memoryview, (dual.indptr, dual.indices,
                                                    dual.edge_faces))
-    first_round = True
     while True:
         unassigned = np.flatnonzero(assign < 0)
         if unassigned.size == 0:
@@ -625,11 +611,10 @@ def cleanup(topo: LevelTopology, agg: Agglomeration):
             owner[e] = best
             sizes[best] += 1
         assign[:] = owner
-        if first_round:
-            report.unused_attached += len(frontier)
-            first_round = False
-        else:
+        if report.unused_attached:
             report.isolated_resolved += len(frontier)
+        else:
+            report.unused_attached = len(frontier)
 
     report.disconnected_split = _split_noncontiguous(topo, assign)
     report.enclosed_merged = _merge_enclosed(topo, assign)

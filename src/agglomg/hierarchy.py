@@ -150,10 +150,16 @@ def level_schedule(dim: int, top: int | None = None,
                          lower=default_lower if lower is None else lower)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
+    """Stop at ``coarse_nodes`` nodes or ``max_levels`` levels, the fine one included."""
+
     coarse_nodes: int = 60
     max_levels: int = 10
+
+    def __post_init__(self):
+        if self.coarse_nodes < 0 or self.max_levels < 1:
+            raise ValueError(f"{self}: coarse_nodes must be >= 0 and max_levels >= 1")
 
 
 @dataclass
@@ -274,9 +280,7 @@ def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
     pos = np.repeat(np.arange(len(fids)), counts)
     key = vals
     if topo.dim == 3:
-        indptr = np.zeros(len(fids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        i, j = _group_pairs(indptr, np.arange(len(vals)))
+        i, j = _group_pairs(_indptr(pos, len(fids)), np.arange(len(vals)))
         lower = vals[i] < vals[j]
         i, j = i[lower], j[lower]
         pos, key = pos[i], vals[i] * topo.n_nodes + vals[j]
@@ -372,10 +376,8 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     walk_order, indptr, chain_group, ends = _edge_chains(edges.nodes, members,
                                                          np.cumsum(first) - 1)
     rows = np.flatnonzero(first)[chain_group]
-    face_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(length[rows], out=face_indptr[1:])
-    return EdgeChains(endpoints=ends, fine_edge_indptr=indptr,
-                      fine_edge_ids=members[walk_order], face_indptr=face_indptr,
+    return EdgeChains(endpoints=ends, fine_edge_indptr=indptr, fine_edge_ids=members[walk_order],
+                      face_indptr=np.append(0, np.cumsum(length[rows])),
                       face_ids=sig[rows][sig[rows] >= 0])
 
 
@@ -626,13 +628,13 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     # coarse nodes of each level face, ascending
     on = col_of[cf.node_ids] >= 0
     row_of = np.repeat(np.arange(nf), np.diff(cf.node_indptr))
-    node_indptr, node_ids = _csr_from_pairs(row_of[on], col_of[cf.node_ids[on]], nf)
-    new_faces = FaceSet(node_indptr=node_indptr, node_ids=node_ids,
+    new_faces = FaceSet(node_indptr=_indptr(row_of[on], nf), node_ids=col_of[cf.node_ids[on]],
                         left=cf.left, right=cf.right, area=area, tag=cf.tag)
 
+    # the pairs run by node, and col_of keeps the node order
     an, aa = node_aggs
     keep = col_of[an] >= 0
-    node_elem = _csr_from_pairs(col_of[an[keep]], aa[keep], nc)
+    node_elem = _indptr(col_of[an[keep]], nc), aa[keep]
 
     edges = None
     if coarse_edges is not None and len(coarse_edges.endpoints):

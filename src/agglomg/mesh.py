@@ -14,12 +14,12 @@ weights summed and their repeats counted. Where the order of a stable sort
 is needed too, :func:`_sort_keys` packs each key's index into its low bits,
 so one plain ``np.sort`` gives both: several times faster than a stable
 argsort or a multi-column ``np.lexsort`` on keys in no particular order.
-Keys that arrive sorted keep the stable argsort (:func:`_csr_from_pairs`),
-a timsort, linear on them; numpy's hash-based ``np.unique`` is far slower
-than either. A 3D face key addresses node ids below 2**21 = 2,097,152,
-and a mesh whose elements name a higher id raises :class:`MeshSizeError`;
-:func:`_order_by` falls back to ``np.lexsort`` where a two-field key
-would overflow.
+One packed sort groups pairs into a CSR (:func:`_csr_from_pairs`); keys
+that arrive grouped need none, only :func:`_indptr`. numpy's hash-based
+``np.unique`` is far slower. A 3D face key addresses node ids below
+2**21 = 2,097,152, and a mesh whose elements name a higher id raises
+:class:`MeshSizeError`; :func:`_order_by` falls back to ``np.lexsort``
+where a two-field key would overflow.
 """
 from __future__ import annotations
 
@@ -163,15 +163,8 @@ def _indptr(keys, n_keys):
 
 
 def _csr_from_pairs(keys, values, n_keys):
-    """Group ``values`` by integer ``keys`` into CSR (indptr, data) arrays,
-    each row in input order. For keys that arrive (nearly) sorted: the
-    stable argsort is a timsort, linear on sorted runs."""
-    return _indptr(keys, n_keys), np.asarray(values)[np.argsort(keys, kind="stable")]
-
-
-def _csr_from_unsorted(keys, values, n_keys):
-    """:func:`_csr_from_pairs` for keys in no particular order, by one
-    packed sort."""
+    """Group ``values`` by integer ``keys`` in [0, ``n_keys``) into CSR
+    (indptr, data) arrays, each row in input order, by one packed sort."""
     return _indptr(keys, n_keys), np.asarray(values)[_sort_keys(keys, n_keys)[1]]
 
 
@@ -235,8 +228,7 @@ def _components(src, dst, n) -> np.ndarray:
     # are the connected ones, and scipy finds them without the transposes
     # its undirected path builds (repeated entries make its search hang)
     a, b = _unique_pairs(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
-    indptr, indices = _csr_from_pairs(a, b, n)
-    graph = sp.csr_matrix((np.ones(len(a)), indices, indptr), shape=(n, n))
+    graph = sp.csr_matrix((np.ones(len(a)), b, _indptr(a, n)), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     return _first_appearance(labels)
 
@@ -420,9 +412,9 @@ class LevelTopology:
         faces = FaceSet(node_indptr=np.arange(0, n_faces * dim + 1, dim, dtype=np.int64),
                         node_ids=face_nodes.ravel().copy(),
                         left=left, right=right, area=area, tag=tag)
-        node_elem = _csr_from_unsorted(mesh.elements.ravel(),
-                                       np.repeat(np.arange(mesh.n_elements), k),
-                                       mesh.n_nodes)
+        node_elem = _csr_from_pairs(mesh.elements.ravel(),
+                                     np.repeat(np.arange(mesh.n_elements), k),
+                                     mesh.n_nodes)
         return cls.from_faces(dim, faces, element_measures(mesh), node_elem,
                               _build_edges(mesh, face_nodes) if dim == 3 else None)
 
@@ -566,6 +558,8 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
         raise ValueError("n must be >= 1")
     if not 0.0 <= jitter < 0.5:
         raise ValueError("jitter must be in [0, 0.5) cell widths")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     h = extent / n
     lattice = np.stack(np.meshgrid(*[np.arange(n + 1)] * dim, indexing="ij"),

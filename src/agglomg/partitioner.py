@@ -25,9 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (DualGraph, _collapse_pairs, _components, _csr_from_pairs,
-                   _first_appearance, _induced_components, _neighbour_weights,
-                   _order_by, _unique_pairs)
+from .mesh import (DualGraph, _collapse_pairs, _components, _first_appearance,
+                   _indptr, _induced_components, _neighbour_weights, _order_by,
+                   _unique_pairs)
 
 WEIGHT_SCALE = 1000
 BALANCE_FRACTION = 0.05
@@ -80,7 +80,12 @@ def balance_bounds(targets, max_vwgt: int):
 
 def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray:
     """Part id of each vertex: exactly k nonempty parts, minimizing weighted
-    edge-cut. Each part is connected where the graph allows it."""
+    edge-cut. Each part is connected where the graph allows it.
+
+    One contiguity pass leaves each part one piece plus whole components, and
+    the last rebalance keeps it so: v leaves only a part it is no articulation
+    point of, for a part q it borders (a move whose neighbour left q is stale).
+    """
     n = graph.n
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -117,7 +122,6 @@ def partition_kway(graph: WeightedGraph, k: int, *, seed: int = 0) -> np.ndarray
     _enforce_contiguity(graph, part, k)
     # fragment reassignment skews weights; repair without re-fragmenting
     _rebalance(graph, part, targets, keep_connected=True)
-    _enforce_contiguity(graph, part, k)
 
     if (np.bincount(part, minlength=k) == 0).any():
         raise RuntimeError("internal error: produced an empty part")
@@ -199,9 +203,9 @@ def _induced_subgraph(graph: WeightedGraph, vertices: np.ndarray):
     local[vertices] = np.arange(len(vertices))
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     keep = (local[src] >= 0) & (local[graph.indices] >= 0)
-    lsrc, ldst, w = local[src[keep]], local[graph.indices[keep]], graph.ewgt[keep]
-    indptr, order = _csr_from_pairs(lsrc, np.arange(len(lsrc)), len(vertices))
-    return WeightedGraph(indptr=indptr, indices=ldst[order], ewgt=w[order],
+    # ascending vertices keep the rows in order
+    return WeightedGraph(indptr=_indptr(local[src[keep]], len(vertices)),
+                         indices=local[graph.indices[keep]], ewgt=graph.ewgt[keep],
                          vwgt=graph.vwgt[vertices])
 
 

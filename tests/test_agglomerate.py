@@ -49,6 +49,11 @@ class TestConfig:
         CoarsenConfig("greedy", desired_size=2).validate()
         CoarsenConfig("jones").validate()  # size not needed
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            CoarsenConfig("rgb", seed=-5).validate()
+        CoarsenConfig("rgb", seed=2 ** 64 - 1).validate()
+
 
 class TestJones:
     def test_two_triangles_single_agglomerate(self, tri_pair):
@@ -150,6 +155,29 @@ class TestRgb:
             for r in nbrs:
                 ring = _row(dual.indptr, dual.indices, r)
                 state[ring] = np.where(state[ring] == 0, 3, state[ring])
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("level", ["2d", "3d", "3d-coarse"])
+    def test_grey_fringe_left_to_cleanup(self, topo2d_small, topo3d_small, level, seed):
+        # rgb leaves only its grey fringe unassigned: each grey borders a
+        # red, so cleanup attaches every one in its first frontier round
+        topo = {"2d": topo2d_small, "3d": topo3d_small}.get(level)
+        if topo is None:  # a coarse level, where a dual edge can stand for two faces
+            topo = build_hierarchy(generate_mesh(3, 5, jitter=0.2, seed=2),
+                                   CoarsenConfig("node", seed=2),
+                                   stop=StopRule(max_levels=2)).levels[0].topology
+            assert topo.dual.edge_faces.max() == 2
+        raw = ag._rgb(topo, seed)
+        grey = np.flatnonzero(raw < 0)
+        assert len(grey) > 0
+        dual = topo.dual
+        assert all((raw[_row(dual.indptr, dual.indices, e)] >= 0).any() for e in grey)
+        fixed, report = cleanup(topo, Agglomeration(raw))
+        assert (report.unused_attached, report.isolated_resolved) == (len(grey), 0)
+        agg = coarsen(topo, CoarsenConfig("rgb", seed=seed))
+        assert agg.is_total()
+        assert np.array_equal(agg.element_to_agg, fixed.element_to_agg)
+        check_agglomeration(topo, agg)
 
     def test_determinism(self, topo3d_small):
         a = run_algorithm(topo3d_small, "rgb", seed=9)

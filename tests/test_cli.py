@@ -292,6 +292,33 @@ class TestExitCodes:
         assert code == 1
         assert "n must be >= 1" in err
 
+    @pytest.mark.parametrize("flag,value", [("--max-levels", "0"), ("--max-levels", "-3"),
+                                            ("--stop-nodes", "-1")])
+    def test_stop_rule_out_of_range_exits_one(self, capsys, flag, value):
+        # a level cap below one or a negative node threshold is an input error,
+        # not a fine-only hierarchy
+        code, out, err = run(["coarsen", "--gen-2d", "8", "--alg", "node", flag, value],
+                             capsys)
+        assert code == 1
+        assert err.startswith("error: StopRule(") and f"={value}" in err
+        assert "must be >= 0 and max_levels >= 1" in err
+        assert "stop_reason" not in out
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        # the generator and the coarsening seed both name the seed
+        code, out, err = run(["coarsen", "--gen-2d", "8", "--alg", "rgb", "--seed", "-1"],
+                             capsys)
+        assert (code, err) == (1, "error: seed must be >= 0, got -1\n")
+        path = tmp_path / "pair.msh"
+        path.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n4\n"
+                        "1 0.0 0.0 0.0\n2 1.0 0.0 0.0\n3 1.0 1.0 0.0\n4 0.0 1.0 0.0\n"
+                        "$EndNodes\n$Elements\n2\n1 2 2 1 1 1 2 3\n2 2 2 1 1 1 3 4\n"
+                        "$EndElements\n")
+        code, out, err = run(["coarsen", "--mesh", str(path), "--alg", "rgb",
+                              "--seed", "-1"], capsys)
+        assert (code, err) == (1, "error: seed must be >= 0, got -1\n")
+        assert "stop_reason" not in out
+
     @pytest.mark.parametrize("flag", ["--size", "--lower-size"])
     def test_size_below_two_exit_one(self, capsys, flag):
         # a size of 0 is an error, not a request for the default size

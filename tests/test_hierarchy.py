@@ -543,6 +543,18 @@ class TestBuildHierarchy:
             assert np.array_equal(la.agglomeration.element_to_agg,
                                   lb.agglomeration.element_to_agg)
 
+    def test_seeds_equal_modulo_2_63_build_the_same_hierarchy(self, mesh2d_jittered):
+        # the level seeds read the low 63 bits of the seed, so the 64-bit
+        # seeds s and s + 2**63 coarsen alike; a negative seed is an error
+        a = build_hierarchy(mesh2d_jittered, CoarsenConfig("rgb", seed=3))
+        b = build_hierarchy(mesh2d_jittered, CoarsenConfig("rgb", seed=3 + 2 ** 63))
+        assert a.node_counts == b.node_counts
+        for la, lb in zip(a.levels, b.levels):
+            assert np.array_equal(la.agglomeration.element_to_agg,
+                                  lb.agglomeration.element_to_agg)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            build_hierarchy(mesh2d_jittered, CoarsenConfig("rgb", seed=-3))
+
     def test_materials_projected_per_level(self, mesh2d_jittered):
         table = {0: MaterialProperties(1.0, 10.0, 10.0),
                  1: MaterialProperties(0.0, 10.0, 10.0)}
@@ -676,6 +688,19 @@ class TestStopReason:
                             stop=StopRule(max_levels=2))
         assert h.n_levels == 2
         assert h.stop_reason == "max_levels"
+
+    @pytest.mark.parametrize("kwargs", [dict(max_levels=0), dict(max_levels=-3),
+                                        dict(coarse_nodes=-1)])
+    def test_rule_out_of_range_rejected(self, kwargs):
+        (key, value), = kwargs.items()
+        with pytest.raises(ValueError, match=rf"{key}={value}\b.*max_levels >= 1"):
+            StopRule(**kwargs)
+
+    def test_one_level_and_no_node_threshold_are_rules(self):
+        mesh = generate_mesh(2, 4)
+        h = build_hierarchy(mesh, CoarsenConfig("node"), stop=StopRule(max_levels=1))
+        assert (h.n_levels, h.stop_reason) == (1, "max_levels")
+        assert StopRule(coarse_nodes=0).coarse_nodes == 0
 
     def test_no_coarsening(self):
         # with no node threshold, greedy coarsens the 8-triangle box to one

@@ -3,8 +3,8 @@ import pytest
 
 from agglomg import agglomerate as ag
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
-                          TopologyError, _collapse_pairs, _row_sums, _unique_pairs,
-                          element_measures, generate_mesh, mesh_metrics)
+                          TopologyError, _collapse_pairs, _csr_from_pairs, _row_sums,
+                          _unique_pairs, element_measures, generate_mesh, mesh_metrics)
 
 
 class TestGenerateMesh:
@@ -34,6 +34,11 @@ class TestGenerateMesh:
     def test_jitter_bounds_rejected(self):
         with pytest.raises(ValueError):
             generate_mesh(2, 4, jitter=0.5)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_negative_seed_rejected(self, jitter):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_mesh(2, 4, jitter=jitter, seed=-1)
 
     def test_near_limit_jitter_still_positive(self):
         # jitter close to half a cell can invert elements on a draw; the
@@ -226,7 +231,8 @@ def random_pairs(seed, n_rows, n, size):
 
 
 class TestPairGrouping:
-    """The pair primitive and the weighted collapse against plain references."""
+    """The pair primitives, the CSR builder and the weighted collapse against
+    plain references."""
 
     CASES = {"repeats": (20, 30, 600), "empty": (3, 4, 0), "n=1": (4, 1, 50)}
 
@@ -238,6 +244,19 @@ class TestPairGrouping:
         got_a, got_b = _unique_pairs(a, b, n)
         np.testing.assert_array_equal(got_a, key // n)
         np.testing.assert_array_equal(got_b, key % n)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_csr_from_pairs_keeps_input_order(self, case, presorted):
+        n_rows, n, size = self.CASES[case]
+        keys, values = random_pairs(5, n_rows, n, size)
+        if presorted:
+            keys = np.sort(keys)
+        indptr, data = _csr_from_pairs(keys, values, n_rows)
+        np.testing.assert_array_equal(indptr, np.searchsorted(np.sort(keys),
+                                                              np.arange(n_rows + 1)))
+        np.testing.assert_array_equal(data, [v for r in range(n_rows)
+                                             for k, v in zip(keys, values) if k == r])
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_collapse_pairs(self, case):

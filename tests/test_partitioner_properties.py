@@ -104,3 +104,19 @@ def test_contiguity_pass_is_final(graph, k, seed):
     again = part.copy()
     pt._enforce_contiguity(graph, again, k)
     assert np.array_equal(again, part)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph=hostile_graphs(), k=st.integers(2, 12), seed=st.integers(0, 3))
+def test_connected_rebalance_keeps_the_contiguity_pass_final(graph, k, seed):
+    """``_rebalance(..., keep_connected=True)`` after the contiguity pass
+    splits no part, so ``partition_kway`` needs no second pass: every part
+    stays one piece per component of the graph, and a further
+    ``_enforce_contiguity`` changes nothing."""
+    part = np.random.default_rng(seed).integers(0, k, graph.n)
+    pt._enforce_contiguity(graph, part, k)
+    pt._rebalance(graph, part, np.full(k, graph.vwgt.sum() / k), keep_connected=True)
+    assert connected_per_component(graph, part)
+    again = part.copy()
+    pt._enforce_contiguity(graph, again, k)
+    assert np.array_equal(again, part)
