@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (LevelTopology, _best_neighbour, _components, _csr_from_pairs,
-                   _first_appearance, _gather_ragged, _indptr, _induced_components,
-                   _neighbour_weights, _row_sums, _unique_pairs)
+from .mesh import (LevelTopology, _best_neighbour, _csr_from_pairs, _first_appearance,
+                   _gather_ragged, _indptr, _induced_components, _neighbour_weights,
+                   _pieces, _row_sums, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
@@ -629,13 +629,8 @@ def _live_sizes(assign):
 
 def _split_noncontiguous(topo, assign) -> int:
     dual = topo.dual
-    n = topo.n_elements
-    src = np.repeat(np.arange(n), np.diff(dual.indptr))
-    same = assign[src] == assign[dual.indices]
-    labels = _components(src[same], dual.indices[same], n)
-    # agglomerates spanning more than one component need splitting
-    agg_of_pair, _ = _unique_pairs(assign, labels, labels.max() + 1)
-    multi = np.flatnonzero(np.bincount(agg_of_pair) > 1)
+    # agglomerates spanning more than one piece need splitting
+    labels, multi = _pieces(dual.indptr, dual.indices, assign)
     if multi.size == 0:
         return 0
 

@@ -656,8 +656,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
                     materials: MaterialTable | None = None,
                     schedule: LevelSchedule | None = None,
                     stop: StopRule | None = None,
-                    operator: sp.spmatrix | None = None,
-                    fine_topology: LevelTopology | None = None) -> Hierarchy:
+                    operator: sp.spmatrix | None = None) -> Hierarchy:
     """Coarsen repeatedly into a multigrid hierarchy.
 
     Each step runs coarsen -> cleanup -> coarse topology -> prolongation
@@ -678,9 +677,8 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     The fine level never stops this way, and a hierarchy built without an
     operator has no density to test, so it keeps the node-count stop.
 
-    All seven algorithms re-apply on coarse levels via the rebuilt
-    LevelTopology. A precomputed ``fine_topology`` for the same mesh skips
-    the topology derivation (useful in seed sweeps).
+    The fine level is always derived from ``mesh``, and all seven
+    algorithms re-apply on coarse levels via the rebuilt LevelTopology.
 
     Every level's agglomerate size comes from ``schedule``: a
     ``config.desired_size`` other than None or ``schedule.top`` raises
@@ -693,8 +691,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
             f"{schedule.top}; set the sizes through the LevelSchedule")
     replace(config, desired_size=schedule.top).validate()  # the algorithm name
     stop = stop or StopRule()
-    topo0 = fine_topology if fine_topology is not None else LevelTopology.from_mesh(mesh)
-    topo = topo0
+    topo0 = topo = LevelTopology.from_mesh(mesh)
 
     levels = []
     mats = ElementMaterials.from_table(mesh, materials) if materials else None

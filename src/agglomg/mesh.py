@@ -87,8 +87,9 @@ class Mesh:
 
     ``boundary_tag`` maps each boundary face, keyed by its sorted node
     tuple, to an integer side tag. Interior faces carry no tag. The
-    constructor checks dim, element arity and node ids; an empty mesh or a
-    degenerate element is rejected where topology and measures are computed.
+    constructor checks dim, element arity, node ids and that every
+    coordinate is finite; an empty mesh or a degenerate element is rejected
+    where topology and measures are computed.
     """
 
     dim: int
@@ -116,6 +117,11 @@ class Mesh:
             e = int(np.argmax(bad))
             raise ValueError(f"element {e} names nodes {self.elements[e].tolist()}, "
                              f"not all in 0..{self.n_nodes - 1}")
+        finite = np.isfinite(self.node_coords)
+        if not finite.all():
+            v = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"node {v} has a non-finite coordinate "
+                             f"{self.node_coords[v].tolist()}")
 
     @property
     def n_nodes(self) -> int:
@@ -231,6 +237,17 @@ def _components(src, dst, n) -> np.ndarray:
     graph = sp.csr_matrix((np.ones(len(a)), b, _indptr(a, n)), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     return _first_appearance(labels)
+
+
+def _pieces(indptr, indices, labels):
+    """The component of each vertex of a CSR graph within its class of equal
+    ``labels`` (numbered as by :func:`_components`), and the labels,
+    ascending, whose class falls into more than one piece."""
+    n = len(labels)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    same = labels[src] == labels[indices]
+    pieces = _components(src[same], indices[same], n)
+    return pieces, np.flatnonzero(np.bincount(_unique_pairs(labels, pieces, n)[0]) > 1)
 
 
 def _induced_components(indptr, indices, members) -> np.ndarray:

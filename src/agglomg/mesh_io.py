@@ -34,6 +34,14 @@ class SweepRecord:
     status: str = "ok"
 
 
+def _count(section, body):
+    """The entry count on the first line of a section's ``body``."""
+    try:
+        return int(body[0])
+    except ValueError:
+        raise MshFormatError(f"${section} count line '{body[0]}' is not an integer") from None
+
+
 def read_msh(path):
     """Read an ASCII MSH 2.2 file into a Mesh.
 
@@ -48,7 +56,9 @@ def read_msh(path):
     mixed-dimensional mesh and is rejected, as are elements that name a
     node the $Nodes section does not define. An empty section, a short node
     or element line and an element of the wrong node count raise
-    :class:`MshFormatError` naming the section or line.
+    :class:`MshFormatError` naming the section or line, as do a field
+    that is no number (no integer in $Elements and the counts) and a
+    non-finite coordinate.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -81,7 +91,7 @@ def read_msh(path):
         raise MshFormatError("missing $Nodes or $Elements section")
 
     node_lines = sections["Nodes"]
-    n_nodes = int(node_lines[0])
+    n_nodes = _count("Nodes", node_lines)
     if len(node_lines) - 1 != n_nodes:
         raise MshFormatError(
             f"declared {n_nodes} nodes but found {len(node_lines) - 1}")
@@ -91,8 +101,11 @@ def read_msh(path):
         parts = ln.split()
         if len(parts) < 4:
             raise MshFormatError(f"$Nodes line '{ln}' has {len(parts)} fields, not 4")
-        ids[r] = int(parts[0])
-        xyz[r] = [float(parts[1]), float(parts[2]), float(parts[3])]
+        try:
+            ids[r] = int(parts[0])
+            xyz[r] = [float(parts[1]), float(parts[2]), float(parts[3])]
+        except ValueError:
+            raise MshFormatError(f"$Nodes line '{ln}' has a malformed number") from None
     id_to_row = {int(v): r for r, v in enumerate(ids)}
 
     def rows(conn):
@@ -103,7 +116,7 @@ def read_msh(path):
                                  "which $Nodes does not define") from None
 
     elem_lines = sections["Elements"]
-    n_declared = int(elem_lines[0])
+    n_declared = _count("Elements", elem_lines)
     if len(elem_lines) - 1 != n_declared:
         raise MshFormatError(
             f"declared {n_declared} elements but found {len(elem_lines) - 1}")
@@ -113,7 +126,10 @@ def read_msh(path):
     phys_tags = {etype: [] for etype in arity}
     skipped = 0
     for ln in elem_lines[1:]:
-        parts = [int(p) for p in ln.split()]
+        try:
+            parts = [int(p) for p in ln.split()]
+        except ValueError:
+            raise MshFormatError(f"$Elements line '{ln}' has a non-integer field") from None
         if len(parts) < 3 or len(parts) < 3 + parts[2]:
             raise MshFormatError(f"$Elements line '{ln}' is shorter than its tag count")
         etype, ntags = parts[1], parts[2]
@@ -136,6 +152,10 @@ def read_msh(path):
     elements = np.array([rows(t) for t in conns[volume]], dtype=np.int64)
     material = np.array(phys_tags[volume], dtype=np.int64)
     coords = xyz[:, :dim]
+    bad = ~np.isfinite(coords).all(axis=1)
+    if bad.any():
+        raise MshFormatError(f"$Nodes line '{node_lines[1 + int(np.argmax(bad))]}' "
+                             "has a non-finite coordinate")
 
     # fix inverted elements by swapping two nodes (geometry is unchanged)
     flipped = _signed_measures(coords, elements, dim) < 0

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (DualGraph, _collapse_pairs, _components, _first_appearance,
-                   _indptr, _induced_components, _neighbour_weights, _order_by,
+from .mesh import (DualGraph, _best_neighbour, _collapse_pairs, _components,
+                   _first_appearance, _indptr, _induced_components, _order_by, _pieces,
                    _unique_pairs)
 
 WEIGHT_SCALE = 1000
@@ -440,25 +440,23 @@ def _refine(graph: WeightedGraph, part: np.ndarray, targets: np.ndarray):
 
 
 def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
-    """Reassign every non-largest fragment of a part to the part it shares
-    the most edge weight with (ties to the lowest id), in one pass.
+    """Move every non-largest fragment of a part, in one pass, to the part
+    :func:`_best_neighbour` picks at equal sizes: most edge weight, then lowest id.
 
-    The components of every part are found at once; only a part in several
-    pieces has fragments. A fragment left in place has no neighbour outside
-    its part, so it is a whole component of the graph. One that moves is
-    adjacent to its target's kept piece, or to a part whose turn is still
-    to come, which is marked ``grown`` and recomputed in its turn. Each part
-    thus ends as one piece plus whole components, and a second pass would
-    change nothing.
+    The pieces of every part are found at once (:func:`_pieces`); only a
+    part in several pieces has fragments. A fragment left in place has no
+    neighbour outside its part, so it is a whole component of the graph.
+    One that moves is adjacent to its target's kept piece, or to a part
+    whose turn is still to come, which is marked ``grown`` and recomputed
+    in its turn. Each part thus ends as one piece plus whole components,
+    and a second pass would change nothing.
     """
-    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     indptr, indices, ewgt, where = map(memoryview, (graph.indptr, graph.indices,
                                                     graph.ewgt, part))
-    same = part[src] == part[graph.indices]
-    labels = _components(src[same], graph.indices[same], graph.n)
-    split = np.bincount(_unique_pairs(part, labels, graph.n)[0], minlength=k) > 1
+    labels, split = _pieces(graph.indptr, graph.indices, part)
+    sizes = [0] * k  # all equal: ties go to the lowest part id
     grown = np.zeros(k, dtype=bool)
-    for p in np.flatnonzero(split).tolist():
+    for p in split.tolist():
         members = np.flatnonzero(part == p)
         own = (_induced_components(graph.indptr, graph.indices, members) if grown[p]
                else _first_appearance(labels[members]))
@@ -468,10 +466,9 @@ def _enforce_contiguity(graph: WeightedGraph, part: np.ndarray, k: int):
                          np.cumsum(np.bincount(own))[:-1])
         comps.sort(key=lambda c: (-int(graph.vwgt[c].sum()), int(c[0])))
         for frag in comps[1:]:
-            conn = _neighbour_weights(indptr, indices, ewgt, where, frag.tolist(),
-                                      exclude=p)
-            if not conn:
+            target = _best_neighbour(indptr, indices, ewgt, where, frag.tolist(), sizes,
+                                     exclude=p)
+            if target < 0:
                 continue  # fragment isolated from all other parts
-            target = max(sorted(conn), key=lambda q: conn[q])
             part[frag] = target
             grown[target] = True

@@ -86,13 +86,12 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _p1_gradients(coords):
-    """Constant shape-function gradients and measures for each element."""
+def _p1_gradients(coords, vol):
+    """Constant shape-function gradients, with ``vol`` from :func:`element_measures`."""
     d = coords.shape[2]
     edges = coords[:, 1:] - coords[:, 0:1]   # row k is the edge p_{k+1} - p_0
     if d == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        vol = 0.5 * det
+        det = 2.0 * vol
         inv = np.empty_like(edges)
         inv[:, 0, 0] = edges[:, 1, 1] / det
         inv[:, 0, 1] = -edges[:, 0, 1] / det
@@ -100,27 +99,26 @@ def _p1_gradients(coords):
         inv[:, 1, 1] = edges[:, 0, 0] / det
         ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     else:
-        det = np.linalg.det(edges)
-        vol = det / 6.0
         inv = np.linalg.inv(edges)
         ref = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # the reference-to-physical Jacobian has the edge vectors as columns,
     # so grad phi_i = ref[i] @ J^{-1} = ref[i] @ inv(edges)^T
-    grads = np.einsum("ik,ndk->nid", ref, inv)
-    return grads, vol
+    return np.einsum("ik,ndk->nid", ref, inv)
 
 
 def assemble_operator(mesh: Mesh, spec: ProblemSpec):
     """Assemble the bilinear form and load without boundary conditions.
 
     Returns (A, b, boundary_node_mask); apply_dirichlet finishes the job.
+    A degenerate or inverted element raises DegenerateElementError.
     """
     mats = ElementMaterials.from_table(mesh, spec.materials)
     if np.any(mats.sigma_t <= 0):
         raise ValueError("sigma_t must be positive: diffusion coefficient 1/(3 sigma_t)")
     coords = mesh.node_coords[mesh.elements]
-    grads, vol = _p1_gradients(coords)
+    vol = element_measures(mesh)
+    grads = _p1_gradients(coords, vol)
     nloc = mesh.dim + 1
     diffusion = 1.0 / (3.0 * mats.sigma_t)
     sigma_a = mats.sigma_t - mats.sigma_s

@@ -57,29 +57,26 @@ def topo3d_ref(mesh3d_ref):
 
 
 @pytest.fixture(scope="session")
-def hier2d_by_size(mesh2d_ref, topo2d_ref):
+def hier2d_by_size(mesh2d_ref):
     """2D sizebased hierarchies for top sizes 4/24/100 with lower size 4."""
     out = {}
     for s in (4, 24, 100):
         out[s] = build_hierarchy(
             mesh2d_ref, CoarsenConfig("sizebased", desired_size=s, seed=1),
-            schedule=LevelSchedule(top=s, lower=4),
-            fine_topology=topo2d_ref)
+            schedule=LevelSchedule(top=s, lower=4))
     return out
 
 
 @pytest.fixture(scope="session")
-def hier3d_sizebased(mesh3d_ref, topo3d_ref):
+def hier3d_sizebased(mesh3d_ref):
     return build_hierarchy(
         mesh3d_ref, CoarsenConfig("sizebased", desired_size=168, seed=1),
-        schedule=LevelSchedule(top=168, lower=8),
-        fine_topology=topo3d_ref)
+        schedule=LevelSchedule(top=168, lower=8))
 
 
 @pytest.fixture(scope="session")
-def hier3d_jones(mesh3d_ref, topo3d_ref):
-    return build_hierarchy(mesh3d_ref, CoarsenConfig("jones", seed=1),
-                           fine_topology=topo3d_ref)
+def hier3d_jones(mesh3d_ref):
+    return build_hierarchy(mesh3d_ref, CoarsenConfig("jones", seed=1))
 
 
 @pytest.fixture(scope="session")
@@ -100,20 +97,17 @@ class TestCriterion01PartitionValidity:
     @pytest.fixture(scope="class")
     @staticmethod
     def small_cases():
-        m2 = generate_mesh(2, 32, jitter=0.2, seed=1)
-        m3 = generate_mesh(3, 10, jitter=0.2, seed=2)
-        return [(m2, LevelTopology.from_mesh(m2)),
-                (m3, LevelTopology.from_mesh(m3))]
+        return [generate_mesh(2, 32, jitter=0.2, seed=1),
+                generate_mesh(3, 10, jitter=0.2, seed=2)]
 
     def test_seeded_algorithms_all_seeds(self, small_cases):
         checked = 0
-        for mesh, topo in small_cases:
+        for mesh in small_cases:
             s_top = 24 if mesh.dim == 2 else 168
             for alg in SEEDED_ALGORITHMS:
                 for seed in range(N_SEEDS):
                     h = build_hierarchy(
-                        mesh, CoarsenConfig(alg, desired_size=s_top, seed=seed),
-                        fine_topology=topo)
+                        mesh, CoarsenConfig(alg, desired_size=s_top, seed=seed))
                     check_hierarchy(h)
                     checked += 1
         report(1, f"{checked} seeded hierarchies valid on all levels "
@@ -122,12 +116,10 @@ class TestCriterion01PartitionValidity:
     def test_deterministic_algorithms(self, small_cases):
         # jones and kraus take no random input: one run covers every seed,
         # plus an explicit repeat to confirm the map is seed-independent
-        for mesh, topo in small_cases:
+        for mesh in small_cases:
             for alg in DETERMINISTIC_ALGORITHMS:
-                h1 = build_hierarchy(mesh, CoarsenConfig(alg, seed=0),
-                                     fine_topology=topo)
-                h2 = build_hierarchy(mesh, CoarsenConfig(alg, seed=999),
-                                     fine_topology=topo)
+                h1 = build_hierarchy(mesh, CoarsenConfig(alg, seed=0))
+                h2 = build_hierarchy(mesh, CoarsenConfig(alg, seed=999))
                 check_hierarchy(h1)
                 for l1, l2 in zip(h1.levels, h2.levels):
                     assert np.array_equal(l1.agglomeration.element_to_agg,
@@ -163,7 +155,7 @@ class TestCriterion03ConnectivityPhaseChange:
                 h = build_hierarchy(
                     mesh2d_ref, CoarsenConfig("sizebased", desired_size=s, seed=1),
                     schedule=LevelSchedule(top=s, lower=4),
-                    stop=StopRule(max_levels=2), fine_topology=topo2d_ref)
+                    stop=StopRule(max_levels=2))
                 lvl = h.levels[0]
             post = mesh_metrics(lvl.topology)
             assert post.node_element_ratio > 1.0, \
@@ -234,13 +226,11 @@ class TestCriterion06TransferExactness:
 
 
 class TestCriterion07GalerkinCorrectness:
-    def test_triple_product_and_symmetry(self, mesh2d_ref, topo2d_ref,
-                                         diffuse_system_2d):
+    def test_triple_product_and_symmetry(self, mesh2d_ref, diffuse_system_2d):
         spec, A, b = diffuse_system_2d
         h = build_hierarchy(mesh2d_ref,
                             CoarsenConfig("sizebased", desired_size=24, seed=1),
-                            materials=spec.materials, operator=A,
-                            fine_topology=topo2d_ref)
+                            materials=spec.materials, operator=A)
         rng = np.random.default_rng(0)
         Af = A
         checked = 0
@@ -283,8 +273,7 @@ class TestCriterion08CoarseNodeRuleOracle:
 
 
 class TestCriterion09SolverEndToEnd:
-    def test_sizebased_iteration_bound(self, mesh2d_ref, topo2d_ref,
-                                       diffuse_system_2d):
+    def test_sizebased_iteration_bound(self, mesh2d_ref, diffuse_system_2d):
         spec, A, b = diffuse_system_2d
         # the stop rule is configuration: stopping once a level fits the
         # coarsest direct solve (the V-cycle's stated 2000-unknown budget)
@@ -292,8 +281,7 @@ class TestCriterion09SolverEndToEnd:
         hier = build_hierarchy(mesh2d_ref,
                                CoarsenConfig("sizebased", desired_size=24, seed=1),
                                materials=spec.materials, operator=A,
-                               stop=StopRule(coarse_nodes=2000),
-                               fine_topology=topo2d_ref)
+                               stop=StopRule(coarse_nodes=2000))
         M = VCyclePreconditioner(hier, inner=3)
         x, res, iters, conv = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
         assert conv, "did not converge"
@@ -308,15 +296,13 @@ class TestCriterion09SolverEndToEnd:
         report(9, f"sizebased s=24: {iters} iterations to rel 1e-10 "
                   f"(unpreconditioned: {iters_raw}{'' if conv_raw else '+, capped'})")
 
-    def test_all_seven_algorithms_converge(self, mesh2d_ref, topo2d_ref,
-                                           diffuse_system_2d):
+    def test_all_seven_algorithms_converge(self, mesh2d_ref, diffuse_system_2d):
         spec, A, b = diffuse_system_2d
         counts = {}
         for alg in ALGORITHMS:
             hier = build_hierarchy(mesh2d_ref,
                                    CoarsenConfig(alg, desired_size=24, seed=1),
-                                   materials=spec.materials, operator=A,
-                                   fine_topology=topo2d_ref)
+                                   materials=spec.materials, operator=A)
             M = VCyclePreconditioner(hier, inner=3)
             x, res, iters, conv = fgmres(A, b, M, restart=30, tol=1e-10, atol=0.0)
             assert conv, f"{alg} failed to converge"

@@ -9,7 +9,7 @@ from agglomg import agglomerate as ag
 from agglomg.agglomerate import (ALGORITHMS, Agglomeration, CoarsenConfig,
                                  agglomerate_stats, cleanup, coarsen)
 from agglomg.hierarchy import StopRule, build_hierarchy, level_schedule
-from agglomg.mesh import LevelTopology, Mesh, generate_mesh
+from agglomg.mesh import LevelTopology, Mesh, _components, generate_mesh
 
 from invariants import check_agglomeration
 
@@ -523,7 +523,7 @@ def _reference_split_noncontiguous(topo, assign):
     n = topo.n_elements
     src = np.repeat(np.arange(n), np.diff(dual.indptr))
     same = assign[src] == assign[dual.indices]
-    labels = ag._components(src[same], dual.indices[same], n)
+    labels = _components(src[same], dual.indices[same], n)
     agg_of_pair, _ = ag._unique_pairs(assign, labels, labels.max() + 1)
     moved = 0
     sizes = list(np.bincount(assign))

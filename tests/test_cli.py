@@ -68,6 +68,15 @@ class TestCoarsen:
         assert code == 1
         assert "node 4" in err
 
+    def test_non_finite_mesh_coordinate(self, tmp_path, capsys):
+        path = tmp_path / "nan.msh"
+        path.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n3\n"
+                        "1 0.0 0.0 0.0\n2 nan 0.0 0.0\n3 0.0 1.0 0.0\n$EndNodes\n"
+                        "$Elements\n1\n1 2 2 7 1 1 2 3\n$EndElements\n")
+        code, _, err = run(["coarsen", "--mesh", str(path), "--alg", "jones"], capsys)
+        assert code == 1
+        assert "'2 nan 0.0 0.0' has a non-finite coordinate" in err
+
     def test_size_ignored_warning(self, capsys):
         code, _, err = run(["coarsen", "--gen-2d", "8", "--alg", "jones",
                             "--size", "24"], capsys)

@@ -103,6 +103,14 @@ class TestGeometry:
         with pytest.raises(ValueError, match=message):
             Mesh(dim, coords, np.array(elements), np.zeros(1, dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, value):
+        mesh = generate_mesh(2, 8, jitter=0.2, seed=1)
+        coords = mesh.node_coords.copy()
+        coords[40, 1] = value
+        with pytest.raises(ValueError, match="node 40 has a non-finite coordinate"):
+            Mesh(2, coords, mesh.elements, mesh.material_id)
+
     def test_collinear_triangle_rejected(self):
         m = Mesh(2, np.array([[0.0, 0], [1.0, 1], [2.0, 2]]),
                  np.array([[0, 1, 2]]), np.zeros(1, dtype=np.int64))

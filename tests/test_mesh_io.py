@@ -166,6 +166,31 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match=message):
             read_msh(path)
 
+    @pytest.mark.parametrize("text,message", [
+        (MSH_ONE_TRIANGLE.replace("2 1.0 0.0 0.0", "2 1 0 x"),
+         r"\$Nodes line '2 1 0 x' has a malformed number"),
+        (MSH_ONE_TRIANGLE.replace("2 1.0 0.0 0.0", "2.0 1.0 0.0 0.0"),
+         r"\$Nodes line '2.0 1.0 0.0 0.0' has a malformed number"),
+        (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 2 7 1 1 2 x"),
+         r"\$Elements line '1 2 2 7 1 1 2 x' has a non-integer field"),
+        (MSH_ONE_TRIANGLE.replace("1 2 2 7 1 1 2 3", "1 2 2 7.5 1 1 2 3"),
+         r"\$Elements line '1 2 2 7.5 1 1 2 3' has a non-integer field"),
+        (MSH_ONE_TRIANGLE.replace("$Nodes\n3\n", "$Nodes\nthree\n"),
+         r"\$Nodes count line 'three' is not an integer"),
+        (MSH_ONE_TRIANGLE.replace("$Elements\n1\n", "$Elements\n1.0\n"),
+         r"\$Elements count line '1.0' is not an integer"),
+        (MSH_ONE_TRIANGLE.replace("2 1.0 0.0 0.0", "2 nan 0.0 0.0"),
+         r"\$Nodes line '2 nan 0.0 0.0' has a non-finite coordinate"),
+        (MSH_TET_WITH_BOUNDARY.replace("4 0.0 0.0 1.0", "4 0.0 0.0 inf"),
+         r"\$Nodes line '4 0.0 0.0 inf' has a non-finite coordinate"),
+    ], ids=["node-field", "node-id", "element-field", "element-tag", "node-count",
+            "element-count", "nan-coordinate", "inf-coordinate"])
+    def test_malformed_number_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match=message):
+            read_msh(path)
+
     def test_unused_node_dropped(self, tmp_path):
         # an MSH copy of a 2D box, with tagged boundary lines and one node
         # that no triangle uses listed first: every other row moves up one

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import (StopRule, build_hierarchy, grid_complexity,
                                operator_complexity)
-from agglomg.mesh import MaterialProperties, boundary_node_mask, generate_mesh
+from agglomg.mesh import (DegenerateElementError, MaterialProperties, Mesh,
+                          boundary_node_mask, generate_mesh)
 from agglomg.solver import (SMOOTHING_APPLICATIONS, CoarsestLevelError, DivergenceError,
                             ProblemSpec, VCyclePreconditioner, _CsrKernel, _gmres_cycle,
                             apply_dirichlet, assemble_operator, assemble_problem, fgmres,
@@ -56,6 +57,18 @@ class TestAssembly:
         table = {0: MaterialProperties(source=0.0, sigma_t=0.0, sigma_s=0.0)}
         with pytest.raises(ValueError, match="sigma_t"):
             assemble_operator(tri_single, ProblemSpec("diffuse", materials=table))
+
+    @pytest.mark.parametrize("dim,coords,elements", [
+        # the second triangle's nodes lie on the x axis
+        (2, [[0.0, 0], [1.0, 0], [0, 1.0], [2.0, 0]], [[0, 1, 2], [0, 1, 3]]),
+        # the second tet lists two nodes of a positive tet swapped
+        (3, [[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 1.0]],
+         [[0, 1, 2, 3], [1, 3, 2, 4]]),
+    ], ids=["zero-area-triangle", "inverted-tet"])
+    def test_degenerate_element_rejected(self, dim, coords, elements):
+        mesh = Mesh(dim, np.array(coords), np.array(elements), np.zeros(2, dtype=np.int64))
+        with pytest.raises(DegenerateElementError, match="element 1 has non-positive measure"):
+            assemble_operator(mesh, ProblemSpec("diffuse"))
 
     def test_absorbing_nonsymmetric_with_advection(self):
         mesh = generate_mesh(2, 8, seed=1)
