@@ -16,7 +16,7 @@ from .agglomerate import (ALGORITHMS, SIZE_BASED, Agglomeration, AgglomerateStat
                           CleanupReport, CoarsenConfig, agglomerate_stats, cleanup,
                           coarsen)
 from .partitioner import WeightedGraph, edge_cut, partition_kway, scale_weights
-from .hierarchy import (CoarseningError, EdgeChains, ElementMaterials, FacePatches,
+from .hierarchy import (CoarseningError, ElementMaterials, FacePatches,
                         GridLevel, Hierarchy, LevelSchedule, StopRule,
                         build_hierarchy, build_prolongation,
                         galerkin_operator, grid_complexity, level_schedule,

@@ -2,8 +2,8 @@
 
 A coarse level is derived from an agglomeration in four steps: group the
 interface fine faces into coarse faces (split per connected component and
-per boundary tag), pick coarse nodes by the face-count rule (or from
-coarse-edge endpoints on the kraus path), build the piecewise-average
+per boundary tag), pick coarse nodes by the face-count rule (or at the
+ends of the coarse edges on the 3D kraus path), build the piecewise-average
 prolongation, and re-express the level as a :class:`LevelTopology` so
 every coarsening algorithm can run again on it.
 
@@ -12,14 +12,15 @@ every coarsening algorithm can run again on it.
 agglomerate id, and the fine faces and fine nodes of each row are stored
 there once. The coarse edges, coarse nodes, prolongation and coarse
 topology all read those rows, and every step works on whole incidence
-arrays, the ordering of each coarse edge's fine edges into chains too
-(:func:`_edge_chains` steps all chains forward together). A level on
-which an agglomerate can get no coarse node ends the hierarchy one level
-early (see :func:`build_hierarchy`).
+arrays. A coarse edge is kept as the two end nodes of its chain of fine
+edges (an :class:`EdgeSet`); :func:`_edge_chains` finds the chains as
+components and walks only pure cycles, to cut them. A level on which an
+agglomerate can get no coarse node ends the hierarchy one level early
+(see :func:`build_hierarchy`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,23 +78,6 @@ class FacePatches:
         return self.left.shape[0]
 
 
-@dataclass
-class EdgeChains:
-    """The coarse edges of a 3D level: chains of fine edges shared by one
-    set of coarse faces.
-
-    ``endpoints`` holds the two end nodes of each chain, ascending. The fine
-    edges of each chain are a CSR list in walk order, its coarse faces (rows
-    of :class:`FacePatches`) an ascending CSR list.
-    """
-
-    endpoints: np.ndarray         # (E, 2) fine node ids
-    fine_edge_indptr: np.ndarray
-    fine_edge_ids: np.ndarray
-    face_indptr: np.ndarray
-    face_ids: np.ndarray
-
-
 @dataclass(frozen=True)
 class ElementMaterials:
     """Material data attached to each element of one level."""
@@ -115,6 +99,16 @@ class ElementMaterials:
         return cls(source=src, sigma_t=st, sigma_s=ss)
 
 
+def _check_ints(rule) -> None:
+    """Raise ValueError naming the first field of ``rule`` that is not an
+    integer (numpy integers are, bools are not)."""
+    for f in fields(rule):
+        value = getattr(rule, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{type(rule).__name__}.{f.name} must be an integer, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevelSchedule:
     """Desired agglomerate size for each coarsening step: the one source of
@@ -129,6 +123,7 @@ class LevelSchedule:
     lower: int
 
     def __post_init__(self):
+        _check_ints(self)
         if self.top < 2 or self.lower < 2:
             raise ValueError(f"agglomerate sizes must be >= 2, got top={self.top}, "
                              f"lower={self.lower}")
@@ -158,6 +153,7 @@ class StopRule:
     max_levels: int = 10
 
     def __post_init__(self):
+        _check_ints(self)
         if self.coarse_nodes < 0 or self.max_levels < 1:
             raise ValueError(f"{self}: coarse_nodes must be >= 0 and max_levels >= 1")
 
@@ -168,8 +164,8 @@ class GridLevel:
 
     ``coarse_faces`` is the table of the finer level's agglomerate
     interfaces and boundary patches that this level was read off, one row
-    per geometric coarse face; ``coarse_edges`` holds the coarse-edge
-    chains on the 3D kraus path and is None elsewhere.
+    per geometric coarse face. On the 3D kraus path the coarse edges are
+    ``topology.edges``, in this level's node numbering.
     """
 
     agglomeration: Agglomeration
@@ -179,7 +175,6 @@ class GridLevel:
     topology: LevelTopology
     materials: ElementMaterials | None = None
     operator: sp.csr_matrix | None = None
-    coarse_edges: EdgeChains | None = None
 
 
 @dataclass
@@ -306,7 +301,7 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
     level's (node, agglomerate) pairs it read.
 
     Without coarse edges a node is coarse by the face-count rule. With them
-    (the 3D kraus path) the coarse-edge endpoints are coarse, and an
+    (the 3D kraus path) the coarse edges' end nodes are coarse, and an
     agglomerate they leave uncovered falls back to the face-count rule.
     """
     an, aa = _node_agg_pairs(topo, agg)
@@ -327,21 +322,24 @@ def _coarse_mask(topo, agg, coarse_faces, coarse_edges=None):
         coarse = face_count_rule()
     else:
         coarse = np.zeros(topo.n_nodes, dtype=bool)
-        coarse[coarse_edges.endpoints.ravel()] = True
+        coarse[coarse_edges.nodes.ravel()] = True
         covered = coverage(coarse)
         if not covered.all():
             coarse[an[~covered[aa] & face_count_rule()[an]]] = True
     return coarse, coverage(coarse), (an, aa)
 
 
-def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
-    """Chains of fine edges shared between the same set of coarse faces.
+def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeSet:
+    """The coarse edges of a 3D level, as the end nodes of chains of fine
+    edges shared between the same set of coarse faces.
 
     Each fine edge on two or more coarse faces is grouped by that set, its
     signature; the groups run in lexicographic signature order, and
     :func:`_edge_chains` splits each into simple open paths: branch points
     split chains, and cycles are broken at their two topologically
-    farthest nodes.
+    farthest nodes. ``nodes`` holds each chain's two end nodes, ascending,
+    in this level's numbering, and the face CSR its coarse faces (rows of
+    ``coarse_faces``), ascending.
     """
     if topo.edges is None:
         raise ValueError("coarse edges require an EdgeSet (3D kraus path)")
@@ -373,42 +371,36 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     first = np.ones(len(members), dtype=bool)
     first[1:] = (sig[1:] != sig[:-1]).any(axis=1)
 
-    walk_order, indptr, chain_group, ends = _edge_chains(edges.nodes, members,
-                                                         np.cumsum(first) - 1)
+    chain_group, ends = _edge_chains(edges.nodes, members, np.cumsum(first) - 1)
     rows = np.flatnonzero(first)[chain_group]
-    return EdgeChains(endpoints=ends, fine_edge_indptr=indptr, fine_edge_ids=members[walk_order],
-                      face_indptr=np.append(0, np.cumsum(length[rows])),
-                      face_ids=sig[rows][sig[rows] >= 0])
+    return EdgeSet(nodes=ends, face_indptr=np.append(0, np.cumsum(length[rows])),
+                   face_ids=sig[rows][sig[rows] >= 0])
 
 
 def _edge_chains(nodes: np.ndarray, members: np.ndarray, group: np.ndarray):
-    """Split each group of edges into simple open chains, in walk order.
+    """Split each group of edges into simple open chains; return each
+    chain's group and its two end nodes, ascending.
 
     ``members`` are rows of ``nodes`` (two distinct nodes each), sorted by
     ``group`` and ascending inside a group. In a group, a node not of
-    degree 2 is a breakpoint. The walk takes the breakpoints in ascending
-    order and, at each, its unused edges in ascending order, and follows
-    each through degree-2 nodes to the next breakpoint. Pure cycles are
-    left; each is walked from its lowest edge's first node and cut in two,
-    the first half the longer one.
+    degree 2 is a breakpoint, and a chain is a component of the edges
+    linked through degree-2 nodes. Each edge has two ends (half-edges
+    ``2 i`` and ``2 i + 1`` of member i), and the two ends at a degree-2
+    node are partners. An open chain ends at its two partnerless ends, at
+    breakpoints; if both are one node, it ends at its lowest and highest
+    node. A pure cycle of L edges is cut in two, the first half
+    (L + 1) // 2 edges long, walked from its lowest edge's first node: both
+    halves end at that node and at the cut. Only the cycles are walked, all
+    together, one edge per pass.
 
-    The walk needs no loop over edges. Each edge has two ends (half-edges
-    ``2 i`` and ``2 i + 1`` of member i). The two ends at a degree-2 node
-    are partners, and an edge left by one end continues with the partner
-    of its other end. A chain begins at an end without a partner; of its
-    two such ends the walk starts from the one at the lower breakpoint,
-    ties to the lower edge. All chains then step forward together, one
-    edge per pass.
-
-    Returns the members' order (chain after chain, each in walk order),
-    the chains' indptr and group, and each chain's two end nodes,
-    ascending. A chain that returns to its first node has no single ends;
-    it ends at its lowest and highest node.
+    Chains run by group, open before cyclic, then by start: an open chain
+    starts at its lower breakpoint end, ties to the lower edge, as a walk
+    that takes the breakpoints and their edges in ascending order meets
+    it; a cycle's halves run by (lowest edge, half).
     """
     k = len(members)
-    empty = np.zeros(0, dtype=np.int64)
     if k == 0:
-        return empty, np.zeros(1, dtype=np.int64), empty, np.zeros((0, 2), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
     half_node = nodes[members].ravel()
     n = int(half_node.max()) + 1
     key, by_node = _sort_keys(np.repeat(group, 2) * n + half_node, (int(group[-1]) + 1) * n)
@@ -417,69 +409,44 @@ def _edge_chains(nodes: np.ndarray, members: np.ndarray, group: np.ndarray):
     partner = np.full(2 * k, -1, dtype=np.int64)
     partner[by_node[pair]] = by_node[pair + 1]
     partner[by_node[pair + 1]] = by_node[pair]
-    succ = partner[np.arange(2 * k) ^ 1]
+    chain = _components(by_node[pair] >> 1, by_node[pair + 1] >> 1, k)
+    # chains are numbered by their lowest edge
+    lowest = np.flatnonzero(np.diff(np.maximum.accumulate(chain), prepend=-1) > 0)
 
-    def walk(start, closed):
-        """(walk, step, half-edge) of every step of the walks from ``start``;
-        a closed walk stops before it would return to its start."""
-        steps = [(empty, empty, empty)]
-        idx, cur = np.arange(len(start)), start
-        while len(cur):
-            steps.append((idx, np.full(len(cur), len(steps) - 1), cur))
-            cur = succ[cur]
-            alive = cur >= 0
-            if closed:
-                alive &= cur != start[idx]
-            idx, cur = idx[alive], cur[alive]
-        return [np.concatenate(column) for column in zip(*steps)]
-
-    # open chains, walked from both ends: keep the walk from the lower end
+    # an open chain's two ends, the lower half-edge first
     term = np.flatnonzero(partner < 0)
-    chain, step, half = walk(term, False)
-    far = np.empty(len(term), dtype=np.int64)
-    far[chain] = half ^ 1  # steps run in order, so the last one stays
-    keep = ((half_node[term] < half_node[far])
-            | ((half_node[term] == half_node[far]) & (term < far)))
-    on_open = np.zeros(k, dtype=bool)
-    on_open[half >> 1] = True
-    sel = keep[chain]
-    chain, step, half = (np.cumsum(keep) - 1)[chain[sel]], step[sel], half[sel]
-    term = term[keep]
-    # chains sort by group, open before cyclic, then by their start
-    # (breakpoint, edge), or by (lowest edge, half) on a cycle
-    keys = [group[term >> 1], np.zeros(len(term), dtype=np.int64), half_node[term],
-            term >> 1]
+    term = term[_sort_keys(chain[term >> 1], len(lowest))[1]]
+    t0, t1 = term[0::2], term[1::2]
+    a, b = half_node[t0], half_node[t1]
+    start = np.where(a <= b, t0, t1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    loop = np.flatnonzero(a == b)
+    if len(loop):
+        # a chain that returns to its breakpoint ends at its extreme nodes
+        span = np.full((2, len(lowest)), [[n], [-1]])
+        np.minimum.at(span[0], np.repeat(chain, 2), half_node)
+        np.maximum.at(span[1], np.repeat(chain, 2), half_node)
+        lo[loop], hi[loop] = span[:, chain[t0[loop] >> 1]]
 
-    cyc = np.flatnonzero(~on_open)
-    if len(cyc):
-        # linked through both ends, the labels number the cycles in order
-        # of their lowest member
-        cyc_ends = (2 * cyc[:, None] + [0, 1]).ravel()
-        labels = _components(cyc_ends >> 1, succ[cyc_ends] >> 1, k)
-        lowest = cyc[(np.diff(np.maximum.accumulate(labels), prepend=-1) > 0)[cyc]]
-        c_walk, c_step, c_half = walk(2 * lowest, True)
-        cut = ((np.bincount(c_walk) + 1) // 2)[c_walk]
-        second = c_step >= cut
-        chain = np.concatenate([chain, len(term) + 2 * c_walk + second])
-        step = np.concatenate([step, c_step - second * cut])
-        half = np.concatenate([half, c_half])
-        cyc_keys = [np.repeat(group[lowest], 2), np.ones(2 * len(lowest), dtype=np.int64),
-                    np.repeat(lowest, 2), np.tile([0, 1], len(lowest))]
-        keys = [np.concatenate(both) for both in zip(keys, cyc_keys)]
+    # each pure cycle is walked from its lowest edge's first node to the
+    # node after the first half of its edges
+    is_open = np.zeros(len(lowest), dtype=bool)
+    is_open[chain[t0 >> 1]] = True
+    first = 2 * lowest[~is_open]
+    cur = first.copy()
+    steps = (np.bincount(chain)[~is_open] + 1) // 2
+    for step in range(1, int(steps.max(initial=0))):
+        walking = steps > step
+        cur[walking] = partner[cur[walking] ^ 1]
+    cut, home = half_node[cur ^ 1], half_node[first]
 
-    chain_order = np.lexsort(keys[::-1])
-    rank = np.empty_like(chain_order)
-    rank[chain_order] = np.arange(len(rank))
-    half = half[np.lexsort((step, rank[chain]))]
-    indptr = _indptr(rank[chain], len(rank))
-
-    a, b = half_node[half[indptr[:-1]]], half_node[half[indptr[1:] - 1] ^ 1]
-    both = np.column_stack([half_node[half], half_node[half ^ 1]])
-    ends = np.where((a != b)[:, None],
-                    np.column_stack([np.minimum(a, b), np.maximum(a, b)]),
-                    np.column_stack([np.minimum.reduceat(both.min(axis=1), indptr[:-1]),
-                                     np.maximum.reduceat(both.max(axis=1), indptr[:-1])]))
-    return half >> 1, indptr, keys[0][chain_order], ends
+    major = np.concatenate([2 * group[start >> 1], np.repeat(2 * group[first >> 1] + 1, 2)])
+    minor = np.concatenate([half_node[start] * 2 * k + start,
+                            np.repeat(first, 2) + np.tile([0, 1], len(first))])
+    order = _order_by(major, minor, n * 2 * k)
+    ends = np.column_stack([np.concatenate([lo, np.repeat(np.minimum(home, cut), 2)]),
+                            np.concatenate([hi, np.repeat(np.maximum(home, cut), 2)])])
+    return major[order] >> 1, ends[order]
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +573,7 @@ def galerkin_operator(fine_operator: sp.spmatrix,
 # coarse level topology
 
 def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: FacePatches,
-                     coarse_nodes: np.ndarray, coarse_edges: EdgeChains | None,
+                     coarse_nodes: np.ndarray, coarse_edges: EdgeSet | None,
                      node_aggs: tuple) -> LevelTopology:
     """The level whose elements are ``agg``'s agglomerates, with
     ``node_aggs``, the fine level's (node, agglomerate) pairs from
@@ -636,11 +603,10 @@ def _coarse_topology(topo: LevelTopology, agg: Agglomeration, coarse_faces: Face
     keep = col_of[an] >= 0
     node_elem = _indptr(col_of[an[keep]], nc), aa[keep]
 
+    # every end node is coarse, and col_of keeps each pair ascending
     edges = None
-    if coarse_edges is not None and len(coarse_edges.endpoints):
-        ce = coarse_edges
-        edges = EdgeSet(nodes=np.sort(col_of[ce.endpoints], axis=1),
-                        face_indptr=ce.face_indptr, face_ids=ce.face_ids)
+    if coarse_edges is not None and coarse_edges.n_edges:
+        edges = replace(coarse_edges, nodes=col_of[coarse_edges.nodes])
 
     return LevelTopology.from_faces(topo.dim, new_faces, elem_volume, node_elem, edges)
 
@@ -728,7 +694,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
         levels.append(GridLevel(agglomeration=agg, coarse_faces=cfs,
                                 coarse_nodes=cnodes, prolongation=P,
                                 topology=new_topo, materials=new_mats,
-                                operator=new_A, coarse_edges=cedges))
+                                operator=new_A))
         topo, mats, A = new_topo, new_mats, new_A
         if stagnating:
             # keep the level, but a sub-10% node reduction ends the hierarchy

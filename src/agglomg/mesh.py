@@ -87,9 +87,11 @@ class Mesh:
 
     ``boundary_tag`` maps each boundary face, keyed by its sorted node
     tuple, to an integer side tag. Interior faces carry no tag. The
-    constructor checks dim, element arity, node ids and that every
-    coordinate is finite; an empty mesh or a degenerate element is rejected
-    where topology and measures are computed.
+    constructor checks dim, the shapes of ``node_coords`` (n_nodes, dim),
+    ``elements`` (n_elements, dim + 1) and ``material_id`` (n_elements,),
+    node ids and that every coordinate is finite; an empty mesh or a
+    degenerate element is rejected where topology and measures are
+    computed.
     """
 
     dim: int
@@ -109,9 +111,15 @@ class Mesh:
             arr.flags.writeable = False
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.node_coords.ndim != 2 or self.node_coords.shape[1] != self.dim:
+            raise ValueError(f"a {self.dim}D node has {self.dim} coordinates, got "
+                             f"node_coords of shape {self.node_coords.shape}")
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise ValueError(f"a {self.dim}D element has {self.dim + 1} nodes, got "
                              f"elements of shape {self.elements.shape}")
+        if self.material_id.shape != (self.n_elements,):
+            raise ValueError(f"material_id has shape {self.material_id.shape}, not one "
+                             f"entry per element ({self.n_elements},)")
         bad = ((self.elements < 0) | (self.elements >= self.n_nodes)).any(axis=1)
         if bad.any():
             e = int(np.argmax(bad))
@@ -559,15 +567,17 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
                   seed: int = 0) -> Mesh:
     """Jittered structured simplicial mesh of a box with a centered source box.
 
-    Each square cell is split into 2 triangles (2D); each cube cell into 6
-    tetrahedra (3D). ``jitter`` is the displacement amplitude for interior
-    nodes as a fraction of the cell width and must stay below 0.5 so no
-    element can invert in expectation; if a draw does invert an element the
-    amplitude is halved, with a hard error after 5 attempts. Boundary faces
-    are tagged per geometric side: 1 and 2 for low and high x, 3 and 4 for
-    y, 5 and 6 for z. Elements whose centroid falls in the centered source
-    box of width ``SOURCE_EXTENT`` get material 0, the rest material 1.
-    Pure function of (parameters, seed).
+    The box is [0, ``extent``] along each axis, ``extent`` finite and > 0,
+    cut into ``n`` cells per side. Each square cell is split into 2
+    triangles (2D); each cube cell into 6 tetrahedra (3D). ``jitter`` is
+    the displacement amplitude for interior nodes as a fraction of the cell
+    width and must stay below 0.5 so no element can invert in expectation;
+    if a draw does invert an element the amplitude is halved, with a hard
+    error after 5 attempts. Boundary faces are tagged per geometric side:
+    1 and 2 for low and high x, 3 and 4 for y, 5 and 6 for z. Elements
+    whose centroid falls in the centered source box of width
+    ``SOURCE_EXTENT`` get material 0, the rest material 1. Pure function of
+    (parameters, seed).
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -577,6 +587,8 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
         raise ValueError("jitter must be in [0, 0.5) cell widths")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (np.isfinite(extent) and extent > 0):
+        raise ValueError(f"extent must be finite and > 0, got {extent}")
 
     h = extent / n
     lattice = np.stack(np.meshgrid(*[np.arange(n + 1)] * dim, indexing="ij"),

@@ -5,6 +5,8 @@
 - P has non-negative rows that sum to one, injects at the coarse nodes,
   and its restriction is its exact transpose.
 - P^T A P is symmetric when A is.
+- A level's edges, where it has them, join two distinct nodes of that
+  level, ascending.
 
 ``check_hierarchy`` runs all of them on every level of a hierarchy, and
 ``coarse_nodes`` gives a level's coarse nodes as ``build_hierarchy`` picks
@@ -81,15 +83,25 @@ def check_galerkin_symmetry(A, Ac):
         assert _asymmetry(Ac) <= 1e-12, "P^T A P is not symmetric"
 
 
+def check_edges(topo):
+    """Each edge names two distinct nodes of its level, ascending."""
+    if topo.edges is not None:
+        a, b = topo.edges.nodes.T
+        assert ((0 <= a) & (a < b) & (b < topo.n_nodes)).all(), \
+            "an edge does not join two ascending nodes of its level"
+
+
 def check_hierarchy(h):
     """Every invariant on every level; the operators too, when built."""
     topo = h.fine_topology
     A = h.fine_operator
+    check_edges(topo)
     for lvl in h.levels:
         check_agglomeration(topo, lvl.agglomeration)
         check_coarse_node_coverage(topo, lvl)
         check_transfers(lvl, topo.n_nodes)
         assert lvl.topology.n_elements == lvl.agglomeration.n_agglomerates
+        check_edges(lvl.topology)
         if A is not None:
             check_galerkin_symmetry(A, lvl.operator)
             A = lvl.operator

@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 
 from agglomg.agglomerate import Agglomeration, _group_pairs
-from agglomg.hierarchy import BOUNDARY, EdgeChains, FacePatches
+from agglomg.hierarchy import BOUNDARY, FacePatches
 from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _collapse_pairs, _components,
                           _csr_from_pairs, _first_appearance, _gather_ragged, _unique_pairs)
 from agglomg.partitioner import balance_bounds
@@ -204,14 +204,38 @@ def _face_components(topo: LevelTopology, fids: np.ndarray, group: np.ndarray):
     return _components(pos[:-1][link], pos[1:][link], len(fids))
 
 
-def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeChains:
-    """Chains of fine edges shared between the same set of coarse faces.
+def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeSet:
+    """Chains of fine edges shared between the same set of coarse faces,
+    walked edge by edge, each returned as its two end nodes.
 
     Cycles are broken at their two topologically farthest nodes; branch
     points split chains so every coarse edge is a simple open path.
     """
     if topo.edges is None:
         raise ValueError("coarse edges require an EdgeSet (3D kraus path)")
+    groups = edge_groups(topo, coarse_faces)
+    nodes = topo.edges.nodes.tolist()  # the walks index one edge at a time
+    ends, sigs, sig_indptr = [], [], [0]
+    for sig in sorted(groups):
+        members = groups[sig]
+        if len(members) == 1:
+            # one edge is one chain, between its two nodes
+            a, b = nodes[members[0]]
+            chain_ends = [(a, b) if a < b else (b, a)]
+        else:
+            chain_ends = [_chain_endpoints(nodes, c) for c in _edge_chains(nodes, members)]
+        for pair in chain_ends:
+            ends.append(pair)
+            sigs += sig
+            sig_indptr.append(len(sigs))
+    return EdgeSet(nodes=np.array(ends, dtype=np.int64).reshape(-1, 2),
+                   face_indptr=np.array(sig_indptr, dtype=np.int64),
+                   face_ids=np.array(sigs, dtype=np.int64))
+
+
+def edge_groups(topo: LevelTopology, coarse_faces: FacePatches) -> dict:
+    """The fine edges on two or more coarse faces, ascending, keyed by the
+    tuple of those coarse faces, their signature."""
     edges = topo.edges
     n_cf = coarse_faces.n_faces
     # each fine face lies in at most one coarse face; take the unique
@@ -231,28 +255,7 @@ def select_coarse_edges(topo: LevelTopology, coarse_faces: FacePatches) -> EdgeC
     groups = {}
     for e, lo, hi in zip(edge_of[starts].tolist(), starts, starts[1:] + [len(cfs)]):
         groups.setdefault(tuple(cfs[lo:hi]), []).append(e)
-
-    nodes = edges.nodes.tolist()  # the walks index one edge at a time
-    ends, fine, fine_indptr, sigs, sig_indptr = [], [], [0], [], [0]
-    for sig in sorted(groups):
-        members = groups[sig]
-        if len(members) == 1:
-            # one edge is one chain, between its two nodes
-            a, b = nodes[members[0]]
-            chains = [(members, (a, b) if a < b else (b, a))]
-        else:
-            chains = [(c, _chain_endpoints(nodes, c)) for c in _edge_chains(nodes, members)]
-        for chain, chain_ends in chains:
-            ends.append(chain_ends)
-            fine += chain
-            fine_indptr.append(len(fine))
-            sigs += sig
-            sig_indptr.append(len(sigs))
-    return EdgeChains(endpoints=np.array(ends, dtype=np.int64).reshape(-1, 2),
-                      fine_edge_indptr=np.array(fine_indptr, dtype=np.int64),
-                      fine_edge_ids=np.array(fine, dtype=np.int64),
-                      face_indptr=np.array(sig_indptr, dtype=np.int64),
-                      face_ids=np.array(sigs, dtype=np.int64))
+    return groups
 
 
 def _edge_chains(nodes: list, members: list) -> list:

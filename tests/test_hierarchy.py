@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 
 from agglomg import hierarchy as hi
 from agglomg.agglomerate import ALGORITHMS, Agglomeration, CoarsenConfig
-from agglomg.hierarchy import (CoarseningError, ElementMaterials, StopRule,
+from agglomg.hierarchy import (CoarseningError, ElementMaterials, LevelSchedule, StopRule,
                                build_hierarchy, build_prolongation,
                                galerkin_operator, grid_complexity, level_schedule,
                                operator_complexity, project_materials, restriction,
@@ -200,9 +201,9 @@ class TestCoarseEdges:
         agg = Agglomeration(assign)
         cfs = select_coarse_faces(topo, agg)
         ces = select_coarse_edges(topo, cfs)
-        assert len(ces.endpoints) > 0
-        assert ces.endpoints.shape[1] == 2
-        assert np.all(ces.endpoints[:, 0] != ces.endpoints[:, 1])
+        assert ces.n_edges > 0
+        assert ces.nodes.shape == (ces.n_edges, 2)
+        assert np.all(ces.nodes[:, 0] < ces.nodes[:, 1])
 
     def test_cycle_broken_into_two_chains(self, mesh3d_small):
         # the loop repair itself: a pure 4-cycle of fine edges splits at
@@ -211,21 +212,20 @@ class TestCoarseEdges:
         edges = topo.edges
         # find a 4-cycle: nodes of one lattice square
         keys = {tuple(sorted(e)): i for i, e in enumerate(edges.nodes.tolist())}
-        n = 3  # (n+1) = 3 nodes per axis
 
         def nid(i, j, k):
-            return (i * 3 + j) * 3 + k
+            return (i * 3 + j) * 3 + k  # (n+1) = 3 nodes per axis
 
         quad = [nid(0, 0, 0), nid(0, 1, 0), nid(0, 1, 1), nid(0, 0, 1)]
         cyc = []
         for a, b in zip(quad, quad[1:] + quad[:1]):
             cyc.append(keys[tuple(sorted((a, b)))])
         members = np.sort(cyc)
-        _, indptr, _, ends = hi._edge_chains(edges.nodes, members,
-                                             np.zeros(4, dtype=np.int64))
-        assert np.diff(indptr).tolist() == [2, 2]
-        # the halves meet at the cycle's start node and at the node opposite
-        assert sorted(set(ends.ravel().tolist())) == sorted({quad[0], quad[2]})
+        chain_group, ends = hi._edge_chains(edges.nodes, members,
+                                            np.zeros(4, dtype=np.int64))
+        assert chain_group.tolist() == [0, 0]
+        # both halves end at the cycle's start node and at the node opposite
+        assert ends.tolist() == [sorted([quad[0], quad[2]])] * 2
 
     def test_straight_chain_endpoints(self):
         mesh = generate_mesh(3, 3, extent=1.0)
@@ -236,41 +236,45 @@ class TestCoarseEdges:
         agg = Agglomeration(assign)
         cfs = select_coarse_faces(topo, agg)
         ces = select_coarse_edges(topo, cfs)
-        # every chain is a connected simple path over its fine edges
-        for chain in np.split(ces.fine_edge_ids, ces.fine_edge_indptr[1:-1]):
-            nodes = {}
-            for e in chain:
-                for v in topo.edges.nodes[e]:
-                    nodes[int(v)] = nodes.get(int(v), 0) + 1
-            degree_one = [v for v, c in nodes.items() if c == 1]
-            assert len(degree_one) == 2 or len(chain) == 1
+        # every chain ends at two breakpoints of its group: nodes that do
+        # not have two of the group's fine edges
+        groups = ref.edge_groups(topo, cfs)
+        assert ces.n_edges >= len(groups) > 0
+        for r, ends in enumerate(ces.nodes.tolist()):
+            sig = tuple(ces.face_ids[ces.face_indptr[r]:ces.face_indptr[r + 1]].tolist())
+            degree = collections.Counter(topo.edges.nodes[groups[sig]].ravel().tolist())
+            assert ends[0] != ends[1]
+            assert all(degree[v] not in (0, 2) for v in ends)
 
     def test_single_edge_groups_match_walk(self, mesh3d_small):
-        # every group of every level, one-edge or not, must equal what
-        # the reference walk makes of it, also when the edges list their
-        # nodes larger first
+        # every group of every level, one-edge or not, must end where the
+        # reference walk ends it, also when the edges list their nodes
+        # larger first; a level's edges, in the finer level's numbering,
+        # are the coarse edges it was built from
         hier = build_hierarchy(mesh3d_small, CoarsenConfig("kraus"))
         fine = hier.fine_topology
         flipped = dataclasses.replace(fine, edges=dataclasses.replace(
             fine.edges, nodes=fine.edges.nodes[:, ::-1].copy()))
-        cases = [(flipped, select_coarse_edges(flipped, hier.levels[0].coarse_faces))]
+        cases = [(flipped, hier.levels[0].coarse_faces,
+                  select_coarse_edges(flipped, hier.levels[0].coarse_faces))]
         topos = [fine] + [lvl.topology for lvl in hier.levels]
-        cases += [(topo, lvl.coarse_edges) for topo, lvl in zip(topos, hier.levels)]
+        cases += [(topo, lvl.coarse_faces, dataclasses.replace(
+            lvl.topology.edges, nodes=lvl.coarse_nodes[lvl.topology.edges.nodes]))
+                  for topo, lvl in zip(topos, hier.levels)]
         sizes = []
-        for topo, ces in cases:
+        for topo, cfs, ces in cases:
             nodes = topo.edges.nodes.tolist()
             rows = [(tuple(ces.face_ids[ces.face_indptr[r]:ces.face_indptr[r + 1]]
-                           .tolist()),
-                     ces.fine_edge_ids[ces.fine_edge_indptr[r]:ces.fine_edge_indptr[r + 1]]
-                     .tolist(), tuple(ces.endpoints[r].tolist()))
-                    for r in range(len(ces.endpoints))]
-            assert [sig for sig, _, _ in rows] == sorted(sig for sig, _, _ in rows)
-            for _, group in itertools.groupby(rows, key=lambda row: row[0]):
-                group = list(group)
-                members = sorted(e for _, chain, _ in group for e in chain)
+                           .tolist()), tuple(ces.nodes[r].tolist()))
+                    for r in range(ces.n_edges)]
+            assert [sig for sig, _ in rows] == sorted(sig for sig, _ in rows)
+            groups = ref.edge_groups(topo, cfs)
+            assert [sig for sig, _ in itertools.groupby(rows, key=lambda row: row[0])] \
+                == sorted(groups)
+            for sig, group in itertools.groupby(rows, key=lambda row: row[0]):
+                members = groups[sig]
                 chains = ref._edge_chains(nodes, members)
-                assert [chain for _, chain, _ in group] == chains
-                assert ([ends for _, _, ends in group]
+                assert ([ends for _, ends in group]
                         == [ref._chain_endpoints(nodes, c) for c in chains])
                 sizes.append(len(members))
         assert sizes.count(1) > len(sizes) / 2 and max(sizes) > 2
@@ -488,6 +492,19 @@ class TestSchedule:
             level_schedule(2, top=top, lower=lower)
 
 
+    @pytest.mark.parametrize("top,lower,field", [(24.5, 4, "top"), (24, 4.0, "lower"),
+                                                 (True, 4, "top"), (24, "4", "lower")])
+    def test_sizes_must_be_integers(self, top, lower, field):
+        # top=24.5 used to build greedy and aspect hierarchies, while
+        # sizebased raised a bare TypeError naming no input
+        with pytest.raises(ValueError, match=rf"LevelSchedule\.{field} must be an integer"):
+            LevelSchedule(top=top, lower=lower)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sched = LevelSchedule(top=np.int64(8), lower=np.int32(4))
+        assert sched.size_for(1, _level(2, 1000)) == 4
+
+
 class TestSizeFromSchedule:
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -695,6 +712,14 @@ class TestStopReason:
         (key, value), = kwargs.items()
         with pytest.raises(ValueError, match=rf"{key}={value}\b.*max_levels >= 1"):
             StopRule(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(coarse_nodes=60.5), dict(max_levels=3.5),
+                                        dict(max_levels=True), dict(coarse_nodes=None)])
+    def test_rule_must_be_integers(self, kwargs):
+        (key, value), = kwargs.items()
+        with pytest.raises(ValueError, match=rf"StopRule\.{key} must be an integer"):
+            StopRule(**kwargs)
+        assert StopRule(coarse_nodes=np.int64(5), max_levels=np.int8(3)).max_levels == 3
 
     def test_one_level_and_no_node_threshold_are_rules(self):
         mesh = generate_mesh(2, 4)

@@ -40,6 +40,13 @@ class TestGenerateMesh:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             generate_mesh(2, 4, jitter=jitter, seed=-1)
 
+    @pytest.mark.parametrize("extent", [-1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_bad_extent_rejected(self, extent, jitter):
+        # a negative extent used to build a mirrored box of material 0 only
+        with pytest.raises(ValueError, match=rf"extent must be finite and > 0, got {extent}"):
+            generate_mesh(2, 4, extent=extent, jitter=jitter)
+
     def test_near_limit_jitter_still_positive(self):
         # jitter close to half a cell can invert elements on a draw; the
         # generator retries with reduced amplitude and must end positive
@@ -102,6 +109,23 @@ class TestGeometry:
         coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
         with pytest.raises(ValueError, match=message):
             Mesh(dim, coords, np.array(elements), np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", ["3 columns", "1-D"])
+    def test_coordinate_shape_rejected(self, shape):
+        # a 2D box given a zero z column, or its coordinates flattened
+        box = generate_mesh(2, 4)
+        coords = (np.column_stack([box.node_coords, np.zeros(box.n_nodes)])
+                  if shape == "3 columns" else box.node_coords.ravel())
+        with pytest.raises(ValueError, match=rf"a 2D node has 2 coordinates, got "
+                                             rf"node_coords of shape \({coords.shape[0]},"):
+            Mesh(2, coords, box.elements, box.material_id)
+
+    @pytest.mark.parametrize("material", [np.zeros(3), np.zeros((32, 1))],
+                             ids=["3 entries", "column"])
+    def test_material_shape_rejected(self, material):
+        box = generate_mesh(2, 4)
+        with pytest.raises(ValueError, match=r"material_id has shape .*\(32,\)"):
+            Mesh(2, box.node_coords, box.elements, material)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, value):
