@@ -26,20 +26,27 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (LevelTopology, _best_neighbour, _csr_from_pairs, _first_appearance,
-                   _gather_ragged, _indptr, _induced_components, _neighbour_weights,
-                   _pieces, _row_sums, _unique_pairs)
+from .mesh import (LevelTopology, _best_neighbour, _check_int, _csr_from_pairs,
+                   _first_appearance, _gather_ragged, _indptr, _induced_components,
+                   _neighbour_weights, _pieces, _row_sums, _unique_pairs)
 from . import partitioner
 
 ALGORITHMS = ("jones", "kraus", "rgb", "node", "greedy", "sizebased", "aspect")
 SIZE_BASED = ("greedy", "sizebased", "aspect")
 
 ASPECT_MAX_PASSES = 10
+
+
+def _check_ints(rule, names=None) -> None:
+    """Raise ValueError naming the first of the ``names`` fields of ``rule``
+    (all its fields by default) that is not an integer."""
+    for name in names or [f.name for f in fields(rule)]:
+        _check_int(f"{type(rule).__name__}.{name}", getattr(rule, name))
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class CoarsenConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _check_ints(self, ["seed"] + ([] if self.desired_size is None else ["desired_size"]))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.algorithm in SIZE_BASED:

@@ -20,7 +20,7 @@ agglomerate can get no coarse node ends the hierarchy one level early
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .mesh import (BOUNDARY, EdgeSet, FaceSet, LevelTopology, Mesh, MaterialTable,
                    _collapse_pairs, _components, _csr_from_pairs, _first_appearance,
                    _gather_ragged, _indptr, _order_by, _row_sums, _sort_keys, _unique_pairs)
-from .agglomerate import Agglomeration, CoarsenConfig, _group_pairs, coarsen
+from .agglomerate import Agglomeration, CoarsenConfig, _check_ints, _group_pairs, coarsen
 
 SEARCH_RING_LIMIT = 20
 # in 3D, levels with fewer elements than this are coarsened with SMALL_GRID_SIZE
@@ -97,16 +97,6 @@ class ElementMaterials:
         st = np.array([m.sigma_t for m in props])[inverse]
         ss = np.array([m.sigma_s for m in props])[inverse]
         return cls(source=src, sigma_t=st, sigma_s=ss)
-
-
-def _check_ints(rule) -> None:
-    """Raise ValueError naming the first field of ``rule`` that is not an
-    integer (numpy integers are, bools are not)."""
-    for f in fields(rule):
-        value = getattr(rule, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{type(rule).__name__}.{f.name} must be an integer, "
-                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,13 +170,16 @@ class GridLevel:
 @dataclass
 class Hierarchy:
     mesh: Mesh
-    fine_topology: LevelTopology
     levels: list
     config: CoarsenConfig
     fine_operator: sp.csr_matrix | None = None
     # why coarsening ended: "coarse_nodes", "stagnation", "max_levels",
     # "no_coarsening", "uncoverable" or "dense" (see build_hierarchy)
     stop_reason: str | None = None
+
+    @property
+    def fine_topology(self) -> LevelTopology:
+        return self.mesh.topology
 
     @property
     def node_counts(self) -> list:
@@ -643,8 +636,10 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
     The fine level never stops this way, and a hierarchy built without an
     operator has no density to test, so it keeps the node-count stop.
 
-    The fine level is always derived from ``mesh``, and all seven
-    algorithms re-apply on coarse levels via the rebuilt LevelTopology.
+    The fine level is always derived from ``mesh``: it is ``mesh.topology``,
+    derived once per mesh, so every hierarchy built on one mesh (and the
+    assembly on it) shares it. All seven algorithms re-apply on coarse
+    levels via the rebuilt LevelTopology.
 
     Every level's agglomerate size comes from ``schedule``: a
     ``config.desired_size`` other than None or ``schedule.top`` raises
@@ -657,7 +652,7 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
             f"{schedule.top}; set the sizes through the LevelSchedule")
     replace(config, desired_size=schedule.top).validate()  # the algorithm name
     stop = stop or StopRule()
-    topo0 = topo = LevelTopology.from_mesh(mesh)
+    topo = mesh.topology
 
     levels = []
     mats = ElementMaterials.from_table(mesh, materials) if materials else None
@@ -701,8 +696,8 @@ def build_hierarchy(mesh: Mesh, config: CoarsenConfig,
             stop_reason = "stagnation"
             break
 
-    return Hierarchy(mesh=mesh, fine_topology=topo0, levels=levels, config=config,
-                     fine_operator=fine_A, stop_reason=stop_reason)
+    return Hierarchy(mesh=mesh, levels=levels, config=config, fine_operator=fine_A,
+                     stop_reason=stop_reason)
 
 
 def _coarse_selection(topo, agg, algorithm):

@@ -23,7 +23,8 @@ where a two-field key would overflow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,6 +93,12 @@ class Mesh:
     node ids and that every coordinate is finite; an empty mesh or a
     degenerate element is rejected where topology and measures are
     computed.
+
+    A mesh owns its state: the constructor copies the arrays, sets them
+    read-only and copies ``boundary_tag``, so nothing the caller holds can
+    change it. Its finest level, :attr:`topology`, is therefore derived
+    once per mesh. Unpickling runs the constructor again, so a mesh sent
+    to a worker process arrives frozen and without its topology.
     """
 
     dim: int
@@ -101,14 +108,12 @@ class Mesh:
     boundary_tag: dict[tuple, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "node_coords",
-                           np.ascontiguousarray(self.node_coords, dtype=float))
-        object.__setattr__(self, "elements",
-                           np.ascontiguousarray(self.elements, dtype=np.int64))
-        object.__setattr__(self, "material_id",
-                           np.ascontiguousarray(self.material_id, dtype=np.int64))
-        for arr in (self.node_coords, self.elements, self.material_id):
+        for name, dtype in (("node_coords", float), ("elements", np.int64),
+                            ("material_id", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype, order="C")  # a copy
             arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "boundary_tag", dict(self.boundary_tag))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.node_coords.ndim != 2 or self.node_coords.shape[1] != self.dim:
@@ -131,6 +136,10 @@ class Mesh:
             raise ValueError(f"node {v} has a non-finite coordinate "
                              f"{self.node_coords[v].tolist()}")
 
+    def __reduce__(self):
+        return type(self), (self.dim, self.node_coords, self.elements, self.material_id,
+                            self.boundary_tag)
+
     @property
     def n_nodes(self) -> int:
         return self.node_coords.shape[0]
@@ -139,11 +148,37 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
+    @cached_property
+    def topology(self) -> "LevelTopology":
+        """The finest level, :meth:`LevelTopology.from_mesh` of this mesh,
+        derived on first use, with every array read-only."""
+        topo = LevelTopology.from_mesh(self)
+        _set_read_only(topo)
+        return topo
+
+
+def _set_read_only(obj) -> None:
+    """Clear the writeable flag of every array in a dataclass and the
+    dataclasses it holds."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif is_dataclass(value):
+            _set_read_only(value)
+
 
 @dataclass(frozen=True)
 class MeshMetrics:
     node_element_ratio: float
     average_connectivity: float
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer
+    (numpy integers are, bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _sort_keys(keys, bound):
@@ -541,11 +576,9 @@ def _enumerate_faces(elements: np.ndarray, dim: int):
 
 
 def boundary_node_mask(mesh: Mesh) -> np.ndarray:
-    """Nodes lying on any boundary face, without full topology extraction."""
-    face_nodes, _, counts = _enumerate_faces(mesh.elements, mesh.dim)
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[face_nodes[counts == 1]] = True
-    return mask
+    """Nodes lying on any boundary face: the mesh topology's read-only
+    ``node_boundary``."""
+    return mesh.topology.node_boundary
 
 
 def mesh_metrics(level: LevelTopology) -> MeshMetrics:
@@ -581,6 +614,8 @@ def generate_mesh(dim: int, n: int, *, extent: float = 10.0, jitter: float = 0.0
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
+    _check_int("n", n)
+    _check_int("seed", seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= jitter < 0.5:

@@ -22,8 +22,7 @@ from scipy.linalg import lu_factor, lu_solve
 # called only through _CsrKernel, which checks the vector's shape first.
 from scipy.sparse._sparsetools import csr_matvec
 
-from .mesh import (Mesh, MaterialProperties, MaterialTable, boundary_node_mask,
-                   element_measures)
+from .mesh import Mesh, MaterialProperties, MaterialTable, element_measures
 from .agglomerate import CoarsenConfig
 from .hierarchy import (COARSEST_LIMIT, ElementMaterials, Hierarchy, LevelSchedule,
                         StopRule, build_hierarchy, grid_complexity, operator_complexity,
@@ -86,79 +85,103 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _p1_gradients(coords, vol):
-    """Constant shape-function gradients, with ``vol`` from :func:`element_measures`."""
-    d = coords.shape[2]
-    edges = coords[:, 1:] - coords[:, 0:1]   # row k is the edge p_{k+1} - p_0
+def _dot(u, v):
+    """Sum of ``u * v`` over the first axis, of length 2 or 3, in the order
+    ``np.einsum`` sums such a contraction: t0 + t1 and (t0 + t2) + t1.
+    Written out, the bits no longer depend on which kernel einsum picks."""
+    p = u * v
+    if len(p) == 2:
+        return p[0] + p[1]
+    return (p[0] + p[2]) + p[1]
+
+
+def _p1_gradients(x, vol):
+    """Constant shape-function gradients of elements with node coordinates
+    ``x`` (d, d + 1, n) and measures ``vol``; component-major like ``x``:
+    entry [c, i, e] is component c of grad phi_i on element e.
+
+    The reference-to-physical Jacobian has the edge vectors as columns, so
+    grad phi_i = ref[i] @ inv(edges)^T for the reference gradients ref:
+    grad phi_1 .. grad phi_d are the rows of inv(edges)^T, and grad phi_0
+    is minus their sum, taken in :func:`_dot`'s order.
+    """
+    d = len(x)
+    edges = x[:, 1:] - x[:, :1]   # [c, k] is component c of the edge p_{k+1} - p_0
+    g = np.empty((d, d + 1, x.shape[2]))
     if d == 2:
         det = 2.0 * vol
-        inv = np.empty_like(edges)
-        inv[:, 0, 0] = edges[:, 1, 1] / det
-        inv[:, 0, 1] = -edges[:, 0, 1] / det
-        inv[:, 1, 0] = -edges[:, 1, 0] / det
-        inv[:, 1, 1] = edges[:, 0, 0] / det
-        ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        g[0, 1] = edges[1, 1] / det
+        g[1, 1] = -edges[0, 1] / det
+        g[0, 2] = -edges[1, 0] / det
+        g[1, 2] = edges[0, 0] / det
+        g[:, 0] = -g[:, 1] - g[:, 2]
     else:
-        inv = np.linalg.inv(edges)
-        ref = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    # the reference-to-physical Jacobian has the edge vectors as columns,
-    # so grad phi_i = ref[i] @ J^{-1} = ref[i] @ inv(edges)^T
-    return np.einsum("ik,ndk->nid", ref, inv)
+        g[:, 1:] = np.linalg.inv(edges.transpose(2, 1, 0)).transpose(1, 2, 0)
+        g[:, 0] = (-g[:, 1] - g[:, 3]) - g[:, 2]
+    return g
 
 
 def assemble_operator(mesh: Mesh, spec: ProblemSpec):
     """Assemble the bilinear form and load without boundary conditions.
 
     Returns (A, b, boundary_node_mask); apply_dirichlet finishes the job.
-    A degenerate or inverted element raises DegenerateElementError.
+    Element volumes and boundary nodes come from ``mesh.topology``, which
+    the first assembly or hierarchy on a mesh derives. Materials are
+    checked first; a degenerate or inverted element then raises
+    DegenerateElementError. Local matrices are built entry-major, (i, j, e),
+    so each entry is one contiguous vector over the elements.
     """
     mats = ElementMaterials.from_table(mesh, spec.materials)
     if np.any(mats.sigma_t <= 0):
         raise ValueError("sigma_t must be positive: diffusion coefficient 1/(3 sigma_t)")
-    coords = mesh.node_coords[mesh.elements]
-    vol = element_measures(mesh)
-    grads = _p1_gradients(coords, vol)
+    topo = mesh.topology
+    vol = topo.dual.vertex_weight
+    x = mesh.node_coords.T[:, mesh.elements.T]   # [c, i, e]
+    grads = _p1_gradients(x, vol)
     nloc = mesh.dim + 1
     diffusion = 1.0 / (3.0 * mats.sigma_t)
     sigma_a = mats.sigma_t - mats.sigma_s
 
-    # stiffness: D * vol * grad_i . grad_j
-    K = np.einsum("nid,njd->nij", grads, grads) * (diffusion * vol)[:, None, None]
-    # consistent mass: sigma_a * vol/((d+1)(d+2)) * (1 + delta_ij)
+    # stiffness D * vol * grad_i . grad_j plus the consistent mass
+    # sigma_a * vol/((d+1)(d+2)) * (1 + delta_ij), one entry at a time
+    stiffness = diffusion * vol
     mass_scale = sigma_a * vol / ((nloc) * (nloc + 1))
-    M = (np.ones((nloc, nloc)) + np.eye(nloc))[None, :, :] * mass_scale[:, None, None]
-    local = K + M
-    load = np.repeat((mats.source * vol / nloc)[:, None], nloc, axis=1)
+    mass = (mass_scale, 2.0 * mass_scale)
+    local = np.empty((nloc, nloc, mesh.n_elements))
+    for i, j in np.ndindex(nloc, nloc):
+        local[i, j] = _dot(grads[:, i], grads[:, j]) * stiffness + mass[i == j]
+    load = np.broadcast_to(mats.source * vol / nloc, (nloc, mesh.n_elements))
 
     if spec.kind == "absorbing":
         b_vec = np.array(ADVECTION[:mesh.dim])
-        bg = np.einsum("d,nid->ni", b_vec, grads)           # b . grad phi_i
-        conv = np.repeat((vol / nloc)[:, None, None], nloc, axis=1) * bg[:, None, :]
-        local = local + conv
+        bg = _dot(grads, b_vec[:, None, None])              # b . grad phi_i
+        local += (vol / nloc) * bg                          # phi_i b . grad phi_j
         bnorm = float(np.linalg.norm(b_vec))
-        h = _element_diameters(coords)
+        h = _element_diameters(x)
         peclet = bnorm * h / (2.0 * diffusion)
         tau = np.where(peclet > 1.0, h / (2.0 * bnorm), 0.0)
-        local = local + np.einsum("ni,nj->nij", bg, bg) * (tau * vol)[:, None, None]
-        load = load + bg * (tau * mats.source * vol)[:, None]
+        local += (bg[:, None] * bg) * (tau * vol)
+        load = load + bg * (tau * mats.source * vol)
 
+    # element-major, as the sums of duplicates depend on the entry order
     n = mesh.n_nodes
     ii = np.repeat(mesh.elements, nloc, axis=1).ravel()
     jj = np.tile(mesh.elements, (1, nloc)).ravel()
-    A = sp.csr_matrix((local.ravel(), (ii, jj)), shape=(n, n))
+    A = sp.csr_matrix((local.transpose(2, 0, 1).ravel(), (ii, jj)), shape=(n, n))
     A.sum_duplicates()
-    b = np.zeros(n)
-    np.add.at(b, mesh.elements.ravel(), load.ravel())
-    return A, b, boundary_node_mask(mesh)
+    b = np.bincount(mesh.elements.ravel(), weights=load.T.ravel(), minlength=n)
+    return A, b, topo.node_boundary
 
 
-def _element_diameters(coords):
-    nloc = coords.shape[1]
-    h = np.zeros(coords.shape[0])
+def _element_diameters(x):
+    """Longest edge of each element of node coordinates ``x`` (d, d + 1, n),
+    with the bits of ``np.linalg.norm``: the same squares, summed in the
+    same order."""
+    nloc = x.shape[1]
+    h = np.zeros(x.shape[2])
     for i in range(nloc):
         for j in range(i + 1, nloc):
-            h = np.maximum(h, np.linalg.norm(coords[:, i] - coords[:, j], axis=1))
+            h = np.maximum(h, np.sqrt(sum(c * c for c in x[:, i] - x[:, j])))
     return h
 
 
@@ -167,11 +190,16 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, boundary: np.ndarray):
 
     Boundary rows and columns are zeroed and the original diagonal entry
     kept, so the system stays square over all nodes and SPD structure is
-    preserved for the multigrid transfer operators.
+    preserved for the multigrid transfer operators. Explicit zeros are
+    dropped, as a sparse product with the interior mask would drop them.
+    ``A`` itself is left unchanged.
     """
-    keep = (~boundary).astype(float)
-    Z = sp.diags(keep)
-    return (Z @ A @ Z + sp.diags(A.diagonal() * boundary)).tocsr(), b * keep
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[(boundary[rows] | boundary[A.indices]) & (rows != A.indices)] = 0.0
+    A.eliminate_zeros()
+    return A, b * (~boundary).astype(float)
 
 
 def assemble_problem(mesh: Mesh, spec: ProblemSpec):

@@ -7,7 +7,10 @@ by sorting packed keys, and the coarse-edge chains walked edge by edge in
 Python dicts. The merge of uncovered agglomerates is kept as the loop
 over agglomerates it was. The partitioner's refinement is kept as it was
 when its queue held every boundary move and its loops copied the graph to
-lists.
+lists. The assembly is kept as it was when its kernels were ``np.einsum``
+contractions, it took volumes from ``element_measures`` and boundary nodes
+from its own face enumeration, and the Dirichlet step was the sparse
+product ``Z A Z`` with the interior mask Z.
 ``tests/test_reference_kernels.py`` and ``tests/test_partitioner.py``
 assert that each kernel of the package returns the same arrays as its
 reference here, dtype included. Nothing in the package imports this module.
@@ -15,12 +18,15 @@ reference here, dtype included. Nothing in the package imports this module.
 import heapq
 
 import numpy as np
+import scipy.sparse as sp
 
 from agglomg.agglomerate import Agglomeration, _group_pairs
-from agglomg.hierarchy import BOUNDARY, FacePatches
+from agglomg.hierarchy import BOUNDARY, ElementMaterials, FacePatches
 from agglomg.mesh import (EdgeSet, LevelTopology, Mesh, _collapse_pairs, _components,
-                          _csr_from_pairs, _first_appearance, _gather_ragged, _unique_pairs)
+                          _csr_from_pairs, _first_appearance, _gather_ragged, _unique_pairs,
+                          element_measures)
 from agglomg.partitioner import balance_bounds
+from agglomg.solver import ADVECTION
 
 _TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 _TRI_FACES = np.array([[1, 2], [0, 2], [0, 1]])
@@ -421,3 +427,80 @@ def merge_uncovered(topo, agg, uncovered):
     labels = _components(np.array(sources, dtype=np.int64),
                          np.array(targets, dtype=np.int64), nagg)
     return Agglomeration(_first_appearance(labels[assign]))
+
+
+def _p1_gradients(coords, vol):
+    d = coords.shape[2]
+    edges = coords[:, 1:] - coords[:, 0:1]   # row k is the edge p_{k+1} - p_0
+    if d == 2:
+        det = 2.0 * vol
+        inv = np.empty_like(edges)
+        inv[:, 0, 0] = edges[:, 1, 1] / det
+        inv[:, 0, 1] = -edges[:, 0, 1] / det
+        inv[:, 1, 0] = -edges[:, 1, 0] / det
+        inv[:, 1, 1] = edges[:, 0, 0] / det
+        ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    else:
+        inv = np.linalg.inv(edges)
+        ref = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return np.einsum("ik,ndk->nid", ref, inv)
+
+
+def _element_diameters(coords):
+    nloc = coords.shape[1]
+    h = np.zeros(coords.shape[0])
+    for i in range(nloc):
+        for j in range(i + 1, nloc):
+            h = np.maximum(h, np.linalg.norm(coords[:, i] - coords[:, j], axis=1))
+    return h
+
+
+def boundary_node_mask(mesh: Mesh) -> np.ndarray:
+    face_nodes, _, _, counts = _enumerate_faces(mesh.elements, mesh.dim)
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[face_nodes[counts == 1]] = True
+    return mask
+
+
+def assemble_operator(mesh: Mesh, spec):
+    mats = ElementMaterials.from_table(mesh, spec.materials)
+    coords = mesh.node_coords[mesh.elements]
+    vol = element_measures(mesh)
+    grads = _p1_gradients(coords, vol)
+    nloc = mesh.dim + 1
+    diffusion = 1.0 / (3.0 * mats.sigma_t)
+    sigma_a = mats.sigma_t - mats.sigma_s
+
+    K = np.einsum("nid,njd->nij", grads, grads) * (diffusion * vol)[:, None, None]
+    mass_scale = sigma_a * vol / ((nloc) * (nloc + 1))
+    M = (np.ones((nloc, nloc)) + np.eye(nloc))[None, :, :] * mass_scale[:, None, None]
+    local = K + M
+    load = np.repeat((mats.source * vol / nloc)[:, None], nloc, axis=1)
+
+    if spec.kind == "absorbing":
+        b_vec = np.array(ADVECTION[:mesh.dim])
+        bg = np.einsum("d,nid->ni", b_vec, grads)
+        conv = np.repeat((vol / nloc)[:, None, None], nloc, axis=1) * bg[:, None, :]
+        local = local + conv
+        bnorm = float(np.linalg.norm(b_vec))
+        h = _element_diameters(coords)
+        peclet = bnorm * h / (2.0 * diffusion)
+        tau = np.where(peclet > 1.0, h / (2.0 * bnorm), 0.0)
+        local = local + np.einsum("ni,nj->nij", bg, bg) * (tau * vol)[:, None, None]
+        load = load + bg * (tau * mats.source * vol)[:, None]
+
+    n = mesh.n_nodes
+    ii = np.repeat(mesh.elements, nloc, axis=1).ravel()
+    jj = np.tile(mesh.elements, (1, nloc)).ravel()
+    A = sp.csr_matrix((local.ravel(), (ii, jj)), shape=(n, n))
+    A.sum_duplicates()
+    b = np.zeros(n)
+    np.add.at(b, mesh.elements.ravel(), load.ravel())
+    return A, b, boundary_node_mask(mesh)
+
+
+def apply_dirichlet(A, b, boundary):
+    keep = (~boundary).astype(float)
+    Z = sp.diags(keep)
+    return (Z @ A @ Z + sp.diags(A.diagonal() * boundary)).tocsr(), b * keep

@@ -54,6 +54,28 @@ class TestConfig:
             CoarsenConfig("rgb", seed=-5).validate()
         CoarsenConfig("rgb", seed=2 ** 64 - 1).validate()
 
+    @pytest.mark.parametrize("alg,size,seed,field", [
+        ("greedy", 6.5, 1, "desired_size"), ("sizebased", 6.5, 1, "desired_size"),
+        ("aspect", 6.5, 1, "desired_size"), ("greedy", True, 1, "desired_size"),
+        ("jones", 8.0, 1, "desired_size"), ("greedy", 8, 2.5, "seed"),
+        ("rgb", None, True, "seed"), ("node", None, "1", "seed")])
+    def test_fields_must_be_integers(self, alg, size, seed, field):
+        # desired_size=6.5 used to coarsen with greedy and aspect, while
+        # sizebased raised a bare TypeError naming no input
+        topo = LevelTopology.from_mesh(generate_mesh(2, 8, jitter=0.2, seed=1))
+        with pytest.raises(ValueError, match=rf"CoarsenConfig\.{field} must be an integer"):
+            coarsen(topo, CoarsenConfig(alg, desired_size=size, seed=seed))
+
+    def test_build_hierarchy_names_a_float_seed(self):
+        # it used to raise a TypeError from the per-level seed derivation
+        with pytest.raises(ValueError, match=r"CoarsenConfig\.seed must be an integer, got 2\.5"):
+            build_hierarchy(generate_mesh(2, 8, jitter=0.2, seed=1),
+                            CoarsenConfig("greedy", seed=2.5))
+
+    def test_numpy_integers_and_no_size_accepted(self):
+        CoarsenConfig("greedy", desired_size=np.int64(6), seed=np.uint64(3)).validate()
+        CoarsenConfig("jones", desired_size=None, seed=np.int32(1)).validate()
+
 
 class TestJones:
     def test_two_triangles_single_agglomerate(self, tri_pair):

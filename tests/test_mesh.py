@@ -1,10 +1,17 @@
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 from agglomg import agglomerate as ag
+from agglomg.agglomerate import CoarsenConfig
+from agglomg.hierarchy import build_hierarchy
 from agglomg.mesh import (BOUNDARY, DegenerateElementError, LevelTopology, Mesh,
                           TopologyError, _collapse_pairs, _csr_from_pairs, _row_sums,
                           _unique_pairs, element_measures, generate_mesh, mesh_metrics)
+from agglomg.solver import ProblemSpec, apply_dirichlet, assemble_operator, assemble_problem
 
 
 class TestGenerateMesh:
@@ -39,6 +46,20 @@ class TestGenerateMesh:
     def test_negative_seed_rejected(self, jitter):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             generate_mesh(2, 4, jitter=jitter, seed=-1)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(n=4.5), "n"), (dict(n=True), "n"), (dict(n="4"), "n"),
+        (dict(n=4, seed=1.5), "seed"), (dict(n=4, seed=True), "seed")])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_non_integer_size_or_seed_rejected(self, kwargs, name, jitter):
+        # n=4.5 and seed=1.5 used to raise a TypeError naming neither
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            generate_mesh(2, jitter=jitter, **kwargs)
+
+    def test_numpy_integer_size_and_seed_accepted(self):
+        m = generate_mesh(2, np.int64(4), jitter=0.2, seed=np.int32(3))
+        assert np.array_equal(m.node_coords,
+                              generate_mesh(2, 4, jitter=0.2, seed=3).node_coords)
 
     @pytest.mark.parametrize("extent", [-1.0, 0.0, np.inf, np.nan])
     @pytest.mark.parametrize("jitter", [0.0, 0.2])
@@ -255,6 +276,112 @@ class TestLevelTopology:
     def test_boundary_nodes(self, topo2d_small):
         n = 16
         assert int(topo2d_small.node_boundary.sum()) == 4 * n
+
+
+def _arrays(obj, path="topology"):
+    """(path, array) for every ndarray in a dataclass and those it holds."""
+    for f in dataclasses.fields(obj):
+        value, name = getattr(obj, f.name), f"{path}.{f.name}"
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value, name)
+
+
+def _hierarchy_digest(mesh, algorithms):
+    """sha256 over the operator and, per algorithm, every level's
+    agglomeration, prolongation, operator and topology arrays."""
+    digest = hashlib.sha256()
+    spec = ProblemSpec("absorbing")
+    A, b = assemble_problem(mesh, spec)
+    for arr in (A.indptr, A.indices, A.data, b):
+        digest.update(arr.tobytes())
+    for alg in algorithms:
+        h = build_hierarchy(mesh, CoarsenConfig(alg, seed=3), materials=spec.materials,
+                            operator=A)
+        for level in h.levels:
+            for arr in (level.agglomeration.element_to_agg, level.prolongation.data,
+                        level.prolongation.indices, level.operator.data):
+                digest.update(arr.tobytes())
+        for topo in [h.fine_topology] + [level.topology for level in h.levels]:
+            for _, arr in _arrays(topo):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+class TestMeshTopology:
+    """``Mesh.topology`` is the fine level, derived once per mesh, which
+    owns its state so that level cannot go stale."""
+
+    def test_derived_once(self, mesh2d_jittered):
+        assert mesh2d_jittered.topology is mesh2d_jittered.topology
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)])
+    def test_one_derivation_for_assembly_and_two_builds(self, dim, n, monkeypatch):
+        calls = []
+        from_mesh = LevelTopology.from_mesh.__func__
+
+        def counted(cls, mesh):
+            calls.append(mesh)
+            return from_mesh(cls, mesh)
+        monkeypatch.setattr(LevelTopology, "from_mesh", classmethod(counted))
+        mesh = generate_mesh(dim, n, jitter=0.2, seed=1)
+        A, _ = assemble_problem(mesh, ProblemSpec("diffuse"))
+        for alg in ("greedy", "kraus"):
+            h = build_hierarchy(mesh, CoarsenConfig(alg, seed=1), operator=A)
+            assert h.fine_topology is mesh.topology
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+    def test_every_array_is_read_only(self, dim, n):
+        arrays = list(_arrays(generate_mesh(dim, n, jitter=0.2, seed=1).topology))
+        assert len(arrays) == (18 if dim == 3 else 15)
+        for name, arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            assert not arr.flags.writeable, name
+
+    def test_builds_on_one_mesh_hash_as_on_fresh_meshes(self):
+        algorithms = ("kraus", "sizebased")
+        shared = generate_mesh(3, 4, jitter=0.2, seed=2)
+        assert ([_hierarchy_digest(shared, [alg]) for alg in algorithms]
+                == [_hierarchy_digest(generate_mesh(3, 4, jitter=0.2, seed=2), [alg])
+                    for alg in algorithms])
+
+    def test_caller_arrays_and_tags_are_copied(self):
+        base = generate_mesh(2, 3, jitter=0.2, seed=1)
+        coords, elements = base.node_coords.copy(), base.elements.copy()
+        tags = dict(base.boundary_tag)
+        mesh = Mesh(2, coords, elements, base.material_id.copy(), tags)
+        coords.flags.writeable = True
+        elements.flags.writeable = True
+        coords[:] = 0.0
+        elements[0] = elements[1]
+        face = min(tags)
+        tags[face] = 99
+        assert np.array_equal(mesh.node_coords, base.node_coords)
+        assert np.array_equal(mesh.elements, base.elements)
+        assert mesh.boundary_tag == base.boundary_tag
+        assert 99 not in mesh.topology.faces.tag
+        assert np.array_equal(mesh.topology.faces.tag, base.topology.faces.tag)
+
+    def test_unpickled_mesh_is_frozen_and_builds_the_same(self):
+        mesh = generate_mesh(3, 3, jitter=0.2, seed=4)
+        mesh.topology  # derived before pickling
+        copy = pickle.loads(pickle.dumps(mesh))
+        assert "topology" not in vars(copy)  # derived afresh, not carried
+        for arr in (copy.node_coords, copy.elements, copy.material_id):
+            assert not arr.flags.writeable
+        assert all(not arr.flags.writeable for _, arr in _arrays(copy.topology))
+        assert _hierarchy_digest(copy, ["kraus"]) == _hierarchy_digest(mesh, ["kraus"])
+
+    def test_apply_dirichlet_leaves_its_input_unchanged(self, mesh2d_jittered):
+        A, b, boundary = assemble_operator(mesh2d_jittered, ProblemSpec("absorbing"))
+        before = [arr.copy() for arr in (A.indptr, A.indices, A.data, b)]
+        A_bc, b_bc = apply_dirichlet(A, b, boundary)
+        for arr, old in zip((A.indptr, A.indices, A.data, b), before):
+            assert arr.tobytes() == old.tobytes()
+        assert A_bc.nnz < A.nnz
 
 
 def random_pairs(seed, n_rows, n, size):

@@ -5,7 +5,8 @@ the references are the lexsort, np.unique and walk versions they replaced.
 Every array must be equal, dtype included, on the golden boxes, on meshes
 that stress the grouping (two components, removed cells, one tet) and on
 every kraus coarse level of the 3D n=6 and n=12 boxes, where two coarse
-edges can share both endpoints.
+edges can share both endpoints. The assembled operator and load must be
+the reference's bit for bit on a grid of boxes and both problems.
 """
 import collections
 import dataclasses
@@ -22,7 +23,8 @@ from agglomg.agglomerate import ALGORITHMS, CoarsenConfig
 from agglomg.hierarchy import build_hierarchy, level_schedule
 from agglomg.mesh import (DualGraph, LevelTopology, Mesh, MeshSizeError, _build_edges,
                           _enumerate_faces, _face_areas, _order_by, _sort_keys,
-                          generate_mesh)
+                          element_measures, generate_mesh)
+from agglomg.solver import ProblemSpec, _p1_gradients, assemble_problem
 
 
 def assert_same(got, want):
@@ -301,3 +303,37 @@ def test_merge_uncovered_matches_the_per_agglomerate_loop(dim, n):
     got = hi._merge_uncovered(topo, agg, uncovered)
     assert_same(got.element_to_agg, ref.merge_uncovered(topo, agg, uncovered).element_to_agg)
     assert got.n_agglomerates < agg.n_agglomerates - len(uncovered) // 2
+
+
+def assert_bits(got, want):
+    """The same array, byte for byte: a zero's sign counts."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+ASSEMBLY_CASES = [(dim, n, jitter, seed, kind)
+                  for dim, sizes in ((2, (1, 2, 5, 16, 64, 128)), (3, (1, 2, 4, 8, 12)))
+                  for n in sizes for jitter in (0.0, 0.2, 0.45) for seed in (1, 2)
+                  for kind in ("diffuse", "absorbing")]
+
+
+@functools.lru_cache(maxsize=1)
+def assembly_mesh(dim, n, jitter, seed):
+    return generate_mesh(dim, n, jitter=jitter, seed=seed)
+
+
+@pytest.mark.parametrize("dim,n,jitter,seed,kind", ASSEMBLY_CASES)
+def test_assembly_matches_the_einsum_reference(dim, n, jitter, seed, kind):
+    m = assembly_mesh(dim, n, jitter, seed)
+    spec = ProblemSpec(kind)
+    A, b = assemble_problem(m, spec)
+    A_ref, b_ref = ref.apply_dirichlet(*ref.assemble_operator(m, spec))
+    for got, want in ((A.indptr, A_ref.indptr), (A.indices, A_ref.indices),
+                      (A.data, A_ref.data), (b, b_ref)):
+        assert_bits(got, want)
+    # the gradients are equal as values; a zero's sign may differ, and no
+    # assembled entry carries it, since the mass term adds +0 or more
+    coords = m.node_coords[m.elements]
+    vol = element_measures(m)
+    np.testing.assert_array_equal(_p1_gradients(coords.transpose(2, 1, 0), vol),
+                                  ref._p1_gradients(coords, vol).transpose(2, 1, 0))
